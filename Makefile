@@ -17,8 +17,12 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Tier-1 at one and two scheduler threads: a test whose verdict depends
+# on goroutine scheduling shows up at one of them. -count=1 because the
+# test cache does not key on GOMAXPROCS.
 test:
-	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
 
 # Shuffled test order flushes out inter-test state dependencies that a
 # fixed order silently satisfies.

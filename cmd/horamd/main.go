@@ -5,7 +5,7 @@
 //
 // The daemon is built on internal/server and internal/engine:
 // concurrent connections are accepted without a global lock, requests
-// arriving within the batching window are drained as one batch, and
+// arriving while a shard's scheduler is busy share its next drain, and
 // the engine PRF-shards the address space across -shards independent
 // H-ORAM instances whose schedulers cycle concurrently — multi-client
 // traffic gets the paper's §4.2 request-grouping per shard AND
@@ -106,8 +106,7 @@ func main() {
 	mem := flag.Int64("mem", 8<<20, "total memory-tier budget in bytes (split across shards)")
 	shards := flag.Int("shards", 1, "H-ORAM shard count (parallel per-shard schedulers)")
 	keyHex := flag.String("key", strings.Repeat("2a", 32), "hex master key (32 bytes)")
-	window := flag.Duration("batch-window", server.DefaultBatchWindow, "how long to collect concurrent requests into one scheduler batch")
-	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "max logical requests per scheduler batch")
+	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "max logical requests one command submits to the engine at once (a larger MULTI runs in chunks)")
 	maxConns := flag.Int("max-conns", server.DefaultMaxConns, "max concurrent connections")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory simulation, nothing survives restart)")
 	checkpoint := flag.Duration("checkpoint", time.Minute, "periodic control-state checkpoint interval with -data-dir (0 disables; a final checkpoint always runs on shutdown)")
@@ -185,11 +184,6 @@ func main() {
 		shardOpts.DataDir = *dataDir
 		shardOpts.FsyncEvery = *fsync
 		opts = shardOpts
-		if !setFlags["batch-window"] {
-			// The gateway already collected the batch; holding its MULTI
-			// another 2ms per drain would stack windows.
-			*window = 200 * time.Microsecond
-		}
 	}
 
 	var eng *engine.Engine
@@ -323,7 +317,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Engine:       eng,
-		BatchWindow:  *window,
 		MaxBatch:     *maxBatch,
 		MaxConns:     *maxConns,
 		KV:           store,
@@ -357,7 +350,7 @@ func main() {
 		"addr", ln.Addr().String(), "mode", mode,
 		"blocks", opts.Blocks, "blocksize", *blockSize,
 		"shards", eng.Shards(), "shuffle", shuffleMode,
-		"batch_window", *window, "max_batch", *maxBatch, "max_conns", *maxConns)
+		"max_batch", *maxBatch, "max_conns", *maxConns)
 
 	// Periodic checkpoints keep the recoverable image fresh; a hard
 	// crash loses at most one interval of writes.
@@ -387,7 +380,7 @@ func main() {
 
 	// Periodic serving-stats log: the observable heartbeat operators
 	// watch — one record with stable keys, machine-greppable in either
-	// -log-format. KV verbs bypass the block batcher, so in KV mode the
+	// -log-format. KV verbs are not block commands, so in KV mode the
 	// kv_* counters are the real traffic and the window counters would
 	// read as an idle daemon.
 	statsStop := make(chan struct{})

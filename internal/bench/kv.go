@@ -12,6 +12,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -84,7 +85,74 @@ func RunKV(shardCounts []int, p KVParams) ([]KVRow, error) {
 	return rows, nil
 }
 
+// kvOp is one logical operation of a worker's measured stream.
+type kvOp struct {
+	key []byte
+	run func(*okv.Store) error
+}
+
+func kvKey(i int) []byte { return []byte(fmt.Sprintf("user-%06d", i)) }
+
+// kvStream is worker w's share of the measured phase, a pure function
+// of (p, w): a 60/30/10 get/set/del mix, gets 80/20 hot-spotted over
+// the residents with ~9% ghosts.
+func kvStream(p KVParams, w, workers int) []kvOp {
+	rng := blockcipher.NewRNGFromString(fmt.Sprintf("%s-worker-%d", p.Seed, w))
+	hot := max(p.SeedKeys/20, 1)
+	n := p.Ops / workers
+	if w < p.Ops%workers {
+		n++
+	}
+	ops := make([]kvOp, n)
+	for i := range ops {
+		switch r := rng.Intn(10); {
+		case r < 6:
+			idx := rng.Intn(p.SeedKeys * 11 / 10) // ~9% ghosts
+			if rng.Intn(10) < 8 {
+				idx = rng.Intn(hot)
+			}
+			key := kvKey(idx)
+			ops[i] = kvOp{key, func(s *okv.Store) error { _, _, err := s.Get(key); return err }}
+		case r < 9:
+			key := kvKey(rng.Intn(p.SeedKeys))
+			val := bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(p.MaxValueBytes))
+			ops[i] = kvOp{key, func(s *okv.Store) error { return s.Set(key, val) }}
+		default:
+			key := kvKey(rng.Intn(p.SeedKeys))
+			ops[i] = kvOp{key, func(s *okv.Store) error { _, err := s.Del(key); return err }}
+		}
+	}
+	return ops
+}
+
+// kvFreeRun drives each stream from its own goroutine: okv's striped
+// locking lets disjoint ops overlap, so their fixed pipelines coalesce
+// in the shards' queues as scheduling happens to allow.
+func kvFreeRun(s *okv.Store, streams [][]kvOp) error {
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for w, ops := range streams {
+		wg.Add(1)
+		go func(w int, ops []kvOp) {
+			defer wg.Done()
+			for _, op := range ops {
+				if errs[w] = op.run(s); errs[w] != nil {
+					return
+				}
+			}
+		}(w, ops)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 func runKVOne(shards int, p KVParams) (KVRow, error) {
+	return runKVOver(shards, p, func(e *engine.Engine) okv.Backend { return e }, kvFreeRun)
+}
+
+// runKVOver measures one shard count with the table laid over
+// backend(engine) and the measured phase run by drive (test seams).
+func runKVOver(shards int, p KVParams, backend func(*engine.Engine) okv.Backend, drive func(*okv.Store, [][]kvOp) error) (KVRow, error) {
 	e, err := engine.New(engine.Options{
 		Blocks:      p.Blocks,
 		BlockSize:   p.BlockSize,
@@ -98,7 +166,7 @@ func runKVOne(shards int, p KVParams) (KVRow, error) {
 	}
 	defer e.Close() //horam:errok bench teardown; the measured run is already over
 	s, err := okv.New(okv.Options{
-		Backend:        e,
+		Backend:        backend(e),
 		SlotsPerBucket: p.SlotsPerBucket,
 		MaxValueBytes:  p.MaxValueBytes,
 		Insecure:       true,
@@ -110,82 +178,27 @@ func runKVOne(shards int, p KVParams) (KVRow, error) {
 
 	// Seed phase: a resident population so the measured mix sees
 	// mostly hits, like a warmed cache of user records.
-	key := func(i int) []byte { return []byte(fmt.Sprintf("user-%06d", i)) }
 	rng := blockcipher.NewRNGFromString(p.Seed + "-wl")
-	val := func(i int) []byte {
-		n := 1 + rng.Intn(p.MaxValueBytes)
-		return bytes.Repeat([]byte{byte(i)}, n)
-	}
 	for i := 0; i < p.SeedKeys; i++ {
-		if err := s.Set(key(i), val(i)); err != nil {
+		val := bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(p.MaxValueBytes))
+		if err := s.Set(kvKey(i), val); err != nil {
 			return KVRow{}, fmt.Errorf("seed key %d: %w", i, err)
 		}
 	}
 
 	// Measured phase: Workers concurrent clients, each running its
-	// share of a 60/30/10 get/set/del mix (gets are 80/20 hot-spotted
-	// over the residents with ~9% ghosts). Concurrency is what the
-	// layer is built for: okv's bucket-striped locking lets disjoint
-	// ops overlap, so their fixed pipelines coalesce in the shards'
-	// reorder buffers.
+	// share of the mix.
 	preStats := s.Stats()
 	preSim := e.Stats().SimTime
-	hot := p.SeedKeys / 20
-	if hot < 1 {
-		hot = 1
+	streams := make([][]kvOp, max(p.Workers, 1))
+	for w := range streams {
+		streams[w] = kvStream(p, w, len(streams))
 	}
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := blockcipher.NewRNGFromString(fmt.Sprintf("%s-worker-%d", p.Seed, w))
-			wval := func(i int) []byte {
-				n := 1 + wrng.Intn(p.MaxValueBytes)
-				return bytes.Repeat([]byte{byte(i)}, n)
-			}
-			ops := p.Ops / workers
-			if w < p.Ops%workers {
-				ops++
-			}
-			for i := 0; i < ops; i++ {
-				switch r := wrng.Intn(10); {
-				case r < 6:
-					idx := wrng.Intn(p.SeedKeys * 11 / 10) // ~9% ghosts
-					if wrng.Intn(10) < 8 {
-						idx = wrng.Intn(hot)
-					}
-					if _, _, err := s.Get(key(idx)); err != nil {
-						errs[w] = err
-						return
-					}
-				case r < 9:
-					if err := s.Set(key(wrng.Intn(p.SeedKeys)), wval(i)); err != nil {
-						errs[w] = err
-						return
-					}
-				default:
-					if _, err := s.Del(key(wrng.Intn(p.SeedKeys))); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}
-		}(w)
+	if err := drive(s, streams); err != nil {
+		return KVRow{}, err
 	}
-	wg.Wait()
 	wall := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return KVRow{}, err
-		}
-	}
 
 	sum := e.Stats()
 	st := s.Stats()

@@ -3,7 +3,7 @@
 // many goroutines may issue requests on one connection and each
 // in-flight request only holds the send mutex while its bytes are
 // written, so requests from concurrent callers interleave on the wire
-// and land in the server's batching window together — and the MULTI
+// (the server answers one connection's requests in order) — and the MULTI
 // verb, which runs a whole slice of operations as one scheduler batch
 // on the server.
 package client

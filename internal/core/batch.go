@@ -1,45 +1,16 @@
-// Batched and asynchronous request submission. The scheduler's whole
-// design (§4.2: a reorder buffer grouping c in-memory hits with one
-// storage load per cycle) only pays off when it sees many requests at
-// once, so the library offers three grouping levels:
-//
-//   - ReadBatch/WriteBatch: synchronous convenience wrappers that run
-//     one whole slice of requests as a single scheduler batch;
-//   - Enqueue/Flush: an asynchronous future-based interface — any
-//     number of goroutines Enqueue, one Flush drains everything queued
-//     so far through the ROB as one batch and completes the futures.
-//
-// internal/server builds its network batching window on this layer.
+// Batched request submission. The scheduler's whole design (§4.2: a
+// reorder buffer grouping c in-memory hits with one storage load per
+// cycle) only pays off when it sees many requests at once, so besides
+// Batch the client offers ReadBatch/WriteBatch, which run one whole
+// slice of addresses as a single scheduler batch. A Client does not
+// merge requests from different callers (concurrent Batch calls
+// serialise); that happens in internal/engine's per-shard queue.
 package core
 
-import (
-	"fmt"
-)
-
-// Future is the handle returned by Enqueue: it completes when a later
-// Flush (or FlushEvery loop) drains the request through the scheduler.
-type Future struct {
-	req  *Request
-	done chan struct{}
-	err  error
-}
-
-// Done returns a channel closed when the request has completed.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Wait blocks until the request completes and returns the block
-// contents (for reads; previous contents for writes) or the batch
-// error.
-func (f *Future) Wait() ([]byte, error) {
-	<-f.done
-	if f.err != nil {
-		return nil, f.err
-	}
-	return f.req.Result, nil
-}
+import "fmt"
 
 // validate rejects malformed requests up front so one bad request
-// cannot poison a whole batch at Submit time.
+// cannot leave a half-submitted batch in the scheduler's ROB.
 func (c *Client) validate(r *Request) error {
 	if r == nil {
 		return fmt.Errorf("core: nil request")
@@ -53,84 +24,12 @@ func (c *Client) validate(r *Request) error {
 	return nil
 }
 
-// Enqueue validates and queues a request without executing it, and
-// returns a Future that completes at the next Flush. Safe for
-// concurrent use; requests complete in enqueue order within a flush.
-func (c *Client) Enqueue(r *Request) (*Future, error) {
-	if err := c.validate(r); err != nil {
-		return nil, err
-	}
-	f := &Future{req: r, done: make(chan struct{})}
-	c.mu.Lock()
-	c.pending = append(c.pending, r)
-	c.futures = append(c.futures, f)
-	c.mu.Unlock()
-	return f, nil
-}
-
-// PendingFutures returns the number of enqueued, unflushed requests.
-func (c *Client) PendingFutures() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
-// SetDrainHook registers fn to observe every non-empty Flush drain
-// that succeeds (failed drains complete their futures with the error
-// but are not counted). It is called with the drained request count,
-// under the engine lock (oramMu) — NOT the queue lock, so it runs
-// concurrently with Enqueue/PendingFutures/SetDrainHook and must do
-// its own synchronisation — and BEFORE the drained futures complete,
-// so accounting done in the hook is guaranteed visible by the time
-// any waiter sees its request finish. internal/engine uses it for
-// per-shard drain histograms. A nil fn removes the hook for future
-// flushes; a drain already in flight has snapshotted the previous
-// hook and will still call it.
-func (c *Client) SetDrainHook(fn func(n int)) {
-	c.mu.Lock()
-	c.drainHook = fn
-	c.mu.Unlock()
-}
-
-// Flush drains every request enqueued so far through the scheduler as
-// one ROB batch and completes their futures. Requests enqueued while
-// the flush is running wait for the next Flush: the queue is
-// snapshotted under the queue lock, then the drain runs under the
-// engine lock only, so concurrent Enqueue callers never stall behind
-// an in-flight drain. Concurrent Flush callers may drain their
-// snapshots in either order — keep one flusher per client when
-// cross-flush ordering matters (internal/engine runs exactly one per
-// shard).
-func (c *Client) Flush() error {
-	c.mu.Lock()
-	reqs, futs, hook := c.pending, c.futures, c.drainHook
-	c.pending, c.futures = nil, nil
-	c.mu.Unlock()
-	if len(reqs) == 0 {
-		return nil
-	}
-	c.oramMu.Lock()
-	err := c.oram.RunBatch(reqs)
-	if err == nil && hook != nil {
-		hook(len(reqs))
-	}
-	for _, f := range futs {
-		f.err = err
-		close(f.done)
-	}
-	c.oramMu.Unlock()
-	return err
-}
-
 // ReadBatch reads all addresses as a single scheduler batch and
 // returns the block contents in the same order.
 func (c *Client) ReadBatch(addrs []int64) ([][]byte, error) {
 	reqs := make([]*Request, len(addrs))
 	for i, a := range addrs {
 		reqs[i] = &Request{Op: OpRead, Addr: a}
-		if err := c.validate(reqs[i]); err != nil {
-			return nil, err
-		}
 	}
 	if err := c.Batch(reqs); err != nil {
 		return nil, err
@@ -151,9 +50,6 @@ func (c *Client) WriteBatch(addrs []int64, payloads [][]byte) error {
 	reqs := make([]*Request, len(addrs))
 	for i, a := range addrs {
 		reqs[i] = &Request{Op: OpWrite, Addr: a, Data: payloads[i]}
-		if err := c.validate(reqs[i]); err != nil {
-			return err
-		}
 	}
 	return c.Batch(reqs)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -39,110 +40,116 @@ func TestBatchValidation(t *testing.T) {
 	if err := c.WriteBatch([]int64{0}, [][]byte{{1, 2}}); err == nil {
 		t.Error("WriteBatch accepted short payload")
 	}
-	if _, err := c.Enqueue(&Request{Op: OpWrite, Addr: 0, Data: []byte("short")}); err == nil {
-		t.Error("Enqueue accepted short write payload")
+	if err := c.Batch([]*Request{{Op: OpWrite, Addr: 0, Data: []byte("short")}}); err == nil {
+		t.Error("Batch accepted short write payload")
 	}
-	if _, err := c.Enqueue(&Request{Addr: -1}); err == nil {
-		t.Error("Enqueue accepted negative address")
+	if err := c.Batch([]*Request{{Addr: -1}}); err == nil {
+		t.Error("Batch accepted negative address")
+	}
+	if err := c.Batch([]*Request{nil}); err == nil {
+		t.Error("Batch accepted a nil request")
 	}
 }
 
+// TestEnqueueFlush pins what a caller grouping requests relies on
+// (the name predates Batch being the only grouping call): a malformed
+// request anywhere fails the batch before ANY request runs, requests
+// execute in submission order, and an empty batch is a no-op.
 func TestEnqueueFlush(t *testing.T) {
 	c := open(t)
 	want := bytes.Repeat([]byte{42}, 64)
-	wf, err := c.Enqueue(&Request{Op: OpWrite, Addr: 5, Data: want})
+
+	// The bad request is LAST: the good write ahead of it must not run,
+	// and must not be left queued for a later batch to execute.
+	before := c.Stats()
+	err := c.Batch([]*Request{
+		{Op: OpWrite, Addr: 5, Data: want},
+		{Op: OpRead, Addr: 999},
+	})
+	if err == nil {
+		t.Fatal("batch with an out-of-range request accepted")
+	}
+	if after := c.Stats(); after.Requests != before.Requests || after.Cycles != before.Cycles {
+		t.Fatalf("rejected batch ran: requests %d -> %d, cycles %d -> %d",
+			before.Requests, after.Requests, before.Cycles, after.Cycles)
+	}
+	if n := c.Engine().Pending(); n != 0 {
+		t.Fatalf("rejected batch left %d requests queued in the ROB", n)
+	}
+	got, err := c.Read(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := c.Enqueue(&Request{Op: OpRead, Addr: 5})
-	if err != nil {
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatal("the write ahead of the malformed request took effect")
+	}
+
+	// Submission order within one batch: a read queued after a write of
+	// the same address returns the written bytes; a read queued before
+	// it returns the old ones.
+	early := &Request{Op: OpRead, Addr: 6}
+	late := &Request{Op: OpRead, Addr: 6}
+	if err := c.Batch([]*Request{early, {Op: OpWrite, Addr: 6, Data: want}, late}); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.PendingFutures(); n != 2 {
-		t.Fatalf("PendingFutures = %d, want 2", n)
+	if !bytes.Equal(early.Result, make([]byte, 64)) {
+		t.Fatal("read submitted before the write observed it")
 	}
-	select {
-	case <-rf.Done():
-		t.Fatal("future completed before Flush")
-	default:
+	if !bytes.Equal(late.Result, want) {
+		t.Fatal("read submitted after the write did not observe it")
 	}
-	if err := c.Flush(); err != nil {
+
+	// An empty batch is a no-op.
+	before = c.Stats()
+	if err := c.Batch(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wf.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := rf.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("enqueued read did not observe enqueued write")
-	}
-	if n := c.PendingFutures(); n != 0 {
-		t.Fatalf("PendingFutures after flush = %d, want 0", n)
-	}
-	// Flush with nothing queued is a no-op.
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
+	if after := c.Stats(); after.Requests != before.Requests || after.Cycles != before.Cycles {
+		t.Fatal("empty batch ran scheduler cycles")
 	}
 }
 
-// TestDrainHookFiresBeforeFuturesResolve: the hook must observe the
-// drain count before any waiter sees its future complete — the
-// ordering internal/engine's per-shard accounting depends on.
+// TestDrainHookFiresBeforeFuturesResolve pins the ordering
+// internal/engine's per-shard accounting depends on (the name predates
+// the drain hook's removal): accounting is committed before Batch
+// returns, so under concurrent callers a Stats() read right after a
+// caller's Batch returns already includes that caller's requests.
 func TestDrainHookFiresBeforeFuturesResolve(t *testing.T) {
 	c := open(t)
-	var drains []int
-	c.SetDrainHook(func(n int) { drains = append(drains, n) })
-	var futs []*Future
-	for a := int64(0); a < 3; a++ {
-		f, err := c.Enqueue(&Request{Op: OpRead, Addr: a})
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, f)
+	const callers, rounds, perBatch = 6, 20, 3
+	var done atomic.Int64 // requests whose Batch has returned
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				reqs := make([]*Request, perBatch)
+				for j := range reqs {
+					reqs[j] = &Request{Op: OpRead, Addr: int64(w*perBatch + j)}
+				}
+				if err := c.Batch(reqs); err != nil {
+					t.Error(err)
+					return
+				}
+				// Everything counted in done has returned, this batch
+				// included, so the scheme counters must cover it.
+				want := done.Add(perBatch)
+				if got := c.Stats().Requests; got < want {
+					t.Errorf("Stats().Requests = %d right after Batch returned, want >= %d", got, want)
+					return
+				}
+			}
+		}(w)
 	}
-	// Waiters sample the hook's view the moment their future resolves;
-	// the hook appends before the futures close (both under the client
-	// lock), so every waiter must observe a non-empty drain log.
-	observed := make(chan int, len(futs))
-	for _, f := range futs {
-		go func(f *Future) {
-			f.Wait()
-			observed <- len(drains)
-		}(f)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for range futs {
-		if n := <-observed; n == 0 {
-			t.Fatal("a future resolved before the drain hook fired")
-		}
-	}
-	if len(drains) != 1 || drains[0] != 3 {
-		t.Fatalf("drain hook observed %v, want one drain of 3", drains)
-	}
-	// An empty flush must not fire the hook; removal must stick even on
-	// the Enqueue+Flush path that does fire it.
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c.SetDrainHook(nil)
-	if _, err := c.Enqueue(&Request{Op: OpRead, Addr: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(drains) != 1 {
-		t.Fatalf("drain hook fired %d times, want 1", len(drains))
+	wg.Wait()
+	if got, want := c.Stats().Requests, int64(callers*rounds*perBatch); got != want {
+		t.Fatalf("Stats().Requests = %d at quiescence, want %d", got, want)
 	}
 }
 
 // TestConcurrentClientUse hammers the client from many goroutines —
-// mixed single ops, batches, enqueues and stats — to prove the mutex
+// mixed single ops, batches and stats — to prove the mutex
 // discipline under the race detector.
 func TestConcurrentClientUse(t *testing.T) {
 	c := open(t)
@@ -169,17 +176,13 @@ func TestConcurrentClientUse(t *testing.T) {
 					t.Errorf("worker %d: read-your-write violated at %d", w, a)
 					return
 				}
-				f, err := c.Enqueue(&Request{Op: OpRead, Addr: a})
-				if err != nil {
+				r := &Request{Op: OpRead, Addr: a}
+				if err := c.Batch([]*Request{r}); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := c.Flush(); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := f.Wait(); err != nil {
-					t.Error(err)
+				if !bytes.Equal(r.Result, payload) {
+					t.Errorf("worker %d: batched read missed the write at %d", w, a)
 					return
 				}
 				c.Stats()

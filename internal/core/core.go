@@ -61,16 +61,10 @@ type Options = config.Common
 // Client is an H-ORAM session. All methods are safe for concurrent
 // use: the engine itself is single-threaded (the secure scheduler
 // must observe one serial request stream), so the client serialises
-// every engine entry on an internal mutex. Concurrent callers who
-// want their requests grouped into one scheduler batch should use
-// Enqueue/Flush or Batch rather than racing on Read/Write — see
-// internal/server for the batching front end built on top.
-//
-// Two locks split the queue from the engine: Enqueue and
-// PendingFutures only touch queue state (mu), so they never wait for
-// an in-flight drain (oramMu) to finish — internal/engine scatters a
-// batch across shards without stalling behind whichever shard is
-// mid-drain.
+// every engine entry on an internal mutex. Callers who want their
+// requests grouped into one scheduler batch submit them together
+// through Batch; requests from different callers are merged one level
+// up, in internal/engine's per-shard queue.
 type Client struct {
 	oram      *horam.ORAM
 	blockSize int
@@ -82,11 +76,6 @@ type Client struct {
 	snapSealer blockcipher.Sealer
 
 	oramMu sync.Mutex // serialises all oram entries
-
-	mu        sync.Mutex // guards pending, futures, drainHook
-	pending   []*Request
-	futures   []*Future
-	drainHook func(n int)
 }
 
 // resolve fills defaults and validates the options through the shared
@@ -227,10 +216,17 @@ const (
 )
 
 // Batch queues the requests and runs the scheduler until all of them
-// complete. Results land in each request's Result field. Batching is
-// the intended operating mode: a full reorder buffer lets the secure
-// scheduler group hits and misses with minimal dummy padding.
+// complete. Results land in each request's Result field, in submission
+// order. A malformed request anywhere in the slice fails the whole
+// batch before any request runs. Batching is the intended operating
+// mode: a full reorder buffer lets the secure scheduler group hits and
+// misses with minimal dummy padding.
 func (c *Client) Batch(reqs []*Request) error {
+	for _, r := range reqs {
+		if err := c.validate(r); err != nil {
+			return err
+		}
+	}
 	c.oramMu.Lock()
 	defer c.oramMu.Unlock()
 	return c.oram.RunBatch(reqs)

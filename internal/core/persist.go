@@ -127,10 +127,9 @@ func (c *Client) DataDir() string { return c.dataDir }
 // it, and atomically replaces DataDir/state.snap — first rotating the
 // previous snapshot to state.snap.prev, so one older checkpoint stays
 // recoverable (the engine rolls individual shards back to it when a
-// crash lands midway through a multi-shard checkpoint). The client
-// must have no unflushed requests; callers running traffic quiesce
-// first (internal/engine blocks new batches and levels shards before
-// asking every shard to save).
+// crash lands midway through a multi-shard checkpoint). Callers
+// running traffic quiesce first (internal/engine blocks new batches
+// and levels shards before asking every shard to save).
 func (c *Client) SaveSnapshot() error {
 	return c.SaveSnapshotAt(c.Checkpoint() + 1)
 }
@@ -142,12 +141,6 @@ func (c *Client) SaveSnapshot() error {
 // counter behind — re-aligns at the very next checkpoint instead of
 // skewing the lockstep counters forever.
 func (c *Client) SaveSnapshotAt(checkpoint uint64) error {
-	c.mu.Lock()
-	queued := len(c.pending)
-	c.mu.Unlock()
-	if queued > 0 {
-		return fmt.Errorf("core: SaveSnapshot with %d unflushed requests; Flush first", queued)
-	}
 	c.oramMu.Lock()
 	defer c.oramMu.Unlock()
 	if checkpoint <= c.checkpoint {

@@ -19,9 +19,11 @@ import (
 // ShardBackend is one shard of a sharded engine: a full H-ORAM
 // instance the engine drains batches into, levels, and checkpoints.
 // Implementations must be safe for the engine's access pattern — one
-// scheduler goroutine calling Batch, with Cycles/PadToCycles/Stats/
-// SaveSnapshotAt called only between drains (scatter never touches
-// the backend; the engine queues requests itself).
+// scheduler goroutine calling Batch, while Cycles/PadToCycles/Stats
+// may arrive from other goroutines at any time (one caller's leveling
+// pass overlaps another caller's drain) and SaveSnapshotAt only with
+// the engine quiesced. Scatter never touches the backend; the engine
+// queues requests itself.
 type ShardBackend interface {
 	// Blocks is the shard-local address-space size; the engine
 	// cross-checks it against its PRF partition at assembly.

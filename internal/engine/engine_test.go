@@ -2,8 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -185,49 +183,6 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if after := e.Stats().Requests; after != before {
 		t.Fatalf("rejected batch still executed %d requests", after-before)
-	}
-}
-
-func TestConcurrentBatchesCoalesce(t *testing.T) {
-	e := testEngine(t, 2)
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := int64(w * 16)
-			payload := bytes.Repeat([]byte{byte(w + 1)}, 32)
-			for i := 0; i < 10; i++ {
-				a := base + int64(i)
-				if err := e.Write(a, payload); err != nil {
-					errs <- fmt.Errorf("worker %d: %w", w, err)
-					return
-				}
-				got, err := e.Read(a)
-				if err != nil {
-					errs <- fmt.Errorf("worker %d: %w", w, err)
-					return
-				}
-				if !bytes.Equal(got, payload) {
-					errs <- fmt.Errorf("worker %d: read-your-writes violated at %d", w, a)
-					return
-				}
-			}
-			errs <- nil
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	sum := e.Stats()
-	if want := int64(workers * 10 * 2); sum.Requests != want {
-		t.Fatalf("engine served %d requests, want %d", sum.Requests, want)
 	}
 }
 

@@ -1,9 +1,11 @@
-// Goroutine accounting on shutdown: Store.Close must join the whole
-// combiner pool (and engine Close its schedulers), returning the
-// process to its pre-construction goroutine count.
+// Goroutine accounting on shutdown: the store runs every operation on
+// its caller's goroutine and owns none of its own, so after Store.Close
+// and the engine's Close (which joins its schedulers) the process is
+// back at its pre-construction goroutine count.
 package okv
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -51,14 +53,17 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive the combiner pool with live operations before shutdown.
+	// Live operations before shutdown.
 	for i := 0; i < 32; i++ {
 		if err := s.Set([]byte(fmt.Sprintf("leak%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Close()
-	s.Close() // idempotent Close must not hang on the drained pool
+	s.Close() // idempotent
+	if _, _, err := s.Get([]byte("leak0")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after Close returned %v, want ErrClosed", err)
+	}
 	e.Close()
 	waitGoroutinesBack(t, base)
 }

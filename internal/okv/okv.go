@@ -174,11 +174,6 @@ type Store struct {
 	stripes [lockStripes]sync.Mutex // bucket-striped op exclusion
 	closed  bool                    // written under quiesce.W, read under .R
 
-	// submit feeds the combiner pool (see combiner): concurrent
-	// operations' phase batches merge into shared backend batches.
-	submit       chan *phaseReq
-	combinerDone chan struct{} // closed once every combiner has exited
-
 	// ops pools per-operation pipeline scratch (request structs,
 	// decoded entries, batch-3 encode buffers) so the steady-state op
 	// path allocates nothing beyond the value returned to the caller.
@@ -190,13 +185,6 @@ type Store struct {
 	sets   int64
 	dels   int64
 	misses int64
-}
-
-// phaseReq is one operation's contribution to a combined backend
-// batch.
-type phaseReq struct {
-	reqs []*core.Request
-	done chan error
 }
 
 // opScratch holds one operation's fixed pipeline state: the request
@@ -269,82 +257,35 @@ func newOpScratch(lay layout) *opScratch {
 	return sc
 }
 
-// combineCap bounds one combined backend batch, so a burst of
-// concurrent pipelines cannot build arbitrarily long drains.
-const combineCap = 1024
-
-// combineWorkers is the number of combiner goroutines. More than one
-// keeps independent operations' phase batches overlapping inside the
-// backend, so a sharded engine sees back-to-back batches in flight
-// and can defer its cross-shard leveling to the last one out instead
-// of padding at every batch boundary.
-const combineWorkers = 4
-
-// combiner is one of the store's batching goroutines. It takes
-// whatever phase submissions are queued RIGHT NOW — at least one,
-// blocking — and issues them as ONE backend batch, then completes the
-// waiters. Under concurrency this merges many operations' fixed
-// pipelines into shared scheduler drains (amortising the engine's
-// per-batch cross-shard leveling); a lone serial operation is issued
-// immediately, with no added latency window. Merging never alters
-// what any single operation contributes — each op still issues its
-// exact fixed request sequence — so the combined batch sizes depend
-// only on arrival timing, never on keys, occupancy or outcomes.
-func (s *Store) combiner() {
-	for pr := range s.submit {
-		reqs := pr.reqs
-		waiters := []*phaseReq{pr}
-	drain:
-		for len(reqs) < combineCap {
-			select {
-			case more, ok := <-s.submit:
-				if !ok {
-					break drain
-				}
-				reqs = append(reqs, more.reqs...)
-				waiters = append(waiters, more)
-			default:
-				break drain
-			}
-		}
-		err := s.be.Batch(reqs)
-		for _, w := range waiters {
-			w.done <- err
-		}
-	}
-}
-
-// runBatch routes one phase batch through the combiner. The caller
-// holds quiesce.R, so Close cannot shut the combiner down while a
-// submission is in flight.
-func (s *Store) runBatch(reqs []*core.Request) error {
-	pr := &phaseReq{reqs: reqs, done: make(chan error, 1)}
-	s.submit <- pr
-	return <-pr.done
-}
-
-// Close stops the combiner pool after in-flight operations
-// drain. Operations after Close return ErrClosed. Safe to call more
-// than once. Close does not touch the backend.
+// Close refuses further operations after the in-flight ones drain:
+// operations after Close return ErrClosed. Safe to call more than
+// once. Close does not touch the backend.
 func (s *Store) Close() {
 	s.quiesce.Lock()
-	defer s.quiesce.Unlock()
-	if s.closed {
-		<-s.combinerDone
-		return
-	}
 	s.closed = true
-	close(s.submit)
-	<-s.combinerDone
+	s.quiesce.Unlock()
+}
+
+// Stripes returns the two bucket-lock stripes (equal when they
+// collide) an operation on key holds for its whole pipeline: two
+// operations overlap iff their stripes are disjoint. Placement is
+// secret, so this is for trusted in-process callers — a scheduler that
+// must not depend on lock-acquisition races starts only operations
+// that cannot park.
+func (s *Store) Stripes(key []byte) (int, int) { return stripesOf(s.buckets(key)) }
+
+func stripesOf(b0, b1 int64) (int, int) {
+	i, j := int(b0%lockStripes), int(b1%lockStripes)
+	if i > j {
+		i, j = j, i
+	}
+	return i, j
 }
 
 // lockBuckets locks the stripes of both candidate buckets in stripe
 // order (a single lock when they collide) and returns the unlock.
 func (s *Store) lockBuckets(b0, b1 int64) func() {
-	i, j := int(b0%lockStripes), int(b1%lockStripes)
-	if i > j {
-		i, j = j, i
-	}
+	i, j := stripesOf(b0, b1)
 	s.stripes[i].Lock()
 	if j != i {
 		s.stripes[j].Lock()
@@ -430,26 +371,12 @@ func New(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		be:           opts.Backend,
-		lay:          lay,
-		prf:          prf,
-		ct:           opts.ConstantTime,
-		submit:       make(chan *phaseReq, lockStripes),
-		combinerDone: make(chan struct{}),
+		be:  opts.Backend,
+		lay: lay,
+		prf: prf,
+		ct:  opts.ConstantTime,
 	}
 	s.ops.New = func() any { return newOpScratch(lay) }
-	var cwg sync.WaitGroup
-	for i := 0; i < combineWorkers; i++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			s.combiner()
-		}()
-	}
-	go func() {
-		cwg.Wait()
-		close(s.combinerDone)
-	}()
 	return s, nil
 }
 
@@ -620,7 +547,7 @@ func (s *Store) access(kind opKind, key, value []byte) (val []byte, found bool, 
 			n++
 		}
 	}
-	if err := s.runBatch(sc.lookups); err != nil {
+	if err := s.be.Batch(sc.lookups); err != nil {
 		return nil, false, fmt.Errorf("okv: lookup batch: %w", err)
 	}
 	// Classify and pick the target slot. Every path lands on exactly
@@ -697,7 +624,7 @@ func (s *Store) access(kind opKind, key, value []byte) (val []byte, found bool, 
 	for j := range sc.extRs {
 		sc.extRs[j] = core.Request{Op: core.OpRead, Addr: s.lay.extentAddr(tIdx, j)}
 	}
-	if err := s.runBatch(sc.extReads); err != nil {
+	if err := s.be.Batch(sc.extReads); err != nil {
 		return nil, false, fmt.Errorf("okv: extent batch: %w", err)
 	}
 
@@ -739,7 +666,7 @@ func (s *Store) access(kind opKind, key, value []byte) (val []byte, found bool, 
 	for j, d := range extData {
 		sc.writeRs[1+j] = core.Request{Op: core.OpWrite, Addr: s.lay.extentAddr(tIdx, j), Data: d}
 	}
-	if err := s.runBatch(sc.writes); err != nil {
+	if err := s.be.Batch(sc.writes); err != nil {
 		return nil, false, fmt.Errorf("okv: write batch: %w", err)
 	}
 

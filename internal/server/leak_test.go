@@ -1,5 +1,5 @@
-// Goroutine accounting on shutdown: Server.Close must join the
-// batcher, every connection reader and the accept loop — with clients
+// Goroutine accounting on shutdown: Server.Close must join every
+// connection goroutine and the accept loop — with clients
 // still attached and traffic in flight — returning the process to its
 // pre-construction goroutine count once the engine closes too.
 package server
@@ -46,7 +46,7 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Engine: e, BatchWindow: time.Millisecond})
+	srv, err := New(Config{Engine: e})
 	if err != nil {
 		t.Fatal(err)
 	}

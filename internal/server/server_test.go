@@ -8,11 +8,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/blockcipher"
 	"repro/internal/client"
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 )
 
 // startServer builds a small insecure store (2 shards unless the
@@ -56,18 +56,60 @@ func startServer(t *testing.T, cfg Config) (string, *Server) {
 
 // TestConcurrentClientsBatching is the acceptance test: 8 concurrent
 // clients hammer mixed READ/WRITE traffic over real TCP sockets, each
-// client sees read-your-writes on its private address range, and the
-// concurrency actually forms scheduler batches larger than one.
+// client sees read-your-writes on its private address range, and
+// requests from different connections really share scheduler drains.
+// The server itself groups nothing (a single READ is a window of one),
+// so the grouping is asserted where it happens — in the shard's queue —
+// and made deterministic by parking the shard's scheduler while the
+// other connections' requests arrive.
 func TestConcurrentClientsBatching(t *testing.T) {
-	addr, srv := startServer(t, Config{BatchWindow: 3 * time.Millisecond})
-
 	const (
 		clients   = 8
 		perClient = 40
 		region    = 32 // private blocks per client
 	)
+	e, held := enginetest.Hold(t, engine.Options{
+		Blocks:      512,
+		BlockSize:   64,
+		MemoryBytes: 16 << 10,
+		Insecure:    true,
+		Seed:        "server-test",
+		Shards:      1,
+	})
+	addr, srv := startServer(t, Config{Engine: e})
+
+	// One READ per connection: the first parks the scheduler mid-drain,
+	// the other seven queue behind it and must leave as ONE drain.
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
+	errs := make(chan error, 2*clients)
+	read := func(id int) {
+		defer wg.Done()
+		c, err := client.Dial(addr)
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer c.Close()
+		_, err = c.Read(int64(id * region))
+		errs <- err
+	}
+	wg.Add(1)
+	go read(0)
+	if n := held[0].Entered(); n != 1 {
+		t.Fatalf("first drain carried %d requests, want 1", n)
+	}
+	for id := 1; id < clients; id++ {
+		wg.Add(1)
+		go read(id)
+	}
+	enginetest.WaitQueued(t, e, 0, clients-1)
+	held[0].Release()
+	if n := held[0].Entered(); n != clients-1 {
+		t.Fatalf("drain after the held one carried %d requests, want the %d queued behind it", n, clients-1)
+	}
+	held[0].Open()
+
+	// Free-running mixed traffic for the correctness half.
 	for id := 0; id < clients; id++ {
 		wg.Add(1)
 		go func(id int) {
@@ -83,18 +125,23 @@ func TestConcurrentClientsBatching(t *testing.T) {
 		}
 	}
 
+	const total = clients + clients*perClient
 	st := srv.Stats()
-	if st.Requests != clients*perClient {
-		t.Fatalf("served %d logical requests, want %d", st.Requests, clients*perClient)
+	if st.Requests != total || st.Batches != total {
+		t.Fatalf("served %d requests in %d windows, want %d single-request windows", st.Requests, st.Batches, total)
 	}
-	if st.MeanBatch <= 1 {
-		t.Fatalf("mean batch size %.2f, want > 1 under %d concurrent clients (hist %s)",
-			st.MeanBatch, clients, st.HistogramString())
+	sh := st.PerShard[0]
+	if sh.Requests != total {
+		t.Fatalf("shard drained %d requests, want %d", sh.Requests, total)
 	}
-	if st.Batches >= st.Requests {
-		t.Fatalf("%d batches for %d requests: no grouping happened", st.Batches, st.Requests)
+	if sh.Batches > total-(clients-2) {
+		t.Fatalf("%d drains for %d requests: the %d queued requests did not share one", sh.Batches, total, clients-1)
 	}
-	t.Logf("batches=%d mean=%.2f hist=%s", st.Batches, st.MeanBatch, st.HistogramString())
+	if st.ShardHistogram[engine.BucketFor(clients-1)] == 0 {
+		t.Fatalf("no drain in the size-%d bucket (shard_hist %s)", clients-1, engine.FormatHist(st.ShardHistogram))
+	}
+	t.Logf("windows=%d drains=%d mean drain=%.2f shard_hist=%s",
+		st.Batches, sh.Batches, sh.MeanBatch, engine.FormatHist(st.ShardHistogram))
 }
 
 // runClient drives one connection with a deterministic mixed workload

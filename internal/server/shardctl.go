@@ -15,11 +15,9 @@ import (
 )
 
 // handleShardControl serves one CYCLES/PAD/CHECKPT/PEEK/METRICS command.
-// These verbs bypass the batching window: they are control-plane
-// operations issued between a gateway's data batches, not data-plane
-// requests that should coalesce with them — and PAD in particular
-// must observe the cycle count the preceding drains left, not race
-// a window.
+// These are control-plane operations a gateway issues between its
+// data batches, not data-plane requests: they go straight to the
+// engine's control methods, never through its request queues.
 func (s *Server) handleShardControl(w *bufio.Writer, fields []string) {
 	verb := strings.ToUpper(fields[0])
 	if !s.cfg.ShardControl {

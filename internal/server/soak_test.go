@@ -1,9 +1,9 @@
 // Race-detector soak: N concurrent clients fire MULTI batches at a
 // sharded daemon over real loopback sockets while a poller hammers
 // STATS. Runs in the CI race job (go test -race ./internal/server),
-// where it sweeps the whole serving path — connection readers, the
-// batching window, the engine's scatter/gather, the per-shard
-// scheduler goroutines and the stats plumbing — for data races, and
+// where it sweeps the whole serving path — connection goroutines,
+// the engine's scatter/gather, the per-shard queues and scheduler
+// goroutines and the stats plumbing — for data races, and
 // asserts read-your-writes semantics end to end.
 package server
 
@@ -40,7 +40,7 @@ func TestShardedSoakOverSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	addr, srv := startServer(t, Config{Engine: e, BatchWindow: time.Millisecond})
+	addr, srv := startServer(t, Config{Engine: e})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients+1)

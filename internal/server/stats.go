@@ -13,17 +13,19 @@ import (
 // behind both the STATS line and the /metrics exposition. Every
 // update is one atomic op, so counting happens on the hot path
 // without touching Server.mu (which guards the connection map only).
-// The window histogram's buckets coincide with engine.BucketFor's
+// A "window" is one chunk of one connection's command: at most
+// MaxBatch requests submitted to the engine at once. The window
+// histogram's buckets coincide with engine.BucketFor's
 // (≤1, 2, ≤4, …, ≤64, 65+), so Stats can read the classic
 // [NumBuckets]int64 view straight out of it.
 type instruments struct {
 	accepted   *obs.Counter
 	rejected   *obs.Counter
 	active     *obs.Gauge
-	windows    *obs.Counter   // window-level drains executed
-	windowReqs *obs.Counter   // logical requests drained by them
-	windowHist *obs.Histogram // drains by size bucket (Public)
-	drainTime  *obs.Histogram // wall-clock window drain latency (Timing)
+	windows    *obs.Counter   // command chunks run through the engine
+	windowReqs *obs.Counter   // logical requests in them
+	windowHist *obs.Histogram // chunks by size bucket (Public)
+	drainTime  *obs.Histogram // wall-clock latency of one chunk (Timing)
 
 	kvGets *obs.Counter
 	kvSets *obs.Counter
@@ -50,17 +52,17 @@ func newInstruments(reg *obs.Registry, kv bool) instruments {
 			"connections currently served",
 			obs.Public("open TCP connections are wire-visible")),
 		windows: reg.Counter("horam_server_windows_total",
-			"batching-window drains executed",
-			obs.Public("window boundaries follow from wire-visible request arrival timing and the public MaxBatch/BatchWindow config")),
+			"command chunks (at most MaxBatch requests of one connection's command) run through the engine",
+			obs.Public("a window is one chunk of one wire command: its boundaries follow from the plaintext request lines and the public MaxBatch config")),
 		windowReqs: reg.Counter("horam_server_window_requests_total",
-			"logical requests drained through batching windows",
+			"logical requests run through the engine in command chunks",
 			obs.Public("request count is wire-visible traffic volume")),
 		windowHist: reg.Histogram("horam_server_window_size",
-			"window drain sizes, bucketed like the engine batch histogram",
-			obs.Public("window sizes are a function of wire-visible arrival timing, never of addresses"),
+			"command chunk sizes, bucketed like the engine batch histogram",
+			obs.Public("a chunk's size is min(MaxBatch, what is left of one wire command) — readable off the wire, never a function of addresses"),
 			obs.BatchSizeBounds()),
 		drainTime: reg.Histogram("horam_server_drain_seconds",
-			"wall-clock latency of one window drain",
+			"wall-clock latency of one command chunk through the engine",
 			obs.Timing("wall-clock measurement; covered by the PR 7 timing gate, not snapshot equality"),
 			obs.DurationBounds()),
 	}
@@ -82,9 +84,10 @@ func newInstruments(reg *obs.Registry, kv bool) instruments {
 	return ins
 }
 
-// Stats is a snapshot of the server's serving counters. The batch
-// fields are the observable proof of request grouping: MeanBatch is
-// the mean number of logical requests drained per batching window.
+// Stats is a snapshot of the server's serving counters. Batches and
+// MeanBatch describe command chunks (a single READ/WRITE is a chunk of
+// one); the observable proof of request grouping across connections
+// is the per-shard drain view in PerShard and ShardHistogram.
 type Stats struct {
 	// Accepted and Rejected count connections; Active is the number
 	// currently being served.
@@ -92,26 +95,26 @@ type Stats struct {
 	Rejected int64
 	Active   int64
 	// Requests counts logical READ/WRITE requests completed, Batches
-	// the window-level drains that served them.
+	// the command chunks that carried them.
 	Requests  int64
 	Batches   int64
 	MeanBatch float64
-	// Histogram counts window-level drains by size bucket, in
+	// Histogram counts command chunks by size bucket, in
 	// engine.HistLabels order.
 	Histogram [engine.NumBuckets]int64
 	// PerShard is the engine's per-shard serving snapshot: queue
 	// depth, scheduler-drain histogram and scheme counters per shard.
 	PerShard []engine.ShardStats
 	// ShardHistogram is the element-wise aggregation of the per-shard
-	// drain histograms — the replacement for the old single global
-	// batch histogram, now derived from per-shard truth.
+	// drain histograms: how many requests each scheduler drain carried,
+	// whichever connections they came from.
 	ShardHistogram [engine.NumBuckets]int64
 	// KV is the oblivious key–value layer's counters when Config.KV is
 	// set (nil otherwise): live keys, capacity, and per-verb totals.
 	KV *okv.Stats
 }
 
-// record accounts one window-level drain.
+// record accounts one successfully run command chunk.
 func (s *Server) record(size int) {
 	s.ins.windows.Inc()
 	s.ins.windowReqs.Add(int64(size))
@@ -135,11 +138,11 @@ func (s *Server) windowCounters() (st Stats) {
 
 // Stats returns a snapshot of the serving counters, including the
 // per-shard view and its aggregation. The window counters are sampled
-// BEFORE the shard counters: shard drain hooks fire before a window's
-// futures resolve, which is before record() counts the window — so
-// sampling in this order keeps a snapshot under live traffic causally
-// consistent (per-shard sums can only lead the window totals, never
-// trail them).
+// BEFORE the shard counters: a shard accounts its drain before the
+// drain's futures resolve, which is before record() counts the chunk
+// — so sampling in this order keeps a snapshot under live traffic
+// causally consistent (per-shard sums can only lead the window
+// totals, never trail them).
 func (s *Server) Stats() Stats {
 	st := s.windowCounters()
 	s.mu.Lock()
@@ -161,8 +164,7 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// HistogramString renders the window-level batch-size histogram for
-// logs.
+// HistogramString renders the command-chunk size histogram for logs.
 func (st Stats) HistogramString() string { return engine.FormatHist(st.Histogram) }
 
 // appendDuration renders d as seconds with nanosecond precision plus
@@ -175,7 +177,7 @@ func appendDuration(dst []byte, d time.Duration) []byte {
 }
 
 // appendStatsLine renders the STATS response into dst: aggregate
-// engine counters, the server's window-level batching counters, and
+// engine counters, the server's command-chunk counters, and
 // one group of keys per shard (queue depth, cycles, leveling pad
 // cycles, drains, drain-size histogram). The shard_hist key is the
 // element-wise aggregation of the per-shard histograms, so consumers
