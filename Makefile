@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt-check lint test test-shuffle race bench-smoke bench bench-shard bench-latency bench-persist bench-kv bench-obs bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline persist-smoke kv-smoke cluster-smoke fmt
+.PHONY: ci build vet fmt-check lint test test-shuffle race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline persist-smoke kv-smoke cluster-smoke fmt
 
 ci: build vet fmt-check lint test test-shuffle race bench-smoke bench-sealer bench-timing persist-smoke kv-smoke cluster-smoke
 
@@ -61,31 +61,6 @@ cluster-smoke:
 # Full benchmark run (slow) — the reproduction's headline numbers.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
-
-# Regenerate the committed shard-scaling baseline (BENCH_shard.json):
-# aggregate throughput vs shard count through internal/engine.
-bench-shard:
-	$(GO) run ./cmd/horam-bench -exp shard -out BENCH_shard.json
-
-# Regenerate the committed tail-latency baseline (BENCH_latency.json):
-# per-request p50/p99/max, monolithic vs deamortized shuffle.
-bench-latency:
-	$(GO) run ./cmd/horam-bench -exp latency -out BENCH_latency.json
-
-# Regenerate the committed persistence baseline (BENCH_persist.json):
-# file-backed storage device vs the in-memory simulator.
-bench-persist:
-	$(GO) run ./cmd/horam-bench -exp persist -out BENCH_persist.json
-
-# Regenerate the committed KV baseline (BENCH_kv.json): oblivious
-# key-value logical throughput vs shard count.
-bench-kv:
-	$(GO) run ./cmd/horam-bench -exp kv -out BENCH_kv.json
-
-# Observability overhead: instrumented registry + tracer vs the bare
-# engine on one workload. Host-machine numbers, so not part of ci.
-bench-obs:
-	$(GO) run ./cmd/horam-bench -exp obs -out BENCH_obs.json
 
 # Sealer throughput gate: fail if the seal/open microbenchmarks fall
 # below 80% of the committed BENCH_sealer.json baseline.

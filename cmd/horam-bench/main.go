@@ -1,47 +1,194 @@
 // Command horam-bench regenerates every table and figure of the
 // paper's evaluation section on the simulated machine:
 //
-//	horam-bench -exp all                 # everything below
-//	horam-bench -exp fig5-1              # analytic gain curves
-//	horam-bench -exp table5-1            # one-period overhead model
-//	horam-bench -exp table5-2            # simulated machine setup
-//	horam-bench -exp table5-3            # 64 MB / 25k requests
-//	horam-bench -exp table5-4 -scale 1   # 1 GB / 500k requests (paper size)
-//	horam-bench -exp seqvsrand           # §5.2 sequential-vs-random
-//	horam-bench -exp partial             # §5.3.1 partial shuffle
-//	horam-bench -exp multiuser           # §5.3.2 multi-user sharing
-//	horam-bench -exp noshuffle           # §5.1 non-shuffle (Figure 5-2) case
-//	horam-bench -exp shootout            # all four schemes, one trace
-//	horam-bench -exp ablations           # Z sweep + scheduler schedule
-//	horam-bench -exp concurrency         # serving throughput vs TCP clients
-//	horam-bench -exp shard               # sharded-engine throughput vs shard count
-//	horam-bench -exp latency             # per-request tail latency, monolithic vs incremental shuffle
-//	horam-bench -exp persist             # file-backed storage vs in-memory simulator
-//	horam-bench -exp kv                  # oblivious key-value layer: logical ops/s vs shard count
-//	horam-bench -exp obs                 # observability overhead: instrumented vs bare engine
-//	horam-bench -exp timing              # constant-time mode: timing-variance distinguishability
+//	horam-bench -exp all                 # every experiment marked * in -h
+//	horam-bench -exp table5-4 -scale 1   # one experiment (1 GB / 500k requests, paper size)
+//	horam-bench -h                       # the experiments, generated from the table below
 //
 // Absolute durations come from the calibrated device models (Table
-// 5-2); the claims under reproduction are the ratios.
+// 5-2); the claims under reproduction are the ratios. The serving path
+// (TCP, batching, persistence, KV, tracing) is measured by
+// `go run ./benchmark`, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/timing"
 )
 
+// options are the flag values experiment bodies read.
+type options struct {
+	scale  float64
+	crypto bool
+	reqs   int
+	out    string
+}
+
+// experiment is one -exp value. The dispatcher, the -exp and -out help
+// texts and the docs-drift test all read this table and nothing else.
+type experiment struct {
+	name  string
+	about string
+	inAll bool
+	json  bool // run honours options.out
+	run   func(w io.Writer, o options) error
+}
+
+// show adapts a run/format pair into an experiment body.
+func show[T any](run func() (T, error), format func(T) string) func(io.Writer, options) error {
+	return func(w io.Writer, _ options) error {
+		v, err := run()
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, format(v))
+		return nil
+	}
+}
+
+func comparison(w io.Writer, p bench.Params, crypto bool) error {
+	p.Crypto = crypto
+	c, err := bench.RunComparison(p)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, bench.FormatComparison(c))
+	return nil
+}
+
+var experiments = []experiment{
+	{name: "fig5-1", about: "analytic gain curves", inAll: true,
+		run: func(w io.Writer, _ options) error {
+			fmt.Fprint(w, bench.FormatFigure51(bench.RunFigure51()))
+			return nil
+		}},
+	{name: "table5-1", about: "one-period overhead model", inAll: true,
+		run: func(w io.Writer, _ options) error {
+			fmt.Fprint(w, bench.FormatTable51())
+			return nil
+		}},
+	{name: "table5-2", about: "simulated machine setup", inAll: true,
+		run: show(bench.RunTable52, bench.FormatTable52)},
+	{name: "table5-3", about: "64 MB / 25k requests (-crypto for real sealing)", inAll: true,
+		run: func(w io.Writer, o options) error {
+			return comparison(w, bench.Table53Params(), o.crypto)
+		}},
+	{name: "table5-4", about: "1 GB / 500k requests at -scale 1 (-crypto for real sealing)", inAll: true,
+		run: func(w io.Writer, o options) error {
+			if err := comparison(w, bench.Table54Params(o.scale), o.crypto); err != nil {
+				return err
+			}
+			if o.scale != 1 {
+				fmt.Fprintf(w, "(scaled by %.3g; pass -scale 1 for the paper's 1 GB / 500k requests)\n", o.scale)
+			}
+			return nil
+		}},
+	{name: "seqvsrand", about: "§5.2 sequential vs random access", inAll: true,
+		run: show(bench.RunSeqVsRand, func(r bench.SeqVsRand) string {
+			return fmt.Sprintf("== §5.2: sequential vs random access on the HDD model ==\n"+
+				"sweep of %d x 1 KB slots: sequential %v, random %v -> random is %.1fx slower\n",
+				r.Slots, r.Sequential, r.Random, r.Ratio)
+		})},
+	{name: "partial", about: "§5.3.1 partial shuffle", inAll: true,
+		run: show(func() ([]bench.PartialShuffleRow, error) {
+			return bench.RunPartialShuffle([]float64{1, 0.5, 0.25, 0.125})
+		}, bench.FormatPartialShuffle)},
+	{name: "multiuser", about: "§5.3.2 multi-user sharing", inAll: true,
+		run: show(func() ([]bench.MultiUserRow, error) {
+			return bench.RunMultiUser([]int{1, 2, 4, 8})
+		}, bench.FormatMultiUser)},
+	{name: "noshuffle", about: "§5.1 non-shuffle (Figure 5-2) case", inAll: true,
+		run: show(bench.RunNoShuffleCase, bench.FormatNoShuffle)},
+	{name: "shootout", about: "all four schemes, one trace", inAll: true,
+		run: show(bench.RunShootout, bench.FormatShootout)},
+	{name: "ablations", about: "Z sweep, scheduler schedule, prefetch depth, shuffle algorithms", inAll: true,
+		run: func(w io.Writer, o options) error {
+			for i, part := range []func(io.Writer, options) error{
+				show(func() ([]bench.ZSweepRow, error) { return bench.RunZSweep([]int{2, 4, 6}) }, bench.FormatZSweep),
+				show(bench.RunStageAblation, bench.FormatStageAblation),
+				show(func() ([]bench.PrefetchRow, error) { return bench.RunPrefetchDepth([]int{6, 12, 24, 48}) }, bench.FormatPrefetchDepth),
+				show(bench.RunShuffleAlgs, bench.FormatShuffleAlgs),
+			} {
+				if i > 0 {
+					fmt.Fprintln(w)
+				}
+				if err := part(w, o); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	{name: "concurrency", about: "serving throughput vs TCP clients (-reqs per client)", inAll: true,
+		run: func(w io.Writer, o options) error {
+			rows, err := bench.RunConcurrency([]int{1, 2, 4, 8, 16}, o.reqs)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(w, bench.FormatConcurrency(rows))
+			return nil
+		}},
+	// Not in all: timing measures the HOST machine's timing noise, not
+	// the simulated device models the paper figures come from.
+	{name: "timing", about: "constant-time mode: timing-variance distinguishability", json: true,
+		run: func(w io.Writer, o options) error {
+			rep, err := bench.RunTiming(timing.Options{}, bench.DefaultTimingThreshold)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(w, bench.FormatTiming(rep))
+			if o.out == "" {
+				return nil
+			}
+			if err := bench.WriteTimingJSON(o.out, rep); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "\nwrote %s\n", o.out)
+			return nil
+		}},
+}
+
+// expUsage is the -exp help text: "all" and one line per table entry.
+func expUsage() string {
+	var b strings.Builder
+	b.WriteString("experiment to run:")
+	line := func(name, mark, about string) { fmt.Fprintf(&b, "\n  %-12s %s %s", name, mark, about) }
+	line("all", " ", "every experiment marked *")
+	for _, e := range experiments {
+		mark := " "
+		if e.inAll {
+			mark = "*"
+		}
+		line(e.name, mark, e.about)
+	}
+	return b.String()
+}
+
+// outUsage is the -out help text, naming the experiments with a JSON form.
+func outUsage() string {
+	var names []string
+	for _, e := range experiments {
+		if e.json {
+			names = append(names, "-exp "+e.name)
+		}
+	}
+	return "also write the report as JSON to this path (" + strings.Join(names, ", ") + " only)"
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig5-1, table5-1, table5-2, table5-3, table5-4, seqvsrand, partial, multiuser, ablations, concurrency, shard, latency, persist, kv, obs, timing")
-	scale := flag.Float64("scale", 0.125, "scale factor for table5-4 (1 = paper size: 1 GB, 500k requests)")
-	crypto := flag.Bool("crypto", false, "run with real AES-CTR+HMAC sealing instead of the null sealer")
-	reqs := flag.Int("reqs", 200, "requests per client for -exp concurrency")
-	out := flag.String("out", "", "also write the -exp shard or -exp latency sweep as a JSON baseline to this path")
+	var o options
+	exp := flag.String("exp", "all", expUsage())
+	flag.Float64Var(&o.scale, "scale", 0.125, "scale factor for table5-4 (1 = paper size: 1 GB, 500k requests)")
+	flag.BoolVar(&o.crypto, "crypto", false, "run with real AES-CTR+HMAC sealing instead of the null sealer")
+	flag.IntVar(&o.reqs, "reqs", 200, "requests per client for -exp concurrency")
+	flag.StringVar(&o.out, "out", "", outUsage())
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this path (go tool pprof)")
 	flag.Parse()
@@ -60,7 +207,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	err := run(*exp, *scale, *crypto, *reqs, *out)
+	err := run(os.Stdout, *exp, o)
 
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)
@@ -83,236 +230,22 @@ func main() {
 	}
 }
 
-func run(exp string, scale float64, crypto bool, reqs int, out string) error {
-	all := exp == "all"
+// run prints the experiment named exp — or, for "all", every table
+// entry with inAll — each followed by a blank line.
+func run(w io.Writer, exp string, o options) error {
 	ran := false
-
-	if all || exp == "fig5-1" {
+	for _, e := range experiments {
+		if exp != e.name && !(exp == "all" && e.inAll) {
+			continue
+		}
+		if o.out != "" && (exp == "all" || !e.json) {
+			return fmt.Errorf("-out: -exp %s has no JSON form", exp)
+		}
 		ran = true
-		fmt.Print(bench.FormatFigure51(bench.RunFigure51()))
-		fmt.Println()
-	}
-	if all || exp == "table5-1" {
-		ran = true
-		fmt.Print(bench.FormatTable51())
-		fmt.Println()
-	}
-	if all || exp == "table5-2" {
-		ran = true
-		rows, err := bench.RunTable52()
-		if err != nil {
+		if err := e.run(w, o); err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatTable52(rows))
-		fmt.Println()
-	}
-	if all || exp == "table5-3" {
-		ran = true
-		p := bench.Table53Params()
-		p.Crypto = crypto
-		c, err := bench.RunComparison(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatComparison(c))
-		fmt.Println()
-	}
-	if all || exp == "table5-4" {
-		ran = true
-		p := bench.Table54Params(scale)
-		p.Crypto = crypto
-		c, err := bench.RunComparison(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatComparison(c))
-		if scale != 1 {
-			fmt.Printf("(scaled by %.3g; pass -scale 1 for the paper's 1 GB / 500k requests)\n", scale)
-		}
-		fmt.Println()
-	}
-	if all || exp == "seqvsrand" {
-		ran = true
-		r, err := bench.RunSeqVsRand()
-		if err != nil {
-			return err
-		}
-		fmt.Println("== §5.2: sequential vs random access on the HDD model ==")
-		fmt.Printf("sweep of %d x 1 KB slots: sequential %v, random %v -> random is %.1fx slower\n\n",
-			r.Slots, r.Sequential, r.Random, r.Ratio)
-	}
-	if all || exp == "partial" {
-		ran = true
-		rows, err := bench.RunPartialShuffle([]float64{1, 0.5, 0.25, 0.125})
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatPartialShuffle(rows))
-		fmt.Println()
-	}
-	if all || exp == "multiuser" {
-		ran = true
-		rows, err := bench.RunMultiUser([]int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatMultiUser(rows))
-		fmt.Println()
-	}
-	if all || exp == "noshuffle" {
-		ran = true
-		r, err := bench.RunNoShuffleCase()
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatNoShuffle(r))
-		fmt.Println()
-	}
-	if all || exp == "shootout" {
-		ran = true
-		rows, err := bench.RunShootout()
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatShootout(rows))
-		fmt.Println()
-	}
-	if all || exp == "ablations" {
-		ran = true
-		z, err := bench.RunZSweep([]int{2, 4, 6})
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatZSweep(z))
-		fmt.Println()
-		s, err := bench.RunStageAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatStageAblation(s))
-		fmt.Println()
-		d, err := bench.RunPrefetchDepth([]int{6, 12, 24, 48})
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatPrefetchDepth(d))
-		fmt.Println()
-		algs, err := bench.RunShuffleAlgs()
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatShuffleAlgs(algs))
-		fmt.Println()
-	}
-	if all || exp == "concurrency" {
-		ran = true
-		rows, err := bench.RunConcurrency([]int{1, 2, 4, 8, 16}, reqs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatConcurrency(rows))
-		fmt.Println()
-	}
-	if all || exp == "shard" {
-		ran = true
-		p := bench.DefaultShardParams()
-		rows, err := bench.RunShard([]int{1, 2, 4, 8}, p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatShard(rows, p))
-		fmt.Println()
-		if out != "" {
-			if err := bench.WriteShardJSON(out, rows, p); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
-	if all || exp == "latency" {
-		ran = true
-		p := bench.DefaultLatencyParams()
-		rows, err := bench.RunLatency(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatLatency(rows, p))
-		fmt.Println()
-		if exp == "latency" && out != "" {
-			if err := bench.WriteLatencyJSON(out, rows, p); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
-	if all || exp == "persist" {
-		ran = true
-		p := bench.DefaultPersistParams()
-		dev, rows, err := bench.RunPersist(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatPersist(dev, rows, p))
-		fmt.Println()
-		if exp == "persist" && out != "" {
-			if err := bench.WritePersistJSON(out, dev, rows, p); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
-	if all || exp == "kv" {
-		ran = true
-		p := bench.DefaultKVParams()
-		rows, err := bench.RunKV([]int{1, 2, 4}, p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatKV(rows, p))
-		fmt.Println()
-		if exp == "kv" && out != "" {
-			if err := bench.WriteKVJSON(out, rows, p); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
-	if exp == "obs" {
-		// Not part of -exp all: like timing, this measures HOST-machine
-		// overhead (instrumentation cost), not the simulated device
-		// models the paper figures come from.
-		ran = true
-		p := bench.DefaultObsParams()
-		rows, err := bench.RunObs(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatObs(rows, p))
-		fmt.Println()
-		if out != "" {
-			if err := bench.WriteObsJSON(out, rows, p); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-	}
-	if exp == "timing" {
-		// Deliberately NOT part of -exp all: the experiment measures
-		// the HOST machine's timing noise, not the simulated device
-		// models the paper figures come from.
-		ran = true
-		rep, err := bench.RunTiming(timing.Options{}, bench.DefaultTimingThreshold)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatTiming(rep))
-		fmt.Println()
-		if out != "" {
-			if err := bench.WriteTimingJSON(out, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
+		fmt.Fprintln(w)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)

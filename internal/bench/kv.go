@@ -1,5 +1,6 @@
-// Oblivious key–value benchmark: logical KV throughput versus shard
-// count through internal/okv over internal/engine. Each logical
+// Oblivious key–value sweep: logical KV throughput versus shard
+// count through internal/okv over internal/engine — the measurement
+// TestKVSimThroughputScales and BenchmarkKVOps drive. Each logical
 // operation costs one fixed pipeline of block batches (2S slot reads,
 // E extent reads, 1+E writes — reported per row as blocks/op), so KV
 // throughput is the block-store throughput divided by a constant; the
@@ -11,11 +12,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -37,52 +35,21 @@ type KVParams struct {
 	Seed           string
 }
 
-// DefaultKVParams is the committed-baseline geometry: the shard
-// sweep's block store (16 Ki × 256 B, 1 MiB memory) carrying a table
-// of 4-slot buckets with 512 B values (2 extent blocks per slot), at
-// a ~19% seeded load factor, under a 60/30/10 get/set/del mix.
-func DefaultKVParams() KVParams {
-	return KVParams{
-		Blocks:         16384,
-		BlockSize:      256,
-		MemBytes:       1 << 20,
-		SlotsPerBucket: 4,
-		MaxValueBytes:  512,
-		SeedKeys:       1024,
-		Ops:            1536,
-		Workers:        8,
-		Seed:           "kv-bench",
-	}
-}
-
 // KVRow is one shard-count measurement.
 type KVRow struct {
-	Shards      int           `json:"shards"`
-	Ops         int           `json:"ops"`
-	BlocksPerOp int           `json:"blocks_per_op"` // fixed pipeline size
-	Wall        time.Duration `json:"wall_ns"`
-	WallTput    float64       `json:"wall_ops_per_s"`
-	SimTime     time.Duration `json:"sim_ns"` // measured phase, max over shard clocks
-	SimTput     float64       `json:"sim_ops_per_s"`
-	Gets        int64         `json:"gets"`
-	Sets        int64         `json:"sets"`
-	Dels        int64         `json:"dels"`
-	Misses      int64         `json:"misses"`
-	LiveKeys    int64         `json:"live_keys"`
-	Capacity    int64         `json:"capacity"`
-}
-
-// RunKV sweeps the shard counts on the same seeded logical workload.
-func RunKV(shardCounts []int, p KVParams) ([]KVRow, error) {
-	rows := make([]KVRow, 0, len(shardCounts))
-	for _, s := range shardCounts {
-		row, err := runKVOne(s, p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	Shards      int
+	Ops         int
+	BlocksPerOp int // fixed pipeline size
+	Wall        time.Duration
+	WallTput    float64
+	SimTime     time.Duration // measured phase, max over shard clocks
+	SimTput     float64
+	Gets        int64
+	Sets        int64
+	Dels        int64
+	Misses      int64
+	LiveKeys    int64
+	Capacity    int64
 }
 
 // kvOp is one logical operation of a worker's measured stream.
@@ -222,55 +189,4 @@ func runKVOver(shards int, p KVParams, backend func(*engine.Engine) okv.Backend,
 	// workload under test).
 	row.SimTput = float64(p.Ops) / row.SimTime.Seconds()
 	return row, nil
-}
-
-// FormatKV renders the sweep.
-func FormatKV(rows []KVRow, p KVParams) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "== oblivious KV: logical throughput vs shard count (%d x %d B blocks, %d-slot buckets, %d B value cap, %d seeded keys, %d ops) ==\n",
-		p.Blocks, p.BlockSize, p.SlotsPerBucket, p.MaxValueBytes, p.SeedKeys, p.Ops)
-	fmt.Fprintf(&b, "%7s %10s %12s %12s %12s %8s %8s %8s %8s\n",
-		"shards", "blocks/op", "wall", "wall ops/s", "sim ops/s", "gets", "sets", "dels", "misses")
-	base := 0.0
-	for i, r := range rows {
-		if i == 0 {
-			base = r.SimTput
-		}
-		fmt.Fprintf(&b, "%7d %10d %12s %12.1f %12.1f %8d %8d %8d %8d   (%.2fx)\n",
-			r.Shards, r.BlocksPerOp, r.Wall.Round(time.Millisecond), r.WallTput, r.SimTput,
-			r.Gets, r.Sets, r.Dels, r.Misses, r.SimTput/base)
-	}
-	fmt.Fprintf(&b, "every op = one fixed pipeline (2S slot reads + E extent reads + 1+E writes);\n")
-	fmt.Fprintf(&b, "hit, miss, insert, update and delete are bus-indistinguishable, so logical\n")
-	fmt.Fprintf(&b, "ops/s is block req/s divided by the constant blocks/op.\n")
-	return b.String()
-}
-
-// KVReport is the JSON baseline committed as BENCH_kv.json.
-type KVReport struct {
-	Experiment string   `json:"experiment"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	CPUs       int      `json:"cpus"`
-	Params     KVParams `json:"params"`
-	Rows       []KVRow  `json:"rows"`
-}
-
-// WriteKVJSON writes the sweep as an indented JSON baseline.
-func WriteKVJSON(path string, rows []KVRow, p KVParams) error {
-	rep := KVReport{
-		Experiment: "kv",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

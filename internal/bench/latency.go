@@ -1,9 +1,10 @@
-// Tail-latency benchmark: per-request latency distributions under the
+// Tail-latency sweep: per-request latency distributions under the
 // monolithic stop-the-world shuffle versus the deamortized incremental
-// pipeline. Aggregate throughput (BENCH_shard.json) hides the shuffle
-// entirely — the paper's own short-data-block analysis makes tail
-// latency, not the mean, the binding constraint for batched serving —
-// so this experiment measures what a single request experiences:
+// pipeline — the measurement TestLatencySweepSmoke pins. Aggregate
+// throughput (the shard sweep) hides the shuffle entirely — the
+// paper's own short-data-block analysis makes tail latency, not the
+// mean, the binding constraint for batched serving — so this sweep
+// measures what a single request experiences:
 //
 //   - sim latency: the owning shard's virtual-clock span from ROB
 //     submission to completion, including any shuffle work that ran in
@@ -17,10 +18,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -40,48 +38,31 @@ type LatencyParams struct {
 	Seed      string
 }
 
-// DefaultLatencyParams is the committed-baseline geometry: 64 Ki of
-// 256 B blocks and a 1 MiB memory tier, so every shard crosses several
-// shuffle periods and the per-shard shuffle window (√N partitions) is
-// large enough that the monolithic pass visibly dwarfs one partition
-// quantum.
-func DefaultLatencyParams() LatencyParams {
-	return LatencyParams{
-		Blocks:    65536,
-		BlockSize: 256,
-		MemBytes:  1 << 20,
-		Requests:  12000,
-		BatchSize: 64,
-		Shards:    []int{1, 4},
-		Seed:      "latency-bench",
-	}
-}
-
 // LatencyRow is one (mode, shard count) measurement.
 type LatencyRow struct {
-	Mode     string `json:"mode"` // "monolithic" or "incremental"
-	Shards   int    `json:"shards"`
-	Requests int    `json:"requests"`
+	Mode     string // "monolithic" or "incremental"
+	Shards   int
+	Requests int
 
 	// Per-request simulated latency (virtual device time).
-	SimP50 time.Duration `json:"sim_p50_ns"`
-	SimP99 time.Duration `json:"sim_p99_ns"`
-	SimMax time.Duration `json:"sim_max_ns"`
+	SimP50 time.Duration
+	SimP99 time.Duration
+	SimMax time.Duration
 
 	// Per-request wall latency (the request's batch round-trip).
-	WallP50 time.Duration `json:"wall_p50_ns"`
-	WallP99 time.Duration `json:"wall_p99_ns"`
-	WallMax time.Duration `json:"wall_max_ns"`
+	WallP50 time.Duration
+	WallP99 time.Duration
+	WallMax time.Duration
 
 	// Whole-run totals, to show deamortization does not buy its tail
 	// with throughput: the period's work is the same, only its
 	// placement changes.
-	SimTotal  time.Duration `json:"sim_total_ns"` // slowest shard
-	WallTotal time.Duration `json:"wall_total_ns"`
+	SimTotal  time.Duration // slowest shard
+	WallTotal time.Duration
 
-	Shuffles     int64         `json:"shuffles"`
-	Quanta       int64         `json:"quanta"`
-	MaxCycleTime time.Duration `json:"max_cycle_ns"`
+	Shuffles     int64
+	Quanta       int64
+	MaxCycleTime time.Duration
 }
 
 func percentile(sorted []time.Duration, p float64) time.Duration {
@@ -194,71 +175,4 @@ func runLatencyOne(shards int, monolithic bool, modeName string, p LatencyParams
 		Quanta:       sum.Quanta,
 		MaxCycleTime: sum.MaxCycleTime,
 	}, nil
-}
-
-// FormatLatency renders the sweep with the monolithic→incremental
-// improvement ratios per shard count.
-func FormatLatency(rows []LatencyRow, p LatencyParams) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "== shuffle deamortization: per-request latency, monolithic vs incremental (%d x %d B blocks, %d KiB memory, %d requests, batch %d) ==\n",
-		p.Blocks, p.BlockSize, p.MemBytes>>10, p.Requests, p.BatchSize)
-	fmt.Fprintf(&b, "%7s %12s %10s %10s %10s %10s %10s %10s %10s %9s\n",
-		"shards", "mode", "sim p50", "sim p99", "sim max", "wall p99", "wall max", "max cycle", "sim total", "shuffles")
-	byShard := map[int]map[string]LatencyRow{}
-	for _, r := range rows {
-		if byShard[r.Shards] == nil {
-			byShard[r.Shards] = map[string]LatencyRow{}
-		}
-		byShard[r.Shards][r.Mode] = r
-		fmt.Fprintf(&b, "%7d %12s %10s %10s %10s %10s %10s %10s %10s %9d\n",
-			r.Shards, r.Mode,
-			r.SimP50.Round(time.Microsecond), r.SimP99.Round(time.Microsecond), r.SimMax.Round(time.Microsecond),
-			r.WallP99.Round(time.Microsecond), r.WallMax.Round(time.Microsecond),
-			r.MaxCycleTime.Round(time.Microsecond), r.SimTotal.Round(time.Millisecond), r.Shuffles)
-	}
-	for _, r := range rows {
-		mono, ok1 := byShard[r.Shards]["monolithic"]
-		incr, ok2 := byShard[r.Shards]["incremental"]
-		if !ok1 || !ok2 || r.Mode != "incremental" {
-			continue
-		}
-		fmt.Fprintf(&b, "shards=%d: incremental improves sim p99 %.1fx, sim max %.1fx, max-cycle cost %.1fx (sim total %.2fx)\n",
-			r.Shards,
-			float64(mono.SimP99)/float64(incr.SimP99),
-			float64(mono.SimMax)/float64(incr.SimMax),
-			float64(mono.MaxCycleTime)/float64(incr.MaxCycleTime),
-			float64(mono.SimTotal)/float64(incr.SimTotal))
-	}
-	fmt.Fprintf(&b, "sim latency = shard virtual-clock span submit->complete; wall latency = the\n")
-	fmt.Fprintf(&b, "request's batch round-trip on this host (GOMAXPROCS=%d).\n", runtime.GOMAXPROCS(0))
-	return b.String()
-}
-
-// LatencyReport is the JSON baseline committed as BENCH_latency.json.
-type LatencyReport struct {
-	Experiment string        `json:"experiment"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	CPUs       int           `json:"cpus"`
-	Params     LatencyParams `json:"params"`
-	Rows       []LatencyRow  `json:"rows"`
-}
-
-// WriteLatencyJSON writes the sweep as an indented JSON baseline.
-func WriteLatencyJSON(path string, rows []LatencyRow, p LatencyParams) error {
-	rep := LatencyReport{
-		Experiment: "latency",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -45,10 +45,4 @@ func TestLatencySweepSmoke(t *testing.T) {
 	if ratio > 1.25 || ratio < 0.8 {
 		t.Fatalf("sim totals diverge: incremental %v vs monolithic %v", incr.SimTotal, mono.SimTotal)
 	}
-
-	// The baseline writer round-trips.
-	tmp := t.TempDir() + "/latency.json"
-	if err := WriteLatencyJSON(tmp, rows, p); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -1,6 +1,8 @@
-// Shard-scaling benchmark: aggregate throughput versus shard count
-// through internal/engine. Two throughput figures are reported per
-// row, because they answer different questions:
+// Shard-scaling sweep: aggregate throughput versus shard count
+// through internal/engine — the measurement TestShardSimThroughputScales
+// pins (wall-clock serving numbers come from `go run ./benchmark`).
+// Two throughput figures are reported per row, because they answer
+// different questions:
 //
 //   - sim req/s divides the request count by the SLOWEST shard's
 //     virtual device time. Shards model independent hardware (each
@@ -15,10 +17,7 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/blockcipher"
@@ -35,37 +34,22 @@ type ShardParams struct {
 	Seed      string
 }
 
-// DefaultShardParams is the committed-baseline geometry: 16 Ki of
-// 256 B blocks, a 1 MiB memory tier (small enough that every shard
-// count crosses shuffle periods, so the baseline includes shuffle
-// cost), mixed read/write traffic.
-func DefaultShardParams() ShardParams {
-	return ShardParams{
-		Blocks:    16384,
-		BlockSize: 256,
-		MemBytes:  1 << 20,
-		Requests:  12000,
-		BatchSize: 384,
-		Seed:      "shard-bench",
-	}
-}
-
 // ShardRow is one shard-count measurement.
 type ShardRow struct {
-	Shards       int           `json:"shards"`
-	Requests     int           `json:"requests"`
-	Wall         time.Duration `json:"wall_ns"`
-	WallTput     float64       `json:"wall_req_per_s"`
-	SimTime      time.Duration `json:"sim_ns"` // max over shards
-	SimTput      float64       `json:"sim_req_per_s"`
-	Cycles       int64         `json:"cycles"`
-	PaddedCycles int64         `json:"padded_cycles"` // leveling cost (subset of cycles)
-	Shuffles     int64         `json:"shuffles"`
+	Shards       int
+	Requests     int
+	Wall         time.Duration
+	WallTput     float64
+	SimTime      time.Duration // max over shards
+	SimTput      float64
+	Cycles       int64
+	PaddedCycles int64 // leveling cost (subset of cycles)
+	Shuffles     int64
 	// MinShardReqs/MaxShardReqs are the extremes of the per-shard
 	// request counts — the balance check (a skewed partition shows a
 	// wide spread; the PRF deal should keep it narrow).
-	MinShardReqs int64 `json:"min_shard_reqs"`
-	MaxShardReqs int64 `json:"max_shard_reqs"`
+	MinShardReqs int64
+	MaxShardReqs int64
 }
 
 // RunShard sweeps the shard counts on the same logical workload: the
@@ -154,56 +138,4 @@ func runShardOne(shards int, p ShardParams) (ShardRow, error) {
 		}
 	}
 	return row, nil
-}
-
-// FormatShard renders the sweep.
-func FormatShard(rows []ShardRow, p ShardParams) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "== sharded engine: aggregate throughput vs shard count (%d x %d B blocks, %d KiB memory, %d requests) ==\n",
-		p.Blocks, p.BlockSize, p.MemBytes>>10, p.Requests)
-	fmt.Fprintf(&b, "%7s %12s %12s %14s %12s %10s %10s\n",
-		"shards", "wall", "wall req/s", "sim (slowest)", "sim req/s", "cycles", "shuffles")
-	base := 0.0
-	for i, r := range rows {
-		if i == 0 {
-			base = r.SimTput
-		}
-		fmt.Fprintf(&b, "%7d %12s %12.0f %14s %12.0f %10d %10d   (%.2fx)\n",
-			r.Shards, r.Wall.Round(time.Millisecond), r.WallTput,
-			r.SimTime.Round(time.Millisecond), r.SimTput, r.Cycles, r.Shuffles, r.SimTput/base)
-	}
-	fmt.Fprintf(&b, "sim req/s = requests / slowest shard's virtual device time: shards are\n")
-	fmt.Fprintf(&b, "independent hardware, so this is the deployment-model aggregate throughput.\n")
-	fmt.Fprintf(&b, "wall req/s additionally depends on host cores (GOMAXPROCS=%d here).\n", runtime.GOMAXPROCS(0))
-	return b.String()
-}
-
-// ShardReport is the JSON baseline committed as BENCH_shard.json so
-// later PRs have a trajectory to compare against.
-type ShardReport struct {
-	Experiment string      `json:"experiment"`
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	CPUs       int         `json:"cpus"`
-	Params     ShardParams `json:"params"`
-	Rows       []ShardRow  `json:"rows"`
-}
-
-// WriteShardJSON writes the sweep as an indented JSON baseline.
-func WriteShardJSON(path string, rows []ShardRow, p ShardParams) error {
-	rep := ShardReport{
-		Experiment: "shard",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		Params:     p,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

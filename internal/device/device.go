@@ -95,6 +95,13 @@ type Device interface {
 // accessing goroutine.
 type Hook func(dev string, op Op, slot int64)
 
+// RawWriter is the optional fast path devices expose for unmeasured
+// setup writes: WriteRaw stores src without charging simulated time or
+// counters.
+type RawWriter interface {
+	WriteRaw(slot int64, src []byte) error
+}
+
 // Backend is the full device contract the ORAM controllers in this
 // repository build on: a Device plus the raw setup paths, head and
 // counter controls, and the adversary hook Sim has always offered.
@@ -102,9 +109,7 @@ type Hook func(dev string, op Op, slot int64)
 // ORAM's storage tier.
 type Backend interface {
 	Device
-	// WriteRaw stores src without charging simulated time or counters
-	// (unmeasured experiment setup).
-	WriteRaw(slot int64, src []byte) error
+	RawWriter
 	// ReadRaw copies a slot's payload without charging simulated time
 	// or counters (snapshot capture, debugging).
 	ReadRaw(slot int64, dst []byte) error

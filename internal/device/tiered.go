@@ -80,9 +80,7 @@ func (t *Tiered) WriteRaw(slot int64, src []byte) error {
 		dev = t.slow
 		slot -= t.boundary
 	}
-	if rw, ok := dev.(interface {
-		WriteRaw(int64, []byte) error
-	}); ok {
+	if rw, ok := dev.(RawWriter); ok {
 		return rw.WriteRaw(slot, src)
 	}
 	return dev.Write(slot, src)

@@ -35,8 +35,7 @@
 // operations — no allocation, no locking — so instrumenting the
 // zero-alloc hot paths from PR 6 does not perturb them. All
 // instrument methods are nil-receiver safe: a nil *Counter (no
-// registry wired) makes the instrumented code a no-op, which is what
-// `make bench-obs` measures against.
+// registry wired) makes the instrumented code a no-op.
 package obs
 
 import (

@@ -44,8 +44,8 @@ func TestDuplicateAndInvalidRegistration(t *testing.T) {
 }
 
 // A nil registry hands out nil instruments, and every instrument
-// method must be nil-receiver safe — that is the no-op mode benched
-// by bench-obs.
+// method must be nil-receiver safe — that is the no-op mode of an
+// engine with no registry wired.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "", Public("test"))

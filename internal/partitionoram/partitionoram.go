@@ -149,14 +149,10 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	return o, nil
 }
 
-type rawWriter interface {
-	WriteRaw(slot int64, src []byte) error
-}
-
 // initStore lays blocks round-robin across partitions and permutes
 // each partition internally.
 func (o *ORAM) initStore() error {
-	rw, hasRaw := o.dev.(rawWriter)
+	rw, hasRaw := o.dev.(device.RawWriter)
 	zero := make([]byte, o.cfg.BlockSize)
 	write := func(slot int64, sealed []byte) error {
 		if hasRaw {

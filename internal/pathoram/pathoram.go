@@ -295,17 +295,11 @@ func (o *ORAM) newPayload(src []byte) []byte {
 	return buf
 }
 
-// rawWriter is the optional fast-path devices expose for unmeasured
-// setup writes.
-type rawWriter interface {
-	WriteRaw(slot int64, src []byte) error
-}
-
 // clearTree seals a dummy into every slot of the tree, batch-sealing
 // one path-sized chunk at a time through the worker pool (the chunked
 // order keeps the nonce stream identical to a serial slot loop).
 func (o *ORAM) clearTree() error {
-	rw, hasRaw := o.dev.(rawWriter)
+	rw, hasRaw := o.dev.(device.RawWriter)
 	chunk := int64(len(o.pathSealed))
 	for lo := int64(0); lo < o.geom.Slots(); lo += chunk {
 		hi := lo + chunk

@@ -141,10 +141,6 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	return o, nil
 }
 
-type rawWriter interface {
-	WriteRaw(slot int64, src []byte) error
-}
-
 // initStore writes a freshly permuted store of zero blocks + dummies
 // without charging simulated time.
 func (o *ORAM) initStore() error {
@@ -153,7 +149,7 @@ func (o *ORAM) initStore() error {
 	for v := int64(0); v < total; v++ {
 		o.perm[v] = int64(p[v])
 	}
-	rw, hasRaw := o.dev.(rawWriter)
+	rw, hasRaw := o.dev.(device.RawWriter)
 	zero := make([]byte, o.cfg.BlockSize)
 	for v := int64(0); v < total; v++ {
 		addr := v

@@ -15,10 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
-	"os"
-	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
@@ -27,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/scripts/daemon"
 )
 
 const (
@@ -49,17 +47,6 @@ func main() {
 	fmt.Println("clustersmoke: PASS")
 }
 
-// freePort asks the kernel for a free loopback port.
-func freePort() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close() //horam:errok the listener existed only to reserve a free port
-	return addr, nil
-}
-
 // globalFlags is the geometry every process of the cluster — nodes
 // and gateway alike — must agree on.
 func globalFlags(addr string) []string {
@@ -70,52 +57,6 @@ func globalFlags(addr string) []string {
 		"-mem", fmt.Sprint(memBytes),
 		"-shards", fmt.Sprint(shards),
 		"-stats-every", "0",
-	}
-}
-
-// startDaemon launches one horamd and waits until it accepts
-// connections.
-func startDaemon(bin string, args ...string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	var addr string
-	for i, a := range args {
-		if a == "-addr" {
-			addr = args[i+1]
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			conn.Close() //horam:errok readiness probe; the connection carried no requests
-			return cmd, nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return nil, fmt.Errorf("horamd never started listening on %s", addr)
-}
-
-func stopDaemon(name string, cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("%s: SIGTERM: %w", name, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("%s: exit: %w", name, err)
-		}
-		return nil
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		return fmt.Errorf("%s did not exit within 30s of SIGTERM", name)
 	}
 }
 
@@ -157,19 +98,19 @@ func perNodeCycles(text string) (map[string]int64, error) {
 }
 
 func run(bin string) error {
-	n0Addr, err := freePort()
+	n0Addr, err := daemon.FreePort()
 	if err != nil {
 		return err
 	}
-	n1Addr, err := freePort()
+	n1Addr, err := daemon.FreePort()
 	if err != nil {
 		return err
 	}
-	gwAddr, err := freePort()
+	gwAddr, err := daemon.FreePort()
 	if err != nil {
 		return err
 	}
-	metricsAddr, err := freePort()
+	metricsAddr, err := daemon.FreePort()
 	if err != nil {
 		return err
 	}
@@ -177,17 +118,17 @@ func run(bin string) error {
 	// Two shard nodes, then the gateway over them (its startup probes
 	// retry, so racing the nodes' listen is fine — but they are already
 	// up here anyway).
-	node0, err := startDaemon(bin, append(globalFlags(n0Addr), "-shard-serve", "-shard-index", "0")...)
+	node0, err := daemon.Start(bin, append(globalFlags(n0Addr), "-shard-serve", "-shard-index", "0")...)
 	if err != nil {
 		return fmt.Errorf("node 0: %w", err)
 	}
 	defer node0.Process.Kill()
-	node1, err := startDaemon(bin, append(globalFlags(n1Addr), "-shard-serve", "-shard-index", "1")...)
+	node1, err := daemon.Start(bin, append(globalFlags(n1Addr), "-shard-serve", "-shard-index", "1")...)
 	if err != nil {
 		return fmt.Errorf("node 1: %w", err)
 	}
 	defer node1.Process.Kill()
-	gw, err := startDaemon(bin, append(globalFlags(gwAddr),
+	gw, err := daemon.Start(bin, append(globalFlags(gwAddr),
 		"-gateway", "-nodes", n0Addr+","+n1Addr, "-kv",
 		"-metrics-addr", metricsAddr)...)
 	if err != nil {
@@ -340,10 +281,10 @@ func run(bin string) error {
 
 	// Phase 4: clean teardown of the survivors. The gateway joins the
 	// dead node's close error into its log but must still exit 0.
-	if err := stopDaemon("gateway", gw); err != nil {
+	if err := daemon.Stop("gateway", gw); err != nil {
 		return err
 	}
-	if err := stopDaemon("node 0", node0); err != nil {
+	if err := daemon.Stop("node 0", node0); err != nil {
 		return err
 	}
 	return nil

@@ -13,13 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/exec"
-	"syscall"
-	"time"
 
 	"repro/internal/client"
+	"repro/scripts/daemon"
 )
 
 const (
@@ -56,20 +54,9 @@ func payload(addr int64) []byte {
 	return p
 }
 
-// freePort asks the kernel for a free loopback port.
-func freePort() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close() //horam:errok the listener existed only to reserve a free port
-	return addr, nil
-}
-
 // startDaemon launches horamd and waits until it accepts connections.
 func startDaemon(bin, dir, addr string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin,
+	return daemon.Start(bin,
 		"-addr", addr,
 		"-blocks", fmt.Sprint(blocks),
 		"-blocksize", fmt.Sprint(blockSize),
@@ -78,41 +65,10 @@ func startDaemon(bin, dir, addr string) (*exec.Cmd, error) {
 		"-data-dir", dir,
 		"-checkpoint", "0", // rely on save-on-shutdown: the SIGTERM path under test
 	)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			conn.Close() //horam:errok readiness probe; the connection carried no requests
-			return cmd, nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	return nil, fmt.Errorf("horamd never started listening on %s", addr)
-}
-
-func stopDaemon(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		return fmt.Errorf("horamd did not exit within 30s of SIGTERM")
-	}
 }
 
 func run(bin, dir string) error {
-	addr, err := freePort()
+	addr, err := daemon.FreePort()
 	if err != nil {
 		return err
 	}
@@ -154,7 +110,7 @@ func run(bin, dir string) error {
 	c.Close() //horam:errok smoke-test teardown; the assertions already ran
 
 	// Kill between batches: SIGTERM drains, checkpoints, exits.
-	if err := stopDaemon(cmd); err != nil {
+	if err := daemon.Stop("horamd", cmd); err != nil {
 		return fmt.Errorf("first shutdown: %w", err)
 	}
 
@@ -164,7 +120,7 @@ func run(bin, dir string) error {
 	if err != nil {
 		return fmt.Errorf("restart: %w", err)
 	}
-	defer stopDaemon(cmd)
+	defer daemon.Stop("horamd", cmd)
 	c, err = client.Dial(addr)
 	if err != nil {
 		return err
