@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt-check lint test test-shuffle race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline persist-smoke kv-smoke cluster-smoke fmt
+.PHONY: ci build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline persist-smoke kv-smoke cluster-smoke fmt
 
-ci: build vet fmt-check lint test test-shuffle race bench-smoke bench-sealer bench-timing persist-smoke kv-smoke cluster-smoke
+ci: build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench-sealer bench-timing persist-smoke kv-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,17 @@ test:
 # fixed order silently satisfies.
 test-shuffle:
 	$(GO) test -shuffle=on -count=1 ./...
+
+# Every committed fuzz target, 10 s each (stdlib fuzzing; tier-1 only
+# replays the seed corpora). Targets are discovered per package, so a
+# new Fuzz* function is picked up without editing this or the workflow.
+fuzz-smoke:
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=10s $$pkg || exit 1; \
+		done; \
+	done
 
 # Static analysis: the repo's own obliviousness linter (horam-lint:
 # ctflow, ctmask, errdrop) plus staticcheck and govulncheck when

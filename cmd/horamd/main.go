@@ -112,7 +112,6 @@ func main() {
 	checkpoint := flag.Duration("checkpoint", time.Minute, "periodic control-state checkpoint interval with -data-dir (0 disables; a final checkpoint always runs on shutdown)")
 	fsync := flag.Int("fsync", 0, "storage fsync policy with -data-dir: 0 = at shuffle/checkpoint boundaries only, 1 = every write, n = every n-th write")
 	monolithic := flag.Bool("monolithic-shuffle", false, "run each shuffle period as one stop-the-world pass instead of the default deamortized per-cycle quanta (tail latency!)")
-	sealWorkers := flag.Int("seal-workers", 0, "worker-pool bound for parallel record sealing (0 = GOMAXPROCS capped at 8, 1 = serial)")
 	constantTime := flag.Bool("constant-time", false, "harden trusted-memory data structures (stash, position map, KV selection) against co-located timing adversaries: full fixed-order scans, no secret-dependent branches; device traffic is unchanged, CPU cost rises")
 	kv := flag.Bool("kv", false, "serve the oblivious key-value layer (KGET/KSET/KDEL; raw WRITE is disabled — the block space backs the table)")
 	kvMaxValue := flag.Int("kv-max-value", 4096, "KV value-length cap in bytes; fixes the per-op extent fan-out at ceil(cap/blocksize)")
@@ -160,7 +159,6 @@ func main() {
 		Key:               key,
 		Shards:            *shards,
 		MonolithicShuffle: *monolithic,
-		SealWorkers:       *sealWorkers,
 		ConstantTime:      *constantTime,
 		DataDir:           *dataDir,
 		FsyncEvery:        *fsync,

@@ -62,6 +62,7 @@ type BatchSealer interface {
 // Seal plus a copy otherwise. dst must be exactly
 // len(plaintext)+s.Overhead() bytes.
 func SealInto(s Sealer, dst, plaintext []byte) error {
+	sealedBytes.Add(int64(len(plaintext)))
 	if is, ok := s.(InplaceSealer); ok {
 		return is.SealInto(dst, plaintext)
 	}
@@ -80,6 +81,7 @@ func SealInto(s Sealer, dst, plaintext []byte) error {
 // Open plus a copy otherwise. dst must be exactly
 // len(sealed)-s.Overhead() bytes.
 func OpenInto(s Sealer, dst, sealed []byte) error {
+	openedBytes.Add(int64(len(sealed)))
 	if is, ok := s.(InplaceSealer); ok {
 		return is.OpenInto(dst, sealed)
 	}
@@ -95,10 +97,10 @@ func OpenInto(s Sealer, dst, sealed []byte) error {
 }
 
 // SealBatch seals a run via s's batch path when it has one, falling
-// back to sequential in-place seals otherwise.
+// back to sequential in-place seals (which count themselves) otherwise.
 func SealBatch(s Sealer, plaintexts, outs [][]byte, workers int) error {
-	countBytes(&sealedBytes, plaintexts)
 	if bs, ok := s.(BatchSealer); ok {
+		countBytes(&sealedBytes, plaintexts)
 		return bs.SealBatch(plaintexts, outs, workers)
 	}
 	if len(plaintexts) != len(outs) {
@@ -113,10 +115,10 @@ func SealBatch(s Sealer, plaintexts, outs [][]byte, workers int) error {
 }
 
 // OpenBatch opens a run via s's batch path when it has one, falling
-// back to sequential in-place opens otherwise.
+// back to sequential in-place opens (which count themselves) otherwise.
 func OpenBatch(s Sealer, sealed, outs [][]byte, workers int) error {
-	countBytes(&openedBytes, sealed)
 	if bs, ok := s.(BatchSealer); ok {
+		countBytes(&openedBytes, sealed)
 		return bs.OpenBatch(sealed, outs, workers)
 	}
 	if len(sealed) != len(outs) {

@@ -2,10 +2,12 @@ package blockcipher
 
 import "sync/atomic"
 
-// Process-global sealer throughput totals, fed by SealBatch/OpenBatch
-// (every hot-path seal/open goes through those package functions).
-// Plain atomics keep the cost to one add per batch, so the counters
-// are always on. internal/engine exposes them on /metrics as
+// Process-global sealer throughput totals, fed by the four package
+// helpers SealInto/OpenInto/SealBatch/OpenBatch — every seal and open
+// of internal/record goes through one of them, each record counted
+// once. (Direct Sealer.Seal/Open method calls are not counted.) Plain
+// atomics keep the cost to one add per call, so the counters are
+// always on. internal/engine exposes them on /metrics as
 // Timing-class gauges: being process-global they accumulate across
 // every sealer in the process, which makes them throughput telemetry,
 // not a per-workload public observable — they must never join the

@@ -81,10 +81,6 @@ type Common struct {
 	// Stages overrides the scheduler's c schedule; nil selects the
 	// paper's {1, 3, 5} over {20%, 13%, 67%}.
 	Stages []Stage
-	// SealWorkers bounds the worker pool that parallelises seal/unseal
-	// across the records of a cycle or shuffle quantum. 0 sizes the
-	// pool by GOMAXPROCS (serial on one core); 1 forces serial.
-	SealWorkers int
 	// ConstantTime hardens the controller's trusted-memory structures
 	// against a co-located timing adversary: stash lookup/insert/evict,
 	// position-map lookups and the okv slot selection become
@@ -152,9 +148,6 @@ func WithMonolithicShuffle() Option { return func(c *Common) { c.MonolithicShuff
 // WithStages overrides the scheduler's c schedule.
 func WithStages(stages []Stage) Option { return func(c *Common) { c.Stages = stages } }
 
-// WithSealWorkers bounds the seal/unseal worker pool.
-func WithSealWorkers(n int) Option { return func(c *Common) { c.SealWorkers = n } }
-
 // WithConstantTime enables the constant-time controller mode.
 func WithConstantTime() Option { return func(c *Common) { c.ConstantTime = true } }
 
@@ -188,9 +181,6 @@ func (c Common) Validate(prefix string) error {
 	}
 	if c.FsyncEvery < 0 {
 		return fmt.Errorf("%s: negative FsyncEvery", prefix)
-	}
-	if c.SealWorkers < 0 {
-		return fmt.Errorf("%s: negative SealWorkers", prefix)
 	}
 	if c.ShuffleRatio < 0 || c.ShuffleRatio > 1 {
 		return fmt.Errorf("%s: ShuffleRatio %v out of [0,1]", prefix, c.ShuffleRatio)

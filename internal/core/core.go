@@ -169,7 +169,6 @@ func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 		ShuffleRatio:      opts.ShuffleRatio,
 		MonolithicShuffle: opts.MonolithicShuffle,
 		Stages:            opts.Stages,
-		SealWorkers:       opts.SealWorkers,
 		ConstantTime:      opts.ConstantTime,
 		Sealer:            sealer,
 		RNG:               blockcipher.NewRNGFromString(seed),

@@ -377,7 +377,6 @@ func planShards(opts Options) (*shardPlan, error) {
 			ShuffleRatio:      opts.ShuffleRatio,
 			MonolithicShuffle: opts.MonolithicShuffle,
 			Stages:            opts.Stages,
-			SealWorkers:       opts.SealWorkers,
 			ConstantTime:      opts.ConstantTime,
 			FsyncEvery:        opts.FsyncEvery,
 		}

@@ -1,101 +1,6 @@
 package horam
 
-import (
-	"encoding/binary"
-	"fmt"
-	"runtime"
-
-	"repro/internal/blockcipher"
-)
-
-// recordCodec owns the sealed-record hot path of one H-ORAM instance:
-// the header+payload plaintext layout, the seal worker-pool sizing,
-// and the reusable scratch that keeps the steady state allocation-free.
-// The per-record helpers replace the historical sealRecord/openRecord
-// (which allocated a plaintext and a sealed buffer on every call); the
-// run helpers fan a whole partition or path across the worker pool
-// while preserving the serial nonce order, so the sealed bytes — and
-// every device-trace test — are identical at any worker count.
-type recordCodec struct {
-	sealer   blockcipher.Sealer
-	workers  int
-	ptSize   int // headerSize + BlockSize
-	slotSize int
-
-	dummyPt []byte // sealed-dummy plaintext; read-only after init
-}
-
-// sealWorkers resolves the configured pool bound: an explicit knob
-// wins, otherwise GOMAXPROCS capped at 8 (sealing a partition saturates
-// memory bandwidth long before it scales past that).
-func sealWorkers(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-func newRecordCodec(sealer blockcipher.Sealer, blockSize, workers int) *recordCodec {
-	ptSize := headerSize + blockSize
-	c := &recordCodec{
-		sealer:   sealer,
-		workers:  sealWorkers(workers),
-		ptSize:   ptSize,
-		slotSize: ptSize + sealer.Overhead(),
-		dummyPt:  make([]byte, ptSize),
-	}
-	c.encode(c.dummyPt, dummyAddr, nil)
-	return c
-}
-
-// encode lays out one record plaintext into dst (exactly ptSize
-// bytes): big-endian address header, then the payload, zero-padded
-// when the payload is nil (dummies and never-written blocks).
-func (c *recordCodec) encode(dst []byte, addr int64, payload []byte) {
-	binary.BigEndian.PutUint64(dst[:headerSize], uint64(addr))
-	n := copy(dst[headerSize:], payload)
-	for i := headerSize + n; i < len(dst); i++ {
-		dst[i] = 0
-	}
-}
-
-// openInto opens one sealed record into the ptSize buffer dst and
-// returns the address header and the payload view aliasing dst.
-func (c *recordCodec) openInto(dst, sealed []byte) (int64, []byte, error) {
-	if err := blockcipher.OpenInto(c.sealer, dst, sealed); err != nil {
-		return 0, nil, err
-	}
-	if len(dst) != c.ptSize {
-		return 0, nil, fmt.Errorf("horam: record is %d bytes, want %d", len(dst), c.ptSize)
-	}
-	return int64(binary.BigEndian.Uint64(dst[:headerSize])), dst[headerSize:], nil
-}
-
-// sealRun batch-seals pts[i] into outs[i] across the worker pool.
-func (c *recordCodec) sealRun(pts, outs [][]byte) error {
-	return blockcipher.SealBatch(c.sealer, pts, outs, c.workers)
-}
-
-// openRun batch-opens sealed[i] into pts[i] across the worker pool.
-func (c *recordCodec) openRun(pts, sealed [][]byte) error {
-	return blockcipher.OpenBatch(c.sealer, sealed, pts, c.workers)
-}
-
-// slab carves an n×size byte slab into reusable views — the allocation
-// pattern behind every run-scratch in the hot path: one backing array,
-// n fixed-size windows, allocated once and reused forever.
-func slab(n int64, size int) [][]byte {
-	backing := make([]byte, int(n)*size)
-	views := make([][]byte, n)
-	for i := range views {
-		views[i] = backing[i*size : (i+1)*size]
-	}
-	return views
-}
+import "repro/internal/record"
 
 // shufScratch is the persistent per-instance scratch of the shuffle
 // quantum: slot vector, sealed slab (read inputs, then reused as seal
@@ -121,9 +26,9 @@ func (o *ORAM) shufScratchFor(partSlots int64) *shufScratch {
 	if o.shuf == nil {
 		o.shuf = &shufScratch{
 			slots:   make([]int64, partSlots),
-			sealedV: slab(partSlots, o.codec.slotSize),
-			readPt:  slab(partSlots, o.codec.ptSize),
-			writePt: slab(partSlots, o.codec.ptSize),
+			sealedV: record.Slab(int(partSlots), o.codec.SlotSize()),
+			readPt:  record.Slab(int(partSlots), o.codec.PtSize()),
+			writePt: record.Slab(int(partSlots), o.codec.PtSize()),
 			recs:    make([]shufRec, 0, partSlots),
 			slotOf:  make(map[int64]int, partSlots),
 		}

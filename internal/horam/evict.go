@@ -1,13 +1,13 @@
 package horam
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/posmap"
+	"repro/internal/record"
 	"repro/internal/shuffle"
 	"repro/internal/stash"
 )
@@ -301,7 +301,7 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 	if err := o.storDev.ReadSlots(sc.slots, sc.sealedV); err != nil {
 		return 0, err
 	}
-	if err := o.codec.openRun(sc.readPt, sc.sealedV); err != nil {
+	if err := o.codec.OpenRun(sc.readPt, sc.sealedV); err != nil {
 		return 0, err
 	}
 
@@ -312,9 +312,8 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 	// into a separate slab, so no copy is needed.
 	blocks := sc.recs[:0]
 	for i := int64(0); i < o.partSlots; i++ {
-		pt := sc.readPt[i]
-		addr := int64(binary.BigEndian.Uint64(pt[:headerSize]))
-		if addr == dummyAddr {
+		addr, payload := o.codec.Decode(sc.readPt[i])
+		if addr == record.DummyAddr {
 			continue
 		}
 		e, err := o.perm.Lookup(addr)
@@ -324,7 +323,7 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 		if e.Tier != posmap.TierStorage || e.Slot != base+i {
 			continue // stale copy
 		}
-		blocks = append(blocks, shufRec{addr, pt[headerSize:]})
+		blocks = append(blocks, shufRec{addr, payload})
 	}
 
 	// Concatenate the next piece of evicted hot data.
@@ -348,12 +347,12 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 	}
 	for i := int64(0); i < o.partSlots; i++ {
 		if bi, ok := sc.slotOf[base+i]; ok {
-			o.codec.encode(sc.writePt[i], blocks[bi].addr, blocks[bi].data)
+			o.codec.Encode(sc.writePt[i], blocks[bi].addr, blocks[bi].data)
 		} else {
-			copy(sc.writePt[i], o.codec.dummyPt)
+			copy(sc.writePt[i], o.codec.DummyPt())
 		}
 	}
-	if err := o.codec.sealRun(sc.writePt, sc.sealedV); err != nil {
+	if err := o.codec.SealRun(sc.writePt, sc.sealedV); err != nil {
 		return 0, err
 	}
 	if err := o.storDev.WriteSlots(sc.slots, sc.sealedV); err != nil {

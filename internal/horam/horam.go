@@ -32,6 +32,7 @@ import (
 	"repro/internal/oramtree"
 	"repro/internal/pathoram"
 	"repro/internal/posmap"
+	"repro/internal/record"
 	"repro/internal/simclock"
 )
 
@@ -93,12 +94,6 @@ type Config struct {
 	// clock. The paper bounds the resulting gain at 32x over the
 	// baseline for the Table 5-1 scenario.
 	BackgroundShuffle bool
-	// SealWorkers bounds the worker pool that parallelises seal/unseal
-	// across the records of a shuffle quantum, a tree path, or a cycle.
-	// 0 sizes the pool from GOMAXPROCS; 1 forces serial crypto. The
-	// nonce streams are drawn serially either way, so the sealed bytes
-	// (and every device-trace test) are identical at any worker count.
-	SealWorkers int
 	// ConstantTime hardens the memory tree's trusted-memory control
 	// structures (stash, position map) against a co-located timing
 	// adversary; see pathoram.Config.ConstantTime. Device traffic is
@@ -154,9 +149,6 @@ func (c Config) validate() error {
 	if c.ShuffleRatio < 0 || c.ShuffleRatio > 1 {
 		return fmt.Errorf("horam: ShuffleRatio %v out of [0,1]", c.ShuffleRatio)
 	}
-	if c.SealWorkers < 0 {
-		return errors.New("horam: SealWorkers must be non-negative")
-	}
 	sum := 0.0
 	for _, s := range c.Stages {
 		if s.C <= 0 || s.Frac < 0 {
@@ -171,7 +163,7 @@ func (c Config) validate() error {
 }
 
 // SlotSize returns the sealed slot size on both tiers.
-func (c Config) SlotSize() int { return 8 + c.BlockSize + c.Sealer.Overhead() }
+func (c Config) SlotSize() int { return record.SlotSize(c.BlockSize, c.Sealer) }
 
 // Stats aggregates a run's scheme-level counters.
 type Stats struct {
@@ -225,10 +217,10 @@ type ORAM struct {
 	sm       shuffleState // incremental shuffle state machine
 	poisoned error        // sticky failure after a mid-flight shuffle error
 
-	codec    *recordCodec // sealed-record hot path (see codec.go)
-	shuf     *shufScratch // shuffle-quantum scratch, one partition wide
-	fetchBuf []byte       // fetchBlock sealed-slot scratch
-	fetchPt  []byte       // fetchBlock plaintext scratch
+	codec    *record.Codec // sealed-record hot path
+	shuf     *shufScratch  // shuffle-quantum scratch, one partition wide
+	fetchBuf []byte        // fetchBlock sealed-slot scratch
+	fetchPt  []byte        // fetchBlock plaintext scratch
 
 	rob   []*Request
 	stats Stats
@@ -342,9 +334,9 @@ func construct(cfg Config) (*ORAM, error) {
 		clkStor: simclock.New(),
 		acct:    simclock.NewAccumulator(),
 	}
-	o.codec = newRecordCodec(cfg.Sealer, cfg.BlockSize, cfg.SealWorkers)
+	o.codec = record.New(cfg.Sealer, cfg.BlockSize)
 	o.fetchBuf = make([]byte, slotSize)
-	o.fetchPt = make([]byte, o.codec.ptSize)
+	o.fetchPt = make([]byte, o.codec.PtSize())
 
 	// Memory tier: the largest Path ORAM tree that fits the budget.
 	geom, err := oramtree.FitCapacity(memSlots, cfg.Z)
@@ -362,7 +354,6 @@ func construct(cfg Config) (*ORAM, error) {
 		Capacity:     geom.Slots(),
 		Sealer:       cfg.Sealer,
 		RNG:          cfg.RNG.Fork("mem-oram"),
-		SealWorkers:  cfg.SealWorkers,
 		ConstantTime: cfg.ConstantTime,
 	}
 	o.mem, err = pathoram.New(memCfg, o.memDev)

@@ -6,9 +6,6 @@ import (
 	"repro/internal/posmap"
 )
 
-const headerSize = 8
-const dummyAddr = int64(-1)
-
 // initStorage writes the initial permuted layout. The address→partition
 // assignment must be a *random balanced* one: a globally shuffled
 // address list is dealt into the partitions in equal shares, then each
@@ -39,15 +36,15 @@ func (o *ORAM) initStorage() error {
 			sc.slots[i] = slot
 			if i < count {
 				addr := int64(dealt[lo+i])
-				o.codec.encode(sc.writePt[i], addr, nil)
+				o.codec.Encode(sc.writePt[i], addr, nil)
 				if err := o.perm.SetStorage(addr, slot); err != nil {
 					return err
 				}
 			} else {
-				copy(sc.writePt[i], o.codec.dummyPt)
+				copy(sc.writePt[i], o.codec.DummyPt())
 			}
 		}
-		if err := o.codec.sealRun(sc.writePt, sc.sealedV); err != nil {
+		if err := o.codec.SealRun(sc.writePt, sc.sealedV); err != nil {
 			return err
 		}
 		for i := int64(0); i < o.partSlots; i++ {
@@ -79,7 +76,7 @@ func (o *ORAM) fetchBlock(addr int64) error {
 	if err := o.storDev.Read(entry.Slot, o.fetchBuf); err != nil {
 		return err
 	}
-	gotAddr, payload, err := o.codec.openInto(o.fetchPt, o.fetchBuf)
+	gotAddr, payload, err := o.codec.OpenInto(o.fetchPt, o.fetchBuf)
 	if err != nil {
 		return err
 	}

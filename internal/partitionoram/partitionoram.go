@@ -10,18 +10,15 @@
 package partitionoram
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/blockcipher"
 	"repro/internal/device"
+	"repro/internal/record"
 	"repro/internal/stash"
 )
-
-const headerSize = 8
-const dummyAddr = int64(-1)
 
 // Config parameterises a partition ORAM.
 type Config struct {
@@ -64,7 +61,7 @@ func (c Config) validate() error {
 }
 
 // SlotSize returns the sealed on-device slot size implied by cfg.
-func (c Config) SlotSize() int { return headerSize + c.BlockSize + c.Sealer.Overhead() }
+func (c Config) SlotSize() int { return record.SlotSize(c.BlockSize, c.Sealer) }
 
 // location records where a block currently lives.
 type location struct {
@@ -99,7 +96,9 @@ type ORAM struct {
 	stash   *stash.Stash
 	pending int64
 	stats   Stats
-	slotBuf []byte
+	codec   *record.Codec
+	slotBuf []byte // sealed-slot scratch
+	pt      []byte // record-plaintext scratch
 }
 
 // New builds the ORAM and writes the initial layout: blocks spread
@@ -141,8 +140,10 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		loc:        make([]location, cfg.Blocks),
 		occupied:   make([]int64, partitions),
 		stash:      stash.New(0),
-		slotBuf:    make([]byte, cfg.SlotSize()),
+		codec:      record.New(cfg.Sealer, cfg.BlockSize),
 	}
+	o.slotBuf = make([]byte, o.codec.SlotSize())
+	o.pt = make([]byte, o.codec.PtSize())
 	if err := o.initStore(); err != nil {
 		return nil, err
 	}
@@ -153,12 +154,11 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 // each partition internally.
 func (o *ORAM) initStore() error {
 	rw, hasRaw := o.dev.(device.RawWriter)
-	zero := make([]byte, o.cfg.BlockSize)
-	write := func(slot int64, sealed []byte) error {
+	write := func(slot int64) error {
 		if hasRaw {
-			return rw.WriteRaw(slot, sealed)
+			return rw.WriteRaw(slot, o.slotBuf)
 		}
-		return o.dev.Write(slot, sealed)
+		return o.dev.Write(slot, o.slotBuf)
 	}
 
 	// Assign addresses to partitions round-robin.
@@ -176,42 +176,21 @@ func (o *ORAM) initStore() error {
 		base := p * o.partSlots
 		for i := int64(0); i < o.partSlots; i++ {
 			slot := base + int64(perm[i])
-			addr := dummyAddr
-			var payload []byte
+			addr := record.DummyAddr
 			if i < int64(len(members[p])) {
 				addr = members[p][i]
-				payload = zero
 				o.loc[addr] = location{partition: p, slot: slot}
 			}
-			sealed, err := o.sealRecord(addr, payload)
-			if err != nil {
+			if err := o.codec.Seal(o.slotBuf, o.pt, addr, nil); err != nil {
 				return err
 			}
-			if err := write(slot, sealed); err != nil {
+			if err := write(slot); err != nil {
 				return err
 			}
 		}
 		o.occupied[p] = int64(len(members[p]))
 	}
 	return nil
-}
-
-func (o *ORAM) sealRecord(addr int64, payload []byte) ([]byte, error) {
-	pt := make([]byte, headerSize+o.cfg.BlockSize)
-	binary.BigEndian.PutUint64(pt[:headerSize], uint64(addr))
-	copy(pt[headerSize:], payload)
-	return o.cfg.Sealer.Seal(pt)
-}
-
-func (o *ORAM) openRecord(sealed []byte) (int64, []byte, error) {
-	pt, err := o.cfg.Sealer.Open(sealed)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(pt) != headerSize+o.cfg.BlockSize {
-		return 0, nil, fmt.Errorf("partitionoram: record is %d bytes, want %d", len(pt), headerSize+o.cfg.BlockSize)
-	}
-	return int64(binary.BigEndian.Uint64(pt[:headerSize])), pt[headerSize:], nil
 }
 
 // Stats returns scheme-level counters.
@@ -254,7 +233,7 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 		if err := o.dev.Read(slot, o.slotBuf); err != nil {
 			return nil, err
 		}
-		if _, _, err := o.openRecord(o.slotBuf); err != nil {
+		if _, _, err := o.codec.OpenInto(o.pt, o.slotBuf); err != nil {
 			return nil, err
 		}
 		o.stats.DummyReads++
@@ -264,25 +243,24 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 		if err := o.dev.Read(l.slot, o.slotBuf); err != nil {
 			return nil, err
 		}
-		gotAddr, payload, err := o.openRecord(o.slotBuf)
+		gotAddr, payload, err := o.codec.OpenInto(o.pt, o.slotBuf)
 		if err != nil {
 			return nil, err
 		}
 		if gotAddr != addr {
 			return nil, fmt.Errorf("partitionoram: slot %d holds block %d, want %d", l.slot, gotAddr, addr)
 		}
+		owned := make([]byte, o.cfg.BlockSize) // payload aliases o.pt, reused below
+		copy(owned, payload)
 		// Blank the fetched slot with a dummy so the block exists only
 		// in the stash (the classic fetch-and-invalidate).
-		sealed, err := o.sealRecord(dummyAddr, nil)
-		if err != nil {
+		if err := o.codec.Seal(o.slotBuf, o.pt, record.DummyAddr, nil); err != nil {
 			return nil, err
 		}
-		if err := o.dev.Write(l.slot, sealed); err != nil {
+		if err := o.dev.Write(l.slot, o.slotBuf); err != nil {
 			return nil, err
 		}
 		o.occupied[l.partition]--
-		owned := make([]byte, o.cfg.BlockSize)
-		copy(owned, payload)
 		if err := o.stash.Put(addr, owned); err != nil {
 			return nil, err
 		}
@@ -339,11 +317,11 @@ func (o *ORAM) evict() error {
 		if err := o.dev.Read(base+i, o.slotBuf); err != nil {
 			return err
 		}
-		addr, payload, err := o.openRecord(o.slotBuf)
+		addr, payload, err := o.codec.OpenInto(o.pt, o.slotBuf)
 		if err != nil {
 			return err
 		}
-		if addr == dummyAddr {
+		if addr == record.DummyAddr {
 			continue
 		}
 		owned := make([]byte, o.cfg.BlockSize)
@@ -379,20 +357,19 @@ func (o *ORAM) evict() error {
 	}
 	for i := int64(0); i < o.partSlots; i++ {
 		slot := base + i
-		addr := dummyAddr
+		addr := record.DummyAddr
 		var payload []byte
 		if bi, ok := bySlot[slot]; ok {
 			addr = blocks[bi].addr
 			payload = blocks[bi].data
 		}
-		sealed, err := o.sealRecord(addr, payload)
-		if err != nil {
+		if err := o.codec.Seal(o.slotBuf, o.pt, addr, payload); err != nil {
 			return err
 		}
-		if err := o.dev.Write(slot, sealed); err != nil {
+		if err := o.dev.Write(slot, o.slotBuf); err != nil {
 			return err
 		}
-		if addr != dummyAddr {
+		if addr != record.DummyAddr {
 			o.loc[addr] = location{partition: p, slot: slot}
 		}
 	}

@@ -11,17 +11,16 @@
 package pathoram
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 
 	"repro/internal/blockcipher"
 	"repro/internal/ctops"
 	"repro/internal/device"
 	"repro/internal/oramtree"
 	"repro/internal/posmap"
+	"repro/internal/record"
 	"repro/internal/stash"
 )
 
@@ -33,12 +32,6 @@ const (
 	OpRead Op = iota
 	OpWrite
 )
-
-// dummyAddr marks a slot holding no real block.
-const dummyAddr = int64(-1)
-
-// headerSize is the per-slot plaintext header: the block address.
-const headerSize = 8
 
 // Config parameterises a Path ORAM instance.
 type Config struct {
@@ -59,11 +52,6 @@ type Config struct {
 	// StashLimit bounds the stash (0 = unbounded; experiments measure
 	// the peak instead of failing).
 	StashLimit int
-	// SealWorkers bounds the worker pool that parallelises the path
-	// seal/unseal batches. 0 sizes the pool from GOMAXPROCS; 1 forces
-	// serial crypto. Nonces are drawn serially either way, so the
-	// sealed bytes are identical at any worker count.
-	SealWorkers int
 	// Positions overrides where the position map lives. Nil keeps the
 	// classic in-controller map (the paper's "naive setting, no
 	// recursive"); the recursive construction plugs in a store backed
@@ -115,7 +103,7 @@ func (c Config) validate() error {
 }
 
 // SlotSize returns the sealed on-device slot size implied by cfg.
-func (c Config) SlotSize() int { return headerSize + c.BlockSize + c.Sealer.Overhead() }
+func (c Config) SlotSize() int { return record.SlotSize(c.BlockSize, c.Sealer) }
 
 // Stats counts ORAM-level work (device-level traffic is on the device).
 type Stats struct {
@@ -149,16 +137,14 @@ type ORAM struct {
 
 	// Steady-state scratch: one path's worth of slots, sealed records
 	// and plaintexts, allocated once so accesses allocate nothing.
-	workers    int      // seal worker-pool bound
-	ptSize     int      // headerSize + BlockSize
-	dummyPt    []byte   // sealed-dummy plaintext; read-only after init
-	pathSlots  []int64  // slot vector of the in-flight path or chunk
-	pathSealed [][]byte // sealed-record slab views
-	pathPt     [][]byte // plaintext slab views (read phase / encodes)
-	sealSrc    [][]byte // seal-batch inputs (pathPt entries or dummyPt)
-	taken      [][]byte // stash payloads consumed by the current writePath
-	free       [][]byte // recycled payload buffers for stash handoff
-	evictAddrs []int64  // sorted stash snapshot for one writePath
+	codec      *record.Codec // record format, dummy plaintext, seal pool
+	pathSlots  []int64       // slot vector of the in-flight path or chunk
+	pathSealed [][]byte      // sealed-record slab views
+	pathPt     [][]byte      // plaintext slab views (read phase / encodes)
+	sealSrc    [][]byte      // seal-batch inputs (pathPt entries or dummyPt)
+	taken      [][]byte      // stash payloads consumed by the current writePath
+	free       [][]byte      // recycled payload buffers for stash handoff
+	evictAddrs []int64       // sorted stash snapshot for one writePath
 }
 
 // New builds a Path ORAM over dev and fills the tree with sealed
@@ -214,15 +200,14 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		st = stash.New(cfg.StashLimit)
 	}
 	o := &ORAM{
-		cfg:     cfg,
-		geom:    geom,
-		dev:     dev,
-		pm:      pm,
-		pmCT:    pmCT,
-		stash:   st,
-		ct:      ct,
-		workers: resolveWorkers(cfg.SealWorkers),
-		ptSize:  headerSize + cfg.BlockSize,
+		cfg:   cfg,
+		geom:  geom,
+		dev:   dev,
+		pm:    pm,
+		pmCT:  pmCT,
+		stash: st,
+		ct:    ct,
+		codec: record.New(cfg.Sealer, cfg.BlockSize),
 	}
 	if ct != nil {
 		ctCap := ct.Capacity()
@@ -232,51 +217,16 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		o.ctElig = make([]int, ctCap)
 		o.ctRanks = make([]int, ctCap)
 	}
-	o.dummyPt = make([]byte, o.ptSize)
-	o.encodePt(o.dummyPt, dummyAddr, nil)
 	pathLen := (geom.Levels + 1) * cfg.Z
 	o.pathSlots = make([]int64, pathLen)
-	o.pathSealed = slabViews(pathLen, cfg.SlotSize())
-	o.pathPt = slabViews(pathLen, o.ptSize)
+	o.pathSealed = record.Slab(pathLen, o.codec.SlotSize())
+	o.pathPt = record.Slab(pathLen, o.codec.PtSize())
 	o.sealSrc = make([][]byte, 0, pathLen)
 	o.taken = make([][]byte, 0, pathLen)
 	if err := o.clearTree(); err != nil {
 		return nil, err
 	}
 	return o, nil
-}
-
-// resolveWorkers turns the SealWorkers knob into a pool bound: an
-// explicit value wins, otherwise GOMAXPROCS capped at 8.
-func resolveWorkers(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-// slabViews carves one backing array into n fixed-size windows.
-func slabViews(n, size int) [][]byte {
-	backing := make([]byte, n*size)
-	views := make([][]byte, n)
-	for i := range views {
-		views[i] = backing[i*size : (i+1)*size]
-	}
-	return views
-}
-
-// encodePt lays out one record plaintext: address header, payload,
-// zero padding.
-func (o *ORAM) encodePt(dst []byte, addr int64, payload []byte) {
-	binary.BigEndian.PutUint64(dst[:headerSize], uint64(addr))
-	n := copy(dst[headerSize:], payload)
-	for i := headerSize + n; i < len(dst); i++ {
-		dst[i] = 0
-	}
 }
 
 // newPayload returns an owned BlockSize copy of src, reusing a
@@ -309,10 +259,10 @@ func (o *ORAM) clearTree() error {
 		n := int(hi - lo)
 		src := o.sealSrc[:0]
 		for i := 0; i < n; i++ {
-			src = append(src, o.dummyPt)
+			src = append(src, o.codec.DummyPt())
 		}
 		o.sealSrc = src[:0]
-		if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n], o.workers); err != nil {
+		if err := o.codec.SealRun(src, o.pathSealed[:n]); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -375,7 +325,7 @@ func (o *ORAM) readPath(leaf int64) error {
 	if err := device.ReadSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
 		return err
 	}
-	if err := blockcipher.OpenBatch(o.cfg.Sealer, o.pathSealed[:n], o.pathPt[:n], o.workers); err != nil {
+	if err := o.codec.OpenRun(o.pathPt[:n], o.pathSealed[:n]); err != nil {
 		return fmt.Errorf("pathoram: path to leaf %d: %w", leaf, err)
 	}
 	if o.ct != nil {
@@ -383,22 +333,20 @@ func (o *ORAM) readPath(leaf int64) error {
 		// same masked Put, so which of them carried real blocks never
 		// shows in the touch sequence.
 		for i := 0; i < n; i++ {
-			pt := o.pathPt[i]
-			addr := int64(binary.BigEndian.Uint64(pt[:headerSize]))
-			real := ctops.Eq64(addr, dummyAddr) ^ 1
-			if err := o.ct.PutMasked(real, addr, pt[headerSize:]); err != nil {
+			addr, payload := o.codec.Decode(o.pathPt[i])
+			real := ctops.Eq64(addr, record.DummyAddr) ^ 1
+			if err := o.ct.PutMasked(real, addr, payload); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	for i := 0; i < n; i++ {
-		pt := o.pathPt[i]
-		addr := int64(binary.BigEndian.Uint64(pt[:headerSize]))
-		if addr == dummyAddr {
+		addr, payload := o.codec.Decode(o.pathPt[i])
+		if addr == record.DummyAddr {
 			continue
 		}
-		if err := o.stash.Put(addr, o.newPayload(pt[headerSize:])); err != nil {
+		if err := o.stash.Put(addr, o.newPayload(payload)); err != nil {
 			return err
 		}
 	}
@@ -436,7 +384,7 @@ func (o *ORAM) writePath(leaf int64) error {
 			if placed == o.cfg.Z {
 				break
 			}
-			if addr == dummyAddr {
+			if addr == record.DummyAddr {
 				continue // already evicted at a deeper level
 			}
 			blockLeaf, err := o.pm.Get(addr)
@@ -450,8 +398,8 @@ func (o *ORAM) writePath(leaf int64) error {
 				continue
 			}
 			payload, _ := o.stash.Take(addr)
-			addrs[i] = dummyAddr
-			o.encodePt(o.pathPt[n], addr, payload)
+			addrs[i] = record.DummyAddr
+			o.codec.Encode(o.pathPt[n], addr, payload)
 			taken = append(taken, payload)
 			src = append(src, o.pathPt[n])
 			o.pathSlots[n] = base + int64(placed)
@@ -459,7 +407,7 @@ func (o *ORAM) writePath(leaf int64) error {
 			placed++
 		}
 		for ; placed < o.cfg.Z; placed++ {
-			src = append(src, o.dummyPt)
+			src = append(src, o.codec.DummyPt())
 			o.pathSlots[n] = base + int64(placed)
 			n++
 		}
@@ -467,7 +415,7 @@ func (o *ORAM) writePath(leaf int64) error {
 	}
 	o.sealSrc = src[:0]
 	o.taken = taken[:0]
-	if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n], o.workers); err != nil {
+	if err := o.codec.SealRun(src, o.pathSealed[:n]); err != nil {
 		return err
 	}
 	if err := device.WriteSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
@@ -544,15 +492,16 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 		// path's take-in-order loop.
 		for z := 0; z < o.cfg.Z; z++ {
 			pt := o.pathPt[n]
-			o.encodePt(pt, dummyAddr, nil)
-			slotAddr := dummyAddr
+			o.codec.Encode(pt, record.DummyAddr, nil)
+			_, payload := o.codec.Decode(pt)
+			slotAddr := record.DummyAddr
 			for i := 0; i < capn; i++ {
 				m := elig[i] & ctops.EqInt(ranks[i], z)
 				slotAddr = ctops.Select64(m, addrs[i], slotAddr)
-				o.ct.CopySlotMasked(m, i, pt[headerSize:])
+				o.ct.CopySlotMasked(m, i, payload)
 				consumed[i] |= m
 			}
-			binary.BigEndian.PutUint64(pt[:headerSize], uint64(slotAddr))
+			record.PutAddr(pt, slotAddr)
 			src = append(src, pt)
 			o.pathSlots[n] = base + int64(z)
 			n++
@@ -561,7 +510,7 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 	}
 	o.ct.RemoveMasked(consumed, (o.geom.Levels+1)*o.cfg.Z)
 	o.sealSrc = src[:0]
-	if err := blockcipher.SealBatch(o.cfg.Sealer, src, o.pathSealed[:n], o.workers); err != nil {
+	if err := o.codec.SealRun(src, o.pathSealed[:n]); err != nil {
 		return err
 	}
 	return device.WriteSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n])
@@ -735,16 +684,15 @@ func (o *ORAM) DrainAll() ([]stash.Block, error) {
 		if err := device.ReadSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
 			return nil, err
 		}
-		if err := blockcipher.OpenBatch(o.cfg.Sealer, o.pathSealed[:n], o.pathPt[:n], o.workers); err != nil {
+		if err := o.codec.OpenRun(o.pathPt[:n], o.pathSealed[:n]); err != nil {
 			return nil, fmt.Errorf("pathoram: drain slots [%d,%d): %w", lo, hi, err)
 		}
 		for i := 0; i < n; i++ {
-			pt := o.pathPt[i]
-			addr := int64(binary.BigEndian.Uint64(pt[:headerSize]))
-			if addr == dummyAddr {
+			addr, payload := o.codec.Decode(o.pathPt[i])
+			if addr == record.DummyAddr {
 				continue
 			}
-			if err := o.stash.Put(addr, o.newPayload(pt[headerSize:])); err != nil {
+			if err := o.stash.Put(addr, o.newPayload(payload)); err != nil {
 				return nil, err
 			}
 		}

@@ -13,18 +13,15 @@
 package sqrtoram
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/blockcipher"
 	"repro/internal/device"
+	"repro/internal/record"
 	"repro/internal/stash"
 )
-
-const headerSize = 8
-const dummyAddr = int64(-1)
 
 // Config parameterises a square-root ORAM.
 type Config struct {
@@ -67,7 +64,7 @@ func (c Config) validate() error {
 }
 
 // SlotSize returns the sealed on-device slot size implied by cfg.
-func (c Config) SlotSize() int { return headerSize + c.BlockSize + c.Sealer.Overhead() }
+func (c Config) SlotSize() int { return record.SlotSize(c.BlockSize, c.Sealer) }
 
 // Stats counts scheme-level work.
 type Stats struct {
@@ -93,7 +90,9 @@ type ORAM struct {
 	used    int64 // accesses this period (== dummies consumed ceiling)
 	stats   Stats
 
-	slotBuf []byte
+	codec   *record.Codec
+	slotBuf []byte // sealed-slot scratch
+	pt      []byte // record-plaintext scratch
 }
 
 // New builds the ORAM, writing an initial permuted store of sealed
@@ -133,8 +132,10 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		passes:  passes,
 		perm:    make([]int64, total),
 		shelter: stash.New(0),
-		slotBuf: make([]byte, cfg.SlotSize()),
+		codec:   record.New(cfg.Sealer, cfg.BlockSize),
 	}
+	o.slotBuf = make([]byte, o.codec.SlotSize())
+	o.pt = make([]byte, o.codec.PtSize())
 	if err := o.initStore(); err != nil {
 		return nil, err
 	}
@@ -150,45 +151,25 @@ func (o *ORAM) initStore() error {
 		o.perm[v] = int64(p[v])
 	}
 	rw, hasRaw := o.dev.(device.RawWriter)
-	zero := make([]byte, o.cfg.BlockSize)
 	for v := int64(0); v < total; v++ {
 		addr := v
-		payload := zero
 		if v >= o.cfg.Blocks {
-			addr = dummyAddr
+			addr = record.DummyAddr
 		}
-		sealed, err := o.sealRecord(addr, payload)
+		err := o.codec.Seal(o.slotBuf, o.pt, addr, nil)
 		if err != nil {
 			return err
 		}
 		if hasRaw {
-			err = rw.WriteRaw(o.perm[v], sealed)
+			err = rw.WriteRaw(o.perm[v], o.slotBuf)
 		} else {
-			err = o.dev.Write(o.perm[v], sealed)
+			err = o.dev.Write(o.perm[v], o.slotBuf)
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (o *ORAM) sealRecord(addr int64, payload []byte) ([]byte, error) {
-	pt := make([]byte, headerSize+o.cfg.BlockSize)
-	binary.BigEndian.PutUint64(pt[:headerSize], uint64(addr))
-	copy(pt[headerSize:], payload)
-	return o.cfg.Sealer.Seal(pt)
-}
-
-func (o *ORAM) openRecord(sealed []byte) (int64, []byte, error) {
-	pt, err := o.cfg.Sealer.Open(sealed)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(pt) != headerSize+o.cfg.BlockSize {
-		return 0, nil, fmt.Errorf("sqrtoram: record is %d bytes, want %d", len(pt), headerSize+o.cfg.BlockSize)
-	}
-	return int64(binary.BigEndian.Uint64(pt[:headerSize])), pt[headerSize:], nil
 }
 
 // Stats returns scheme-level counters.
@@ -230,7 +211,7 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 		if err := o.dev.Read(dummySlot, o.slotBuf); err != nil {
 			return nil, err
 		}
-		if _, _, err := o.openRecord(o.slotBuf); err != nil {
+		if _, _, err := o.codec.OpenInto(o.pt, o.slotBuf); err != nil {
 			return nil, err
 		}
 		o.stats.DummyReads++
@@ -240,15 +221,16 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 		if err := o.dev.Read(slot, o.slotBuf); err != nil {
 			return nil, err
 		}
-		gotAddr, payload, err := o.openRecord(o.slotBuf)
+		gotAddr, payload, err := o.codec.OpenInto(o.pt, o.slotBuf)
 		if err != nil {
 			return nil, err
 		}
 		if gotAddr != addr {
 			return nil, fmt.Errorf("sqrtoram: slot %d holds block %d, want %d", slot, gotAddr, addr)
 		}
-		current = payload
-		if err := o.shelter.Put(addr, payload); err != nil {
+		current = make([]byte, o.cfg.BlockSize) // payload aliases o.pt
+		copy(current, payload)
+		if err := o.shelter.Put(addr, current); err != nil {
 			return nil, err
 		}
 	}
@@ -294,11 +276,11 @@ func (o *ORAM) reshuffle() error {
 		if err := o.dev.Read(slot, o.slotBuf); err != nil {
 			return err
 		}
-		addr, payload, err := o.openRecord(o.slotBuf)
+		addr, payload, err := o.codec.OpenInto(o.pt, o.slotBuf)
 		if err != nil {
 			return err
 		}
-		if addr == dummyAddr {
+		if addr == record.DummyAddr {
 			continue
 		}
 		owned := make([]byte, o.cfg.BlockSize)
@@ -325,15 +307,14 @@ func (o *ORAM) reshuffle() error {
 		addr := v
 		var payload []byte
 		if v >= o.cfg.Blocks {
-			addr = dummyAddr
+			addr = record.DummyAddr
 		} else {
 			payload = contents[v]
 		}
-		sealed, err := o.sealRecord(addr, payload)
-		if err != nil {
+		if err := o.codec.Seal(o.slotBuf, o.pt, addr, payload); err != nil {
 			return err
 		}
-		if err := o.dev.Write(slot, sealed); err != nil {
+		if err := o.dev.Write(slot, o.slotBuf); err != nil {
 			return err
 		}
 	}
