@@ -1,8 +1,8 @@
 // Package ctops collects the branchless select/compare primitives the
-// constant-time controller mode is built from. Everything here is a
-// thin, allocation-free wrapper in the crypto/subtle idiom: masks are
-// ints that are exactly 0 or 1, selections are arithmetic, and no
-// operation branches on its data operands.
+// constant-time controller mode is built from. Everything here is
+// allocation-free and in the crypto/subtle idiom: masks are ints that
+// are exactly 0 or 1, selections are arithmetic, and no operation
+// branches on its data operands.
 //
 // Domain note: the signed comparisons are implemented with a
 // subtraction, so both operands must stay within (-2^62, 2^62) — far
@@ -12,7 +12,7 @@
 // non-negative.
 package ctops
 
-import "crypto/subtle"
+import "encoding/binary"
 
 // Eq64 returns 1 when a == b, else 0, without branching.
 func Eq64(a, b int64) int {
@@ -45,6 +45,31 @@ func Select64(v int, a, b int64) int64 {
 func SelectInt(v int, a, b int) int { return int(Select64(v, int64(a), int64(b))) }
 
 // CopyBytes copies src into dst when v == 1 and leaves dst unchanged
-// when v == 0, reading both slices in full either way. The slices must
-// have equal length.
-func CopyBytes(v int, dst, src []byte) { subtle.ConstantTimeCopy(v, dst, src) }
+// when v == 0, reading both slices in full and rewriting dst in full
+// either way. The slices must have equal length (it panics otherwise,
+// like subtle.ConstantTimeCopy) and must not partially overlap.
+//
+// It moves eight bytes per step: every word of dst becomes
+// d ^ ((d ^ s) & m) with m all ones or all zeros, and the tail shorter
+// than a word runs the same select a byte at a time. The constant-time
+// stash and the KV layer route every masked data movement through here,
+// which is why it is word-wide rather than crypto/subtle's byte loop.
+//
+//horam:constant-time
+//horam:secret v dst src
+func CopyBytes(v int, dst, src []byte) {
+	if len(dst) != len(src) {
+		panic("ctops: CopyBytes slices have different lengths")
+	}
+	m := -uint64(v)
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+		x := binary.LittleEndian.Uint64(d)
+		binary.LittleEndian.PutUint64(d, x^((x^binary.LittleEndian.Uint64(s))&m))
+	}
+	mb := byte(m)
+	for ; i < len(dst); i++ {
+		dst[i] ^= (dst[i] ^ src[i]) & mb
+	}
+}

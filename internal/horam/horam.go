@@ -347,6 +347,13 @@ func construct(cfg Config) (*ORAM, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The tree starts every period empty and gains exactly one block
+	// per storage load, and a period ends when the loads reach the miss
+	// budget (half the tree's slots, set below from Capacity). So the
+	// stash never holds more than the miss budget: bound it there in
+	// both modes. In constant-time mode that bound is the length of
+	// every masked stash scan; in either mode a broken bound fails as
+	// stash.ErrFull instead of going unnoticed.
 	memCfg := pathoram.Config{
 		Blocks:       cfg.Blocks,
 		BlockSize:    cfg.BlockSize,
@@ -354,6 +361,7 @@ func construct(cfg Config) (*ORAM, error) {
 		Capacity:     geom.Slots(),
 		Sealer:       cfg.Sealer,
 		RNG:          cfg.RNG.Fork("mem-oram"),
+		StashLimit:   int(geom.Slots() / 2),
 		ConstantTime: cfg.ConstantTime,
 	}
 	o.mem, err = pathoram.New(memCfg, o.memDev)

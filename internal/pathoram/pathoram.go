@@ -50,7 +50,8 @@ type Config struct {
 	// RNG drives leaf assignment and must be dedicated to this ORAM.
 	RNG *blockcipher.RNG
 	// StashLimit bounds the stash (0 = unbounded; experiments measure
-	// the peak instead of failing).
+	// the peak instead of failing). Under ConstantTime it is also the
+	// length of every stash scan, and 0 means min(tree slots, Blocks).
 	StashLimit int
 	// Positions overrides where the position map lives. Nil keeps the
 	// classic in-controller map (the paper's "naive setting, no
@@ -187,12 +188,16 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	var ct *stash.CT
 	if cfg.ConstantTime {
 		pmCT.SetConstantTime(true)
-		// The fixed scan length: the stash can never hold more real
-		// blocks than the tree has slots, so the whole-tree bound is a
-		// safe capacity when no explicit limit is configured.
+		// The fixed scan length: the stash holds at most one copy per
+		// address and never more than the tree's slots, so with no
+		// explicit limit min(slots, Blocks) real blocks is a safe
+		// capacity. It is public geometry, so the scans still depend on
+		// nothing secret — and every masked pass costs in proportion to
+		// it, so a caller that knows a tighter bound (H-ORAM's miss
+		// budget) sets StashLimit.
 		ctCap := cfg.StashLimit
 		if ctCap == 0 {
-			ctCap = int(geom.Slots())
+			ctCap = int(min(geom.Slots(), cfg.Blocks))
 		}
 		ct = stash.NewConstantTime(ctCap, cfg.BlockSize)
 		st = ct
@@ -243,6 +248,17 @@ func (o *ORAM) newPayload(src []byte) []byte {
 	}
 	copy(buf, src)
 	return buf
+}
+
+// stashPayload returns what to hand the stash's Put for src. The map
+// stash keeps the buffer it is given, so it gets an owned copy; the
+// constant-time stash copies into its own slot array, so src goes to
+// it as is and no throwaway buffer is made.
+func (o *ORAM) stashPayload(src []byte) []byte {
+	if o.ct != nil {
+		return src
+	}
+	return o.newPayload(src)
 }
 
 // clearTree seals a dummy into every slot of the tree, batch-sealing
@@ -562,7 +578,7 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 
 	var stored []byte
 	if op == OpWrite {
-		stored = o.newPayload(data)
+		stored = o.stashPayload(data)
 	} else if fresh {
 		// A read of a never-written block does not allocate state.
 		if err := o.pm.Set(addr, posmap.NoLeaf); err != nil {
@@ -577,7 +593,7 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 		// The stash copy must be distinct from the buffer handed to the
 		// caller: stash payloads are recycled once sealed back into the
 		// tree, caller buffers never are.
-		stored = o.newPayload(current)
+		stored = o.stashPayload(current)
 	}
 	if err := o.stash.Put(addr, stored); err != nil {
 		return nil, err
@@ -643,7 +659,7 @@ func (o *ORAM) Insert(addr int64, data []byte) error {
 	if _, err := o.pm.Remap(addr); err != nil {
 		return err
 	}
-	if err := o.stash.Put(addr, o.newPayload(data)); err != nil {
+	if err := o.stash.Put(addr, o.stashPayload(data)); err != nil {
 		return err
 	}
 	o.stats.Inserts++
@@ -692,7 +708,7 @@ func (o *ORAM) DrainAll() ([]stash.Block, error) {
 			if addr == record.DummyAddr {
 				continue
 			}
-			if err := o.stash.Put(addr, o.newPayload(payload)); err != nil {
+			if err := o.stash.Put(addr, o.stashPayload(payload)); err != nil {
 				return nil, err
 			}
 		}

@@ -83,7 +83,10 @@ type CT struct {
 }
 
 // NewConstantTime returns an empty constant-time stash holding at most
-// capacity blocks of at most blockSize bytes each.
+// capacity blocks of at most blockSize bytes each. Every operation
+// scans all capacity slots, so capacity should be the tightest public
+// bound on how many blocks the caller can ever hold at once (pathoram:
+// its StashLimit, else min(tree slots, Blocks)).
 func NewConstantTime(capacity, blockSize int) *CT {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("stash: constant-time capacity must be positive, got %d", capacity))
