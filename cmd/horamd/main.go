@@ -111,7 +111,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory simulation, nothing survives restart)")
 	checkpoint := flag.Duration("checkpoint", time.Minute, "periodic control-state checkpoint interval with -data-dir (0 disables; a final checkpoint always runs on shutdown)")
 	fsync := flag.Int("fsync", 0, "storage fsync policy with -data-dir: 0 = at shuffle/checkpoint boundaries only, 1 = every write, n = every n-th write")
-	monolithic := flag.Bool("monolithic-shuffle", false, "run each shuffle period as one stop-the-world pass instead of the default deamortized per-cycle quanta (tail latency!)")
 	constantTime := flag.Bool("constant-time", false, "harden trusted-memory data structures (stash, position map, KV selection) against co-located timing adversaries: full fixed-order scans, no secret-dependent branches; device traffic is unchanged, CPU cost rises")
 	kv := flag.Bool("kv", false, "serve the oblivious key-value layer (KGET/KSET/KDEL; raw WRITE is disabled — the block space backs the table)")
 	kvMaxValue := flag.Int("kv-max-value", 4096, "KV value-length cap in bytes; fixes the per-op extent fan-out at ceil(cap/blocksize)")
@@ -153,15 +152,14 @@ func main() {
 		fatal("bad -key", "err", err)
 	}
 	opts := engine.Options{
-		Blocks:            *blocks,
-		BlockSize:         *blockSize,
-		MemoryBytes:       *mem,
-		Key:               key,
-		Shards:            *shards,
-		MonolithicShuffle: *monolithic,
-		ConstantTime:      *constantTime,
-		DataDir:           *dataDir,
-		FsyncEvery:        *fsync,
+		Blocks:       *blocks,
+		BlockSize:    *blockSize,
+		MemoryBytes:  *mem,
+		Key:          key,
+		Shards:       *shards,
+		ConstantTime: *constantTime,
+		DataDir:      *dataDir,
+		FsyncEvery:   *fsync,
 	}
 
 	if *shardServe && *gateway {
@@ -330,10 +328,6 @@ func main() {
 	if err != nil {
 		fatal("listen", "addr", *addr, "err", err)
 	}
-	shuffleMode := "incremental"
-	if *monolithic {
-		shuffleMode = "monolithic"
-	}
 	mode := "block store"
 	if store != nil {
 		mode = "kv store"
@@ -347,7 +341,7 @@ func main() {
 	logger.Info("serving",
 		"addr", ln.Addr().String(), "mode", mode,
 		"blocks", opts.Blocks, "blocksize", *blockSize,
-		"shards", eng.Shards(), "shuffle", shuffleMode,
+		"shards", eng.Shards(),
 		"max_batch", *maxBatch, "max_conns", *maxConns)
 
 	// Periodic checkpoints keep the recoverable image fresh; a hard

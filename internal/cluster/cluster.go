@@ -167,7 +167,6 @@ func checkEcho(expected engine.Options, echo map[string]string) error {
 		{Name: "shard", Got: echo["shard"], Want: fmt.Sprintf("%d", expected.ShardIndex)},
 		{Name: "memory", Got: echo["memory"], Want: fmt.Sprintf("%d", expected.MemoryBytes)},
 		{Name: "shuffleratio", Got: echo["shuffleratio"], Want: fmt.Sprintf("%g", expected.ShuffleRatio)},
-		{Name: "monolithic", Got: echo["monolithic"], Want: fmt.Sprintf("%t", expected.MonolithicShuffle)},
 		{Name: "constanttime", Got: echo["constanttime"], Want: fmt.Sprintf("%t", expected.ConstantTime)},
 		{Name: "insecure", Got: echo["insecure"], Want: fmt.Sprintf("%t", expected.Insecure)},
 		{Name: "seed", Got: echo["seed"], Want: hex.EncodeToString([]byte(expected.Seed))},

@@ -76,7 +76,9 @@ type Common struct {
 	ShuffleRatio float64
 	// MonolithicShuffle selects the stop-the-world shuffle (the whole
 	// period inside one scheduler cycle) instead of the default
-	// deamortized pipeline.
+	// deamortized pipeline. It is the reference path the tests and the
+	// paper's evaluation compare against; no daemon sets it, so the
+	// manifest does not echo it.
 	MonolithicShuffle bool
 	// Stages overrides the scheduler's c schedule; nil selects the
 	// paper's {1, 3, 5} over {20%, 13%, 67%}.
@@ -123,39 +125,14 @@ func WithMemoryBytes(n int64) Option { return func(c *Common) { c.MemoryBytes = 
 // WithKey sets the 32-byte master key.
 func WithKey(key []byte) Option { return func(c *Common) { c.Key = key } }
 
-// WithInsecure disables encryption and integrity (performance-model
-// runs only).
-func WithInsecure() Option { return func(c *Common) { c.Insecure = true } }
-
-// WithSeed pins the deterministic randomness seed.
-func WithSeed(seed string) Option { return func(c *Common) { c.Seed = seed } }
-
 // WithShards sets the engine shard count.
 func WithShards(s int) Option { return func(c *Common) { c.Shards = s } }
-
-// WithShardIdentity marks the configuration as shard index of a
-// cluster-wide placement of total shards (see Common.ClusterShards).
-func WithShardIdentity(index, total int) Option {
-	return func(c *Common) { c.ShardIndex = index; c.ClusterShards = total }
-}
-
-// WithShuffleRatio enables partial shuffling.
-func WithShuffleRatio(r float64) Option { return func(c *Common) { c.ShuffleRatio = r } }
-
-// WithMonolithicShuffle selects the stop-the-world shuffle mode.
-func WithMonolithicShuffle() Option { return func(c *Common) { c.MonolithicShuffle = true } }
-
-// WithStages overrides the scheduler's c schedule.
-func WithStages(stages []Stage) Option { return func(c *Common) { c.Stages = stages } }
 
 // WithConstantTime enables the constant-time controller mode.
 func WithConstantTime() Option { return func(c *Common) { c.ConstantTime = true } }
 
 // WithDataDir enables the durable storage backend under dir.
 func WithDataDir(dir string) Option { return func(c *Common) { c.DataDir = dir } }
-
-// WithFsyncEvery sets the storage file's fsync policy.
-func WithFsyncEvery(n int) Option { return func(c *Common) { c.FsyncEvery = n } }
 
 // WithDefaults returns c with the cross-layer defaults filled in:
 // BlockSize and (for engine callers) a shard count of 1.
@@ -217,18 +194,17 @@ func (c Common) Validate(prefix string) error {
 // set.
 func (c Common) Manifest(epoch uint64) snapshot.Manifest {
 	return snapshot.Manifest{
-		Blocks:            c.Blocks,
-		BlockSize:         c.BlockSize,
-		Shards:            c.Shards,
-		ClusterShards:     c.ClusterShards,
-		ShardIndex:        c.ShardIndex,
-		MemoryBytes:       c.MemoryBytes,
-		ShuffleRatio:      c.ShuffleRatio,
-		MonolithicShuffle: c.MonolithicShuffle,
-		ConstantTime:      c.ConstantTime,
-		Insecure:          c.Insecure,
-		Seed:              c.Seed,
-		Epoch:             epoch,
+		Blocks:        c.Blocks,
+		BlockSize:     c.BlockSize,
+		Shards:        c.Shards,
+		ClusterShards: c.ClusterShards,
+		ShardIndex:    c.ShardIndex,
+		MemoryBytes:   c.MemoryBytes,
+		ShuffleRatio:  c.ShuffleRatio,
+		ConstantTime:  c.ConstantTime,
+		Insecure:      c.Insecure,
+		Seed:          c.Seed,
+		Epoch:         epoch,
 	}
 }
 
@@ -247,7 +223,6 @@ func (c Common) CheckManifest(man *snapshot.Manifest) error {
 		{"ShardIndex", c.ShardIndex, man.ShardIndex},
 		{"MemoryBytes", c.MemoryBytes, man.MemoryBytes},
 		{"ShuffleRatio", c.ShuffleRatio, man.ShuffleRatio},
-		{"MonolithicShuffle", c.MonolithicShuffle, man.MonolithicShuffle},
 		{"ConstantTime", c.ConstantTime, man.ConstantTime},
 		{"Insecure", c.Insecure, man.Insecure},
 		{"Seed", c.Seed, man.Seed},

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/blockcipher"
 	"repro/internal/device"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // testConfig builds a small H-ORAM config: N blocks with a memory
@@ -269,43 +271,183 @@ func TestCycleShapeUniform(t *testing.T) {
 	}
 }
 
-func TestSquareRootInvariantHolds(t *testing.T) {
-	// Within one access period no storage slot may be read twice.
-	o := build(t, 144, 16, 96)
-	seen := map[int64]bool{}
-	violated := false
-	lastWasShuffle := false
-	o.Stor().SetHook(func(_ string, op device.Op, slot int64) {
-		if op != device.OpRead {
+// auditConfig is the geometry the storage-bus checks run at: 4096
+// blocks of 256 B under a 512-block memory budget, unsealed — the bus
+// addresses do not depend on the sealer.
+func auditConfig(seed string) Config {
+	return Config{
+		Blocks:      4096,
+		BlockSize:   256,
+		MemoryBytes: 512 * 256,
+		Sealer:      blockcipher.NullSealer{},
+		RNG:         blockcipher.NewRNGFromString(seed).Fork("oram"),
+	}
+}
+
+// workloads are the two address streams the storage-bus checks
+// compare: 95 % of requests to 0.2 % of the blocks, and uniform.
+var workloads = []struct {
+	name string
+	gen  func(n int64, rng *blockcipher.RNG) (workload.Generator, error)
+	// requests is enough for three shuffles at auditConfig: one
+	// storage load serves many hot requests but only one uniform one.
+	requests int
+}{
+	{"hot", func(n int64, rng *blockcipher.RNG) (workload.Generator, error) {
+		return workload.NewHotspot(n, 0.95, 0.002, rng)
+	}, 4000},
+	{"uniform", func(n int64, rng *blockcipher.RNG) (workload.Generator, error) {
+		return workload.NewUniform(n, rng)
+	}, 1200},
+}
+
+// draw returns count addresses from gen over o's blocks, seeded by seed.
+func draw(t *testing.T, o *ORAM, gen func(int64, *blockcipher.RNG) (workload.Generator, error), seed string, count int) []int64 {
+	t.Helper()
+	g, err := gen(o.cfg.Blocks, blockcipher.NewRNGFromString(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]int64, count)
+	for i := range addrs {
+		addrs[i] = g.Next()
+	}
+	return addrs
+}
+
+// recordStorage reads addrs through o and returns its storage bus as
+// the square-root check takes it: every access-period read and every
+// shuffle write, with the shuffle's own reads dropped. Access periods
+// never write storage (TestCycleShapeUniform), so Reads() of the result
+// is exactly the access-period read trace.
+func recordStorage(t *testing.T, o *ORAM, addrs []int64) *trace.Recorder {
+	t.Helper()
+	rec := trace.NewRecorder()
+	h := rec.Hook()
+	o.Stor().SetHook(func(dev string, op device.Op, slot int64) {
+		if o.InShuffle() && op == device.OpRead {
 			return
 		}
-		if o.InShuffle() {
-			lastWasShuffle = true
-			return // bulk shuffle traffic is exempt
-		}
-		if lastWasShuffle {
-			seen = map[int64]bool{} // fresh access period
-			lastWasShuffle = false
-		}
-		if seen[slot] {
-			violated = true
-		}
-		seen[slot] = true
+		h(dev, op, slot)
 	})
-	rng := blockcipher.NewRNGFromString("sqrt-inv")
-	var reqs []*Request
-	for i := 0; i < 300; i++ {
-		reqs = append(reqs, &Request{Op: OpRead, Addr: rng.Int63n(144)})
+	defer o.Stor().SetHook(nil)
+	reqs := make([]*Request, len(addrs))
+	for i, a := range addrs {
+		reqs[i] = &Request{Op: OpRead, Addr: a}
 	}
 	if err := o.RunBatch(reqs); err != nil {
 		t.Fatal(err)
 	}
-	o.Stor().SetHook(nil)
-	if violated {
-		t.Fatal("a storage slot was read twice within one access period")
+	return rec
+}
+
+func TestSquareRootInvariantHolds(t *testing.T) {
+	// Between two shuffle rewrites of a storage slot, access traffic
+	// reads it at most once (§4.3) — checked over the whole run, across
+	// several shuffles, in every shuffle mode the scheduler has.
+	type tc struct {
+		name     string
+		cfg      Config
+		gen      func(int64, *blockcipher.RNG) (workload.Generator, error)
+		requests int
 	}
-	if o.Stats().Shuffles == 0 {
-		t.Fatal("test never crossed a period boundary; weaken memory budget")
+	var cases []tc
+	for _, monolithic := range []bool{false, true} {
+		for _, ratio := range []float64{0, 0.5} {
+			for _, wl := range workloads {
+				cfg := auditConfig("sqrt-inv")
+				cfg.MonolithicShuffle = monolithic
+				cfg.ShuffleRatio = ratio
+				cases = append(cases, tc{fmt.Sprintf("monolithic=%v/ratio=%g/%s", monolithic, ratio, wl.name), cfg, wl.gen, wl.requests})
+			}
+		}
+	}
+	cases = append(cases, tc{"constantTime/block_ct/hot", ctGeometry(true, false), workloads[0].gen, 800})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := recordStorage(t, o, draw(t, o, c.gen, "sqrt-inv-wl", c.requests))
+			if at := trace.FirstRepeat(rec.Events()); at >= 0 {
+				t.Fatalf("storage slot %d read twice without a shuffle rewrite in between (event %d of %d)",
+					rec.Events()[at].Slot, at, rec.Len())
+			}
+			if st := o.Stats(); st.Shuffles < 3 {
+				t.Fatalf("only %d shuffles; the check must span several periods", st.Shuffles)
+			}
+			t.Logf("%d events, %d shuffles", rec.Len(), o.Stats().Shuffles)
+		})
+	}
+}
+
+func TestStorageTraceUniformAndWorkloadIndependent(t *testing.T) {
+	// The adversary sees which storage slots access periods read. Under
+	// a hot workload those slots must still look uniform, and must not
+	// be told apart from a uniform workload's by a two-sample test.
+	const (
+		requests = 4000
+		bins     = 16
+		alpha    = 0.001
+	)
+	for _, monolithic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("monolithic=%v", monolithic), func(t *testing.T) {
+			reads := make(map[string][]int64)
+			var hotAddrs []int64
+			var slots int64
+			for _, wl := range workloads {
+				cfg := auditConfig("audit-" + wl.name)
+				cfg.MonolithicShuffle = monolithic
+				o, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs := draw(t, o, wl.gen, "audit-wl-"+wl.name, requests)
+				reads[wl.name] = recordStorage(t, o, addrs).Reads()
+				slots = o.Partitions() * o.PartitionSlots()
+				if wl.name == "hot" {
+					hotAddrs = addrs
+				}
+			}
+
+			check, err := trace.CheckUniform(reads["hot"], slots, bins, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !check.Pass {
+				t.Errorf("hot workload's storage reads are not uniform: chi2 %.1f > critical %.1f", check.Chi2, check.Critical)
+			}
+			chi2, dof, err := trace.TwoSampleChiSquare(reads["hot"], reads["uniform"], slots, bins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crit := trace.ChiSquareCritical(dof, alpha)
+			if chi2 > crit {
+				t.Errorf("hot and uniform storage traces are distinguishable: chi2 %.1f > critical %.1f", chi2, crit)
+			}
+
+			// Power canary: an unprotected store reads the hot
+			// workload's addresses as its slots. Both tests must see
+			// that, or a pass above would say nothing.
+			canary, err := trace.CheckUniform(hotAddrs, slots, bins, alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canary.Pass {
+				t.Errorf("uniformity test passed an unprotected hot trace: chi2 %.1f ≤ critical %.1f", canary.Chi2, canary.Critical)
+			}
+			canaryChi2, canaryDof, err := trace.TwoSampleChiSquare(hotAddrs, reads["uniform"], slots, bins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canaryCrit := trace.ChiSquareCritical(canaryDof, alpha); canaryChi2 <= canaryCrit {
+				t.Errorf("two-sample test could not tell an unprotected hot trace from H-ORAM's: chi2 %.1f ≤ critical %.1f", canaryChi2, canaryCrit)
+			}
+			t.Logf("uniformity chi2 %.1f, hot vs uniform chi2 %.1f (critical %.1f); canary %.1f and %.1f",
+				check.Chi2, chi2, crit, canary.Chi2, canaryChi2)
+		})
 	}
 }
 

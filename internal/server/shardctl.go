@@ -104,9 +104,9 @@ func (s *Server) peekLine() string {
 	}
 	man := s.engine.ManifestEcho()
 	return fmt.Sprintf(
-		"OK epoch=%d checkpoint=%d blocks=%d blocksize=%d shards=%d cshards=%d shard=%d memory=%d shuffleratio=%g monolithic=%t constanttime=%t insecure=%t seed=%s",
+		"OK epoch=%d checkpoint=%d blocks=%d blocksize=%d shards=%d cshards=%d shard=%d memory=%d shuffleratio=%g constanttime=%t insecure=%t seed=%s",
 		man.Epoch, ckpt, man.Blocks, man.BlockSize, man.Shards,
 		man.ClusterShards, man.ShardIndex, man.MemoryBytes,
-		man.ShuffleRatio, man.MonolithicShuffle, man.ConstantTime,
+		man.ShuffleRatio, man.ConstantTime,
 		man.Insecure, hex.EncodeToString([]byte(man.Seed)))
 }

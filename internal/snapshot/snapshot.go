@@ -243,11 +243,6 @@ type Manifest struct {
 	ShardIndex    int
 	MemoryBytes   int64
 	ShuffleRatio  float64
-	// MonolithicShuffle is echoed so an image persisted under one
-	// shuffle mode is not silently resumed under the other: the modes
-	// are state-compatible at period boundaries, but the operator's
-	// latency expectations (and any recorded baselines) are not.
-	MonolithicShuffle bool
 	// ConstantTime is echoed so an image persisted under one
 	// controller mode is not silently resumed under the other: the
 	// modes are state-compatible (identical sealed bytes), but the

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -155,5 +156,39 @@ func TestManifestAndGenRoundTrip(t *testing.T) {
 	}
 	if g != (Gen{Started: 8, Completed: 7}) {
 		t.Fatalf("gen = %+v", g)
+	}
+}
+
+// TestManifestWithMonolithicShuffleStillDecodes restores a manifest
+// written when the shuffle mode was still echoed: gob drops the field
+// the current Manifest no longer has, and everything else survives.
+func TestManifestWithMonolithicShuffleStillDecodes(t *testing.T) {
+	type oldManifest struct {
+		Blocks            int64
+		BlockSize         int
+		Shards            int
+		ClusterShards     int
+		ShardIndex        int
+		MemoryBytes       int64
+		ShuffleRatio      float64
+		MonolithicShuffle bool
+		ConstantTime      bool
+		Insecure          bool
+		Seed              string
+		Epoch             uint64
+		KV                *KVState
+	}
+	old := oldManifest{Blocks: 1024, BlockSize: 64, Shards: 2, MemoryBytes: 1 << 16, MonolithicShuffle: true, ConstantTime: true, Seed: "s", Epoch: 3}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeManifest(buf.Bytes())
+	if err != nil {
+		t.Fatalf("DecodeManifest refused an old-shape manifest: %v", err)
+	}
+	want := Manifest{Blocks: 1024, BlockSize: 64, Shards: 2, MemoryBytes: 1 << 16, ConstantTime: true, Seed: "s", Epoch: 3}
+	if *got != want {
+		t.Fatalf("manifest = %+v, want %+v", *got, want)
 	}
 }

@@ -1,9 +1,9 @@
 // Package trace records the adversary's view of a simulated device —
 // the sequence of (operation, slot) pairs on the bus — and provides
 // the statistical tests the security arguments rest on: uniformity of
-// accessed locations, absence of intra-period repeats (the square-root
-// invariant), and indistinguishability of two traces produced by
-// different plaintext workloads.
+// accessed locations, absence of a second read of a slot before it is
+// rewritten (the square-root invariant), and indistinguishability of
+// two traces produced by different plaintext workloads.
 package trace
 
 import (
@@ -159,16 +159,26 @@ func CheckUniform(observed []int64, slots int64, bins int, alpha float64) (Unifo
 	return UniformityCheck{Chi2: chi2, Dof: dof, Critical: crit, Pass: chi2 <= crit}, nil
 }
 
-// FirstRepeat returns the index of the first slot that repeats within
-// the sequence, or -1 if all slots are distinct. Used to verify the
-// square-root read-once invariant over one access period.
-func FirstRepeat(slots []int64) int {
-	seen := make(map[int64]bool, len(slots))
-	for i, s := range slots {
-		if seen[s] {
-			return i
+// FirstRepeat returns the index of the first OpRead of a slot that was
+// already read since that slot's last OpWrite, or -1 if there is none.
+// It checks the square-root invariant (§4.3): access traffic reads a
+// storage slot at most once between two shuffle rewrites of it. Callers
+// record one device's access reads and shuffle writes and drop its
+// shuffle reads; the check has no notion of a period, so it is exact
+// whether the shuffle runs as one pass, in quanta, or over a subset of
+// partitions.
+func FirstRepeat(events []Event) int {
+	read := make(map[int64]bool)
+	for i, e := range events {
+		switch e.Op {
+		case device.OpWrite:
+			delete(read, e.Slot)
+		case device.OpRead:
+			if read[e.Slot] {
+				return i
+			}
+			read[e.Slot] = true
 		}
-		seen[s] = true
 	}
 	return -1
 }

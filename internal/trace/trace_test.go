@@ -109,14 +109,25 @@ func TestChiSquareCriticalKnownValues(t *testing.T) {
 }
 
 func TestFirstRepeat(t *testing.T) {
-	if got := FirstRepeat([]int64{1, 2, 3}); got != -1 {
-		t.Fatalf("FirstRepeat(distinct) = %d", got)
+	r := func(slot int64) Event { return Event{Op: device.OpRead, Slot: slot} }
+	w := func(slot int64) Event { return Event{Op: device.OpWrite, Slot: slot} }
+	cases := []struct {
+		name   string
+		events []Event
+		want   int
+	}{
+		{"distinct reads", []Event{r(1), r(2), r(3)}, -1},
+		{"read, read", []Event{r(1), r(1)}, 1},
+		{"read, write, read", []Event{r(1), w(1), r(1)}, -1},
+		{"write to another slot does not re-arm", []Event{r(1), w(2), r(1)}, 2},
+		{"re-armed slot repeats again", []Event{r(1), w(1), r(1), r(2), r(1)}, 4},
+		{"writes only", []Event{w(1), w(1), w(2)}, -1},
+		{"nil", nil, -1},
 	}
-	if got := FirstRepeat([]int64{1, 2, 1, 3}); got != 2 {
-		t.Fatalf("FirstRepeat = %d, want 2", got)
-	}
-	if got := FirstRepeat(nil); got != -1 {
-		t.Fatalf("FirstRepeat(nil) = %d", got)
+	for _, tc := range cases {
+		if got := FirstRepeat(tc.events); got != tc.want {
+			t.Errorf("%s: FirstRepeat = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
