@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline persist-smoke kv-smoke cluster-smoke fmt
+.PHONY: ci build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline fmt
 
-ci: build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench-sealer bench-timing persist-smoke kv-smoke cluster-smoke
+ci: build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench-sealer bench-timing
 
 build:
 	$(GO) build ./...
@@ -51,23 +51,6 @@ race:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-
-# Durability acceptance gate: horamd -data-dir start -> write -> SIGTERM
-# -> restart -> read-back over real TCP and a real storage file.
-persist-smoke:
-	./scripts/persist_smoke.sh
-
-# KV acceptance gate: horamd -kv -data-dir start -> KSET/KGET/KDEL over
-# TCP -> SIGTERM -> restart from snapshot -> read the table back.
-kv-smoke:
-	./scripts/kv_smoke.sh
-
-# Cluster acceptance gate: 2 horamd -shard-serve nodes + 1 -gateway,
-# KV traffic over real TCP, SIGTERM one node mid-traffic, assert the
-# gateway surfaces per-task ERRs naming the dead shard instead of
-# wedging.
-cluster-smoke:
-	./scripts/cluster_smoke.sh
 
 # Full benchmark run (slow) — the reproduction's headline numbers.
 bench:

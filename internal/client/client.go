@@ -379,17 +379,7 @@ func (c *Client) Stats() (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	line := lines[0]
-	if !strings.HasPrefix(line, "OK") {
-		return nil, errors.New("client: " + strings.TrimPrefix(line, "ERR "))
-	}
-	kv := make(map[string]string)
-	for _, f := range strings.Fields(line)[1:] {
-		if k, v, ok := strings.Cut(f, "="); ok {
-			kv[k] = v
-		}
-	}
-	return kv, nil
+	return parseKVLine(lines[0])
 }
 
 // Cycles fetches the node's cumulative scheduler cycle count — the
@@ -443,17 +433,7 @@ func (c *Client) Peek() (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	line := lines[0]
-	if !strings.HasPrefix(line, "OK") {
-		return nil, errors.New("client: " + strings.TrimPrefix(line, "ERR "))
-	}
-	kv := make(map[string]string)
-	for _, f := range strings.Fields(line)[1:] {
-		if k, v, ok := strings.Cut(f, "="); ok {
-			kv[k] = v
-		}
-	}
-	return kv, nil
+	return parseKVLine(lines[0])
 }
 
 // Metrics fetches the node's Prometheus exposition (the METRICS
@@ -520,6 +500,21 @@ func StatInt(kv map[string]string, key string) (int64, error) {
 		return 0, fmt.Errorf("client: stats field %q missing", key)
 	}
 	return strconv.ParseInt(v, 10, 64)
+}
+
+// parseKVLine splits an "OK k=v k=v ..." response — STATS and PEEK —
+// into its pairs; a field without "=" is skipped.
+func parseKVLine(line string) (map[string]string, error) {
+	if !strings.HasPrefix(line, "OK") {
+		return nil, errors.New("client: " + strings.TrimPrefix(line, "ERR "))
+	}
+	kv := make(map[string]string)
+	for _, f := range strings.Fields(line)[1:] {
+		if k, v, ok := strings.Cut(f, "="); ok {
+			kv[k] = v
+		}
+	}
+	return kv, nil
 }
 
 func parseOKLine(line string) error {

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// StatsLine is the typed view of a server STATS response — what the
-// smoke drivers and operator tooling used to re-parse out of the raw
-// k=v map by hand. Parse one with ParseStats(c.Stats()).
+// StatsLine is the typed view of a server STATS response — the one
+// reader of that line for operator tooling, the daemon's tests and a
+// gateway reading its nodes. Parse one with ParseStats(c.Stats()).
 type StatsLine struct {
 	// Engine aggregates.
 	Requests int64

@@ -220,25 +220,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr returns the listener address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // Serve accepts connections on ln until Close. It returns nil after a
 // clean shutdown.
 func (s *Server) Serve(ln net.Listener) error {

@@ -169,8 +169,8 @@ func (st Stats) HistogramString() string { return engine.FormatHist(st.Histogram
 
 // appendDuration renders d as seconds with nanosecond precision plus
 // an "s" suffix ("0.002000000s") — allocation-free, and still
-// accepted by time.ParseDuration, which internal/cluster's remote
-// backend uses to read max_cycle/simtime back off a STATS line.
+// accepted by time.ParseDuration, which client.ParseStats uses to
+// read max_cycle/simtime back off a STATS line.
 func appendDuration(dst []byte, d time.Duration) []byte {
 	dst = strconv.AppendFloat(dst, d.Seconds(), 'f', 9, 64)
 	return append(dst, 's')
