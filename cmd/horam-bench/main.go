@@ -186,7 +186,7 @@ func main() {
 	var o options
 	exp := flag.String("exp", "all", expUsage())
 	flag.Float64Var(&o.scale, "scale", 0.125, "scale factor for table5-4 (1 = paper size: 1 GB, 500k requests)")
-	flag.BoolVar(&o.crypto, "crypto", false, "run with real AES-CTR+HMAC sealing instead of the null sealer")
+	flag.BoolVar(&o.crypto, "crypto", false, "run with real AES-GCM sealing instead of the null sealer")
 	flag.IntVar(&o.reqs, "reqs", 200, "requests per client for -exp concurrency")
 	flag.StringVar(&o.out, "out", "", outUsage())
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -524,6 +527,7 @@ func TestRefusalMatrix(t *testing.T) {
 		{"bad log format", []string{"-log-format", "yaml"}, 2, "bad -log-format"},
 		{"kv value over the line limit", flags("-kv", "-kv-max-value", "600000"), 1, "-kv-max-value cannot be served"},
 		{"restart with different blocks", flags("-data-dir", dir, "-blocks", "2048"), 1, "restore failed"},
+		{"restart on a version-1 data dir", flags("-data-dir", versionOne(t, dir)), 1, "restore failed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -549,4 +553,40 @@ func TestRefusalMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// versionOne copies the data directory src and rewrites every snapshot
+// container in the copy as a version-1 build would have written it
+// (the version field set to 1, the trailing SHA-256 recomputed), so a
+// restore sees a well-formed image from before records became AES-GCM.
+func versionOne(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if bytes.HasPrefix(raw, []byte("HORAMSNP")) && len(raw) > 12+sha256.Size {
+			binary.BigEndian.PutUint32(raw[8:12], 1)
+			body := raw[:len(raw)-sha256.Size]
+			sum := sha256.Sum256(body)
+			copy(raw[len(body):], sum[:])
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o700); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), raw, 0o600)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }

@@ -7,7 +7,7 @@
 // Crypto note: experiments default to the NullSealer because the
 // virtual-time results are independent of real encryption cost and the
 // paper's machine did AES in hardware; pass Crypto: true to run the
-// full AES-CTR+HMAC path (validated independently by the unit tests).
+// full AES-GCM path (validated independently by the unit tests).
 package bench
 
 import (
@@ -36,7 +36,7 @@ type Params struct {
 	HotSize     float64 // hot region as a fraction of the data set
 	Z           int
 	Seed        string
-	Crypto      bool // true: AES-CTR+HMAC; false: NullSealer
+	Crypto      bool // true: AES-GCM; false: NullSealer
 }
 
 // Table53Params returns the paper's small experiment: 64 MB data set,

@@ -2,7 +2,12 @@ package blockcipher
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"testing"
 )
 
@@ -126,9 +131,9 @@ func TestBatchLengthValidation(t *testing.T) {
 }
 
 // TestSealAllocs is the zero-alloc regression gate for the hot path:
-// the AES path may allocate at most once per record (the CTR stream
-// state — see the batch.go rationale for keeping crypto/cipher's
-// multi-block implementation), the null path not at all.
+// sealing and opening into caller buffers allocates nothing per record
+// on either path — the AES-GCM AEAD is built once per sealer and the
+// nonce is drawn straight into the output's prefix.
 func TestSealAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -142,8 +147,8 @@ func TestSealAllocs(t *testing.T) {
 		if err := s.SealInto(ct, pt); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 1 {
-		t.Errorf("AESSealer.SealInto allocates %.1f times per record, want <= 1", avg)
+	}); avg != 0 {
+		t.Errorf("AESSealer.SealInto allocates %.1f times per record, want 0", avg)
 	}
 
 	got := make([]byte, len(pt))
@@ -154,8 +159,8 @@ func TestSealAllocs(t *testing.T) {
 		if err := s.OpenInto(got, ct); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 1 {
-		t.Errorf("AESSealer.OpenInto allocates %.1f times per record, want <= 1", avg)
+	}); avg != 0 {
+		t.Errorf("AESSealer.OpenInto allocates %.1f times per record, want 0", avg)
 	}
 
 	var null NullSealer
@@ -169,8 +174,8 @@ func TestSealAllocs(t *testing.T) {
 }
 
 // TestBatchRace drives concurrent batches through one sealer instance
-// with a forced multi-worker pool; under -race this covers the scratch
-// pool and the shared-nonce handoff.
+// with a forced multi-worker pool; under -race this covers the shared
+// AEAD and the serial nonce handoff.
 func TestBatchRace(t *testing.T) {
 	s := newTestSealer(t)
 	const n, size, rounds = 64, 256, 20
@@ -264,5 +269,81 @@ func BenchmarkSealBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// ctrHMAC is the encrypt-then-MAC composition AESSealer used before
+// AES-GCM — AES-CTR under a 16-byte IV, then HMAC-SHA256 over
+// IV‖ciphertext, 48 bytes of overhead — kept only as BenchmarkCipher's
+// reference point.
+type ctrHMAC struct {
+	block cipher.Block
+	mac   hash.Hash
+	sum   [sha256.Size]byte
+}
+
+func newCTRHMAC(master []byte) *ctrHMAC {
+	prf, _ := NewPRF(master) // master is 32 bytes
+	block, _ := aes.NewCipher(prf.Derive("enc", 32))
+	return &ctrHMAC{block: block, mac: hmac.New(sha256.New, prf.Derive("mac", 32))}
+}
+
+func (c *ctrHMAC) seal(dst, iv, pt []byte) {
+	body := dst[:copy(dst, iv)+len(pt)]
+	cipher.NewCTR(c.block, iv).XORKeyStream(body[len(iv):], pt)
+	c.mac.Reset()
+	c.mac.Write(body)
+	c.mac.Sum(body)
+}
+
+func (c *ctrHMAC) open(dst, sealed []byte) error {
+	body := sealed[:len(sealed)-sha256.Size]
+	c.mac.Reset()
+	c.mac.Write(body)
+	if !hmac.Equal(c.mac.Sum(c.sum[:0]), sealed[len(body):]) {
+		return ErrAuth
+	}
+	cipher.NewCTR(c.block, body[:16]).XORKeyStream(dst, body[16:])
+	return nil
+}
+
+// BenchmarkCipher compares the record ciphers side by side, one
+// sub-benchmark per candidate and record size: each iteration seals
+// one record into a caller buffer and opens it again, and MB/s counts
+// plaintext bytes.
+func BenchmarkCipher(b *testing.B) {
+	gcm, err := NewAESSealer(testKey(), NewRNGFromString("cipher-bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref := newCTRHMAC(testKey())
+	iv := make([]byte, 16)
+	candidates := []struct {
+		name     string
+		overhead int
+		seal     func(dst, pt []byte) error
+		open     func(dst, sealed []byte) error
+	}{
+		{"ctr-hmac", 16 + sha256.Size, func(dst, pt []byte) error { ref.seal(dst, iv, pt); return nil }, ref.open},
+		{"gcm", gcm.Overhead(), gcm.SealInto, gcm.OpenInto},
+	}
+	for _, c := range candidates {
+		for _, size := range []int{64, 256, 1024} {
+			pt := make([]byte, size)
+			fill(pt, 5)
+			sealed, back := make([]byte, size+c.overhead), make([]byte, size)
+			b.Run(fmt.Sprintf("%s/%d", c.name, size), func(b *testing.B) {
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := c.seal(sealed, pt); err != nil {
+						b.Fatal(err)
+					}
+					if err := c.open(back, sealed); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

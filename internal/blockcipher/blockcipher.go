@@ -1,6 +1,6 @@
 // Package blockcipher provides the cryptographic primitives used by
 // every ORAM scheme in this repository: an authenticated block sealer
-// (AES-CTR + HMAC-SHA256), a PRF for deterministic pseudo-random
+// (AES-256-GCM), a PRF for deterministic pseudo-random
 // derivations, and a seeded deterministic CSPRNG so whole experiments
 // replay bit-for-bit.
 //
@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Errors returned by Sealer implementations.
@@ -46,26 +45,27 @@ type Sealer interface {
 }
 
 const (
-	nonceSize = 16 // AES block size; used directly as the CTR IV
-	tagSize   = 32 // HMAC-SHA256
+	nonceSize = 16 // 8-byte counter ‖ 8 bytes of the sealer's RNG
+	tagSize   = 16 // GCM authentication tag
 )
 
-// AESSealer is an AES-CTR + HMAC-SHA256 (encrypt-then-MAC) Sealer.
-// The nonce is drawn from an internal deterministic counter mixed with
-// the sealer's PRNG, giving unique IVs without OS entropy so
-// experiments stay reproducible.
+// AESSealer is an AES-256-GCM Sealer with a 16-byte nonce. The nonce
+// is the sealer's own counter followed by 8 bytes of its PRNG, giving
+// unique nonces without OS entropy so experiments stay reproducible:
+// within one sealer the counter never repeats, and across restarts the
+// caller seeds the PRNG from a persisted boot epoch (internal/core), so
+// a rebooted sealer under the same key draws a different stream. Under
+// GCM that uniqueness is a security property, not only hygiene.
 type AESSealer struct {
-	block   cipher.Block
-	mac     []byte // HMAC key
+	aead    cipher.AEAD // read-only after construction; safe to share across workers
 	rng     *RNG
 	counter uint64
-	scratch sync.Pool // *sealScratch: reusable HMAC state (see batch.go)
 }
 
-// NewAESSealer builds an AESSealer from a 32-byte master key. The key
-// is split by a PRF into independent encryption and MAC keys. The rng
-// provides nonce entropy; it must not be shared with code whose
-// randomness must be independent of sealing activity.
+// NewAESSealer builds an AESSealer from a 32-byte master key, from
+// which a PRF derives the AES-256 key. The rng provides nonce entropy;
+// it must not be shared with code whose randomness must be independent
+// of sealing activity.
 func NewAESSealer(master []byte, rng *RNG) (*AESSealer, error) {
 	if len(master) != 32 {
 		return nil, fmt.Errorf("blockcipher: master key must be 32 bytes, got %d", len(master))
@@ -77,13 +77,15 @@ func NewAESSealer(master []byte, rng *RNG) (*AESSealer, error) {
 	if err != nil {
 		return nil, err
 	}
-	encKey := prf.Derive("enc", 32)
-	macKey := prf.Derive("mac", 32)
-	blk, err := aes.NewCipher(encKey)
+	blk, err := aes.NewCipher(prf.Derive("enc", 32))
 	if err != nil {
 		return nil, fmt.Errorf("blockcipher: %w", err)
 	}
-	return &AESSealer{block: blk, mac: macKey, rng: rng}, nil
+	aead, err := cipher.NewGCMWithNonceSize(blk, nonceSize)
+	if err != nil {
+		return nil, fmt.Errorf("blockcipher: %w", err)
+	}
+	return &AESSealer{aead: aead, rng: rng}, nil
 }
 
 // Overhead implements Sealer.
@@ -92,12 +94,7 @@ func (s *AESSealer) Overhead() int { return nonceSize + tagSize }
 // Seal implements Sealer.
 func (s *AESSealer) Seal(plaintext []byte) ([]byte, error) {
 	out := make([]byte, nonceSize+len(plaintext)+tagSize)
-	var nonce [nonceSize]byte
-	s.nextNonce(&nonce)
-	sc := s.getScratch()
-	s.sealWithNonce(sc, out, &nonce, plaintext)
-	s.putScratch(sc)
-	return out, nil
+	return out, s.SealInto(out, plaintext)
 }
 
 // Open implements Sealer.
@@ -106,10 +103,7 @@ func (s *AESSealer) Open(sealed []byte) ([]byte, error) {
 		return nil, ErrCiphertext
 	}
 	pt := make([]byte, len(sealed)-nonceSize-tagSize)
-	sc := s.getScratch()
-	err := s.openWithScratch(sc, pt, sealed)
-	s.putScratch(sc)
-	if err != nil {
+	if err := s.OpenInto(pt, sealed); err != nil {
 		return nil, err
 	}
 	return pt, nil

@@ -17,7 +17,7 @@
 // snapshot) and salts every derived nonce/RNG stream with it, so a
 // rebooted instance can never replay the nonce sequence or randomness
 // of a previous boot — re-sealing a block after a restore always uses
-// a fresh CTR IV.
+// a fresh GCM nonce under the same key.
 //
 // Consistency. Storage slots are only written during shuffle periods;
 // horam brackets each period's writes with the storage.gen marker

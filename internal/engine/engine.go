@@ -323,7 +323,7 @@ type shardPlan struct {
 // Per-shard key material: with a real key, shard keys are PRF
 // derivations of the master key, so every shard gets an independent
 // sealer nonce stream and independent randomness — sharing the raw
-// master key across shards would reuse CTR keystreams. Insecure mode
+// master key across shards would repeat GCM nonces. Insecure mode
 // derives per-shard seeds from the engine seed instead. The partition
 // derives from the epoch-INDEPENDENT base seed: it must come out
 // identical on every restore or the shard-local address spaces would

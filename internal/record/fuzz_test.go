@@ -17,9 +17,10 @@ import (
 // BlockSize, over both sealers, and flipping any one bit of the
 // AES-sealed slot must be an authentication failure.
 func FuzzRecordCodec(f *testing.F) {
+	overhead := aesSealer(f).Overhead()
 	f.Add([]byte{}, int64(0), []byte{}, uint(0))
-	f.Add(make([]byte, testBlockSize+record.HeaderSize+48), record.DummyAddr, []byte(nil), uint(63))
-	f.Add(bytes.Repeat([]byte{0xa5}, 47), int64(1)<<62, bytes.Repeat([]byte{7}, testBlockSize), uint(8*48))
+	f.Add(make([]byte, testBlockSize+record.HeaderSize+overhead), record.DummyAddr, []byte(nil), uint(63))
+	f.Add(bytes.Repeat([]byte{0xa5}, overhead-1), int64(1)<<62, bytes.Repeat([]byte{7}, testBlockSize), uint(8*overhead))
 	f.Add([]byte("short"), int64(-2), []byte("a payload longer than BlockSize is cut to it, not refused........"), uint(1<<20))
 	f.Fuzz(func(t *testing.T, raw []byte, addr int64, payload []byte, bit uint) {
 		aes := record.New(aesSealer(t), testBlockSize)

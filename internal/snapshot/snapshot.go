@@ -43,8 +43,12 @@ import (
 	"path/filepath"
 )
 
-// Version is the container format version this package writes.
-const Version = 1
+// Version is the container format version this package writes. It
+// also versions what the containers hold: version 2 images carry
+// AES-GCM records (blockcipher.AESSealer), which version 1's AES-CTR +
+// HMAC-SHA256 records are not, so an older data directory is refused
+// with ErrVersion rather than failing authentication record by record.
+const Version = 2
 
 // magic identifies a snapshot container file.
 var magic = [8]byte{'H', 'O', 'R', 'A', 'M', 'S', 'N', 'P'}

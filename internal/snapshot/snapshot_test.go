@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"os"
@@ -99,6 +101,28 @@ func TestTornSnapshotRejected(t *testing.T) {
 	os.WriteFile(p, bad, 0o600)
 	if _, err := ReadFile(p); !errors.Is(err, ErrFormat) {
 		t.Errorf("wrong magic: err = %v, want ErrFormat", err)
+	}
+}
+
+// TestReadFileRefusesOldVersion: a well-formed container written by a
+// version-1 build (before records became AES-GCM) is refused with
+// ErrVersion, so a pre-flip data directory fails typed at the first
+// file a restore reads instead of as garbage further in.
+func TestReadFileRefusesOldVersion(t *testing.T) {
+	payload := []byte("a version-1 payload")
+	raw := append([]byte(nil), magic[:]...)
+	raw = binary.BigEndian.AppendUint32(raw, 1)
+	raw = binary.BigEndian.AppendUint64(raw, uint64(len(payload)))
+	raw = append(raw, payload...)
+	sum := sha256.Sum256(raw)
+	raw = append(raw, sum[:]...)
+	path := filepath.Join(t.TempDir(), "state.snap")
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("ReadFile(version 1) = (%q, %v), want ErrVersion", got, err)
 	}
 }
 
