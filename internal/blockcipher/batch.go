@@ -137,13 +137,6 @@ func (s *AESSealer) nextNonce(nonce *[nonceSize]byte) {
 	binary.BigEndian.PutUint64(nonce[8:], s.rng.Uint64())
 }
 
-// sealWithNonce is the pure crypto of one seal, under the nonce
-// already drawn into dst's prefix: safe for concurrent use (the AEAD
-// is read-only).
-func (s *AESSealer) sealWithNonce(dst, plaintext []byte) {
-	s.aead.Seal(dst[:nonceSize], dst[:nonceSize], plaintext, nil)
-}
-
 // open is the pure crypto of one open; any GCM failure is ErrAuth.
 func (s *AESSealer) open(dst, sealed []byte) error {
 	if _, err := s.aead.Open(dst[:0], sealed[:nonceSize], sealed[nonceSize:], nil); err != nil {
@@ -158,7 +151,7 @@ func (s *AESSealer) SealInto(dst, plaintext []byte) error {
 		return fmt.Errorf("blockcipher: seal buffer %d bytes, want %d", len(dst), nonceSize+len(plaintext)+tagSize)
 	}
 	s.nextNonce((*[nonceSize]byte)(dst))
-	s.sealWithNonce(dst, plaintext)
+	s.aead.Seal(dst[:nonceSize], dst[:nonceSize], plaintext, nil)
 	return nil
 }
 
@@ -232,8 +225,10 @@ func (s *AESSealer) SealBatch(plaintexts, outs [][]byte, workers int) error {
 	for _, out := range outs {
 		s.nextNonce((*[nonceSize]byte)(out))
 	}
+	// The AEAD is read-only, so the workers share it; each seals under
+	// the nonce already drawn into its output's prefix.
 	return fan(len(plaintexts), workers, func(i int) error {
-		s.sealWithNonce(outs[i], plaintexts[i])
+		s.aead.Seal(outs[i][:nonceSize], outs[i][:nonceSize], plaintexts[i], nil)
 		return nil
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -50,12 +51,14 @@ const (
 )
 
 // AESSealer is an AES-256-GCM Sealer with a 16-byte nonce. The nonce
-// is the sealer's own counter followed by 8 bytes of its PRNG, giving
-// unique nonces without OS entropy so experiments stay reproducible:
-// within one sealer the counter never repeats, and across restarts the
-// caller seeds the PRNG from a persisted boot epoch (internal/core), so
-// a rebooted sealer under the same key draws a different stream. Under
-// GCM that uniqueness is a security property, not only hygiene.
+// is the sealer's own counter followed by 8 bytes of its RNG: within
+// one sealer the counter never repeats, and two sealers under one key
+// stay apart only if their RNG streams differ. Under GCM that is a
+// security property, not hygiene — one repeated (key, nonce) pair
+// gives away the authentication key. A sealer whose records outlive
+// the process must therefore draw from a NewBootRNG stream; a seeded
+// NewRNG stream replays bit-for-bit, which suits in-process
+// simulations only.
 type AESSealer struct {
 	aead    cipher.AEAD // read-only after construction; safe to share across workers
 	rng     *RNG
@@ -99,10 +102,7 @@ func (s *AESSealer) Seal(plaintext []byte) ([]byte, error) {
 
 // Open implements Sealer.
 func (s *AESSealer) Open(sealed []byte) ([]byte, error) {
-	if len(sealed) < nonceSize+tagSize {
-		return nil, ErrCiphertext
-	}
-	pt := make([]byte, len(sealed)-nonceSize-tagSize)
+	pt := make([]byte, max(len(sealed)-nonceSize-tagSize, 0))
 	if err := s.OpenInto(pt, sealed); err != nil {
 		return nil, err
 	}
@@ -197,6 +197,20 @@ func NewRNG(seed []byte) *RNG {
 	r := &RNG{stream: cipher.NewCTR(blk, iv[:16])}
 	r.refill()
 	return r
+}
+
+// NewBootRNG is NewRNG with 16 bytes of OS entropy appended to the
+// seed, so no two calls yield the same stream — in this process or any
+// earlier one — whatever the seed. A sealer whose key outlives the
+// process (its records sit on disk, to be opened after a restart)
+// draws its nonces from one: no persisted counter survives a crash
+// before the first checkpoint or a wiped data directory, but fresh
+// entropy does.
+func NewBootRNG(seed []byte) *RNG {
+	salted := make([]byte, len(seed)+16)
+	copy(salted, seed)
+	rand.Read(salted[len(seed):]) // never fails as of Go 1.24
+	return NewRNG(salted)
 }
 
 // NewRNGFromString seeds an RNG from a string label, convenient for

@@ -187,6 +187,23 @@ func TestRNGDeterministic(t *testing.T) {
 	}
 }
 
+// TestBootRNGNeverReplays: two boot RNGs from one seed — two boots of
+// one durable sealer — must draw different streams, and differ from
+// the seeded stream too.
+func TestBootRNGNeverReplays(t *testing.T) {
+	seed := []byte("sealer-rng-epoch-0")
+	a, b := NewBootRNG(seed), NewBootRNG(seed)
+	if a.Uint64() == b.Uint64() {
+		t.Fatal("two boot RNGs from one seed emitted equal first values")
+	}
+	if NewBootRNG(seed).Uint64() == NewRNG(seed).Uint64() {
+		t.Fatal("a boot RNG replays the seeded stream")
+	}
+	if string(seed) != "sealer-rng-epoch-0" {
+		t.Fatal("NewBootRNG modified its seed")
+	}
+}
+
 func TestRNGIntnRange(t *testing.T) {
 	r := NewRNGFromString("intn")
 	for i := 0; i < 10000; i++ {

@@ -119,8 +119,8 @@ func Open(opts Options) (*Client, error) {
 
 // prepare derives the epoch-salted key material and builds the horam
 // configuration plus a client shell. Open uses epoch 0; Restore uses
-// the snapshot's epoch + 1 so no RNG or nonce stream replays (see the
-// epoch discussion in persist.go).
+// the snapshot's epoch + 1 so the engine's RNG stream never replays
+// (see the epoch discussion in persist.go).
 func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 	seed := opts.Seed
 	var sealer, snapSealer blockcipher.Sealer
@@ -139,13 +139,20 @@ func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 			seed = string(prf.Derive("client-seed", 32))
 		}
 		// The sealing KEY is epoch-independent (pre-crash ciphertext
-		// must open after a restore); only the nonce stream is salted.
-		rng := blockcipher.NewRNG(prf.Derive(fmt.Sprintf("sealer-rng-epoch-%d", epoch), 32))
+		// must open after a restore), so a durable client's nonce
+		// streams take fresh entropy on every boot, fresh Open
+		// included; without a DataDir nothing sealed outlives the
+		// process and the streams stay a pure function of the key.
+		nonceRNG := blockcipher.NewRNG
+		if opts.DataDir != "" {
+			nonceRNG = blockcipher.NewBootRNG
+		}
+		rng := nonceRNG(prf.Derive(fmt.Sprintf("sealer-rng-epoch-%d", epoch), 32))
 		sealer, err = blockcipher.NewAESSealer(opts.Key, rng)
 		if err != nil {
 			return nil, horam.Config{}, err
 		}
-		snapRNG := blockcipher.NewRNG(prf.Derive(fmt.Sprintf("snapshot-nonce-epoch-%d", epoch), 32))
+		snapRNG := nonceRNG(prf.Derive(fmt.Sprintf("snapshot-nonce-epoch-%d", epoch), 32))
 		snapSealer, err = blockcipher.NewAESSealer(prf.Derive("snapshot-key", 32), snapRNG)
 		if err != nil {
 			return nil, horam.Config{}, err

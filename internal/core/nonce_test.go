@@ -111,12 +111,15 @@ func (l *nonceLog) snapshotNonce(c *Client, site string) {
 // TestNoNonceRepeatsAcrossRestore: the data sealer's key survives
 // every restart (pre-crash ciphertext must still open) and its nonce
 // counter restarts at 1 on every boot, so nonce uniqueness across
-// boots rests entirely on the epoch that salts the nonce RNG — which
-// Restore bumps and persists before serving. The test records the
-// nonce of every record written to either device, and of every
-// sealed snapshot, over fresh open → writes → checkpoint → writes →
-// crash → Restore → writes → crash → Restore → writes, and requires
-// no (key, nonce) pair to repeat.
+// boots rests on the nonce RNG: a durable client seeds it with fresh
+// entropy on every boot. The test records the nonce of every record
+// written to either device, and of every sealed snapshot, over fresh
+// open → writes → checkpoint → crash → fresh open over the same
+// directory (what a daemon does when it finds no usable snapshot) →
+// writes → checkpoint → writes → crash → Restore → writes → crash →
+// Restore → writes, and requires no (key, nonce) pair to repeat. The
+// second fresh open boots at the same epoch as the first, so no
+// persisted epoch can keep the two apart.
 func TestNoNonceRepeatsAcrossRestore(t *testing.T) {
 	opts := durableOpts(t.TempDir())
 	// A periodic fsync policy makes device.File write (and report)
@@ -130,27 +133,34 @@ func TestNoNonceRepeatsAcrossRestore(t *testing.T) {
 	// stale, and Restore rightly refuses it.
 	const lost = 6
 
-	c, err := Open(opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	var c *Client
+	for _, boot := range []string{"open 1", "open 2"} {
+		var err error
+		c, err = Open(opts)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", boot, err)
+		}
+		defer c.Close()
+		if c.Epoch() != 0 {
+			t.Fatalf("%s: fresh Open booted epoch %d, want 0", boot, c.Epoch())
+		}
+		w := watch(log, c, boot)
+		w.image()
+		w.writesN(300, rng)
+		if c.Stats().Shuffles == 0 {
+			t.Fatalf("%s never shuffled; grow the workload so storage writes are covered", boot)
+		}
+		if err := c.SaveSnapshot(); err != nil {
+			t.Fatalf("%s: SaveSnapshot: %v", boot, err)
+		}
+		log.snapshotNonce(c, boot+" checkpoint")
+		stor := w.storageWrites
+		w.writesN(lost, rng)
+		if w.storageWrites != stor {
+			t.Fatal("writes after the checkpoint reached storage; lower lost so the crash stays restorable")
+		}
+		// Crash: no checkpoint, no Close.
 	}
-	defer c.Close()
-	w := watch(log, c, "epoch 0")
-	w.image()
-	w.writesN(300, rng)
-	if c.Stats().Shuffles == 0 {
-		t.Fatal("boot 0 never shuffled; grow the workload so storage writes are covered")
-	}
-	if err := c.SaveSnapshot(); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
-	}
-	log.snapshotNonce(c, "epoch 0 checkpoint")
-	stor := w.storageWrites
-	w.writesN(lost, rng)
-	if w.storageWrites != stor {
-		t.Fatal("writes after the checkpoint reached storage; lower lost so the crash stays restorable")
-	}
-	// Crash: no checkpoint, no Close.
 
 	for epoch := uint64(1); epoch <= 2; epoch++ {
 		r, err := Restore(opts)
@@ -173,8 +183,8 @@ func TestNoNonceRepeatsAcrossRestore(t *testing.T) {
 			t.Fatal("the last boot never shuffled; grow the workload so storage writes are covered")
 		}
 	}
-	if n := len(log.seen["snapshot"]); n != 3 {
-		t.Fatalf("recorded %d snapshot seals, want 3", n)
+	if n := len(log.seen["snapshot"]); n != 4 {
+		t.Fatalf("recorded %d snapshot seals, want 4", n)
 	}
 	t.Logf("%d sealed records, no (key, nonce) repeats", log.records)
 }

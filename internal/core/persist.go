@@ -13,11 +13,14 @@
 // the sealer, the snapshot sealer and every RNG stream are re-derived
 // from the key the operator supplies at restart.
 //
-// Epochs. Each Restore bumps a key-derivation epoch (stored in the
-// snapshot) and salts every derived nonce/RNG stream with it, so a
-// rebooted instance can never replay the nonce sequence or randomness
-// of a previous boot — re-sealing a block after a restore always uses
-// a fresh GCM nonce under the same key.
+// Epochs and nonces. Each Restore bumps a key-derivation epoch (stored
+// in the snapshot) and salts every derived RNG stream with it, so a
+// rebooted instance never replays the randomness of a previous boot.
+// The sealers' nonce streams also take fresh OS entropy on every boot
+// (blockcipher.NewBootRNG), so no GCM nonce repeats under the
+// epoch-independent sealing key — not after a restore, and not after a
+// fresh Open over a directory an earlier process sealed into with the
+// same key, which no persisted epoch can cover.
 //
 // Consistency. Storage slots are only written during shuffle periods;
 // horam brackets each period's writes with the storage.gen marker
@@ -313,8 +316,8 @@ func restoreAt(opts Options, epoch uint64, pin bool, wantCkpt ...uint64) (*Clien
 	// Persist the epoch bump IMMEDIATELY (without advancing the
 	// checkpoint counter): if this boot crashed before its first real
 	// checkpoint, the next restore would otherwise read the old
-	// snapshot, boot at the same epoch, and replay this boot's
-	// nonce/RNG streams under the epoch-independent sealing key.
+	// snapshot, boot at the same epoch, and replay this boot's RNG
+	// stream.
 	if err := c.saveLocked(c.checkpoint); err != nil {
 		c.oram.CloseStorage()
 		return nil, fmt.Errorf("core: persisting restored epoch: %w", err)

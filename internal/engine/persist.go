@@ -37,12 +37,13 @@ func manifestPath(dataDir string) string {
 
 // manifestSealer derives the sealer for the manifest container. The
 // key is epoch-independent (a manifest from any boot must open); the
-// nonce stream is epoch-salted so it never replays across boots.
+// nonce stream takes fresh entropy on every boot, so it never replays,
+// not even across a fresh start over an old directory.
 func manifestSealer(opts Options, prf *blockcipher.PRF, epoch uint64) (blockcipher.Sealer, error) {
 	if opts.Insecure {
 		return blockcipher.NullSealer{}, nil
 	}
-	rng := blockcipher.NewRNG(prf.Derive(fmt.Sprintf("engine-manifest-nonce-epoch-%d", epoch), 32))
+	rng := blockcipher.NewBootRNG(prf.Derive(fmt.Sprintf("engine-manifest-nonce-epoch-%d", epoch), 32))
 	return blockcipher.NewAESSealer(prf.Derive("engine-manifest-key", 32), rng)
 }
 

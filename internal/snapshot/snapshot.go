@@ -15,7 +15,7 @@
 //     miss-budget counters, and the key-derivation epoch. It never
 //     contains key material: everything cryptographic is re-derived
 //     from the master key the operator supplies at restart, salted
-//     with the epoch so no RNG or nonce stream ever replays;
+//     with the epoch so no RNG stream ever replays;
 //
 //   - the shuffle generation marker (WriteGen/ReadGen): a tiny record
 //     {started, completed} the ORAM updates around every shuffle
@@ -175,8 +175,8 @@ type Shard struct {
 	// Key-derivation parameters. Epoch is the boot generation of the
 	// instance that took the snapshot; a restore boots with Epoch+1 —
 	// and immediately persists the bump — so every derived seed, and
-	// therefore every RNG stream and sealer nonce sequence, differs
-	// from all previous boots.
+	// therefore every RNG stream, differs from all previous boots.
+	// (Sealer nonce streams also take fresh entropy on every boot.)
 	Epoch uint64
 
 	// Checkpoint counts SaveSnapshot calls over the instance's whole
