@@ -9,36 +9,28 @@ import (
 
 func TestReadWriteBatch(t *testing.T) {
 	c := open(t)
-	var addrs []int64
-	var payloads [][]byte
+	var writes, reads []*Request
 	for a := int64(0); a < 24; a++ {
-		addrs = append(addrs, a)
-		payloads = append(payloads, bytes.Repeat([]byte{byte(a + 1)}, 64))
+		writes = append(writes, &Request{Op: OpWrite, Addr: a, Data: bytes.Repeat([]byte{byte(a + 1)}, 64)})
+		reads = append(reads, &Request{Op: OpRead, Addr: a})
 	}
-	if err := c.WriteBatch(addrs, payloads); err != nil {
+	if err := c.Batch(writes); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ReadBatch(addrs)
-	if err != nil {
+	if err := c.Batch(reads); err != nil {
 		t.Fatal(err)
 	}
-	for i := range addrs {
-		if !bytes.Equal(got[i], payloads[i]) {
-			t.Fatalf("ReadBatch[%d] mismatch", i)
+	for i, r := range reads {
+		if !bytes.Equal(r.Result, writes[i].Data) {
+			t.Fatalf("read %d of the batch mismatch", i)
 		}
 	}
 }
 
 func TestBatchValidation(t *testing.T) {
 	c := open(t)
-	if _, err := c.ReadBatch([]int64{0, 999}); err == nil {
-		t.Error("ReadBatch accepted out-of-range address")
-	}
-	if err := c.WriteBatch([]int64{0}, nil); err == nil {
-		t.Error("WriteBatch accepted mismatched lengths")
-	}
-	if err := c.WriteBatch([]int64{0}, [][]byte{{1, 2}}); err == nil {
-		t.Error("WriteBatch accepted short payload")
+	if err := c.Batch([]*Request{{Addr: 0}, {Addr: 999}}); err == nil {
+		t.Error("Batch accepted out-of-range address")
 	}
 	if err := c.Batch([]*Request{{Op: OpWrite, Addr: 0, Data: []byte("short")}}); err == nil {
 		t.Error("Batch accepted short write payload")

@@ -23,10 +23,10 @@ type reqEvent struct {
 	data string // write payload copy ("" for reads)
 }
 
-// recBackend wraps a Backend and logs every request. The combiner may
-// merge phase batches, so the log captures the flat request stream,
-// not batch boundaries (under a serial caller the grouping is
-// deterministic anyway, but the assertion should not depend on it).
+// recBackend wraps a Backend and logs every request. The log records
+// the flat request stream, not batch boundaries: the assertions are
+// about which blocks the store touches, in what order, and do not
+// depend on how its phases are grouped into batches.
 type recBackend struct {
 	inner Backend
 	mu    sync.Mutex
