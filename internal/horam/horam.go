@@ -63,7 +63,11 @@ type Config struct {
 	BlockSize int
 	// MemoryBytes is the memory-tier budget, counted in plaintext
 	// block capacity as the paper does (n = MemoryBytes / BlockSize
-	// slots; sealing metadata is not billed against the budget).
+	// slots; sealing metadata is not billed against the budget). It
+	// pays for the whole memory tree: the top ⌊(L+1)/2⌋ of its L+1
+	// levels are held unsealed in the controller (see
+	// pathoram.Config.Trusted) and the rest sit sealed in the DRAM
+	// device, so the two together hold exactly the tree's slots.
 	MemoryBytes int64
 	// Z is the Path ORAM bucket size for the memory tree (paper: 4).
 	Z int
@@ -339,11 +343,15 @@ func construct(cfg Config) (*ORAM, error) {
 	o.fetchPt = make([]byte, o.codec.PtSize())
 
 	// Memory tier: the largest Path ORAM tree that fits the budget.
+	// The top half of its levels stays in the controller (every path
+	// shares them, so they need not be sealed or cross the bus); the
+	// DRAM device holds the rest.
 	geom, err := oramtree.FitCapacity(memSlots, cfg.Z)
 	if err != nil {
 		return nil, fmt.Errorf("horam: %w", err)
 	}
-	o.memDev, err = device.New(memProfile, slotSize, geom.Slots(), o.clkMem)
+	trusted := (geom.Levels + 1) / 2
+	o.memDev, err = device.New(memProfile, slotSize, geom.Slots()-geom.TopSlots(trusted), o.clkMem)
 	if err != nil {
 		return nil, err
 	}
@@ -363,6 +371,7 @@ func construct(cfg Config) (*ORAM, error) {
 		RNG:          cfg.RNG.Fork("mem-oram"),
 		StashLimit:   int(geom.Slots() / 2),
 		ConstantTime: cfg.ConstantTime,
+		Trusted:      trusted,
 	}
 	o.mem, err = pathoram.New(memCfg, o.memDev)
 	if err != nil {

@@ -83,6 +83,11 @@ func (g Geometry) Buckets() int64 { return (1 << uint(g.Levels+1)) - 1 }
 // Slots returns the total number of block slots, Buckets · Z.
 func (g Geometry) Slots() int64 { return g.Buckets() * int64(g.Z) }
 
+// TopSlots returns the number of slots in the top k levels (levels
+// 0..k−1), (2^k − 1) · Z. Under the canonical layout they are slots
+// [0, TopSlots(k)).
+func (g Geometry) TopSlots(k int) int64 { return ((1 << uint(k)) - 1) * int64(g.Z) }
+
 // BucketAt returns the heap index of the bucket at the given level on
 // the path from the root to leaf.
 func (g Geometry) BucketAt(leaf int64, level int) int64 {

@@ -195,6 +195,20 @@ func TestSlotBase(t *testing.T) {
 	}
 }
 
+func TestTopSlots(t *testing.T) {
+	g := Geometry{Levels: 4, Z: 4}
+	for k := 0; k <= g.Levels+1; k++ {
+		// The top k levels end where level k's first bucket begins.
+		want := g.SlotBase(g.BucketAt(0, min(k, g.Levels)))
+		if k == g.Levels+1 {
+			want = g.Slots()
+		}
+		if got := g.TopSlots(k); got != want {
+			t.Errorf("TopSlots(%d) = %d, want %d", k, got, want)
+		}
+	}
+}
+
 func TestCheckLeafAndBucket(t *testing.T) {
 	g := Geometry{Levels: 2, Z: 4} // 4 leaves, 7 buckets
 	if err := g.CheckLeaf(3); err != nil {

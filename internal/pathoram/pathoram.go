@@ -3,11 +3,14 @@
 // cache tier is a Path ORAM tree) and compares against (the tree-top
 // cache baseline is a Path ORAM spanning memory and storage).
 //
-// The tree lives on a device.Device: bucket b occupies device slots
+// The tree lives on a device.Device: bucket b occupies tree slots
 // [b·Z, (b+1)·Z), every slot holding one sealed block record. Real and
 // dummy records seal to the same length, so an adversary watching the
 // device sees only which buckets are touched — and Path ORAM touches
-// exactly one random root-to-leaf path per access.
+// exactly one random root-to-leaf path per access. Config.Trusted can
+// keep the top levels in the controller instead (tree-top caching):
+// their T slots hold plaintext records that never reach the device,
+// and tree slot s ≥ T is device slot s − T.
 package pathoram
 
 import (
@@ -68,6 +71,16 @@ type Config struct {
 	// mode; only in-memory computation changes. Requires the built-in
 	// position map (Positions must be nil).
 	ConstantTime bool
+	// Trusted is the number of top tree levels kept inside the
+	// controller as plaintext records instead of on the device — the
+	// tree-top caching of Ren et al. (ISCA 2013) and PHANTOM (CCS
+	// 2013). Every path crosses those levels, so they are never sealed,
+	// opened or put on the bus: the device holds only the remaining
+	// slots, shifted down by Geometry.TopSlots(Trusted). The dropped
+	// buckets are fixed by the leaf the deeper levels already show, so
+	// the bus reveals nothing new. Zero keeps the whole tree on the
+	// device; at most the tree's Levels.
+	Trusted int
 }
 
 // PositionStore is the position-map dependency of the ORAM: logical
@@ -99,6 +112,9 @@ func (c Config) validate() error {
 	}
 	if c.RNG == nil {
 		return errors.New("pathoram: RNG is required")
+	}
+	if c.Trusted < 0 {
+		return fmt.Errorf("pathoram: Trusted must be non-negative, got %d", c.Trusted)
 	}
 	return nil
 }
@@ -146,12 +162,23 @@ type ORAM struct {
 	taken      [][]byte      // stash payloads consumed by the current writePath
 	free       [][]byte      // recycled payload buffers for stash handoff
 	evictAddrs []int64       // sorted stash snapshot for one writePath
+
+	// Trusted top (Config.Trusted levels): tree slots [0, top) are the
+	// plaintext records in topPt, and pathSlots holds device slots
+	// (tree slot − top), so those levels' entries are negative and
+	// index topPt once top is added back. topPath of every path's
+	// slots fall in it: the first ones read root-first, the last ones
+	// written leaf-first.
+	top     int64
+	topPath int
+	topPt   [][]byte
 }
 
 // New builds a Path ORAM over dev and fills the tree with sealed
-// dummies. The device must have exactly the geometry's slot count or
-// more, with SlotSize matching cfg.SlotSize(). Initialisation uses the
-// device's raw path when available (it is setup, not measured work).
+// dummies. The device must have at least the geometry's slot count
+// less the trusted top's, with SlotSize matching cfg.SlotSize().
+// Initialisation uses the device's raw path when available (it is
+// setup, not measured work).
 func New(cfg Config, dev device.Device) (*ORAM, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -170,8 +197,12 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	if dev.SlotSize() != cfg.SlotSize() {
 		return nil, fmt.Errorf("pathoram: device slot size %d, config needs %d", dev.SlotSize(), cfg.SlotSize())
 	}
-	if dev.Slots() < geom.Slots() {
-		return nil, fmt.Errorf("pathoram: device has %d slots, tree needs %d", dev.Slots(), geom.Slots())
+	if cfg.Trusted > geom.Levels {
+		return nil, fmt.Errorf("pathoram: Trusted %d levels, tree has %d", cfg.Trusted, geom.Levels)
+	}
+	top := geom.TopSlots(cfg.Trusted)
+	if dev.Slots() < geom.Slots()-top {
+		return nil, fmt.Errorf("pathoram: device has %d slots, tree needs %d", dev.Slots(), geom.Slots()-top)
 	}
 	var pm PositionStore = cfg.Positions
 	var pmCT *posmap.PositionMap
@@ -205,14 +236,16 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		st = stash.New(cfg.StashLimit)
 	}
 	o := &ORAM{
-		cfg:   cfg,
-		geom:  geom,
-		dev:   dev,
-		pm:    pm,
-		pmCT:  pmCT,
-		stash: st,
-		ct:    ct,
-		codec: record.New(cfg.Sealer, cfg.BlockSize),
+		cfg:     cfg,
+		geom:    geom,
+		dev:     dev,
+		pm:      pm,
+		pmCT:    pmCT,
+		stash:   st,
+		ct:      ct,
+		codec:   record.New(cfg.Sealer, cfg.BlockSize),
+		top:     top,
+		topPath: cfg.Trusted * cfg.Z,
 	}
 	if ct != nil {
 		ctCap := ct.Capacity()
@@ -228,6 +261,7 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	o.pathPt = record.Slab(pathLen, o.codec.PtSize())
 	o.sealSrc = make([][]byte, 0, pathLen)
 	o.taken = make([][]byte, 0, pathLen)
+	o.topPt = record.Slab(int(top), o.codec.PtSize())
 	if err := o.clearTree(); err != nil {
 		return nil, err
 	}
@@ -261,17 +295,19 @@ func (o *ORAM) stashPayload(src []byte) []byte {
 	return o.newPayload(src)
 }
 
-// clearTree seals a dummy into every slot of the tree, batch-sealing
-// one path-sized chunk at a time through the worker pool (the chunked
+// clearTree puts a dummy into every slot of the tree: the trusted top
+// takes the dummy plaintext, and the device slots are batch-sealed one
+// path-sized chunk at a time through the worker pool (the chunked
 // order keeps the nonce stream identical to a serial slot loop).
 func (o *ORAM) clearTree() error {
+	for _, pt := range o.topPt {
+		copy(pt, o.codec.DummyPt())
+	}
 	rw, hasRaw := o.dev.(device.RawWriter)
 	chunk := int64(len(o.pathSealed))
-	for lo := int64(0); lo < o.geom.Slots(); lo += chunk {
-		hi := lo + chunk
-		if hi > o.geom.Slots() {
-			hi = o.geom.Slots()
-		}
+	slots := o.devSlots()
+	for lo := int64(0); lo < slots; lo += chunk {
+		hi := min(lo+chunk, slots)
 		n := int(hi - lo)
 		src := o.sealSrc[:0]
 		for i := 0; i < n; i++ {
@@ -291,6 +327,24 @@ func (o *ORAM) clearTree() error {
 			if err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// devSlots returns how many tree slots live on the device.
+func (o *ORAM) devSlots() int64 { return o.geom.Slots() - o.top }
+
+// stashReal puts every real record among the plaintexts pts into the
+// stash.
+func (o *ORAM) stashReal(pts [][]byte) error {
+	for _, pt := range pts {
+		addr, payload := o.codec.Decode(pt)
+		if addr == record.DummyAddr {
+			continue
+		}
+		if err := o.stash.Put(addr, o.stashPayload(payload)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -324,24 +378,29 @@ func (o *ORAM) checkAddr(addr int64) error {
 }
 
 // readPath fetches every bucket on the path to leaf into the stash.
-// Two phases over the path scratch: the device reads land in the
-// sealed slab (charged per slot in the classic order), then one batch
-// open fans the crypto across the worker pool and the real blocks are
-// copied into stash-owned buffers.
+// The trusted top's plaintexts are copied into the path slab; then,
+// for the device levels, the reads land in the sealed slab (charged
+// per slot in the classic order), one batch open fans the crypto
+// across the worker pool, and the real blocks are copied into
+// stash-owned buffers.
 func (o *ORAM) readPath(leaf int64) error {
 	n := 0
 	for _, bucket := range o.geom.Path(leaf) {
-		base := o.geom.SlotBase(bucket)
+		base := o.geom.SlotBase(bucket) - o.top
 		for z := 0; z < o.cfg.Z; z++ {
 			o.pathSlots[n] = base + int64(z)
 			n++
 		}
 		o.stats.BucketReads++
 	}
-	if err := device.ReadSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
+	h := o.topPath
+	for i := 0; i < h; i++ {
+		copy(o.pathPt[i], o.topPt[o.pathSlots[i]+o.top])
+	}
+	if err := device.ReadSlots(o.dev, o.pathSlots[h:n], o.pathSealed[h:n]); err != nil {
 		return err
 	}
-	if err := o.codec.OpenRun(o.pathPt[:n], o.pathSealed[:n]); err != nil {
+	if err := o.codec.OpenRun(o.pathPt[h:n], o.pathSealed[h:n]); err != nil {
 		return fmt.Errorf("pathoram: path to leaf %d: %w", leaf, err)
 	}
 	if o.ct != nil {
@@ -357,16 +416,7 @@ func (o *ORAM) readPath(leaf int64) error {
 		}
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		addr, payload := o.codec.Decode(o.pathPt[i])
-		if addr == record.DummyAddr {
-			continue
-		}
-		if err := o.stash.Put(addr, o.newPayload(payload)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.stashReal(o.pathPt[:n])
 }
 
 // writePath evicts stash blocks back onto the path to leaf, deepest
@@ -375,7 +425,7 @@ func (o *ORAM) readPath(leaf int64) error {
 // encoded into the path slab, dummies point at the shared dummy
 // plaintext), then one batch seal — nonce order identical to the
 // serial slot loop — and per-slot device writes in the same order.
-// Stash buffers consumed here are dead after sealing and return to
+// Stash buffers consumed here are dead after flushPath and return to
 // the free list.
 //
 // The stash is snapshotted once per path: eviction only removes
@@ -393,8 +443,7 @@ func (o *ORAM) writePath(leaf int64) error {
 	addrs := o.stash.AppendAddrs(o.evictAddrs[:0])
 	o.evictAddrs = addrs[:0]
 	for level := o.geom.Levels; level >= 0; level-- {
-		bucket := path[level]
-		base := o.geom.SlotBase(bucket)
+		base := o.geom.SlotBase(path[level]) - o.top
 		placed := 0
 		for i, addr := range addrs {
 			if placed == o.cfg.Z {
@@ -431,16 +480,31 @@ func (o *ORAM) writePath(leaf int64) error {
 	}
 	o.sealSrc = src[:0]
 	o.taken = taken[:0]
-	if err := o.codec.SealRun(src, o.pathSealed[:n]); err != nil {
-		return err
-	}
-	if err := device.WriteSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
+	if err := o.flushPath(src, n); err != nil {
 		return err
 	}
 	for _, buf := range taken {
 		o.free = append(o.free, buf)
 	}
 	return nil
+}
+
+// flushPath writes back one staged path: pathSlots[:n] in leaf-first
+// order, src their plaintexts. The last topPath slots are the trusted
+// top's and are copied into it; the rest are batch-sealed — nonce
+// order identical to a serial slot loop — and written to the device in
+// the same order. Every bound and index is fixed by the public leaf.
+//
+//horam:constant-time
+func (o *ORAM) flushPath(src [][]byte, n int) error {
+	d := n - o.topPath
+	for i := d; i < n; i++ {
+		copy(o.topPt[o.pathSlots[i]+o.top], src[i])
+	}
+	if err := o.codec.SealRun(src[:d], o.pathSealed[:d]); err != nil {
+		return err
+	}
+	return device.WriteSlots(o.dev, o.pathSlots[:d], o.pathSealed[:d])
 }
 
 // ctCommonLevel is the branchless CommonLevel: bits.Len64 compiles to
@@ -489,7 +553,7 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 	n := 0
 	src := o.sealSrc[:0]
 	for level := o.geom.Levels; level >= 0; level-- {
-		base := o.geom.SlotBase(path[level])
+		base := o.geom.SlotBase(path[level]) - o.top
 		// Eligibility and rank of every candidate at this level. The
 		// Empty sentinel joins to NoLeaf, so unoccupied slots are
 		// masked out without a branch.
@@ -526,10 +590,7 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 	}
 	o.ct.RemoveMasked(consumed, (o.geom.Levels+1)*o.cfg.Z)
 	o.sealSrc = src[:0]
-	if err := o.codec.SealRun(src, o.pathSealed[:n]); err != nil {
-		return err
-	}
-	return device.WriteSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n])
+	return o.flushPath(src, n)
 }
 
 // Access performs one Path ORAM operation. For OpRead, data is ignored
@@ -681,18 +742,19 @@ func (o *ORAM) Has(addr int64) (bool, error) {
 	return leaf != posmap.NoLeaf, nil
 }
 
-// DrainAll reads the entire tree (sequentially — this is the bulk scan
-// H-ORAM's evict phase performs), combines it with the stash, and
-// returns every real block in ascending address order. The tree is
-// re-filled with dummies and the position map cleared: the ORAM is
-// empty afterwards.
+// DrainAll reads the entire tree (the trusted top, then the device
+// sequentially — this is the bulk scan H-ORAM's evict phase performs),
+// combines it with the stash, and returns every real block in
+// ascending address order. The tree is re-filled with dummies and the
+// position map cleared: the ORAM is empty afterwards.
 func (o *ORAM) DrainAll() ([]stash.Block, error) {
+	if err := o.stashReal(o.topPt); err != nil {
+		return nil, err
+	}
 	chunk := int64(len(o.pathSealed))
-	for lo := int64(0); lo < o.geom.Slots(); lo += chunk {
-		hi := lo + chunk
-		if hi > o.geom.Slots() {
-			hi = o.geom.Slots()
-		}
+	slots := o.devSlots()
+	for lo := int64(0); lo < slots; lo += chunk {
+		hi := min(lo+chunk, slots)
 		n := int(hi - lo)
 		for i := 0; i < n; i++ {
 			o.pathSlots[i] = lo + int64(i)
@@ -703,14 +765,8 @@ func (o *ORAM) DrainAll() ([]stash.Block, error) {
 		if err := o.codec.OpenRun(o.pathPt[:n], o.pathSealed[:n]); err != nil {
 			return nil, fmt.Errorf("pathoram: drain slots [%d,%d): %w", lo, hi, err)
 		}
-		for i := 0; i < n; i++ {
-			addr, payload := o.codec.Decode(o.pathPt[i])
-			if addr == record.DummyAddr {
-				continue
-			}
-			if err := o.stash.Put(addr, o.stashPayload(payload)); err != nil {
-				return nil, err
-			}
+		if err := o.stashReal(o.pathPt[:n]); err != nil {
+			return nil, err
 		}
 	}
 	blocks := o.stash.Drain()

@@ -1,10 +1,12 @@
 package pathoram
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"repro/internal/posmap"
+	"repro/internal/record"
 	"repro/internal/stash"
 )
 
@@ -16,8 +18,12 @@ var ErrNotExportable = errors.New("pathoram: position store is not exportable")
 
 // ExportState returns the instance's control state for a snapshot: the
 // position-map leaf table, copies of the stash contents, and the real
-// block count. The tree contents themselves live on the device and are
-// captured by the caller (raw reads of every slot).
+// block count. Real blocks held in the trusted top levels
+// (Config.Trusted) are handed out as stash entries too, after the
+// stash's own: a block may always sit in the stash instead of on its
+// path, so ImportState restores them there and the snapshot format
+// needs no field for the top. The rest of the tree lives on the device
+// and is captured by the caller (raw reads of every device slot).
 func (o *ORAM) ExportState() (leaves []int64, blocks []stash.Block, real int64, err error) {
 	pm, ok := o.pm.(*posmap.PositionMap)
 	if !ok {
@@ -29,6 +35,12 @@ func (o *ORAM) ExportState() (leaves []int64, blocks []stash.Block, real int64, 
 		owned := make([]byte, len(data))
 		copy(owned, data)
 		blocks = append(blocks, stash.Block{Addr: addr, Data: owned})
+	}
+	for _, pt := range o.topPt {
+		addr, data := o.codec.Decode(pt)
+		if addr != record.DummyAddr {
+			blocks = append(blocks, stash.Block{Addr: addr, Data: bytes.Clone(data)})
+		}
 	}
 	return leaves, blocks, o.real, nil
 }

@@ -4,6 +4,13 @@
 // access therefore costs log2(n/Z) fast memory bucket accesses plus
 // log2(2N/n) slow storage bucket accesses — the Z·log2(2N/n) read +
 // write I/O overhead of equation (5-3) that H-ORAM attacks.
+//
+// The "tree top" here is the part of the tree in DRAM rather than on
+// disk: both tiers are untrusted devices and every bucket is still
+// sealed. It is not the controller-side tree-top cache H-ORAM's memory
+// tree uses (pathoram.Config.Trusted), which keeps the top levels
+// unsealed inside the trusted controller; this baseline runs with the
+// whole tree on its devices.
 package treetop
 
 import (
