@@ -171,10 +171,10 @@ func (c Config) SlotSize() int { return record.SlotSize(c.BlockSize, c.Sealer) }
 
 // Stats aggregates a run's scheme-level counters.
 type Stats struct {
-	Requests     int64 // logical requests completed
+	Requests     int64 // logical requests completed: Hits + Misses
 	Cycles       int64 // scheduler cycles executed
-	Misses       int64 // storage loads for requested blocks
-	Hits         int64 // requests served by the memory tier
+	Misses       int64 // requests completed by their own storage load
+	Hits         int64 // requests completed by the memory tier
 	DummyIO      int64 // dummy storage loads (random prefetches)
 	DummyMemory  int64 // padding path accesses in the memory tier
 	Shuffles     int64 // shuffle periods completed

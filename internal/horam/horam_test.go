@@ -362,7 +362,7 @@ func TestSquareRootInvariantHolds(t *testing.T) {
 			}
 		}
 	}
-	cases = append(cases, tc{"constantTime/block_ct/hot", ctGeometry(true, false), workloads[0].gen, 800})
+	cases = append(cases, tc{"constantTime/block_ct/hot", ctGeometry(true, false), workloads[0].gen, 1600})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

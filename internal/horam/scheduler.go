@@ -56,7 +56,9 @@ func (o *ORAM) abandonROB() {
 // when available, a random prefetch otherwise) overlapped with exactly
 // c memory-tier path accesses (hits from the window, padded with
 // dummies), so every cycle shows the adversary the same shape
-// regardless of the actual hit/miss mix (§4.2). In the default
+// regardless of the actual hit/miss mix (§4.2). A miss is served by
+// its load: it completes in the cycle that fetches it, like a hit, so
+// a lone request takes one cycle either way. In the default
 // incremental shuffle mode a cycle additionally carries one shuffle
 // quantum while a period is in flight; quanta left over when the ROB
 // empties ride along with later cycles.
@@ -170,11 +172,7 @@ func (o *ORAM) cycleInner() error {
 			return nil
 		}
 		if miss != nil {
-			if err := o.fetchBlock(miss.Addr); err != nil {
-				return err
-			}
-			o.stats.Misses++
-			return nil
+			return o.fetchBlock(miss.Addr, miss)
 		}
 		ok, err := o.dummyFetch()
 		if err != nil {

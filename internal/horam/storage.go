@@ -56,13 +56,17 @@ func (o *ORAM) initStorage() error {
 	return nil
 }
 
-// fetchBlock services a miss: one storage read of the block's permuted
+// fetchBlock services a load: one storage read of the block's permuted
 // slot, delivery into the memory tree's stash, residency update, and
 // the square-root touched-bit bookkeeping. Exactly one I/O read; no
 // storage write (the slot simply goes stale until the next shuffle).
-// Runs entirely in instance scratch: the tree's Insert copies the
-// payload, so the steady state allocates nothing here.
-func (o *ORAM) fetchBlock(addr int64) error {
+// When r is the request that missed, the load also completes it, as a
+// partition-ORAM read is answered from the block its storage read
+// returned: r.Result is the opened payload (a write's previous
+// contents), and a write's data is what enters the stash. A prefetch
+// passes nil. Apart from that result copy it runs in instance scratch:
+// the tree's Insert copies the payload.
+func (o *ORAM) fetchBlock(addr int64, r *Request) error {
 	entry, err := o.perm.Lookup(addr)
 	if err != nil {
 		return err
@@ -83,13 +87,23 @@ func (o *ORAM) fetchBlock(addr int64) error {
 	if gotAddr != addr {
 		return fmt.Errorf("horam: storage slot %d holds block %d, want %d", entry.Slot, gotAddr, addr)
 	}
-	if err := o.mem.Insert(addr, payload); err != nil {
+	stashed := payload
+	if r != nil && r.Op == OpWrite {
+		stashed = r.Data
+	}
+	if err := o.mem.Insert(addr, stashed); err != nil {
 		return err
 	}
 	if err := o.perm.SetMemory(addr); err != nil {
 		return err
 	}
 	o.missCount++
+	if r != nil {
+		r.Result = append([]byte(nil), payload...)
+		r.done = true
+		o.stats.Misses++
+		o.stats.Requests++
+	}
 	return nil
 }
 
@@ -114,7 +128,7 @@ func (o *ORAM) dummyFetch() (bool, error) {
 			return false, err
 		}
 		if e.Tier == posmap.TierStorage && !e.Touched {
-			if err := o.fetchBlock(addr); err != nil {
+			if err := o.fetchBlock(addr, nil); err != nil {
 				return false, err
 			}
 			o.stats.DummyIO++
@@ -136,7 +150,7 @@ func (o *ORAM) dummyFetch() (bool, error) {
 		return false, nil
 	}
 	addr := fresh[o.cfg.RNG.Intn(len(fresh))]
-	if err := o.fetchBlock(addr); err != nil {
+	if err := o.fetchBlock(addr, nil); err != nil {
 		return false, err
 	}
 	o.stats.DummyIO++

@@ -40,10 +40,11 @@ var golden = []struct {
 }{
 	// Images re-pinned when AESSealer became AES-GCM (32 B overhead, was 48); ops unchanged.
 	// Re-pinned when the memory tree's top half moved into the controller: ops drop by exactly the top-level slot touches.
+	// Re-pinned when a miss became served by its own load: ops drop by exactly the cycles a miss no longer spends.
 	{"horam", buildHORAM, []string{
-		"2b242d934a6f9671acaed6445076aa3c3bed771716edbc2c5ac60929e8131d82",
-		"7946951842ef3d01de2a25519365f35e64ccb3d83fdf2b52a3d222b14cbfd4b2",
-	}, 29695},
+		"bb9a4f582ab1d75eb8fed184e573ddbbca11c1b2ad16c43b5ab06a257e37b37f",
+		"e190413a2e136ca5e37feba56d07e0cbc2dce8e5bbc158da189dde6cf24b4b54",
+	}, 17536},
 	{"pathoram", buildPathORAM, []string{
 		"a9c3c7589873fc66f60c4ff568a25635367366f35e00e113040cc3effde558cc",
 	}, 12288},

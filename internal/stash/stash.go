@@ -112,13 +112,15 @@ func (s *Stash) AppendAddrs(dst []int64) []int64 {
 }
 
 // Drain removes and returns all blocks in ascending address order.
+// It swaps in a fresh map rather than deleting entry by entry: a Go
+// map never shrinks, so after a whole tree passed through it every
+// later AppendAddrs would walk thousands of empty groups.
 func (s *Stash) Drain() []Block {
 	addrs := s.Addrs()
 	out := make([]Block, 0, len(addrs))
 	for _, a := range addrs {
-		d := s.blocks[a]
-		delete(s.blocks, a)
-		out = append(out, Block{Addr: a, Data: d})
+		out = append(out, Block{Addr: a, Data: s.blocks[a]})
 	}
+	s.blocks = make(map[int64][]byte)
 	return out
 }

@@ -132,3 +132,30 @@ func TestErrFullMessage(t *testing.T) {
 		t.Fatal("empty error message")
 	}
 }
+
+// BenchmarkAppendAddrsAfterDrain measures the sorted address walk of a
+// stash that once held a whole tree's worth of blocks and now holds a
+// handful: the shape eviction sees on every path write after a drain.
+func BenchmarkAppendAddrsAfterDrain(b *testing.B) {
+	s := New(0)
+	for a := int64(0); a < 2048; a++ {
+		if err := s.Put(a, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.Drain()
+	for a := int64(0); a < 4; a++ {
+		if err := s.Put(a*512, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := make([]int64, 0, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = s.AppendAddrs(dst[:0])
+	}
+	if len(dst) != 4 {
+		b.Fatalf("AppendAddrs returned %d addresses, want 4", len(dst))
+	}
+}
