@@ -22,6 +22,20 @@ func smallParams() Params {
 	}
 }
 
+// raceSized returns p as is, or under the race detector with its data,
+// memory and request counts divided by f. The data : memory ratio,
+// block size and hotspot shape stay, so each sweep keeps its shape;
+// non-race runs keep every size.
+func raceSized(p Params, f int) Params {
+	if !raceEnabled {
+		return p
+	}
+	p.DataBytes /= int64(f)
+	p.MemoryBytes /= int64(f)
+	p.Requests /= f
+	return p
+}
+
 func TestComparisonShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison experiment is slow")
@@ -146,7 +160,7 @@ func TestPartialShuffleTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partial shuffle sweep is slow")
 	}
-	rows, err := RunPartialShuffle([]float64{1, 0.25})
+	rows, err := runPartialShuffle(raceSized(partialShuffleParams(), 4), []float64{1, 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +184,7 @@ func TestMultiUserScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-user sweep is slow")
 	}
-	rows, err := RunMultiUser([]int{1, 4})
+	rows, err := runMultiUser(raceSized(multiUserParams(), 4), []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +205,7 @@ func TestStageAblationRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stage ablation is slow")
 	}
-	rows, err := RunStageAblation()
+	rows, err := runStageAblation(raceSized(stageAblationParams(), 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +234,7 @@ func TestZSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Z sweep is slow")
 	}
-	rows, err := RunZSweep([]int{2, 4})
+	rows, err := runZSweep(raceSized(zSweepParams(), 8), []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +311,7 @@ func TestShootoutOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shootout is slow")
 	}
-	rows, err := RunShootout()
+	rows, err := runShootout(raceSized(shootoutParams(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +343,7 @@ func TestNoShuffleCase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("no-shuffle case is slow")
 	}
-	r, err := RunNoShuffleCase()
+	r, err := runNoShuffleCase(raceSized(noShuffleParams(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}

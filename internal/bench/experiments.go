@@ -211,9 +211,9 @@ type PartialShuffleRow struct {
 	StorageBytes int64
 }
 
-// RunPartialShuffle sweeps the shuffle ratio on a mid-size instance.
-func RunPartialShuffle(ratios []float64) ([]PartialShuffleRow, error) {
-	p := Params{
+// partialShuffleParams is the §5.3.1 ablation's instance.
+func partialShuffleParams() Params {
+	return Params{
 		DataBytes:   8 << 20,
 		MemoryBytes: 1 << 20,
 		BlockSize:   1 << 10,
@@ -223,6 +223,14 @@ func RunPartialShuffle(ratios []float64) ([]PartialShuffleRow, error) {
 		Z:           4,
 		Seed:        "partial",
 	}
+}
+
+// RunPartialShuffle sweeps the shuffle ratio on a mid-size instance.
+func RunPartialShuffle(ratios []float64) ([]PartialShuffleRow, error) {
+	return runPartialShuffle(partialShuffleParams(), ratios)
+}
+
+func runPartialShuffle(p Params, ratios []float64) ([]PartialShuffleRow, error) {
 	rows := make([]PartialShuffleRow, 0, len(ratios))
 	for _, r := range ratios {
 		rng := blockcipher.NewRNGFromString(p.Seed + fmt.Sprint(r))
@@ -286,19 +294,36 @@ type MultiUserRow struct {
 	Throughput float64 // requests per simulated second
 }
 
+// multiUserParams is the §5.3.2 instance; Requests counts per user,
+// and the hotspot shape applies to each user's region.
+func multiUserParams() Params {
+	return Params{
+		DataBytes:   16 << 20,
+		MemoryBytes: 2 << 20,
+		BlockSize:   1 << 10,
+		Requests:    2000,
+		HotFrac:     0.8,
+		HotSize:     0.05,
+		Z:           4,
+	}
+}
+
 // RunMultiUser drives one shared H-ORAM with interleaved request
 // streams from u users, each with its own hot region.
 func RunMultiUser(userCounts []int) ([]MultiUserRow, error) {
-	const blocks = 16384
-	const perUser = 2000
+	return runMultiUser(multiUserParams(), userCounts)
+}
+
+func runMultiUser(p Params, userCounts []int) ([]MultiUserRow, error) {
+	blocks := p.blocks()
 	rows := make([]MultiUserRow, 0, len(userCounts))
 	for _, users := range userCounts {
 		rng := blockcipher.NewRNGFromString(fmt.Sprintf("multiuser-%d", users))
 		cfg := horam.Config{
 			Blocks:      blocks,
-			BlockSize:   1 << 10,
-			MemoryBytes: (2 << 20),
-			Z:           4,
+			BlockSize:   p.BlockSize,
+			MemoryBytes: p.MemoryBytes,
+			Z:           p.Z,
 			Sealer:      blockcipher.NullSealer{},
 			RNG:         rng.Fork("oram"),
 		}
@@ -309,17 +334,17 @@ func RunMultiUser(userCounts []int) ([]MultiUserRow, error) {
 		// Each user hammers a private region with an 80/20 law; the
 		// streams interleave round-robin into the shared ROB.
 		gens := make([]workload.Generator, users)
-		span := int64(blocks / users)
+		span := blocks / int64(users)
 		for u := 0; u < users; u++ {
 			base := int64(u) * span
-			hot, err := workload.NewHotspot(span, 0.8, 0.05, rng.Fork(fmt.Sprintf("u%d", u)))
+			hot, err := workload.NewHotspot(span, p.HotFrac, p.HotSize, rng.Fork(fmt.Sprintf("u%d", u)))
 			if err != nil {
 				return nil, err
 			}
 			gens[u] = offsetGen{hot, base}
 		}
 		var reqs []*horam.Request
-		for i := 0; i < perUser; i++ {
+		for i := 0; i < p.Requests; i++ {
 			for u := 0; u < users; u++ {
 				reqs = append(reqs, &horam.Request{Op: horam.OpRead, Addr: gens[u].Next(), User: u})
 			}
@@ -368,15 +393,31 @@ type ZSweepRow struct {
 	StashPeak int
 }
 
+// zSweepParams is the bucket-size ablation's instance; Z is swept.
+func zSweepParams() Params {
+	return Params{
+		DataBytes:   8 << 20,
+		MemoryBytes: 1 << 20,
+		BlockSize:   1 << 10,
+		Requests:    8000,
+		HotFrac:     0.8,
+		HotSize:     0.05,
+	}
+}
+
 // RunZSweep compares memory-tree bucket sizes on a fixed workload.
 func RunZSweep(zs []int) ([]ZSweepRow, error) {
+	return runZSweep(zSweepParams(), zs)
+}
+
+func runZSweep(p Params, zs []int) ([]ZSweepRow, error) {
 	rows := make([]ZSweepRow, 0, len(zs))
 	for _, z := range zs {
 		rng := blockcipher.NewRNGFromString(fmt.Sprintf("zsweep-%d", z))
 		cfg := horam.Config{
-			Blocks:      8192,
-			BlockSize:   1 << 10,
-			MemoryBytes: 1 << 20,
+			Blocks:      p.blocks(),
+			BlockSize:   p.BlockSize,
+			MemoryBytes: p.MemoryBytes,
 			Z:           z,
 			Sealer:      blockcipher.NullSealer{},
 			RNG:         rng.Fork("oram"),
@@ -385,12 +426,12 @@ func RunZSweep(zs []int) ([]ZSweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		gen, err := workload.NewHotspot(8192, 0.8, 0.05, rng.Fork("wl"))
+		gen, err := workload.NewHotspot(p.blocks(), p.HotFrac, p.HotSize, rng.Fork("wl"))
 		if err != nil {
 			return nil, err
 		}
 		var reqs []*horam.Request
-		for _, a := range workload.Take(gen, 8000) {
+		for _, a := range workload.Take(gen, p.Requests) {
 			reqs = append(reqs, &horam.Request{Op: horam.OpRead, Addr: a})
 		}
 		if err := o.RunBatch(reqs); err != nil {
@@ -420,19 +461,9 @@ type StageRow struct {
 	DummyMem  int64
 }
 
-// RunStageAblation contrasts the paper's staged schedule against fixed
-// c values on the same trace.
-func RunStageAblation() ([]StageRow, error) {
-	schedules := []struct {
-		label  string
-		stages []horam.Stage
-	}{
-		{"paper {1,3,5}", horam.PaperStages()},
-		{"fixed c=1", []horam.Stage{{C: 1, Frac: 1}}},
-		{"fixed c=4", []horam.Stage{{C: 4, Frac: 1}}},
-		{"fixed c=8", []horam.Stage{{C: 8, Frac: 1}}},
-	}
-	p := Params{
+// stageAblationParams is the schedule ablation's instance.
+func stageAblationParams() Params {
+	return Params{
 		DataBytes:   8 << 20,
 		MemoryBytes: 1 << 20,
 		BlockSize:   1 << 10,
@@ -441,6 +472,24 @@ func RunStageAblation() ([]StageRow, error) {
 		HotSize:     0.05,
 		Z:           4,
 		Seed:        "stages",
+	}
+}
+
+// RunStageAblation contrasts the paper's staged schedule against fixed
+// c values on the same trace.
+func RunStageAblation() ([]StageRow, error) {
+	return runStageAblation(stageAblationParams())
+}
+
+func runStageAblation(p Params) ([]StageRow, error) {
+	schedules := []struct {
+		label  string
+		stages []horam.Stage
+	}{
+		{"paper {1,3,5}", horam.PaperStages()},
+		{"fixed c=1", []horam.Stage{{C: 1, Frac: 1}}},
+		{"fixed c=4", []horam.Stage{{C: 4, Frac: 1}}},
+		{"fixed c=8", []horam.Stage{{C: 8, Frac: 1}}},
 	}
 	rows := make([]StageRow, 0, len(schedules))
 	for _, s := range schedules {

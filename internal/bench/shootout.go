@@ -43,8 +43,9 @@ func shootoutParams() Params {
 // Path ORAM baseline, square-root ORAM and partition ORAM. It makes
 // the motivation of §3 measurable — which scheme pays tree I/O, which
 // pays shuffle stalls, and what the hybrid buys.
-func RunShootout() ([]ShootoutRow, error) {
-	p := shootoutParams()
+func RunShootout() ([]ShootoutRow, error) { return runShootout(shootoutParams()) }
+
+func runShootout(p Params) ([]ShootoutRow, error) {
 	addrs, err := addresses(p)
 	if err != nil {
 		return nil, err
@@ -181,8 +182,11 @@ type NoShuffleResult struct {
 // RunNoShuffleCase measures H-ORAM with the shuffle on and off the
 // critical path against the baseline, on the Table 5-3 geometry
 // shrunk 4x for wall time.
-func RunNoShuffleCase() (NoShuffleResult, error) {
-	p := Params{
+func RunNoShuffleCase() (NoShuffleResult, error) { return runNoShuffleCase(noShuffleParams()) }
+
+// noShuffleParams is the non-shuffle case's instance.
+func noShuffleParams() Params {
+	return Params{
 		Name:        "noshuffle",
 		DataBytes:   16 << 20,
 		MemoryBytes: 2 << 20,
@@ -193,6 +197,9 @@ func RunNoShuffleCase() (NoShuffleResult, error) {
 		Z:           4,
 		Seed:        "noshuffle",
 	}
+}
+
+func runNoShuffleCase(p Params) (NoShuffleResult, error) {
 	run := func(background bool) (time.Duration, error) {
 		rng := blockcipher.NewRNGFromString(p.Seed + "-horam")
 		cfg := horam.Config{

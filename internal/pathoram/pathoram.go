@@ -141,16 +141,23 @@ type ORAM struct {
 	real  int64 // blocks currently held (tree + stash)
 	stats Stats
 
-	// Constant-time mode state: the concrete stash and position map
-	// (the scan-based entry points live on the concrete types), plus
-	// the fixed-length eviction scratch.
+	// Constant-time mode state: the concrete stash (the scan-based
+	// entry points live on the concrete type), each tree slot's leaf,
+	// and the fixed-length eviction scratch.
 	ct         *stash.CT
-	pmCT       *posmap.PositionMap
 	ctAddrs    []int64 // full stash snapshot (Empty sentinels included)
-	ctLeaves   []int64 // joined leaf per snapshot slot
+	ctLeaves   []int64 // leaf carried by each snapshot slot
 	ctConsumed []int   // slots taken by the current writePath
 	ctElig     []int   // per-level eligibility masks
 	ctRanks    []int   // per-level eligible-prefix counts
+	// The leaf of the block in each tree slot (trusted top included),
+	// stash.NoLeaf for a dummy: written when a path is written back,
+	// read when it is absorbed, so a block's leaf travels with it and
+	// eviction never consults the position map. Indexed by the public
+	// tree slot; the values are as secret as the position map's.
+	//
+	//horam:secret
+	slotLeaf []int64
 
 	// Steady-state scratch: one path's worth of slots, sealed records
 	// and plaintexts, allocated once so accesses allocate nothing.
@@ -240,7 +247,6 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		geom:    geom,
 		dev:     dev,
 		pm:      pm,
-		pmCT:    pmCT,
 		stash:   st,
 		ct:      ct,
 		codec:   record.New(cfg.Sealer, cfg.BlockSize),
@@ -250,10 +256,11 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	if ct != nil {
 		ctCap := ct.Capacity()
 		o.ctAddrs = make([]int64, 0, ctCap)
-		o.ctLeaves = make([]int64, ctCap)
+		o.ctLeaves = make([]int64, 0, ctCap)
 		o.ctConsumed = make([]int, ctCap)
 		o.ctElig = make([]int, ctCap)
 		o.ctRanks = make([]int, ctCap)
+		o.slotLeaf = make([]int64, geom.Slots())
 	}
 	pathLen := (geom.Levels + 1) * cfg.Z
 	o.pathSlots = make([]int64, pathLen)
@@ -284,15 +291,16 @@ func (o *ORAM) newPayload(src []byte) []byte {
 	return buf
 }
 
-// stashPayload returns what to hand the stash's Put for src. The map
-// stash keeps the buffer it is given, so it gets an owned copy; the
-// constant-time stash copies into its own slot array, so src goes to
-// it as is and no throwaway buffer is made.
-func (o *ORAM) stashPayload(src []byte) []byte {
+// stashPut puts addr's block, mapped to leaf, into the stash. The map
+// stash keeps the buffer it is given, so it gets an owned copy, and no
+// leaf (default eviction asks the position map); the constant-time
+// stash copies data into its own slot array, next to leaf, so data
+// goes to it as is and no throwaway buffer is made.
+func (o *ORAM) stashPut(addr, leaf int64, data []byte) error {
 	if o.ct != nil {
-		return src
+		return o.ct.PutMasked(1, addr, leaf, data)
 	}
-	return o.newPayload(src)
+	return o.stash.Put(addr, o.newPayload(data))
 }
 
 // clearTree puts a dummy into every slot of the tree: the trusted top
@@ -302,6 +310,9 @@ func (o *ORAM) stashPayload(src []byte) []byte {
 func (o *ORAM) clearTree() error {
 	for _, pt := range o.topPt {
 		copy(pt, o.codec.DummyPt())
+	}
+	for i := range o.slotLeaf {
+		o.slotLeaf[i] = stash.NoLeaf
 	}
 	rw, hasRaw := o.dev.(device.RawWriter)
 	chunk := int64(len(o.pathSealed))
@@ -336,14 +347,15 @@ func (o *ORAM) clearTree() error {
 func (o *ORAM) devSlots() int64 { return o.geom.Slots() - o.top }
 
 // stashReal puts every real record among the plaintexts pts into the
-// stash.
+// stash, with no leaf: DrainAll, the one caller under ConstantTime,
+// drains the stash straight after.
 func (o *ORAM) stashReal(pts [][]byte) error {
 	for _, pt := range pts {
 		addr, payload := o.codec.Decode(pt)
 		if addr == record.DummyAddr {
 			continue
 		}
-		if err := o.stash.Put(addr, o.stashPayload(payload)); err != nil {
+		if err := o.stashPut(addr, stash.NoLeaf, payload); err != nil {
 			return err
 		}
 	}
@@ -406,11 +418,13 @@ func (o *ORAM) readPath(leaf int64) error {
 	if o.ct != nil {
 		// Constant-time absorption: every slot of the path runs the
 		// same masked Put, so which of them carried real blocks never
-		// shows in the touch sequence.
+		// shows in the touch sequence. Each block takes along the leaf
+		// its slot carries.
 		for i := 0; i < n; i++ {
 			addr, payload := o.codec.Decode(o.pathPt[i])
 			real := ctops.Eq64(addr, record.DummyAddr) ^ 1
-			if err := o.ct.PutMasked(real, addr, payload); err != nil {
+			leaf := o.slotLeaf[o.pathSlots[i]+o.top]
+			if err := o.ct.PutMasked(real, addr, leaf, payload); err != nil {
 				return err
 			}
 		}
@@ -526,13 +540,15 @@ func ctCommonLevel(levels int, a, b int64) int {
 // The staged plaintexts, slot order and seal-nonce order are exactly
 // the default path's, so the sealed device traffic is byte-identical.
 //
-// One snapshot of the stash and one scan-join against the position map
-// serve the whole path, mirroring the default path's single sorted
-// snapshot; consumed slots are marked in a mask and removed from the
-// stash in a fixed number of masked passes at the end.
+// One snapshot of the stash's addresses and of the leaves they carry
+// serves the whole path, mirroring the default path's single sorted
+// snapshot; the position map is never consulted. Consumed slots are
+// marked in a mask and removed from the stash in a fixed number of
+// masked passes at the end, and each written slot's leaf goes into
+// slotLeaf for the read that absorbs it again.
 //
-// The stash-address snapshot and the joined leaf assignments are the
-// secrets here; the written path (leaf) is public device traffic.
+// The stash snapshots are the secrets here; the written path (leaf)
+// is public device traffic.
 //
 //horam:constant-time
 //horam:secret addrs leaves
@@ -540,8 +556,8 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 	capn := o.ct.Capacity()
 	addrs := o.ct.SnapshotAddrs(o.ctAddrs[:0])
 	o.ctAddrs = addrs[:0]
-	leaves := o.ctLeaves[:capn]
-	o.pmCT.GetBatch(addrs, leaves)
+	leaves := o.ct.SnapshotLeaves(o.ctLeaves[:0])
+	o.ctLeaves = leaves[:0]
 	consumed := o.ctConsumed[:capn]
 	for i := range consumed {
 		consumed[i] = 0
@@ -554,12 +570,12 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 	src := o.sealSrc[:0]
 	for level := o.geom.Levels; level >= 0; level-- {
 		base := o.geom.SlotBase(path[level]) - o.top
-		// Eligibility and rank of every candidate at this level. The
-		// Empty sentinel joins to NoLeaf, so unoccupied slots are
-		// masked out without a branch.
+		// Eligibility and rank of every candidate at this level. An
+		// unoccupied slot carries NoLeaf, so it is masked out without
+		// a branch.
 		r := 0
 		for i := 0; i < capn; i++ {
-			mapped := ctops.Eq64(leaves[i], posmap.NoLeaf) ^ 1
+			mapped := ctops.Eq64(leaves[i], stash.NoLeaf) ^ 1
 			cl := ctCommonLevel(o.geom.Levels, leaves[i], leaf)
 			e := (consumed[i] ^ 1) & mapped & ctops.GeInt(cl, level)
 			elig[i] = e
@@ -574,16 +590,18 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 			pt := o.pathPt[n]
 			o.codec.Encode(pt, record.DummyAddr, nil)
 			_, payload := o.codec.Decode(pt)
-			slotAddr := record.DummyAddr
+			slotAddr, slotLeaf := record.DummyAddr, stash.NoLeaf
 			for i := 0; i < capn; i++ {
 				m := elig[i] & ctops.EqInt(ranks[i], z)
 				slotAddr = ctops.Select64(m, addrs[i], slotAddr)
+				slotLeaf = ctops.Select64(m, leaves[i], slotLeaf)
 				o.ct.CopySlotMasked(m, i, payload)
 				consumed[i] |= m
 			}
 			record.PutAddr(pt, slotAddr)
 			src = append(src, pt)
 			o.pathSlots[n] = base + int64(z)
+			o.slotLeaf[o.pathSlots[n]+o.top] = slotLeaf
 			n++
 		}
 		o.stats.BucketWrites++
@@ -633,13 +651,14 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 	}
 
 	// Remap to a fresh uniform leaf before write-back.
-	if _, err := o.pm.Remap(addr); err != nil {
+	newLeaf, err := o.pm.Remap(addr)
+	if err != nil {
 		return nil, err
 	}
 
-	var stored []byte
+	stored := current
 	if op == OpWrite {
-		stored = o.stashPayload(data)
+		stored = data
 	} else if fresh {
 		// A read of a never-written block does not allocate state.
 		if err := o.pm.Set(addr, posmap.NoLeaf); err != nil {
@@ -650,13 +669,11 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 		}
 		o.stats.Accesses++
 		return current, nil
-	} else {
-		// The stash copy must be distinct from the buffer handed to the
-		// caller: stash payloads are recycled once sealed back into the
-		// tree, caller buffers never are.
-		stored = o.stashPayload(current)
 	}
-	if err := o.stash.Put(addr, stored); err != nil {
+	// stashPut copies stored, so the stash copy is distinct from the
+	// buffer handed to the caller: stash payloads are recycled once
+	// sealed back into the tree, caller buffers never are.
+	if err := o.stashPut(addr, newLeaf, stored); err != nil {
 		return nil, err
 	}
 	if err := o.writePath(leaf); err != nil {
@@ -717,10 +734,11 @@ func (o *ORAM) Insert(addr int64, data []byte) error {
 	if existing == posmap.NoLeaf {
 		o.real++
 	}
-	if _, err := o.pm.Remap(addr); err != nil {
+	leaf, err := o.pm.Remap(addr)
+	if err != nil {
 		return err
 	}
-	if err := o.stash.Put(addr, o.stashPayload(data)); err != nil {
+	if err := o.stashPut(addr, leaf, data); err != nil {
 		return err
 	}
 	o.stats.Inserts++

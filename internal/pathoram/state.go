@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/ctops"
 	"repro/internal/posmap"
 	"repro/internal/record"
 	"repro/internal/stash"
@@ -46,8 +47,10 @@ func (o *ORAM) ExportState() (leaves []int64, blocks []stash.Block, real int64, 
 }
 
 // ImportState installs a previously Exported control state. The caller
-// restores the device contents separately (raw writes of every slot);
-// ImportState only rebuilds the trusted in-controller structures.
+// restores the device contents separately (raw writes of every slot)
+// and first: ImportState rebuilds the trusted in-controller structures,
+// and under ConstantTime the slot-leaf table is rebuilt from the
+// restored image.
 func (o *ORAM) ImportState(leaves []int64, blocks []stash.Block, real int64) error {
 	pm, ok := o.pm.(*posmap.PositionMap)
 	if !ok {
@@ -63,9 +66,11 @@ func (o *ORAM) ImportState(leaves []int64, blocks []stash.Block, real int64) err
 		if len(b.Data) != o.cfg.BlockSize {
 			return fmt.Errorf("pathoram: import: block %d payload %d bytes, want %d", b.Addr, len(b.Data), o.cfg.BlockSize)
 		}
-		owned := make([]byte, len(b.Data))
-		copy(owned, b.Data)
-		if err := o.stash.Put(b.Addr, owned); err != nil {
+		leaf, err := pm.Get(b.Addr)
+		if err != nil {
+			return err
+		}
+		if err := o.stashPut(b.Addr, leaf, b.Data); err != nil {
 			return err
 		}
 	}
@@ -73,5 +78,49 @@ func (o *ORAM) ImportState(leaves []int64, blocks []stash.Block, real int64) err
 		return fmt.Errorf("pathoram: import: real count %d out of [0,%d]", real, o.Capacity())
 	}
 	o.real = real
+	if o.ct != nil {
+		return o.loadSlotLeaves()
+	}
+	return nil
+}
+
+// loadSlotLeaves rebuilds the constant-time slot-leaf table from what
+// the tree holds now — the trusted top's plaintexts and the device
+// image, read raw when the device allows — and the position map. Every
+// slot runs the same lookup, masked for a dummy, and the map answers
+// it with its full-length scan, so which address sits in which slot
+// shows in no memory-touch pattern.
+//
+//horam:constant-time
+func (o *ORAM) loadSlotLeaves() error {
+	raw, hasRaw := o.dev.(interface{ ReadRaw(int64, []byte) error })
+	sealed := o.pathSealed[0]
+	for s := range o.slotLeaf {
+		pt := o.pathPt[0]
+		if int64(s) < o.top {
+			pt = o.topPt[s]
+		} else {
+			slot := int64(s) - o.top
+			var err error
+			if hasRaw {
+				err = raw.ReadRaw(slot, sealed)
+			} else {
+				err = o.dev.Read(slot, sealed)
+			}
+			if err == nil {
+				_, _, err = o.codec.OpenInto(pt, sealed)
+			}
+			if err != nil {
+				return fmt.Errorf("pathoram: import: slot %d: %w", slot, err)
+			}
+		}
+		addr, _ := o.codec.Decode(pt)
+		real := ctops.Eq64(addr, record.DummyAddr) ^ 1
+		leaf, err := o.pm.Get(ctops.Select64(real, addr, 0))
+		if err != nil {
+			return err
+		}
+		o.slotLeaf[s] = ctops.Select64(real, leaf, stash.NoLeaf)
+	}
 	return nil
 }

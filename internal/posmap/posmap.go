@@ -141,29 +141,6 @@ func (m *PositionMap) Remap(addr int64) (int64, error) {
 	return leaf, nil
 }
 
-// GetBatch fills dst[i] with the leaf addrs[i] maps to (NoLeaf for
-// addresses outside the map, such as the constant-time stash's Empty
-// sentinel), in one pass over the leaf array regardless of how many
-// addresses are asked for. pathoram's constant-time eviction uses it
-// to join a fixed-length stash snapshot against the map without
-// per-candidate indexed loads. dst must be as long as addrs.
-//
-//horam:constant-time
-//horam:secret addrs
-func (m *PositionMap) GetBatch(addrs, dst []int64) {
-	for i := range dst {
-		dst[i] = NoLeaf
-	}
-	for j := range m.leaves {
-		lj := m.leaves[j]
-		jj := int64(j)
-		for i := range addrs {
-			mm := ctops.Eq64(addrs[i], jj)
-			dst[i] = ctops.Select64(mm, lj, dst[i])
-		}
-	}
-}
-
 // RemapAll assigns every address an independent random leaf.
 func (m *PositionMap) RemapAll() {
 	for i := range m.leaves {

@@ -37,6 +37,11 @@ import (
 // always form the sorted prefix of the array.
 const Empty = int64(math.MaxInt64)
 
+// NoLeaf is the leaf an unoccupied constant-time slot carries, and the
+// one Put stores. It equals posmap.NoLeaf, so a stash leaf compares
+// directly against a position-map leaf.
+const NoLeaf = int64(-1)
+
 // Store is the stash contract pathoram consumes: the map Stash and the
 // constant-time CT both satisfy it.
 type Store interface {
@@ -73,13 +78,18 @@ type CT struct {
 	//
 	//horam:secret
 	addrs []int64 // sorted ascending; Empty sentinels form the suffix
-	lens  []int   // stored payload length per slot
-	slab  []byte  // capacity × blockSize payload backing
-	count int
-	peak  int
-	out   []byte // Get/Has scan target, reused across calls
-	pad   []byte // Put staging: payload zero-padded to blockSize
-	zero  []byte // all-zero block for masked clears
+	// Each block's Path ORAM leaf travels with it, so eviction reads
+	// the leaf where the block is instead of joining the position map.
+	//
+	//horam:secret
+	leaves []int64 // indexed like addrs; NoLeaf in unoccupied slots
+	lens   []int   // stored payload length per slot
+	slab   []byte  // capacity × blockSize payload backing
+	count  int
+	peak   int
+	out    []byte // Get/Has scan target, reused across calls
+	pad    []byte // Put staging: payload zero-padded to blockSize
+	zero   []byte // all-zero block for masked clears
 }
 
 // NewConstantTime returns an empty constant-time stash holding at most
@@ -98,6 +108,7 @@ func NewConstantTime(capacity, blockSize int) *CT {
 		capacity:  capacity,
 		blockSize: blockSize,
 		addrs:     make([]int64, capacity),
+		leaves:    make([]int64, capacity),
 		lens:      make([]int, capacity),
 		slab:      make([]byte, capacity*blockSize),
 		out:       make([]byte, blockSize),
@@ -106,6 +117,7 @@ func NewConstantTime(capacity, blockSize int) *CT {
 	}
 	for i := range s.addrs {
 		s.addrs[i] = Empty
+		s.leaves[i] = NoLeaf
 	}
 	return s
 }
@@ -118,22 +130,24 @@ func (s *CT) BlockSize() int { return s.blockSize }
 
 func (s *CT) slot(i int) []byte { return s.slab[i*s.blockSize : (i+1)*s.blockSize] }
 
-// Put stores data under addr, replacing any previous value; the data
-// is copied into the slot array (the caller keeps ownership of its
-// buffer, unlike the map stash). Equivalent to PutMasked(1, ...).
+// Put stores data under addr with leaf NoLeaf, replacing any previous
+// value; the data is copied into the slot array (the caller keeps
+// ownership of its buffer, unlike the map stash). Equivalent to
+// PutMasked(1, addr, NoLeaf, data).
 //
 //horam:secret addr
-func (s *CT) Put(addr int64, data []byte) error { return s.PutMasked(1, addr, data) }
+func (s *CT) Put(addr int64, data []byte) error { return s.PutMasked(1, addr, NoLeaf, data) }
 
-// PutMasked is Put when v == 1 and a fixed-cost no-op when v == 0: the
+// PutMasked stores data and leaf under addr when v == 1 (replacing
+// both if addr is present) and is a fixed-cost no-op when v == 0: the
 // same full-length scan and shift passes run either way, with every
 // write masked out. pathoram's read-path uses it to absorb a path's
 // slots without revealing which of them carried real blocks. When
-// v == 0 the addr operand is ignored (it may be a dummy sentinel);
-// when v == 1 it must be a valid non-negative address.
+// v == 0 the addr and leaf operands are ignored (they may be dummy
+// sentinels); when v == 1 addr must be a valid non-negative address.
 //
-//horam:secret addr
-func (s *CT) PutMasked(v int, addr int64, data []byte) error {
+//horam:secret addr leaf
+func (s *CT) PutMasked(v int, addr, leaf int64, data []byte) error {
 	if len(data) > s.blockSize {
 		return fmt.Errorf("stash: payload %d bytes exceeds constant-time slot size %d", len(data), s.blockSize)
 	}
@@ -167,6 +181,7 @@ func (s *CT) PutMasked(v int, addr int64, data []byte) error {
 	for i := s.capacity - 1; i >= 1; i-- {
 		mv := doInsert & ctops.GeInt(i-1, pos)
 		s.addrs[i] = ctops.Select64(mv, s.addrs[i-1], s.addrs[i])
+		s.leaves[i] = ctops.Select64(mv, s.leaves[i-1], s.leaves[i])
 		s.lens[i] = ctops.SelectInt(mv, s.lens[i-1], s.lens[i])
 		ctops.CopyBytes(mv, s.slot(i), s.slot(i-1))
 	}
@@ -175,6 +190,7 @@ func (s *CT) PutMasked(v int, addr int64, data []byte) error {
 	for i := range s.addrs {
 		w := (present & ctops.Eq64(s.addrs[i], a)) | (doInsert & ctops.EqInt(i, pos))
 		s.addrs[i] = ctops.Select64(w, a, s.addrs[i])
+		s.leaves[i] = ctops.Select64(w, leaf, s.leaves[i])
 		s.lens[i] = ctops.SelectInt(w, len(data), s.lens[i])
 		ctops.CopyBytes(w, s.slot(i), s.pad)
 	}
@@ -229,11 +245,13 @@ func (s *CT) Take(addr int64) ([]byte, bool) {
 	for i := 0; i < s.capacity-1; i++ {
 		mv := found & ctops.GeInt(i, pos)
 		s.addrs[i] = ctops.Select64(mv, s.addrs[i+1], s.addrs[i])
+		s.leaves[i] = ctops.Select64(mv, s.leaves[i+1], s.leaves[i])
 		s.lens[i] = ctops.SelectInt(mv, s.lens[i+1], s.lens[i])
 		ctops.CopyBytes(mv, s.slot(i), s.slot(i+1))
 	}
 	last := s.capacity - 1
 	s.addrs[last] = ctops.Select64(found, Empty, s.addrs[last])
+	s.leaves[last] = ctops.Select64(found, NoLeaf, s.leaves[last])
 	s.lens[last] = ctops.SelectInt(found, 0, s.lens[last])
 	ctops.CopyBytes(found, s.slot(last), s.zero)
 	s.count -= found
@@ -281,6 +299,7 @@ func (s *CT) Drain() []Block {
 	}
 	for i := range s.addrs {
 		s.addrs[i] = Empty
+		s.leaves[i] = NoLeaf
 		s.lens[i] = 0
 	}
 	for i := range s.slab {
@@ -295,6 +314,13 @@ func (s *CT) Drain() []Block {
 // this snapshot so its candidate enumeration has a fixed length.
 func (s *CT) SnapshotAddrs(dst []int64) []int64 {
 	return append(dst, s.addrs...)
+}
+
+// SnapshotLeaves appends the FULL fixed-length leaf array to dst,
+// indexed like SnapshotAddrs: entry i is the leaf of the block whose
+// address is SnapshotAddrs' entry i, NoLeaf where that is Empty.
+func (s *CT) SnapshotLeaves(dst []int64) []int64 {
+	return append(dst, s.leaves...)
 }
 
 // CopySlotMasked copies slot i's payload bytes into dst when v == 1
@@ -329,11 +355,13 @@ func (s *CT) RemoveMasked(mask []int, removals int) {
 		for i := 0; i < last; i++ {
 			mv := found & ctops.GeInt(i, pos)
 			s.addrs[i] = ctops.Select64(mv, s.addrs[i+1], s.addrs[i])
+			s.leaves[i] = ctops.Select64(mv, s.leaves[i+1], s.leaves[i])
 			s.lens[i] = ctops.SelectInt(mv, s.lens[i+1], s.lens[i])
 			mask[i] = ctops.SelectInt(mv, mask[i+1], mask[i])
 			ctops.CopyBytes(mv, s.slot(i), s.slot(i+1))
 		}
 		s.addrs[last] = ctops.Select64(found, Empty, s.addrs[last])
+		s.leaves[last] = ctops.Select64(found, NoLeaf, s.leaves[last])
 		s.lens[last] = ctops.SelectInt(found, 0, s.lens[last])
 		mask[last] = ctops.SelectInt(found, 0, mask[last])
 		ctops.CopyBytes(found, s.slot(last), s.zero)

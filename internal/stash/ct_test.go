@@ -220,7 +220,7 @@ func TestCTPutMaskedZeroIsNoOp(t *testing.T) {
 	if err := s.Put(2, []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutMasked(0, 7, []byte{7}); err != nil {
+	if err := s.PutMasked(0, 7, NoLeaf, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 || s.Has(7) {
@@ -232,7 +232,7 @@ func TestCTPutMaskedZeroIsNoOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PutMasked(0, 9, []byte{9}); err != nil {
+	if err := s.PutMasked(0, 9, NoLeaf, []byte{9}); err != nil {
 		t.Fatalf("masked-off Put at capacity: %v", err)
 	}
 }
