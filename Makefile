@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline fmt
+.PHONY: ci build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline unreached fmt
 
 ci: build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench-sealer bench-timing
 
@@ -73,6 +73,11 @@ bench-timing:
 # Regenerate the committed timing baseline (BENCH_timing.json).
 bench-timing-baseline:
 	./scripts/timing_gate.sh -update
+
+# Reachability report (not a gate, not in ci): the non-test functions
+# no binary links. See scripts/unreached.sh.
+unreached:
+	./scripts/unreached.sh
 
 fmt:
 	gofmt -w .

@@ -246,9 +246,6 @@ func (r *RNG) Uint64() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// Int63 returns a uniformly random non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.
 // Modulo bias is removed by rejection sampling.
 func (r *RNG) Intn(n int) int {

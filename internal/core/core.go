@@ -226,13 +226,10 @@ const (
 // order. A malformed request anywhere in the slice fails the whole
 // batch before any request runs. Batching is the intended operating
 // mode: a full reorder buffer lets the secure scheduler group hits and
-// misses with minimal dummy padding.
+// misses with minimal dummy padding. A Client does not merge
+// requests from different callers (concurrent Batch calls serialise);
+// that happens in internal/engine's per-shard queue.
 func (c *Client) Batch(reqs []*Request) error {
-	for _, r := range reqs {
-		if err := c.validate(r); err != nil {
-			return err
-		}
-	}
 	c.oramMu.Lock()
 	defer c.oramMu.Unlock()
 	return c.oram.RunBatch(reqs)

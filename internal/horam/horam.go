@@ -439,10 +439,6 @@ func (o *ORAM) ShuffleGen() int64 { return o.shuffleGen }
 // Clock returns the global (overlap-aware) virtual clock.
 func (o *ORAM) Clock() *simclock.Clock { return o.clk }
 
-// Accounting returns per-phase virtual time buckets ("access",
-// "shuffle").
-func (o *ORAM) Accounting() *simclock.Accumulator { return o.acct }
-
 // Stats returns scheme-level counters.
 func (o *ORAM) Stats() Stats { return o.stats }
 

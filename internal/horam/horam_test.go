@@ -244,6 +244,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestRunBatchRejectsWithoutQueuing: a batch with a malformed request
+// after a valid one is rejected whole — the valid write is not left in
+// the ROB, so it neither blocks the next PadToCycles nor takes effect
+// when a later request drains the queue.
+func TestRunBatchRejectsWithoutQueuing(t *testing.T) {
+	o := build(t, 16, 16, 64)
+	err := o.RunBatch([]*Request{
+		{Op: OpWrite, Addr: 3, Data: fill(16, 7)},
+		{Op: OpRead, Addr: 999},
+	})
+	if err == nil {
+		t.Fatal("RunBatch accepted an out-of-range address")
+	}
+	if n := o.Pending(); n != 0 {
+		t.Errorf("rejected batch left %d requests queued", n)
+	}
+	if _, err := o.PadToCycles(o.Stats().Cycles + 1); err != nil {
+		t.Errorf("PadToCycles after a rejected batch: %v", err)
+	}
+	got, err := o.Read(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 16)) {
+		t.Errorf("write of the rejected batch took effect: read %x", got)
+	}
+}
+
 func TestCycleShapeUniform(t *testing.T) {
 	// Every cycle must issue exactly 1 storage read; memory accesses
 	// per cycle must equal the stage's c (hits + dummies). We verify

@@ -1,6 +1,7 @@
 package horam
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/pathoram"
@@ -8,7 +9,9 @@ import (
 )
 
 // Submit queues requests into the ROB table without executing them.
-// Data slices for writes are copied.
+// Data slices for writes are copied. A malformed request anywhere in
+// reqs rejects them all: nothing is queued, so no valid request of a
+// failed submission runs later.
 func (o *ORAM) Submit(reqs ...*Request) error {
 	if o.poisoned != nil {
 		return o.poisoned
@@ -20,13 +23,13 @@ func (o *ORAM) Submit(reqs ...*Request) error {
 		if r.Addr < 0 || r.Addr >= o.cfg.Blocks {
 			return fmt.Errorf("horam: address %d out of range [0,%d)", r.Addr, o.cfg.Blocks)
 		}
+		if r.Op == OpWrite && len(r.Data) != o.cfg.BlockSize {
+			return fmt.Errorf("horam: write payload %d bytes, want %d", len(r.Data), o.cfg.BlockSize)
+		}
+	}
+	for _, r := range reqs {
 		if r.Op == OpWrite {
-			if len(r.Data) != o.cfg.BlockSize {
-				return fmt.Errorf("horam: write payload %d bytes, want %d", len(r.Data), o.cfg.BlockSize)
-			}
-			owned := make([]byte, len(r.Data))
-			copy(owned, r.Data)
-			r.Data = owned
+			r.Data = bytes.Clone(r.Data)
 		}
 		r.done = false
 		r.SubmitSim = o.clk.Now()

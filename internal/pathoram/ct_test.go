@@ -218,27 +218,14 @@ func TestConstantTimeDrainAndStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConstantTimeRejectsExternalPositions: the CT path owns the
-// position map (it needs the scan variant), so Config.Positions and
-// ConstantTime are mutually exclusive.
+// TestConstantTimeRejectsExternalPositions: the CT path owns the one
+// in-controller position map and switches it to full-length scan
+// lookups; a default-mode instance keeps the indexed lookups.
 func TestConstantTimeRejectsExternalPositions(t *testing.T) {
-	cfg := testConfig(16, 32)
-	cfg.ConstantTime = true
-	cfg.Positions = fakePositions{}
-	clk := simclock.New()
-	dev, err := device.New(device.DRAM(), cfg.SlotSize(), 1024, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg, dev); err == nil {
-		t.Fatal("New accepted ConstantTime with an external position map")
+	for _, ct := range []bool{false, true} {
+		o, _ := newRecORAM(t, 16, 32, ct)
+		if got := o.pm.ConstantTime(); got != ct {
+			t.Fatalf("ConstantTime=%v: position map scan discipline is %v", ct, got)
+		}
 	}
 }
-
-// fakePositions is a stub PositionStore for the rejection test.
-type fakePositions struct{}
-
-func (fakePositions) Get(int64) (int64, error)   { return 0, nil }
-func (fakePositions) Set(int64, int64) error     { return nil }
-func (fakePositions) Remap(int64) (int64, error) { return 0, nil }
-func (fakePositions) Clear()                     {}

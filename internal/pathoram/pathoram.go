@@ -56,11 +56,6 @@ type Config struct {
 	// the peak instead of failing). Under ConstantTime it is also the
 	// length of every stash scan, and 0 means min(tree slots, Blocks).
 	StashLimit int
-	// Positions overrides where the position map lives. Nil keeps the
-	// classic in-controller map (the paper's "naive setting, no
-	// recursive"); the recursive construction plugs in a store backed
-	// by smaller ORAMs here.
-	Positions PositionStore
 	// ConstantTime hardens the controller's trusted-memory work
 	// against a co-located timing adversary: the stash becomes a dense
 	// slot array scanned full-length in fixed order on every
@@ -68,8 +63,7 @@ type Config struct {
 	// eviction selects blocks with branchless masks instead of
 	// early-exit loops. Device traffic (slots, order, sealed bytes and
 	// the RNG streams behind them) is byte-identical to the default
-	// mode; only in-memory computation changes. Requires the built-in
-	// position map (Positions must be nil).
+	// mode; only in-memory computation changes.
 	ConstantTime bool
 	// Trusted is the number of top tree levels kept inside the
 	// controller as plaintext records instead of on the device — the
@@ -81,20 +75,6 @@ type Config struct {
 	// the bus reveals nothing new. Zero keeps the whole tree on the
 	// device; at most the tree's Levels.
 	Trusted int
-}
-
-// PositionStore is the position-map dependency of the ORAM: logical
-// address → current leaf. posmap.PositionMap satisfies it natively;
-// RecursivePositions implements it on top of smaller ORAMs.
-type PositionStore interface {
-	// Get returns the leaf addr maps to, or posmap.NoLeaf.
-	Get(addr int64) (int64, error)
-	// Set pins addr to leaf (posmap.NoLeaf unmaps it).
-	Set(addr, leaf int64) error
-	// Remap assigns addr a fresh uniform leaf and returns it.
-	Remap(addr int64) (int64, error)
-	// Clear unmaps every address.
-	Clear()
 }
 
 func (c Config) validate() error {
@@ -136,7 +116,7 @@ type ORAM struct {
 	cfg   Config
 	geom  oramtree.Geometry
 	dev   device.Device
-	pm    PositionStore
+	pm    *posmap.PositionMap // the paper's "naive setting, no recursive"
 	stash stash.Store
 	real  int64 // blocks currently held (tree + stash)
 	stats Stats
@@ -211,21 +191,14 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 	if dev.Slots() < geom.Slots()-top {
 		return nil, fmt.Errorf("pathoram: device has %d slots, tree needs %d", dev.Slots(), geom.Slots()-top)
 	}
-	var pm PositionStore = cfg.Positions
-	var pmCT *posmap.PositionMap
-	if pm == nil {
-		native, err := posmap.NewPositionMap(cfg.Blocks, geom.Leaves(), cfg.RNG.Fork("posmap"))
-		if err != nil {
-			return nil, err
-		}
-		pm, pmCT = native, native
-	} else if cfg.ConstantTime {
-		return nil, errors.New("pathoram: ConstantTime requires the built-in position map (Positions must be nil)")
+	pm, err := posmap.NewPositionMap(cfg.Blocks, geom.Leaves(), cfg.RNG.Fork("posmap"))
+	if err != nil {
+		return nil, err
 	}
 	var st stash.Store
 	var ct *stash.CT
 	if cfg.ConstantTime {
-		pmCT.SetConstantTime(true)
+		pm.SetConstantTime(true)
 		// The fixed scan length: the stash holds at most one copy per
 		// address and never more than the tree's slots, so with no
 		// explicit limit min(slots, Blocks) real blocks is a safe

@@ -49,7 +49,7 @@ func newSlotLeafORAM(t *testing.T, k int) (*ORAM, *device.Sim) {
 // every stash entry the map's leaf, and every empty stash slot NoLeaf.
 func checkSlotLeaves(t *testing.T, o *ORAM, dev *device.Sim, when string) {
 	t.Helper()
-	pm := o.pm.(*posmap.PositionMap).Export()
+	pm := o.pm.Export()
 	if got := len(o.slotLeaf); int64(got) != o.geom.Slots() {
 		t.Fatalf("%s: slotLeaf has %d entries, tree has %d slots", when, got, o.geom.Slots())
 	}

@@ -2,20 +2,12 @@ package pathoram
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"repro/internal/ctops"
-	"repro/internal/posmap"
 	"repro/internal/record"
 	"repro/internal/stash"
 )
-
-// ErrNotExportable is returned by ExportState when the position map is
-// not the in-controller posmap.PositionMap (the recursive construction
-// stores positions inside other ORAMs, which snapshot as devices, not
-// as a leaf table).
-var ErrNotExportable = errors.New("pathoram: position store is not exportable")
 
 // ExportState returns the instance's control state for a snapshot: the
 // position-map leaf table, copies of the stash contents, and the real
@@ -26,11 +18,7 @@ var ErrNotExportable = errors.New("pathoram: position store is not exportable")
 // needs no field for the top. The rest of the tree lives on the device
 // and is captured by the caller (raw reads of every device slot).
 func (o *ORAM) ExportState() (leaves []int64, blocks []stash.Block, real int64, err error) {
-	pm, ok := o.pm.(*posmap.PositionMap)
-	if !ok {
-		return nil, nil, 0, ErrNotExportable
-	}
-	leaves = pm.Export()
+	leaves = o.pm.Export()
 	for _, addr := range o.stash.Addrs() {
 		data, _ := o.stash.Get(addr)
 		owned := make([]byte, len(data))
@@ -52,11 +40,7 @@ func (o *ORAM) ExportState() (leaves []int64, blocks []stash.Block, real int64, 
 // and under ConstantTime the slot-leaf table is rebuilt from the
 // restored image.
 func (o *ORAM) ImportState(leaves []int64, blocks []stash.Block, real int64) error {
-	pm, ok := o.pm.(*posmap.PositionMap)
-	if !ok {
-		return ErrNotExportable
-	}
-	if err := pm.Import(leaves); err != nil {
+	if err := o.pm.Import(leaves); err != nil {
 		return err
 	}
 	for _, b := range blocks {
@@ -66,7 +50,7 @@ func (o *ORAM) ImportState(leaves []int64, blocks []stash.Block, real int64) err
 		if len(b.Data) != o.cfg.BlockSize {
 			return fmt.Errorf("pathoram: import: block %d payload %d bytes, want %d", b.Addr, len(b.Data), o.cfg.BlockSize)
 		}
-		leaf, err := pm.Get(b.Addr)
+		leaf, err := o.pm.Get(b.Addr)
 		if err != nil {
 			return err
 		}

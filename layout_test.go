@@ -8,14 +8,15 @@ import (
 )
 
 // TestEveryCommandAndExampleIsInReadme fails when a directory under
-// cmd/ or examples/ is not named in README.md, so a binary that no
-// documented workflow runs cannot accumulate unnoticed.
+// cmd/, examples/ or internal/ is not named in README.md, so neither a
+// binary that no documented workflow runs nor a package the layout
+// does not explain can accumulate unnoticed.
 func TestEveryCommandAndExampleIsInReadme(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, root := range []string{"cmd", "examples"} {
+	for _, root := range []string{"cmd", "examples", "internal"} {
 		entries, err := os.ReadDir(root)
 		if err != nil {
 			t.Fatal(err)
