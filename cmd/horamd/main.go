@@ -224,9 +224,10 @@ func main() {
 		}
 	}
 
-	// Observability: every mode gets a registry (it also backs the
-	// STATS line) and a tracer (armed by the TRACE verb); -metrics-addr
-	// decides whether the exposition is reachable over HTTP.
+	// Observability: every mode gets a registry (STATS renders it
+	// whole, Trusted series included) and a tracer (armed by the TRACE
+	// verb); -metrics-addr decides whether the exposition is reachable
+	// over HTTP.
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(obs.DefaultTraceSpans)
 	eng.Observe(reg, tracer)
@@ -450,17 +451,17 @@ func main() {
 		logger.Info("served",
 			"requests", st.Requests, "conns", st.Accepted,
 			"windows", st.Batches, "mean_window", st.MeanBatch,
-			"hist", st.HistogramString())
+			"hist", srv.HistogramString())
 	}
 	logger.Info("engine summary",
 		"shards", sum.Shards, "hits", sum.Hits, "misses", sum.Misses,
 		"shuffles", sum.Shuffles, "cycles", sum.Cycles, "padded", sum.Padded,
 		"simtime", sum.SimTime.Round(time.Millisecond))
-	for _, sh := range st.PerShard {
+	for _, sh := range eng.ShardStats() {
 		logger.Info("shard summary",
 			"shard", sh.Shard, "blocks", sh.Blocks,
 			"drains", sh.Batches, "reqs", sh.Requests, "mean", sh.MeanBatch,
-			"hist", engine.FormatHist(sh.Hist),
+			"hist", eng.DrainSizes(sh.Shard).BucketString(),
 			"cycles", sh.Cycles, "pad", sh.PadCycles, "shuffles", sh.Shuffles)
 	}
 	if err := eng.Close(); err != nil {

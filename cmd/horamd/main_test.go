@@ -162,17 +162,24 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
-func stats(t *testing.T, c *client.Client) client.StatsLine {
+// stats fetches one STATS line as series=value pairs.
+func stats(t *testing.T, c *client.Client) map[string]string {
 	t.Helper()
 	kv, err := c.Stats()
 	if err != nil {
 		t.Fatalf("STATS: %v", err)
 	}
-	st, err := client.ParseStats(kv)
+	return kv
+}
+
+// statInt reads one series off a STATS map or fails the test.
+func statInt(t *testing.T, kv map[string]string, series string) int64 {
+	t.Helper()
+	n, err := client.StatInt(kv, series)
 	if err != nil {
 		t.Fatalf("STATS did not parse: %v", err)
 	}
-	return st
+	return n
 }
 
 // lastWrites is the read-back model both restart tests check against:
@@ -330,8 +337,8 @@ func TestKVTableSurvivesSIGTERMRestart(t *testing.T) {
 	if live := len(model.m); live != keys-keys/4 {
 		t.Fatalf("model holds %d live keys, want %d", live, keys-keys/4)
 	}
-	if st := stats(t, c); st.KV == nil || st.KV.Count != int64(len(model.m)) {
-		t.Fatalf("kv group after restart = %+v, want %d live keys", st.KV, len(model.m))
+	if n := statInt(t, stats(t, c), "horam_kv_count"); n != int64(len(model.m)) {
+		t.Fatalf("horam_kv_count after restart = %d, want %d live keys", n, len(model.m))
 	}
 	if err := c.KSet([]byte("post-restart"), []byte("works")); err != nil {
 		t.Fatalf("KSET after restart: %v", err)
@@ -490,9 +497,15 @@ func TestClusterNodeKillIsAttributed(t *testing.T) {
 	}
 	t.Logf("post-kill: %d/50 ops failed, %d named shard 1", errs, named)
 
-	// STATS still answers, and parses in full, after the kill.
-	if st := stats(t, c); st.Shards != 2 || len(st.PerShard) != 2 {
-		t.Fatalf("STATS after node kill reports %d shards (%d groups), want 2", st.Shards, len(st.PerShard))
+	// STATS still answers, and parses in full, after the kill: both
+	// shards' series are there, the dead node's read as its fallbacks.
+	kv := stats(t, c)
+	for _, series := range []string{`horam_shard_cycles{shard="0"}`, `horam_shard_requests{shard="0"}`,
+		`horam_shard_cycles{shard="1"}`, `horam_shard_requests{shard="1"}`} {
+		statInt(t, kv, series)
+	}
+	if _, ok := kv[`horam_shard_cycles{shard="2"}`]; ok {
+		t.Fatal("STATS after node kill reports a third shard")
 	}
 	c.Close()
 	gw.stop(t, "gateway")

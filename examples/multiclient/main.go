@@ -3,8 +3,8 @@
 // and requests that arrive while a shard's scheduler is busy leave
 // together as its next drain — one storage load amortised across c
 // in-memory hits (§4.2) even though no single client ever batches
-// anything itself. The per-shard drain histograms printed at the end
-// are the proof.
+// anything itself. The per-shard drain counts printed at the end, read
+// off the server's STATS line, are the proof.
 //
 //	go run ./examples/multiclient
 //	go run ./examples/multiclient -clients 16 -ops 100
@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -81,18 +83,49 @@ func main() {
 	wg.Wait()
 	wall := time.Since(start)
 
-	total := *clients * *ops
+	requests := *clients * *ops
 	fmt.Printf("%d requests in %v wall time (%.0f req/s)\n",
-		total, wall.Round(time.Millisecond), float64(total)/wall.Seconds())
-	cs := store.Stats()
-	fmt.Printf("scheduler drains: %d, mean drain size %.2f, histogram %s\n",
-		cs.Batches, float64(cs.Requests)/float64(cs.Batches), engine.FormatHist(srv.Stats().ShardHistogram))
-	fmt.Printf("engine: shards=%d hits=%d misses=%d shuffles=%d simtime=%v\n",
-		cs.Shards, cs.Hits, cs.Misses, cs.Shuffles, cs.SimTime.Round(time.Millisecond))
-	for _, sh := range store.ShardStats() {
-		fmt.Printf("  shard %d: drains=%d reqs=%d mean=%.2f hist=%s\n",
-			sh.Shard, sh.Batches, sh.Requests, sh.MeanBatch, engine.FormatHist(sh.Hist))
+		requests, wall.Round(time.Millisecond), float64(requests)/wall.Seconds())
+	c, err := client.Dial(addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	kv, err := c.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
+	c.Close() //horam:errok example teardown; the STATS line is already read
+	drains, reqs := total(kv, "horam_shard_drains"), total(kv, "horam_shard_drained_requests")
+	fmt.Printf("scheduler drains: %d, mean drain size %.2f\n", drains, float64(reqs)/float64(drains))
+	fmt.Printf("engine: shards=%d hits=%d misses=%d shuffles=%d\n",
+		*shards, total(kv, "horam_shard_hits"), total(kv, "horam_shard_misses"), total(kv, "horam_shard_shuffles"))
+	for i := 0; i < *shards; i++ {
+		shard := `shard="` + strconv.Itoa(i) + `"`
+		drains := stat(kv, "horam_shard_drains{"+shard+"}")
+		fmt.Printf("  shard %d: drains=%d reqs=%d, %d of them carrying more than one request\n", i, drains,
+			stat(kv, "horam_shard_drained_requests{"+shard+"}"),
+			drains-stat(kv, "horam_shard_drain_size_bucket{"+shard+`,le="1"}`))
 	}
 	srv.Close()   //horam:errok example teardown; the demo output is already printed
 	store.Close() //horam:errok example teardown; the demo output is already printed
+}
+
+// stat reads one series off a STATS line.
+func stat(kv map[string]string, series string) int64 {
+	n, err := client.StatInt(kv, series)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return n
+}
+
+// total sums one metric of a STATS line over its per-shard series.
+func total(kv map[string]string, name string) int64 {
+	var sum int64
+	for series := range kv {
+		if strings.HasPrefix(series, name+"{") {
+			sum += stat(kv, series)
+		}
+	}
+	return sum
 }

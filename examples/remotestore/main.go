@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"strings"
 
 	"repro/internal/client"
 	"repro/internal/engine"
@@ -76,8 +77,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("STATS   -> requests=%s hits=%s misses=%s batches=%s mean_batch=%s\n",
-		kv["requests"], kv["hits"], kv["misses"], kv["batches"], kv["mean_batch"])
+	fmt.Printf("STATS   -> requests=%d hits=%d misses=%d windows=%d window_requests=%d\n",
+		total(kv, "horam_shard_requests"), total(kv, "horam_shard_hits"), total(kv, "horam_shard_misses"),
+		total(kv, "horam_server_windows_total"), total(kv, "horam_server_window_requests_total"))
+}
+
+// total sums one metric of a STATS line over every series it has (one
+// per shard for the horam_shard_* metrics).
+func total(kv map[string]string, name string) int64 {
+	var sum int64
+	for series := range kv {
+		if series == name || strings.HasPrefix(series, name+"{") {
+			n, err := client.StatInt(kv, series)
+			if err != nil {
+				log.Fatal(err)
+			}
+			sum += n
+		}
+	}
+	return sum
 }
 
 // startInProcessServer runs the real serving stack (internal/server

@@ -298,7 +298,7 @@ func (c *Client) Batch(ops []Op) ([]Result, error) {
 		return nil, err
 	}
 	if !strings.HasPrefix(resp[0], "OK") {
-		return nil, errors.New("client: " + strings.TrimPrefix(resp[0], "ERR "))
+		return nil, errLine(resp[0])
 	}
 	if len(resp) != len(ops)+1 {
 		return nil, fmt.Errorf("client: MULTI returned %d lines, want %d", len(resp)-1, len(ops))
@@ -335,7 +335,7 @@ func (c *Client) KGet(key []byte) (value []byte, ok bool, err error) {
 		}
 		return v, true, nil
 	default:
-		return nil, false, errors.New("client: " + strings.TrimPrefix(line, "ERR "))
+		return nil, false, errLine(line)
 	}
 }
 
@@ -369,11 +369,13 @@ func (c *Client) KDel(key []byte) (existed bool, err error) {
 	case "OK 0":
 		return false, nil
 	default:
-		return false, errors.New("client: " + strings.TrimPrefix(lines[0], "ERR "))
+		return false, errLine(lines[0])
 	}
 }
 
-// Stats fetches the server's STATS line parsed into key=value pairs.
+// Stats fetches the server's STATS line: every sample of the server's
+// obs registry, keyed by its series as /metrics names it
+// (horam_shard_cycles{shard="0"}). StatInt reads one as a number.
 func (c *Client) Stats() (map[string]string, error) {
 	lines, err := c.do(0, "STATS")
 	if err != nil {
@@ -392,7 +394,7 @@ func (c *Client) Cycles() (int64, error) {
 		return 0, err
 	}
 	if !strings.HasPrefix(lines[0], "OK ") {
-		return 0, errors.New("client: " + strings.TrimPrefix(lines[0], "ERR "))
+		return 0, errLine(lines[0])
 	}
 	return strconv.ParseInt(strings.TrimPrefix(lines[0], "OK "), 10, 64)
 }
@@ -407,7 +409,7 @@ func (c *Client) Pad(target int64) (int64, error) {
 		return 0, err
 	}
 	if !strings.HasPrefix(lines[0], "OK ") {
-		return 0, errors.New("client: " + strings.TrimPrefix(lines[0], "ERR "))
+		return 0, errLine(lines[0])
 	}
 	return strconv.ParseInt(strings.TrimPrefix(lines[0], "OK "), 10, 64)
 }
@@ -446,7 +448,7 @@ func (c *Client) Metrics() (string, error) {
 		return "", err
 	}
 	if !strings.HasPrefix(lines[0], "OK ") {
-		return "", errors.New("client: " + strings.TrimPrefix(lines[0], "ERR "))
+		return "", errLine(lines[0])
 	}
 	raw, err := hex.DecodeString(strings.TrimPrefix(lines[0], "OK "))
 	if err != nil {
@@ -484,7 +486,7 @@ func (c *Client) TraceDump() ([]byte, error) {
 		return nil, err
 	}
 	if !strings.HasPrefix(lines[0], "OK ") {
-		return nil, errors.New("client: " + strings.TrimPrefix(lines[0], "ERR "))
+		return nil, errLine(lines[0])
 	}
 	raw, err := hex.DecodeString(strings.TrimPrefix(lines[0], "OK "))
 	if err != nil {
@@ -493,40 +495,54 @@ func (c *Client) TraceDump() ([]byte, error) {
 	return raw, nil
 }
 
-// StatInt parses one numeric field of a Stats map.
-func StatInt(kv map[string]string, key string) (int64, error) {
-	v, ok := kv[key]
+// StatInt reads one integer series of a Stats map, e.g.
+// StatInt(kv, `horam_shard_cycles{shard="0"}`); an error names the
+// series.
+func StatInt(kv map[string]string, series string) (int64, error) {
+	v, ok := kv[series]
 	if !ok {
-		return 0, fmt.Errorf("client: stats field %q missing", key)
+		return 0, fmt.Errorf("client: stats field %s missing", series)
 	}
-	return strconv.ParseInt(v, 10, 64)
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("client: stats field %s=%q: %w", series, v, err)
+	}
+	return n, nil
 }
 
 // parseKVLine splits an "OK k=v k=v ..." response — STATS and PEEK —
-// into its pairs; a field without "=" is skipped.
+// into its pairs, each token at its last "=": a STATS series carries
+// "=" inside its label set (horam_shard_cycles{shard="0"}=812), a
+// value never does. A field without "=" is skipped.
 func parseKVLine(line string) (map[string]string, error) {
 	if !strings.HasPrefix(line, "OK") {
-		return nil, errors.New("client: " + strings.TrimPrefix(line, "ERR "))
+		return nil, errLine(line)
 	}
 	kv := make(map[string]string)
 	for _, f := range strings.Fields(line)[1:] {
-		if k, v, ok := strings.Cut(f, "="); ok {
-			kv[k] = v
+		if i := strings.LastIndexByte(f, '='); i >= 0 {
+			kv[f[:i]] = f[i+1:]
 		}
 	}
 	return kv, nil
+}
+
+// errLine is the error a non-OK response line stands for: the
+// server's message with its "ERR " prefix dropped.
+func errLine(line string) error {
+	return errors.New("client: " + strings.TrimPrefix(line, "ERR "))
 }
 
 func parseOKLine(line string) error {
 	if line == "OK" || strings.HasPrefix(line, "OK ") {
 		return nil
 	}
-	return errors.New("client: " + strings.TrimPrefix(line, "ERR "))
+	return errLine(line)
 }
 
 func parseReadLine(line string) ([]byte, error) {
 	if !strings.HasPrefix(line, "OK ") {
-		return nil, errors.New("client: " + strings.TrimPrefix(line, "ERR "))
+		return nil, errLine(line)
 	}
 	data, err := hex.DecodeString(strings.TrimPrefix(line, "OK "))
 	if err != nil {

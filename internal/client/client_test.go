@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -36,15 +37,24 @@ func TestParseOKLine(t *testing.T) {
 }
 
 func TestStatInt(t *testing.T) {
-	kv := map[string]string{"requests": "42", "mean_batch": "3.5"}
-	n, err := StatInt(kv, "requests")
-	if err != nil || n != 42 {
+	kv := map[string]string{
+		"horam_engine_ops_total":             "42",
+		`horam_shard_cycles{shard="3"}`:      "-1",
+		"horam_server_drain_seconds_sum":     "3.5",
+		`horam_shard_hits{shard="0"}`:        "9223372036854775808",
+		"horam_server_window_requests_total": "",
+	}
+	if n, err := StatInt(kv, "horam_engine_ops_total"); err != nil || n != 42 {
 		t.Errorf("StatInt = %d, %v", n, err)
 	}
-	if _, err := StatInt(kv, "absent"); err == nil {
-		t.Error("missing key accepted")
+	if n, err := StatInt(kv, `horam_shard_cycles{shard="3"}`); err != nil || n != -1 {
+		t.Errorf("labelled series: StatInt = %d, %v", n, err)
 	}
-	if _, err := StatInt(kv, "mean_batch"); err == nil {
-		t.Error("non-integer accepted")
+	for _, series := range []string{"absent", "horam_server_drain_seconds_sum", `horam_shard_hits{shard="0"}`, "horam_server_window_requests_total"} {
+		if _, err := StatInt(kv, series); err == nil {
+			t.Errorf("%s accepted", series)
+		} else if !strings.Contains(err.Error(), series) {
+			t.Errorf("%s: error %q does not name the series", series, err)
+		}
 	}
 }

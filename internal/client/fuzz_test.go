@@ -1,14 +1,19 @@
 package client
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseStats feeds arbitrary STATS response lines through the
 // reader a gateway runs on every node's answer — a hop an adversary
 // on the network can forge. The committed corpus
 // (testdata/fuzz/FuzzParseStats) holds real lines from a block-mode,
 // a KV-mode and a 2-shard daemon. A line may be refused, but never
-// panic, and an accepted line carries exactly one group per declared
-// shard, in shard order.
+// panic; a refused line's error is the server's message; an accepted
+// line reads as series=value pairs split at each token's last '=',
+// and StatInt on any series either reads an integer or names the
+// series.
 func FuzzParseStats(f *testing.F) {
 	f.Add("ERR engine closed")
 	f.Add("OK shards=-1")
@@ -18,18 +23,21 @@ func FuzzParseStats(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		kv, err := parseKVLine(line)
 		if err != nil {
+			if want := "client: " + strings.TrimPrefix(line, "ERR "); err.Error() != want {
+				t.Fatalf("refusal %q, want %q", err, want)
+			}
 			return
 		}
-		st, err := ParseStats(kv)
-		if err != nil {
-			return
+		tokens := map[string]bool{}
+		for _, tok := range strings.Fields(line)[1:] {
+			tokens[tok] = true
 		}
-		if len(st.PerShard) != st.Shards {
-			t.Fatalf("%d shard groups for shards=%d", len(st.PerShard), st.Shards)
-		}
-		for i, sh := range st.PerShard {
-			if sh.Shard != i {
-				t.Fatalf("group %d carries shard id %d", i, sh.Shard)
+		for series, v := range kv {
+			if strings.Contains(v, "=") || !tokens[series+"="+v] {
+				t.Fatalf("pair %q=%q is not a token split at its last '='", series, v)
+			}
+			if _, err := StatInt(kv, series); err != nil && !strings.Contains(err.Error(), series) {
+				t.Fatalf("StatInt(%q) error %q does not name the series", series, err)
 			}
 		}
 	})

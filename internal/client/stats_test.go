@@ -3,88 +3,98 @@ package client
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// statsFixture is a plausible 2-shard KV-mode STATS map, shaped like
-// internal/server's appendStatsLine output. The live round trip
-// against a real server lives in internal/server's obs tests; these
-// unit tests pin the parser's own contract.
-func statsFixture() map[string]string {
-	return map[string]string{
-		"requests": "96", "hits": "40", "misses": "56",
-		"shuffles": "2", "quanta": "52",
-		"max_cycle": "0.000128000s", "simtime": "0.012288000s",
-		"shards": "2",
-		"conns":  "3", "active": "1", "rejected": "0",
-		"batches": "48", "mean_batch": "2.00",
-		"hist": "1:12,2:36", "shard_hist": "1:24,2:36",
-		"kv_count": "5", "kv_capacity": "64",
-		"kv_gets": "10", "kv_sets": "6", "kv_dels": "1", "kv_misses": "2",
-		"s0_depth": "256", "s0_cycles": "60", "s0_pad": "10", "s0_quanta": "26",
-		"s0_maxcycle": "0.000128000s", "s0_batches": "30", "s0_reqs": "50", "s0_hist": "1:10,2:20",
-		"s1_depth": "256", "s1_cycles": "60", "s1_pad": "14", "s1_quanta": "26",
-		"s1_maxcycle": "0.000128000s", "s1_batches": "18", "s1_reqs": "46", "s1_hist": "1:14,2:16",
-	}
-}
+// statsFixture is a 2-shard KV-mode STATS line cut down to a few
+// series of each shape internal/server renders: "OK", then one
+// series=value token per registry sample, labelled series included.
+// The live round trip against a real server lives in internal/server's
+// obs tests; these unit tests pin the reader's own contract.
+const statsFixture = `OK horam_engine_ops_total=96 horam_kv_capacity=64 horam_kv_count=5 horam_kv_misses=2` +
+	` horam_server_drain_seconds_sum=0.012288 horam_server_kv_ops_total{verb="get"}=10` +
+	` horam_server_window_requests_total=96 horam_server_window_size_bucket{le="1"}=12` +
+	` horam_shard_cycles{shard="0"}=60 horam_shard_cycles{shard="1"}=60` +
+	` horam_shard_drain_size_bucket{shard="1",le="2"}=30 horam_shard_drain_size_bucket{shard="1",le="+Inf"}=30` +
+	` horam_shard_max_cycle_ns{shard="1"}=128000 horam_shard_pad_cycles{shard="1"}=14`
 
 func TestParseStatsFixture(t *testing.T) {
-	st, err := ParseStats(statsFixture())
+	kv, err := parseKVLine(statsFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 96 || st.Shards != 2 || st.MeanBatch != 2.00 {
-		t.Fatalf("parsed %+v", st)
+	if got, want := len(kv), strings.Count(statsFixture, " "); got != want {
+		t.Fatalf("read %d series from %d tokens", got, want)
 	}
-	if st.MaxCycle != 128*time.Microsecond {
-		t.Fatalf("max_cycle parsed as %v", st.MaxCycle)
+	for series, want := range map[string]int64{
+		"horam_engine_ops_total":                             96,
+		`horam_server_kv_ops_total{verb="get"}`:              10,
+		`horam_shard_pad_cycles{shard="1"}`:                  14,
+		`horam_shard_max_cycle_ns{shard="1"}`:                128000,
+		`horam_shard_drain_size_bucket{shard="1",le="+Inf"}`: 30,
+		`horam_server_window_size_bucket{le="1"}`:            12,
+		`horam_shard_drain_size_bucket{shard="1",le="2"}`:    30,
+		`horam_shard_cycles{shard="0"}`:                      60,
+		"horam_kv_capacity":                                  64,
+		"horam_server_window_requests_total":                 96,
+	} {
+		if got, err := StatInt(kv, series); err != nil || got != want {
+			t.Errorf("StatInt(%s) = %d, %v; want %d", series, got, err, want)
+		}
 	}
-	if st.KV == nil || st.KV.Gets != 10 || st.KV.Capacity != 64 {
-		t.Fatalf("kv group parsed as %+v", st.KV)
-	}
-	if len(st.PerShard) != 2 {
-		t.Fatalf("per-shard groups: %d", len(st.PerShard))
-	}
-	if s1 := st.PerShard[1]; s1.Shard != 1 || s1.Pad != 14 || s1.Hist != "1:14,2:16" {
-		t.Fatalf("shard 1 parsed as %+v", s1)
+	if v := kv["horam_server_drain_seconds_sum"]; v != "0.012288" {
+		t.Errorf("float series read as %q", v)
 	}
 }
 
 func TestParseStatsWithoutKVGroup(t *testing.T) {
-	kv := statsFixture()
-	for k := range kv {
-		if strings.HasPrefix(k, "kv_") {
-			delete(kv, k)
+	var tokens []string
+	for _, tok := range strings.Fields(statsFixture) {
+		if !strings.HasPrefix(tok, "horam_kv_") {
+			tokens = append(tokens, tok)
 		}
 	}
-	st, err := ParseStats(kv)
+	kv, err := parseKVLine(strings.Join(tokens, " "))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.KV != nil {
-		t.Fatalf("kv group materialised from nothing: %+v", st.KV)
+	for series := range kv {
+		if strings.HasPrefix(series, "horam_kv_") {
+			t.Fatalf("kv series %s materialised from nothing", series)
+		}
+	}
+	if _, err := StatInt(kv, "horam_kv_count"); err == nil || !strings.Contains(err.Error(), "horam_kv_count") {
+		t.Fatalf("reading an absent kv series: %v", err)
 	}
 }
 
 func TestParseStatsErrors(t *testing.T) {
-	// Every failure must name the offending field.
+	// An ERR answer is the server's message, prefixed as every client
+	// error is.
+	if _, err := parseKVLine("ERR engine closed"); err == nil || err.Error() != "client: engine closed" {
+		t.Fatalf("ERR line read as %v", err)
+	}
+	// Every value failure must name the offending series.
+	kv, err := parseKVLine(statsFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		mutate func(map[string]string)
-		want   string
+		series string
 	}{
-		{func(kv map[string]string) { delete(kv, "requests") }, "requests"},
-		{func(kv map[string]string) { kv["batches"] = "many" }, "batches"},
-		{func(kv map[string]string) { kv["max_cycle"] = "128" }, "max_cycle"},
-		{func(kv map[string]string) { delete(kv, "s1_cycles") }, "s1_cycles"},
-		{func(kv map[string]string) { kv["kv_misses"] = "-" }, "kv_misses"},
-		{func(kv map[string]string) { kv["shards"] = "70000" }, "shards"},
+		{func(kv map[string]string) { delete(kv, "horam_engine_ops_total") }, "horam_engine_ops_total"},
+		{func(kv map[string]string) { kv[`horam_shard_cycles{shard="1"}`] = "many" }, `horam_shard_cycles{shard="1"}`},
+		{func(kv map[string]string) { kv["horam_kv_misses"] = "-" }, "horam_kv_misses"},
+		{func(map[string]string) {}, "horam_server_drain_seconds_sum"},
 	}
 	for _, tc := range cases {
-		kv := statsFixture()
-		tc.mutate(kv)
-		_, err := ParseStats(kv)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("mutation of %s: err = %v, want mention of it", tc.want, err)
+		m := make(map[string]string, len(kv))
+		for k, v := range kv {
+			m[k] = v
+		}
+		tc.mutate(m)
+		if _, err := StatInt(m, tc.series); err == nil || !strings.Contains(err.Error(), tc.series) {
+			t.Errorf("StatInt(%s) after mutation: err = %v, want mention of it", tc.series, err)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -87,32 +88,38 @@ func (r *remoteShard) PadToCycles(target int64) (int64, error) {
 	return padded, nil
 }
 
-// Stats reconstructs the node's scheme counters from its STATS line.
+// Stats reconstructs the node's scheme counters from its STATS line:
+// the node is a 1-shard engine, so its shard-0 series are the shard's.
 // The engine's Stats path has no error channel (counters are
 // best-effort diagnostics, unlike Cycles which correctness depends
-// on), so a node that cannot answer — or answers a line that does not
-// parse — contributes zeros.
+// on), so a node that cannot answer — or answers a line missing one of
+// these series — contributes zeros.
 func (r *remoteShard) Stats() core.Stats {
 	kv, err := r.c.Stats()
 	if err != nil {
 		return core.Stats{}
 	}
-	line, err := client.ParseStats(kv)
-	if err != nil || len(line.PerShard) != 1 {
-		return core.Stats{}
-	}
 	var st core.Stats
-	st.Requests = line.Requests
-	st.Hits = line.Hits
-	st.Misses = line.Misses
-	st.Shuffles = line.Shuffles
-	st.ShuffleQuanta = line.Quanta
-	// The node is a 1-shard engine, so its shard 0 counters are the
-	// shard's: cumulative cycles live in the s0 group, not a top-level
-	// key.
-	st.Cycles = line.PerShard[0].Cycles
-	st.MaxCycleTime = line.MaxCycle
-	st.SimulatedTime = line.SimTime
+	var maxCycle, simTime int64
+	for _, f := range []struct {
+		name string
+		dst  *int64
+	}{
+		{"horam_shard_requests", &st.Requests},
+		{"horam_shard_hits", &st.Hits},
+		{"horam_shard_misses", &st.Misses},
+		{"horam_shard_shuffles", &st.Shuffles},
+		{"horam_shard_quanta", &st.ShuffleQuanta},
+		{"horam_shard_cycles", &st.Cycles},
+		{"horam_shard_max_cycle_ns", &maxCycle},
+		{"horam_shard_sim_ns", &simTime},
+	} {
+		if *f.dst, err = client.StatInt(kv, f.name+`{shard="0"}`); err != nil {
+			return core.Stats{}
+		}
+	}
+	st.MaxCycleTime = time.Duration(maxCycle)
+	st.SimulatedTime = time.Duration(simTime)
 	return st
 }
 

@@ -12,7 +12,7 @@ import (
 
 // TestRemoteStatsMatchNodeEngines pins the gateway↔node STATS hop: the
 // scheme counters a gateway reads back off each node's STATS line
-// (remoteShard.Stats, through client.ParseStats) equal the counters
+// (remoteShard.Stats, read by series name) equal the counters
 // the node's own engine holds — including the two durations, which
 // cross the wire as decimal seconds.
 func TestRemoteStatsMatchNodeEngines(t *testing.T) {

@@ -12,17 +12,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/horam"
+	"repro/internal/obs"
 )
 
 // stubBackend is a minimal ShardBackend for seam tests: it serves
-// zero blocks for reads, counts cycles one per request, and fails
+// zero blocks for reads, counts cycles one per request, counts Stats
+// calls (for a remote shard, each is a node round trip), and fails
 // Close with a configurable error (a dead remote shard's torn
 // connection).
 type stubBackend struct {
-	blocks   int64
-	cycles   int64
-	closeErr error
-	closed   bool
+	blocks     int64
+	cycles     int64
+	statsCalls int
+	closeErr   error
+	closed     bool
 }
 
 func (s *stubBackend) Blocks() int64 { return s.blocks }
@@ -49,6 +52,7 @@ func (s *stubBackend) PadToCycles(target int64) (int64, error) {
 }
 
 func (s *stubBackend) Stats() core.Stats {
+	s.statsCalls++
 	return core.Stats{Stats: horam.Stats{Cycles: s.cycles}}
 }
 
@@ -213,4 +217,34 @@ func TestShardPanics(t *testing.T) {
 		}()
 		e.Backend(2)
 	}()
+}
+
+// One STATS render (the registry the engine is observed on, rendered
+// whole) reads each backend's Stats at most twice — what the
+// hand-built line cost, Engine.Stats plus the per-shard snapshot — so
+// a gateway polling STATS pays no more node round trips although more
+// series now show scheme counters.
+func TestStatsRenderBoundsBackendReads(t *testing.T) {
+	stubs := []*stubBackend{{}, {}}
+	e := stubEngine(t, stubs)
+	defer e.Close()
+	reg := obs.NewRegistry()
+	e.Observe(reg, nil)
+	for a := int64(0); a < e.Blocks(); a++ {
+		if _, err := e.Read(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range stubs {
+		s.statsCalls = 0
+	}
+	body := string(reg.AppendStats(nil))
+	for i, s := range stubs {
+		if s.statsCalls < 1 || s.statsCalls > 2 {
+			t.Errorf("shard %d: one STATS render called Stats %d times, want 1 or 2", i, s.statsCalls)
+		}
+		if want := fmt.Sprintf(` horam_shard_requests{shard="%d"}=`, i); !strings.Contains(body, want) {
+			t.Errorf("STATS body carries no %q:\n%s", want, body)
+		}
+	}
 }

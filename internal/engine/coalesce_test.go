@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/engine/enginetest"
+	"repro/internal/obs"
 )
 
 func holdOpts(shards int) engine.Options {
@@ -62,6 +63,7 @@ func park(t *testing.T, e *engine.Engine, h *enginetest.Held, shard int) <-chan 
 // holds throughout.
 func TestConcurrentBatchesCoalesce(t *testing.T) {
 	e, held := enginetest.Hold(t, holdOpts(2))
+	e.Observe(obs.NewRegistry(), nil)
 	const workers, rounds = 8, 10
 	parked := []<-chan error{park(t, e, held[0], 0), park(t, e, held[1], 1)}
 
@@ -130,9 +132,9 @@ func TestConcurrentBatchesCoalesce(t *testing.T) {
 	if got, want := e.Stats().Requests, int64(workers*rounds*2+2); got != want {
 		t.Fatalf("engine served %d requests, want %d", got, want)
 	}
-	for s, st := range e.ShardStats() {
-		if queued[s] > 0 && st.Hist[engine.BucketFor(queued[s])] == 0 {
-			t.Errorf("shard %d: no drain in the size-%d bucket (hist %s)", s, queued[s], engine.FormatHist(st.Hist))
+	for s, n := range queued {
+		if h := e.DrainSizes(s); n > 0 && h.Bucket(h.BucketOf(float64(n))) == 0 {
+			t.Errorf("shard %d: no drain in the size-%d bucket (hist %s)", s, n, h.BucketString())
 		}
 	}
 }

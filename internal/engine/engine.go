@@ -146,7 +146,9 @@ type shard struct {
 	batches   int64
 	requests  int64
 	padCycles int64 // dummy cycles run by leveling (see Engine.level)
-	hist      [NumBuckets]int64
+	// drainSizes counts drains by size; Observe registers it, and it
+	// is nil (a no-op) on an engine nobody observes.
+	drainSizes *obs.Histogram
 
 	// tracer tags drain spans with this shard's virtual thread id
 	// (shard id + 1); nil when the engine is not being observed.
@@ -228,7 +230,7 @@ func (s *shard) recordDrain(n int) {
 	s.mu.Lock()
 	s.batches++
 	s.requests += int64(n)
-	s.hist[BucketFor(n)]++
+	s.drainSizes.Observe(float64(n))
 	s.mu.Unlock()
 }
 
@@ -948,7 +950,7 @@ func (e *Engine) Stats() Summary {
 }
 
 // ShardStats is one shard's serving snapshot: its queue depth, its
-// scheduler-drain histogram and its scheme counters.
+// scheduler-drain counters and its scheme counters.
 type ShardStats struct {
 	Shard      int
 	Blocks     int64
@@ -956,7 +958,6 @@ type ShardStats struct {
 	Batches    int64 // scheduler drains executed
 	Requests   int64 // logical requests drained
 	MeanBatch  float64
-	Hist       [NumBuckets]int64 // drains by size bucket
 	Cycles     int64
 	PadCycles  int64 // leveling dummy cycles (subset of Cycles)
 	Hits       int64
@@ -973,17 +974,6 @@ type ShardStats struct {
 // ShardStats returns a per-shard snapshot, indexed by shard id.
 func (e *Engine) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(e.shards))
-	e.ShardStatsInto(out)
-	return out
-}
-
-// ShardStatsInto fills out (which must hold exactly Shards() entries)
-// with the per-shard snapshot — the allocation-free variant backing
-// the STATS line builder, which reuses one slice across polls.
-func (e *Engine) ShardStatsInto(out []ShardStats) {
-	if len(out) != len(e.shards) {
-		panic(fmt.Sprintf("engine: ShardStatsInto: %d entries for %d shards", len(out), len(e.shards)))
-	}
 	for i, sh := range e.shards {
 		cs := sh.backend.Stats()
 		sh.mu.Lock()
@@ -993,7 +983,6 @@ func (e *Engine) ShardStatsInto(out []ShardStats) {
 			QueueDepth:    sh.depth(),
 			Batches:       sh.batches,
 			Requests:      sh.requests,
-			Hist:          sh.hist,
 			Cycles:        cs.Cycles,
 			PadCycles:     sh.padCycles,
 			Hits:          cs.Hits,
@@ -1009,4 +998,14 @@ func (e *Engine) ShardStatsInto(out []ShardStats) {
 		}
 		out[i] = st
 	}
+	return out
+}
+
+// DrainSizes returns shard i's drain-size histogram (bounds
+// obs.BatchSizeBounds), or nil before Observe.
+func (e *Engine) DrainSizes(i int) *obs.Histogram {
+	sh := e.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.drainSizes
 }

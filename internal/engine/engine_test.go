@@ -2,7 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"io"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func testEngine(t *testing.T, shards int) *Engine {
@@ -223,5 +229,55 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	s1, s2 := run(), run()
 	if s1 != s2 {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", s1, s2)
+	}
+}
+
+// Renders of the engine's registry may overlap — a /metrics scrape
+// beside a STATS poll — while traffic runs: they share the collector's
+// cache of scheme counters, so under -race this checks its locking.
+func TestOverlappingRendersUnderTraffic(t *testing.T) {
+	e := testEngine(t, 2)
+	reg := obs.NewRegistry()
+	e.Observe(reg, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, render := range []func(){
+		func() { reg.AppendStats(nil) },
+		func() { reg.WritePrometheus(io.Discard) }, //horam:errok io.Discard writes cannot fail
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					render()
+				}
+			}
+		}()
+	}
+	for a := int64(0); a < 128; a++ {
+		if err := e.Write(a, make([]byte, 32)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	// Quiescent now: one more render reads every request back.
+	var served int64
+	for _, tok := range strings.Fields(string(reg.AppendStats(nil))) {
+		if strings.HasPrefix(tok, "horam_shard_requests{") {
+			n, err := strconv.ParseInt(tok[strings.LastIndexByte(tok, '=')+1:], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served += n
+		}
+	}
+	if served != 128 {
+		t.Fatalf("shards report %d requests served, want 128", served)
 	}
 }

@@ -14,7 +14,7 @@
 // not already grant. Registration without a justification panics at
 // startup; there is no way to export an undeclared metric.
 //
-// Two classes exist:
+// Three classes exist:
 //
 //   - Public: the value is a public observable — a deterministic
 //     function of information the adversary already has (client op
@@ -30,6 +30,11 @@
 //     explicitly outside the volume-leveling guarantee (see README
 //     "Threat model"): the timing gate from PR 7, not snapshot
 //     equality, is the discipline for those.
+//   - Trusted: the value is secret-dependent (per-shard request
+//     routing, the hit/miss mix, the real-vs-pad cycle split) and is
+//     shown only on the trusted operator surface, the STATS verb
+//     (AppendStats). WritePrometheus, ServeHTTP and WriteAudit skip
+//     it, so /metrics and the audit never carry it.
 //
 // Counters, gauges and histogram observations are single atomic
 // operations — no allocation, no locking — so instrumenting the
@@ -62,6 +67,9 @@ const (
 	// ClassTiming marks a wall-clock (or process-global) measurement;
 	// exported but excluded from the audited snapshot.
 	ClassTiming
+	// ClassTrusted marks a secret-dependent value: rendered only by
+	// AppendStats, never exported or audited.
+	ClassTrusted
 )
 
 // Decl is the mandatory publicness declaration of a metric: its class
@@ -80,6 +88,11 @@ func Public(reason string) Decl { return Decl{Class: ClassPublic, Reason: reason
 // reason must say what the value measures and why it lives outside
 // the snapshot-equality guarantee.
 func Timing(reason string) Decl { return Decl{Class: ClassTiming, Reason: reason} }
+
+// Trusted declares a secret-dependent value that only the trusted
+// STATS surface shows. The reason must say what the value reveals and
+// who may see it.
+func Trusted(reason string) Decl { return Decl{Class: ClassTrusted, Reason: reason} }
 
 // Label is one metric label pair, e.g. {“shard”, “0”}.
 type Label struct {
@@ -145,6 +158,7 @@ func (g *Gauge) Value() int64 {
 // a no-op.
 type Histogram struct {
 	bounds []float64
+	les    []string       // bounds rendered as `le` label values, "+Inf" last
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
@@ -162,8 +176,8 @@ func PowerOfTwoBounds(start float64, n int) []float64 {
 	return out
 }
 
-// BatchSizeBounds are the upper bounds matching the engine's
-// batch-size histogram buckets (1, 2, 3-4, 5-8, …, 65+).
+// BatchSizeBounds are the upper bounds of every request-count
+// histogram here (buckets 1, 2, 3-4, 5-8, …, 65+).
 func BatchSizeBounds() []float64 { return []float64{1, 2, 4, 8, 16, 32, 64} }
 
 // DurationBounds are the default latency bounds: 1µs to ~4s in
@@ -175,11 +189,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
+	h.counts[h.BucketOf(v)].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sum.Load()
@@ -190,20 +200,21 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// BucketOf returns the index of the bucket v falls in: the first
+// upper bound not below v, or the +Inf bucket.
+func (h *Histogram) BucketOf(v float64) int {
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	return i
+}
+
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	if h != nil {
 		h.Observe(d.Seconds())
 	}
-}
-
-// NumBuckets returns the bucket count including the +Inf bucket (0 on
-// nil).
-func (h *Histogram) NumBuckets() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.counts)
 }
 
 // Bucket returns the count of bucket i (the last index is +Inf).
@@ -230,6 +241,43 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
+// BucketString renders the non-empty buckets of an integer-valued
+// histogram for logs, each labelled by the integers it holds:
+// "1:12,2:3,5-8:1" over BatchSizeBounds, "65+" for the +Inf bucket,
+// or "-" when nothing was observed (also on nil).
+func (h *Histogram) BucketString() string {
+	if h == nil {
+		return "-"
+	}
+	var b []byte
+	for i, le := range h.les {
+		n := h.Bucket(i)
+		if n == 0 {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, ',')
+		}
+		switch {
+		case i > 0 && i == len(h.bounds):
+			b = appendFloat(b, h.bounds[i-1]+1)
+			b = append(b, '+')
+		case i > 0 && h.bounds[i-1]+1 < h.bounds[i]:
+			b = appendFloat(b, h.bounds[i-1]+1)
+			b = append(b, '-')
+			b = append(b, le...)
+		default:
+			b = append(b, le...)
+		}
+		b = append(b, ':')
+		b = strconv.AppendInt(b, n, 10)
+	}
+	if len(b) == 0 {
+		return "-"
+	}
+	return string(b)
+}
+
 type metricKind int
 
 const (
@@ -244,6 +292,7 @@ const (
 type metric struct {
 	name   string
 	labels []Label // sorted by key
+	key    string  // id(), set at registration
 	help   string
 	decl   Decl
 	kind   metricKind
@@ -274,17 +323,20 @@ func (m *metric) id() string {
 
 // Registry holds declared metrics and renders them in Prometheus text
 // format. All methods are safe for concurrent use; registration is
-// expected at startup, scraping at any time.
+// expected at startup, scraping at any time. A render runs the
+// collectors and GaugeFuncs without the registry lock, so renders may
+// overlap: those functions must be safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	metrics []*metric // sorted by id
-	ids     map[string]bool
+	mu sync.Mutex
+	// metrics is sorted by id. Registration replaces the slice rather
+	// than inserting in place, so a render reads the one it loaded
+	// under the lock without holding it.
+	metrics    []*metric
+	collectors []func()
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{ids: make(map[string]bool)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 func validName(s string) bool {
 	if s == "" {
@@ -315,25 +367,29 @@ func (r *Registry) register(m *metric) error {
 		return fmt.Errorf("obs: invalid metric name %q", m.name)
 	}
 	if strings.TrimSpace(m.decl.Reason) == "" {
-		return fmt.Errorf("obs: metric %q registered without a publicness justification; every exported value must declare why it is a public observable (obs.Public) or a wall-clock measurement (obs.Timing)", m.name)
+		return fmt.Errorf("obs: metric %q registered without a publicness justification; every value must declare why it is a public observable (obs.Public), a wall-clock measurement (obs.Timing) or shown on the trusted STATS surface only (obs.Trusted)", m.name)
 	}
 	for _, l := range m.labels {
-		if !validName(l.Key) || strings.ContainsAny(l.Value, "\"\n\\") {
+		// Beyond what the exposition must escape, a value may not hold
+		// the characters that delimit a STATS token (space, '=') or a
+		// label set (',', '{', '}'): the STATS reader splits a token at
+		// its last '=', and cluster.injectNodeLabel finds a series' label
+		// set by its first '{'.
+		if !validName(l.Key) || strings.ContainsAny(l.Value, "\"\n\\ =,{}") {
 			return fmt.Errorf("obs: metric %q has invalid label %q=%q", m.name, l.Key, l.Value)
 		}
 	}
 	sort.Slice(m.labels, func(i, j int) bool { return m.labels[i].Key < m.labels[j].Key })
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id := m.id()
-	if r.ids[id] {
-		return fmt.Errorf("obs: metric %s registered twice", id)
+	m.key = m.id()
+	at := sort.Search(len(r.metrics), func(i int) bool { return r.metrics[i].key >= m.key })
+	if at < len(r.metrics) && r.metrics[at].key == m.key {
+		return fmt.Errorf("obs: metric %s registered twice", m.key)
 	}
-	r.ids[id] = true
-	at := sort.Search(len(r.metrics), func(i int) bool { return r.metrics[i].id() >= id })
-	r.metrics = append(r.metrics, nil)
-	copy(r.metrics[at+1:], r.metrics[at:])
-	r.metrics[at] = m
+	metrics := make([]*metric, 0, len(r.metrics)+1)
+	metrics = append(append(metrics, r.metrics[:at]...), m)
+	r.metrics = append(metrics, r.metrics[at:]...)
 	return nil
 }
 
@@ -388,73 +444,145 @@ func (r *Registry) Histogram(name, help string, d Decl, bounds []float64, labels
 		}
 	}
 	h := &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]atomic.Int64, len(bounds)+1)}
+	for _, b := range bounds {
+		h.les = append(h.les, string(appendFloat(nil, b)))
+	}
+	h.les = append(h.les, "+Inf")
 	r.must(&metric{name: name, labels: labels, help: help, decl: d, kind: kindHistogram, hist: h})
 	return h
 }
 
-// snapshot returns the current metric list (the slice is never
-// mutated after insertion order settles, but take it under the lock).
-func (r *Registry) snapshot() []*metric {
+// Collect registers fn to run at the start of every render, before
+// any series is read: one read shared by several GaugeFuncs (a
+// shard's scheme counters) is taken once per render instead of once
+// per series.
+func (r *Registry) Collect(fn func()) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*metric(nil), r.metrics...)
+	r.collectors = append(r.collectors, fn)
+}
+
+// render runs the collectors and appends, in registry order, the
+// samples of every series whose class keep admits, framed by f. The
+// exposition header, when header is set, precedes each metric name's
+// first series.
+func (r *Registry) render(dst []byte, f sampleFormat, header bool, keep func(Class) bool) []byte {
+	r.mu.Lock()
+	metrics, collectors := r.metrics, r.collectors
+	r.mu.Unlock()
+	for _, fn := range collectors {
+		fn()
+	}
+	lastName := ""
+	for _, m := range metrics {
+		if !keep(m.decl.Class) {
+			continue
+		}
+		if header && m.name != lastName {
+			dst = m.appendHeader(dst)
+			lastName = m.name
+		}
+		dst = m.appendSamples(dst, f)
+	}
+	return dst
 }
 
 func appendFloat(dst []byte, v float64) []byte {
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
-// appendSample renders `name{labels,extra...} value\n`.
-func appendSample(dst []byte, name string, labels []Label, suffix string, extra []Label, value []byte) []byte {
-	dst = append(dst, name...)
+// sampleFormat frames one sample. Every rendering shares the series
+// text `name{labels}`; the exposition and the audit write
+// `series value\n`, the STATS line ` series=value`.
+type sampleFormat struct{ lead, sep, end string }
+
+var (
+	expositionSample = sampleFormat{sep: " ", end: "\n"}
+	statsSample      = sampleFormat{lead: " ", sep: "="}
+)
+
+// appendSample renders one sample of m: its name plus suffix, its
+// labels with an optional trailing le label, and value.
+func (f sampleFormat) appendSample(dst []byte, m *metric, suffix, le string, value []byte) []byte {
+	dst = append(dst, f.lead...)
+	dst = append(dst, m.name...)
 	dst = append(dst, suffix...)
-	if len(labels)+len(extra) > 0 {
+	if len(m.labels) > 0 || le != "" {
 		dst = append(dst, '{')
-		n := 0
-		for _, l := range append(append([]Label(nil), labels...), extra...) {
-			if n > 0 {
+		for i, l := range m.labels {
+			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, l.Key...)
-			dst = append(dst, '=', '"')
-			dst = append(dst, l.Value...)
-			dst = append(dst, '"')
-			n++
+			dst = appendLabel(dst, l.Key, l.Value)
+		}
+		if le != "" {
+			if len(m.labels) > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendLabel(dst, "le", le)
 		}
 		dst = append(dst, '}')
 	}
-	dst = append(dst, ' ')
+	dst = append(dst, f.sep...)
 	dst = append(dst, value...)
-	dst = append(dst, '\n')
-	return dst
+	return append(dst, f.end...)
 }
 
-func (m *metric) appendSamples(dst []byte) []byte {
+func appendLabel(dst []byte, key, value string) []byte {
+	dst = append(dst, key...)
+	dst = append(dst, '=', '"')
+	dst = append(dst, value...)
+	return append(dst, '"')
+}
+
+func (m *metric) appendSamples(dst []byte, f sampleFormat) []byte {
 	var num [32]byte
 	switch m.kind {
 	case kindCounter:
-		dst = appendSample(dst, m.name, m.labels, "", nil, strconv.AppendInt(num[:0], m.counter.Value(), 10))
+		dst = f.appendSample(dst, m, "", "", strconv.AppendInt(num[:0], m.counter.Value(), 10))
 	case kindGauge:
-		dst = appendSample(dst, m.name, m.labels, "", nil, strconv.AppendInt(num[:0], m.gauge.Value(), 10))
+		dst = f.appendSample(dst, m, "", "", strconv.AppendInt(num[:0], m.gauge.Value(), 10))
 	case kindGaugeFunc:
-		dst = appendSample(dst, m.name, m.labels, "", nil, strconv.AppendInt(num[:0], m.fn(), 10))
+		dst = f.appendSample(dst, m, "", "", strconv.AppendInt(num[:0], m.fn(), 10))
 	case kindHistogram:
 		h := m.hist
 		var cum int64
-		for i := 0; i < h.NumBuckets(); i++ {
+		for i, le := range h.les {
 			cum += h.Bucket(i)
-			le := "+Inf"
-			var leBuf []byte
-			if i < len(h.bounds) {
-				leBuf = appendFloat(nil, h.bounds[i])
-				le = string(leBuf)
-			}
-			dst = appendSample(dst, m.name, m.labels, "_bucket", []Label{{"le", le}}, strconv.AppendInt(num[:0], cum, 10))
+			dst = f.appendSample(dst, m, "_bucket", le, strconv.AppendInt(num[:0], cum, 10))
 		}
-		dst = appendSample(dst, m.name, m.labels, "_sum", nil, appendFloat(num[:0], h.Sum()))
-		dst = appendSample(dst, m.name, m.labels, "_count", nil, strconv.AppendInt(num[:0], h.Count(), 10))
+		dst = f.appendSample(dst, m, "_sum", "", appendFloat(num[:0], h.Sum()))
+		dst = f.appendSample(dst, m, "_count", "", strconv.AppendInt(num[:0], h.Count(), 10))
 	}
 	return dst
+}
+
+// appendHeader renders the exposition's HELP/TYPE/CLASS comments for
+// m's name. The publicness class is surfaced so a scrape shows which
+// series are part of the audited snapshot.
+func (m *metric) appendHeader(dst []byte) []byte {
+	class := "public"
+	if m.decl.Class == ClassTiming {
+		class = "timing"
+	}
+	dst = append(dst, "# HELP "...)
+	dst = append(dst, m.name...)
+	dst = append(dst, ' ')
+	dst = append(dst, strings.ReplaceAll(m.help, "\n", " ")...)
+	dst = append(dst, '\n')
+	dst = append(dst, "# TYPE "...)
+	dst = append(dst, m.name...)
+	dst = append(dst, ' ')
+	dst = append(dst, m.typeName()...)
+	dst = append(dst, '\n')
+	dst = append(dst, "# CLASS "...)
+	dst = append(dst, m.name...)
+	dst = append(dst, ' ')
+	dst = append(dst, class...)
+	return append(dst, '\n')
 }
 
 func (m *metric) typeName() string {
@@ -468,39 +596,11 @@ func (m *metric) typeName() string {
 	}
 }
 
-// WritePrometheus renders every metric in Prometheus text exposition
-// format (version 0.0.4), with one HELP/TYPE header per metric name.
-// The publicness class is surfaced as a comment so a scrape shows
-// which series are part of the audited snapshot.
+// WritePrometheus renders every exported (Public or Timing) metric in
+// Prometheus text exposition format (version 0.0.4), with one
+// HELP/TYPE/CLASS header per metric name. Trusted series are skipped.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	var dst []byte
-	lastName := ""
-	for _, m := range r.snapshot() {
-		if m.name != lastName {
-			class := "public"
-			if m.decl.Class == ClassTiming {
-				class = "timing"
-			}
-			dst = append(dst, "# HELP "...)
-			dst = append(dst, m.name...)
-			dst = append(dst, ' ')
-			dst = append(dst, strings.ReplaceAll(m.help, "\n", " ")...)
-			dst = append(dst, '\n')
-			dst = append(dst, "# TYPE "...)
-			dst = append(dst, m.name...)
-			dst = append(dst, ' ')
-			dst = append(dst, m.typeName()...)
-			dst = append(dst, '\n')
-			dst = append(dst, "# CLASS "...)
-			dst = append(dst, m.name...)
-			dst = append(dst, ' ')
-			dst = append(dst, class...)
-			dst = append(dst, '\n')
-			lastName = m.name
-		}
-		dst = m.appendSamples(dst)
-	}
-	_, err := w.Write(dst)
+	_, err := w.Write(r.render(nil, expositionSample, true, func(c Class) bool { return c != ClassTrusted }))
 	return err
 }
 
@@ -509,15 +609,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // public parameters must render byte-identical audit text; the
 // differential test in internal/server enforces it.
 func (r *Registry) WriteAudit(w io.Writer) error {
-	var dst []byte
-	for _, m := range r.snapshot() {
-		if m.decl.Class != ClassPublic {
-			continue
-		}
-		dst = m.appendSamples(dst)
-	}
-	_, err := w.Write(dst)
+	_, err := w.Write(r.render(nil, expositionSample, false, func(c Class) bool { return c == ClassPublic }))
 	return err
+}
+
+// AppendStats appends one " series=value" token per sample of every
+// series, Trusted included, in registry order — the body of the
+// trusted STATS line. Each series is written as the exposition writes
+// it (`horam_shard_cycles{shard="0"}=812`). Allocation-free once dst
+// has room.
+func (r *Registry) AppendStats(dst []byte) []byte {
+	return r.render(dst, statsSample, false, func(Class) bool { return true })
 }
 
 // AuditText returns WriteAudit's output as a string.
@@ -530,9 +632,11 @@ func (r *Registry) AuditText() string {
 // Decls returns every registered series id with its declaration —
 // the audit trail reviewers (and the README) work from.
 func (r *Registry) Decls() map[string]Decl {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make(map[string]Decl)
-	for _, m := range r.snapshot() {
-		out[m.id()] = m.decl
+	for _, m := range r.metrics {
+		out[m.key] = m.decl
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -58,7 +59,7 @@ func TestNilSafety(t *testing.T) {
 	g.Add(-1)
 	h.Observe(0.5)
 	h.ObserveDuration(time.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.NumBuckets() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Bucket(0) != 0 || h.BucketString() != "-" {
 		t.Fatal("nil instruments should read as zero")
 	}
 	var tr *Tracer
@@ -219,3 +220,122 @@ func TestConcurrentUpdates(t *testing.T) {
 }
 
 func itoa(i int) string { return string(rune('0' + i)) }
+
+// Trusted series are rendered for STATS only: adding them to a
+// registry leaves the exposition and the audit byte-identical.
+func TestTrustedSeriesStayOffTheExposition(t *testing.T) {
+	build := func(trusted bool) *Registry {
+		r := NewRegistry()
+		r.Counter("horam_ops_total", "ops", Public("test")).Add(5)
+		r.GaugeFunc("horam_shard_cycles", "cycles", Public("test"), func() int64 { return 9 }, Label{"shard", "0"})
+		r.Histogram("horam_batch_seconds", "latency", Timing("test"), []float64{0.1, 1}).Observe(0.5)
+		if trusted {
+			r.GaugeFunc("horam_shard_hits", "hits", Trusted("test"), func() int64 { return 4 }, Label{"shard", "0"})
+			r.Counter("horam_aaa_total", "sorts first", Trusted("test")).Add(2)
+			r.Histogram("horam_shard_drain_size", "sizes", Trusted("test"), BatchSizeBounds(), Label{"shard", "0"}).Observe(3)
+		}
+		return r
+	}
+	plain, withTrusted := build(false), build(true)
+	var a, b strings.Builder
+	if err := plain.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := withTrusted.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("Trusted series changed the exposition:\nwithout:\n%s\nwith:\n%s", a.String(), b.String())
+	}
+	if plain.AuditText() != withTrusted.AuditText() {
+		t.Fatalf("Trusted series changed the audit:\nwithout:\n%s\nwith:\n%s", plain.AuditText(), withTrusted.AuditText())
+	}
+	stats := string(withTrusted.AppendStats(nil))
+	for _, want := range []string{
+		" horam_aaa_total=2",
+		` horam_shard_hits{shard="0"}=4`,
+		` horam_shard_drain_size_bucket{shard="0",le="4"}=1`,
+		` horam_shard_cycles{shard="0"}=9`,
+		` horam_batch_seconds_bucket{le="+Inf"}=1`,
+	} {
+		if !strings.Contains(stats, want) {
+			t.Errorf("STATS body missing %q:\n%s", want, stats)
+		}
+	}
+}
+
+// AppendStats renders every sample as one " series=value" token in
+// registry order, with the exposition's series text.
+func TestAppendStatsTokens(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("b_total", "", Public("test")).Add(3)
+	r.Histogram("a_size", "", Trusted("test"), []float64{1, 2}, Label{"shard", "1"}).Observe(2)
+	want := ` a_size_bucket{shard="1",le="1"}=0 a_size_bucket{shard="1",le="2"}=1 a_size_bucket{shard="1",le="+Inf"}=1` +
+		` a_size_sum{shard="1"}=2 a_size_count{shard="1"}=1 b_total=3`
+	if got := string(r.AppendStats(nil)); got != want {
+		t.Fatalf("AppendStats =\n%q\nwant\n%q", got, want)
+	}
+	buf := r.AppendStats(nil)
+	if n := testing.AllocsPerRun(100, func() { buf = r.AppendStats(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendStats allocates %.1f times per run into a warm buffer", n)
+	}
+}
+
+// A label value may not hold what delimits a STATS token or a label
+// set: the STATS reader splits each token at its last '=', and the
+// gateway's node relabelling finds the label set by its first '{'.
+func TestLabelValuesSurviveBothParsers(t *testing.T) {
+	r := NewRegistry()
+	for _, v := range []string{"a b", "a=b", "a,b", "{a", "a}"} {
+		if err := r.register(&metric{name: "l_total", decl: Public("test"), kind: kindCounter, counter: &Counter{},
+			labels: []Label{{"k", v}}}); err == nil {
+			t.Errorf("label value %q accepted", v)
+		}
+	}
+	r.Counter("l_total", "", Public("test"), Label{"shard", "0"}, Label{"verb", "get"})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Counter with a label value holding '=' should panic at startup")
+		}
+	}()
+	r.Counter("l_total", "", Public("test"), Label{"k", "x=1"})
+}
+
+// Collectors run once per render, before any series is read.
+func TestCollectRunsOncePerRender(t *testing.T) {
+	r := NewRegistry()
+	var runs, seen int64
+	r.Collect(func() { runs++ })
+	for i := 0; i < 3; i++ {
+		r.GaugeFunc("c", "", Trusted("test"), func() int64 { seen = runs; return runs }, Label{"shard", itoa(i)})
+	}
+	r.AppendStats(nil)
+	if runs != 1 || seen != 1 {
+		t.Fatalf("after one render: %d collector runs, series saw %d", runs, seen)
+	}
+	if err := r.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 2 {
+		t.Fatalf("after two renders: %d collector runs", runs)
+	}
+}
+
+// BucketString labels each non-empty bucket by the integers it holds.
+func TestBucketString(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("bs", "", Trusted("test"), BatchSizeBounds())
+	if got := h.BucketString(); got != "-" {
+		t.Fatalf("empty histogram renders %q, want -", got)
+	}
+	for _, v := range []float64{1, 1, 2, 3, 7, 64, 65, 1000} {
+		h.Observe(v)
+	}
+	if got, want := h.BucketString(), "1:2,2:1,3-4:1,5-8:1,33-64:1,65+:2"; got != want {
+		t.Fatalf("BucketString = %q, want %q", got, want)
+	}
+	var nilHist *Histogram
+	if got := nilHist.BucketString(); got != "-" {
+		t.Fatalf("nil histogram renders %q, want -", got)
+	}
+}

@@ -139,8 +139,9 @@ func TestKVVerbs(t *testing.T) {
 }
 
 // TestKVStatsCounters is the STATS regression alongside the per-shard
-// stats tests: the kv_* keys must be present, must reconcile exactly
-// with the driven workload, and must be absent without the KV layer.
+// stats tests: the KV series (the Trusted table counters and the
+// Public per-verb counts) must be present, must reconcile exactly with
+// the driven workload, and must be absent without the KV layer.
 func TestKVStatsCounters(t *testing.T) {
 	addr, _, _ := startKVServer(t)
 	c, err := client.Dial(addr)
@@ -171,23 +172,19 @@ func TestKVStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int64{
-		"kv_count":  1, // a remains
-		"kv_gets":   4,
-		"kv_sets":   3,
-		"kv_dels":   2,
-		"kv_misses": 2, // ghost get + ghost del
+		"horam_kv_count":                        1, // a remains
+		`horam_server_kv_ops_total{verb="get"}`: 4,
+		`horam_server_kv_ops_total{verb="set"}`: 3,
+		`horam_server_kv_ops_total{verb="del"}`: 2,
+		"horam_kv_misses":                       2, // ghost get + ghost del
 	}
-	for k, n := range want {
-		got, err := client.StatInt(kv, k)
-		if err != nil {
-			t.Fatalf("STATS %s: %v (line: %v)", k, err, kv)
-		}
-		if got != n {
-			t.Errorf("STATS %s = %d, want %d", k, got, n)
+	for series, n := range want {
+		if got := statInt(t, kv, series); got != n {
+			t.Errorf("STATS %s = %d, want %d", series, got, n)
 		}
 	}
-	if _, err := client.StatInt(kv, "kv_capacity"); err != nil {
-		t.Errorf("STATS kv_capacity missing: %v", err)
+	if n := statInt(t, kv, "horam_kv_capacity"); n <= 0 {
+		t.Errorf("STATS horam_kv_capacity = %d", n)
 	}
 
 	// A plain block server must not advertise KV counters.
@@ -201,8 +198,10 @@ func TestKVStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := pkv["kv_gets"]; ok {
-		t.Error("plain block server advertises kv_gets")
+	for series := range want {
+		if _, ok := pkv[series]; ok {
+			t.Errorf("plain block server advertises %s", series)
+		}
 	}
 }
 

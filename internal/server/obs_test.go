@@ -1,6 +1,6 @@
 // Tests for the observability surfaces: the leak-audit differential
 // (the /metrics contract), the zero-alloc STATS render, the TRACE and
-// METRICS verbs, and the typed ParseStats round trip.
+// METRICS verbs, and the STATS round trip through the client's reader.
 package server
 
 import (
@@ -269,9 +269,10 @@ func TestMetricsVerb(t *testing.T) {
 	}
 }
 
-// TestParseStatsRoundTrip drives real traffic, fetches the STATS line
-// through the typed helper and cross-checks it against the server's
-// own snapshot — block mode first, then KV mode for the kv_* group.
+// TestParseStatsRoundTrip drives real traffic, reads the STATS line
+// through the client's generic reader (Stats plus StatInt) and
+// cross-checks it against the server's and the engine's own
+// snapshots — block mode first, then KV mode for the horam_kv_* series.
 func TestParseStatsRoundTrip(t *testing.T) {
 	addr, srv := startServer(t, Config{MaxBatch: 1})
 	c, err := client.Dial(addr)
@@ -289,36 +290,57 @@ func TestParseStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.ParseStats(kv)
-	if err != nil {
-		t.Fatalf("ParseStats: %v\nline map: %v", err, kv)
+	if _, ok := kv["horam_kv_count"]; ok {
+		t.Fatal("block-mode stats carried a kv series")
 	}
-	if st.KV != nil {
-		t.Fatal("block-mode stats carried a kv group")
+	shards := 0
+	for series := range kv {
+		if strings.HasPrefix(series, "horam_shard_cycles{") {
+			shards++
+		}
 	}
-	if st.Shards != 2 || len(st.PerShard) != 2 {
-		t.Fatalf("shards=%d per-shard=%d, want 2/2", st.Shards, len(st.PerShard))
+	if shards != 2 {
+		t.Fatalf("STATS carries %d shards' cycle series, want 2", shards)
 	}
-	if st.Requests != 16 || st.Batches != 16 {
-		t.Fatalf("requests=%d batches=%d, want 16/16 (MaxBatch 1)", st.Requests, st.Batches)
+	reqs, windows := statInt(t, kv, "horam_server_window_requests_total"), statInt(t, kv, "horam_server_windows_total")
+	if reqs != 16 || windows != 16 {
+		t.Fatalf("requests=%d windows=%d, want 16/16 (MaxBatch 1)", reqs, windows)
 	}
 	own := srv.Stats()
-	if st.Conns != own.Accepted || st.Active != own.Active || st.Rejected != own.Rejected {
+	conns := statInt(t, kv, "horam_server_conns_accepted_total")
+	active := statInt(t, kv, "horam_server_conns_active")
+	rejected := statInt(t, kv, "horam_server_conns_rejected_total")
+	if conns != own.Accepted || active != own.Active || rejected != own.Rejected {
 		t.Fatalf("conn counters %d/%d/%d disagree with server snapshot %d/%d/%d",
-			st.Conns, st.Active, st.Rejected, own.Accepted, own.Active, own.Rejected)
+			conns, active, rejected, own.Accepted, own.Active, own.Rejected)
 	}
 	var perShardReqs int64
-	for i, sh := range st.PerShard {
-		if sh.Shard != i {
-			t.Fatalf("per-shard group %d parsed as shard %d", i, sh.Shard)
+	for i, sh := range srv.engine.ShardStats() {
+		got := map[string]int64{}
+		for _, name := range []string{"horam_shard_cycles", "horam_shard_pad_cycles", "horam_shard_drains",
+			"horam_shard_drained_requests", "horam_shard_hits", "horam_shard_misses",
+			"horam_shard_max_cycle_ns", "horam_shard_sim_ns", "horam_shard_drain_size_count"} {
+			got[name] = statInt(t, kv, shardSeries(name, i))
 		}
-		if sh.Cycles <= 0 || sh.Hist == "" {
-			t.Fatalf("shard %d parsed as %+v, want live counters", i, sh)
+		want := map[string]int64{
+			"horam_shard_cycles": sh.Cycles, "horam_shard_pad_cycles": sh.PadCycles,
+			"horam_shard_drains": sh.Batches, "horam_shard_drained_requests": sh.Requests,
+			"horam_shard_hits": sh.Hits, "horam_shard_misses": sh.Misses,
+			"horam_shard_max_cycle_ns": int64(sh.MaxCycleTime), "horam_shard_sim_ns": int64(sh.SimTime),
+			"horam_shard_drain_size_count": sh.Batches,
 		}
-		perShardReqs += sh.Requests
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("shard %d: STATS %s = %d, engine holds %d", i, name, got[name], w)
+			}
+		}
+		if got["horam_shard_cycles"] <= 0 || got["horam_shard_drains"] <= 0 {
+			t.Fatalf("shard %d read as %v, want live counters", i, got)
+		}
+		perShardReqs += got["horam_shard_drained_requests"]
 	}
-	if perShardReqs != st.Requests {
-		t.Fatalf("per-shard requests sum %d != window requests %d", perShardReqs, st.Requests)
+	if perShardReqs != reqs {
+		t.Fatalf("per-shard requests sum %d != window requests %d", perShardReqs, reqs)
 	}
 
 	kvAddr, _, _ := startKVServer(t)
@@ -340,20 +362,22 @@ func TestParseStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kst, err := client.ParseStats(kvLine)
-	if err != nil {
-		t.Fatalf("ParseStats (kv): %v\nline map: %v", err, kvLine)
-	}
-	if kst.KV == nil {
-		t.Fatal("kv-mode stats parsed without a kv group")
-	}
-	if kst.KV.Gets != 2 || kst.KV.Sets != 1 || kst.KV.Count != 1 || kst.KV.Misses != 1 {
-		t.Fatalf("kv group %+v, want gets=2 sets=1 count=1 misses=1", kst.KV)
+	gets := statInt(t, kvLine, `horam_server_kv_ops_total{verb="get"}`)
+	sets := statInt(t, kvLine, `horam_server_kv_ops_total{verb="set"}`)
+	count, misses := statInt(t, kvLine, "horam_kv_count"), statInt(t, kvLine, "horam_kv_misses")
+	if gets != 2 || sets != 1 || count != 1 || misses != 1 {
+		t.Fatalf("kv series gets=%d sets=%d count=%d misses=%d, want gets=2 sets=1 count=1 misses=1", gets, sets, count, misses)
 	}
 
-	// Malformed input: a missing required field must name itself.
-	delete(kv, "shuffles")
-	if _, err := client.ParseStats(kv); err == nil || !strings.Contains(err.Error(), "shuffles") {
-		t.Fatalf("ParseStats on a map missing shuffles: %v", err)
+	// Malformed input: a missing series must name itself.
+	missing := shardSeries("horam_shard_shuffles", 0)
+	delete(kv, missing)
+	if _, err := client.StatInt(kv, missing); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("StatInt on a map missing %s: %v", missing, err)
+	}
+	if _, err := client.StatInt(kv, "horam_server_drain_seconds_sum"); err == nil {
+		t.Fatal("StatInt accepted a float series")
+	} else if !strings.Contains(err.Error(), "horam_server_drain_seconds_sum") {
+		t.Fatalf("StatInt error on a float series does not name it: %v", err)
 	}
 }

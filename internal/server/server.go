@@ -23,17 +23,19 @@
 //	  followed by n lines, each READ <addr> or WRITE <addr> <hex>;
 //	  the n sub-requests run as one scheduler batch and the n
 //	  response lines mirror the single-request responses.
-//	STATS                        -> OK k=v ... (engine + server counters)
+//	STATS                        -> OK series=value ... (every series of the
+//	  obs registry, Trusted ones included, as /metrics names them)
 //	TRACE ON|OFF|STATUS|DUMP     -> OK ... (request-path tracer control;
 //	  DUMP answers OK <hex> where <hex> decodes to chrome://tracing JSON)
 //	QUIT                         -> closes the connection
 //
 // STATS and TRACE are TRUSTED operator surfaces: the STATS line
 // reports secret-dependent counters (per-shard request routing,
-// hit/miss mix, the real-vs-pad cycle split) and trace spans carry
-// wall-clock timings. The adversary-visible monitoring surface is the
-// separate leak-audited /metrics exposition (internal/obs, exported
-// by horamd -metrics-addr), which exports none of those.
+// hit/miss mix, the real-vs-pad cycle split — the obs.Trusted series)
+// and trace spans carry wall-clock timings. The adversary-visible
+// monitoring surface is the separate leak-audited /metrics exposition
+// (internal/obs, exported by horamd -metrics-addr), which exports
+// none of those.
 //
 // With Config.KV set (horamd -kv) the oblivious key–value verbs are
 // served as well — each runs internal/okv's fixed three-batch block
@@ -133,9 +135,10 @@ type Config struct {
 	ShardControl bool
 	// Metrics is the registry the server registers its serving
 	// counters on (see internal/obs for the leak-audit contract); the
-	// same counters back the STATS verb. Nil makes the server register
-	// on a private registry, so STATS works without an exported
-	// /metrics surface.
+	// STATS verb renders this registry whole. A caller that sets it
+	// has already observed Engine on it (Engine.Observe). Nil makes
+	// the server observe Engine on a private registry and register
+	// there, so STATS works without an exported /metrics surface.
 	Metrics *obs.Registry
 	// Tracer, when set, enables the TRACE control verb and tags the
 	// per-chunk "window" spans. Wire the same tracer into the engine
@@ -178,9 +181,8 @@ type Server struct {
 
 	// statsMu serialises STATS renders over the reused scratch below;
 	// the serving path never takes it.
-	statsMu     sync.Mutex
-	statsBuf    []byte
-	statsShards []engine.ShardStats
+	statsMu  sync.Mutex
+	statsBuf []byte
 }
 
 // New validates the config.
@@ -200,8 +202,10 @@ func New(cfg Config) (*Server, error) {
 	reg := cfg.Metrics
 	if reg == nil {
 		// A private registry keeps the STATS verb registry-backed even
-		// when nothing exports /metrics.
+		// when nothing exports /metrics; the engine's series, Trusted
+		// ones included, are registered on it here.
 		reg = obs.NewRegistry()
+		cfg.Engine.Observe(reg, cfg.Tracer)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -215,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 		tracer:    cfg.Tracer,
 		logger:    cfg.Logger,
 	}
-	s.ins = newInstruments(reg, cfg.KV != nil)
+	s.ins = newInstruments(reg, cfg.KV)
 	s.drain = cfg.Engine.Batch
 	return s, nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -130,18 +131,55 @@ func TestConcurrentClientsBatching(t *testing.T) {
 	if st.Requests != total || st.Batches != total {
 		t.Fatalf("served %d requests in %d windows, want %d single-request windows", st.Requests, st.Batches, total)
 	}
-	sh := st.PerShard[0]
-	if sh.Requests != total {
-		t.Fatalf("shard drained %d requests, want %d", sh.Requests, total)
+	// The shard's side, read off the STATS line as an operator would.
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sh.Batches > total-(clients-2) {
-		t.Fatalf("%d drains for %d requests: the %d queued requests did not share one", sh.Batches, total, clients-1)
+	defer c.Close()
+	kv, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.ShardHistogram[engine.BucketFor(clients-1)] == 0 {
-		t.Fatalf("no drain in the size-%d bucket (shard_hist %s)", clients-1, engine.FormatHist(st.ShardHistogram))
+	if n := statInt(t, kv, shardSeries("horam_shard_drained_requests", 0)); n != total {
+		t.Fatalf("shard drained %d requests, want %d", n, total)
 	}
-	t.Logf("windows=%d drains=%d mean drain=%.2f shard_hist=%s",
-		st.Batches, sh.Batches, sh.MeanBatch, engine.FormatHist(st.ShardHistogram))
+	drains := statInt(t, kv, shardSeries("horam_shard_drains", 0))
+	if drains > total-(clients-2) {
+		t.Fatalf("%d drains for %d requests: the %d queued requests did not share one", drains, total, clients-1)
+	}
+	sizes := e.DrainSizes(0)
+	if sizes.Bucket(sizes.BucketOf(clients-1)) == 0 {
+		t.Fatalf("no drain in the size-%d bucket (drain sizes %s)", clients-1, sizes.BucketString())
+	}
+	t.Logf("windows=%d drains=%d mean drain=%.2f drain sizes=%s",
+		st.Batches, drains, float64(total)/float64(drains), sizes.BucketString())
+}
+
+// shardSeries is the STATS series of the per-shard metric name on
+// shard i, as the exposition writes it.
+func shardSeries(name string, i int) string {
+	return name + `{shard="` + strconv.Itoa(i) + `"}`
+}
+
+// statInt reads one integer series off a STATS map or fails the test.
+func statInt(t *testing.T, kv map[string]string, series string) int64 {
+	t.Helper()
+	n, err := client.StatInt(kv, series)
+	if err != nil {
+		t.Fatalf("STATS %s: %v", series, err)
+	}
+	return n
+}
+
+// shardSum adds up one per-shard series over the shards.
+func shardSum(t *testing.T, kv map[string]string, name string, shards int) int64 {
+	t.Helper()
+	var sum int64
+	for i := 0; i < shards; i++ {
+		sum += statInt(t, kv, shardSeries(name, i))
+	}
+	return sum
 }
 
 // runClient drives one connection with a deterministic mixed workload
@@ -480,8 +518,10 @@ func TestPipelinedSingleConnection(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStatsLine checks the STATS response carries both engine and
-// batching counters.
+// TestStatsLine checks the STATS response: "OK" then one
+// series=value token per sample of the registry, carrying the
+// server's window counters, the engine's public series and the
+// Trusted per-shard ones, each named as /metrics would name it.
 func TestStatsLine(t *testing.T) {
 	addr, _ := startServer(t, Config{})
 	c, err := client.Dial(addr)
@@ -496,25 +536,61 @@ func TestStatsLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"requests", "hits", "misses", "shuffles", "quanta", "max_cycle", "batches", "mean_batch", "conns", "hist",
-		"shards", "shard_hist", "s0_depth", "s0_cycles", "s0_pad", "s0_quanta", "s0_maxcycle", "s0_batches", "s0_hist", "s1_depth", "s1_hist"} {
-		if _, ok := kv[key]; !ok {
-			t.Errorf("STATS missing %q (got %v)", key, kv)
+	want := []string{"horam_engine_ops_total", "horam_server_windows_total", "horam_server_window_requests_total",
+		"horam_server_conns_accepted_total", "horam_server_conns_active", `horam_server_window_size_bucket{le="1"}`,
+		`horam_server_drain_seconds_count`}
+	for i := 0; i < 2; i++ {
+		for _, name := range []string{"horam_shard_cycles", "horam_shard_pad_cycles", "horam_shard_quanta",
+			"horam_shard_shuffles", "horam_shard_max_cycle_ns", "horam_shard_sim_ns", "horam_shard_drains",
+			"horam_shard_drained_requests", "horam_shard_queue_depth", "horam_shard_requests",
+			"horam_shard_hits", "horam_shard_misses", "horam_shard_drain_size_count"} {
+			want = append(want, shardSeries(name, i))
+		}
+		want = append(want, `horam_shard_drain_size_bucket{shard="`+strconv.Itoa(i)+`",le="+Inf"}`)
+	}
+	for _, series := range want {
+		if _, ok := kv[series]; !ok {
+			t.Errorf("STATS missing %s (got %v)", series, kv)
 		}
 	}
-	if n, err := client.StatInt(kv, "requests"); err != nil || n != 1 {
-		t.Errorf("requests = %v (%v), want 1", kv["requests"], err)
+	if n := statInt(t, kv, "horam_server_window_requests_total"); n != 1 {
+		t.Errorf("window requests = %d, want 1", n)
 	}
-	if n, err := client.StatInt(kv, "shards"); err != nil || n != 2 {
-		t.Errorf("shards = %v (%v), want 2", kv["shards"], err)
+	if n := shardSum(t, kv, "horam_shard_requests", 2); n != 1 {
+		t.Errorf("shard scheme requests sum to %d, want 1", n)
+	}
+
+	// The raw line: every token splits at its last '=' into a series
+	// and a number, and no series repeats.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintln(conn, "STATS")
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := strings.Fields(line)
+	if tokens[0] != "OK" || len(tokens)-1 != len(kv) {
+		t.Fatalf("STATS line has %d tokens after %q, the reader saw %d series", len(tokens)-1, tokens[0], len(kv))
+	}
+	for _, tok := range tokens[1:] {
+		i := strings.LastIndexByte(tok, '=')
+		if i <= 0 {
+			t.Fatalf("token %q has no series=value split", tok)
+		}
+		if _, err := strconv.ParseFloat(tok[i+1:], 64); err != nil {
+			t.Errorf("token %q: value is not a number: %v", tok, err)
+		}
 	}
 }
 
-// TestPerShardStatsAggregation is the regression test for the STATS
-// fix: the server used to report only a single global batch histogram;
-// it now reports one histogram per shard plus their aggregation, and
-// the aggregation must reconcile exactly with both the per-shard
-// counters and the server's window-level counters.
+// TestPerShardStatsAggregation: STATS reports one drain-size histogram
+// per shard, and the per-shard series reconcile exactly with each
+// other, with the server's window counters and with the engine's own
+// summary.
 func TestPerShardStatsAggregation(t *testing.T) {
 	e, err := engine.New(engine.Options{
 		Blocks:      512,
@@ -553,45 +629,37 @@ func TestPerShardStatsAggregation(t *testing.T) {
 		}
 	}
 
-	st := srv.Stats()
-	if len(st.PerShard) != 4 {
-		t.Fatalf("PerShard has %d entries, want 4", len(st.PerShard))
+	kv, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Every logical request drains in exactly one shard: the per-shard
 	// request counts must sum to the server's window-level total.
 	var shardReqs, shardBatches int64
-	var wantAgg [engine.NumBuckets]int64
-	for _, sh := range st.PerShard {
-		if sh.Requests == 0 || sh.Batches == 0 {
-			t.Fatalf("shard %d drained nothing from an address-space-spanning workload", sh.Shard)
+	for i := 0; i < 4; i++ {
+		reqs := statInt(t, kv, shardSeries("horam_shard_drained_requests", i))
+		drains := statInt(t, kv, shardSeries("horam_shard_drains", i))
+		if reqs == 0 || drains == 0 {
+			t.Fatalf("shard %d drained nothing from an address-space-spanning workload", i)
 		}
-		var bucketSum int64
-		for b, n := range sh.Hist {
-			bucketSum += n
-			wantAgg[b] += n // summed by hand: must not share code with Stats()
+		// The histogram's buckets are cumulative: the +Inf bucket and
+		// the count both equal the number of drains.
+		inf := statInt(t, kv, `horam_shard_drain_size_bucket{shard="`+strconv.Itoa(i)+`",le="+Inf"}`)
+		if count := statInt(t, kv, shardSeries("horam_shard_drain_size_count", i)); inf != drains || count != drains {
+			t.Fatalf("shard %d drain-size histogram holds %d (+Inf) / %d (count) drains, drains = %d", i, inf, count, drains)
 		}
-		if bucketSum != sh.Batches {
-			t.Fatalf("shard %d histogram buckets sum to %d, Batches = %d", sh.Shard, bucketSum, sh.Batches)
+		if sum := statInt(t, kv, shardSeries("horam_shard_drain_size_sum", i)); sum != reqs {
+			t.Fatalf("shard %d drain sizes sum to %d, drained requests = %d", i, sum, reqs)
 		}
-		shardReqs += sh.Requests
-		shardBatches += sh.Batches
+		shardReqs += reqs
+		shardBatches += drains
 	}
-	if shardReqs != st.Requests {
-		t.Fatalf("per-shard requests sum to %d, server drained %d", shardReqs, st.Requests)
+	if windowReqs := statInt(t, kv, "horam_server_window_requests_total"); shardReqs != windowReqs || windowReqs != srv.Stats().Requests {
+		t.Fatalf("per-shard requests sum to %d, STATS window total %d, server drained %d", shardReqs, windowReqs, srv.Stats().Requests)
 	}
-	if st.ShardHistogram != wantAgg {
-		t.Fatalf("ShardHistogram %v is not the element-wise sum of the per-shard histograms %v", st.ShardHistogram, wantAgg)
-	}
-	var aggBuckets int64
-	for _, n := range st.ShardHistogram {
-		aggBuckets += n
-	}
-	if aggBuckets != shardBatches {
-		t.Fatalf("aggregated histogram counts %d drains, shards report %d", aggBuckets, shardBatches)
-	}
-	// The engine's own summary must agree with the server's view.
-	if sum := e.Stats(); sum.Requests != st.Requests || sum.Batches != shardBatches {
-		t.Fatalf("engine summary (requests=%d batches=%d) disagrees with server (requests=%d batches=%d)",
-			sum.Requests, sum.Batches, st.Requests, shardBatches)
+	// The engine's own summary must agree with the STATS view.
+	if sum := e.Stats(); sum.Requests != shardReqs || sum.Batches != shardBatches {
+		t.Fatalf("engine summary (requests=%d batches=%d) disagrees with STATS (requests=%d batches=%d)",
+			sum.Requests, sum.Batches, shardReqs, shardBatches)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 // The shard-control verbs must be refused unless the server was
@@ -147,5 +148,45 @@ func TestShardControlPeekAndCheckpt(t *testing.T) {
 	}
 	if err := c.Checkpt(0); err == nil || !strings.Contains(err.Error(), "start at 1") {
 		t.Fatalf("CHECKPT 0: got %v, want checkpoint-numbering refusal", err)
+	}
+}
+
+// The METRICS verb hands out the node's exposition, which must name no
+// Trusted series — those are for the node's STATS only — while STATS
+// on the same node carries every one of them.
+func TestMetricsVerbOmitsTrustedSeries(t *testing.T) {
+	addr, srv := startServer(t, Config{ShardControl: true, MaxBatch: 1})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Write(5, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trusted := 0
+	for id, d := range srv.reg.Decls() {
+		if d.Class != obs.ClassTrusted {
+			continue
+		}
+		trusted++
+		name, _, _ := strings.Cut(id, "{")
+		if strings.Contains(text, name) {
+			t.Errorf("METRICS payload names the Trusted series %s", name)
+		}
+		if _, ok := kv[id]; !ok && !strings.HasPrefix(id, "horam_shard_drain_size") {
+			t.Errorf("STATS lacks the Trusted series %s", id)
+		}
+	}
+	if trusted == 0 {
+		t.Fatal("the node registered no Trusted series; the check above proved nothing")
 	}
 }

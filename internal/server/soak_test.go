@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/blockcipher"
 	"repro/internal/client"
@@ -46,8 +45,14 @@ func TestShardedSoakOverSockets(t *testing.T) {
 	errs := make(chan error, clients+1)
 
 	// A stats poller races the traffic: STATS snapshots per-shard
-	// counters while every shard is mid-drain.
+	// counters while every shard is mid-drain. Every snapshot must
+	// keep the sampling-order invariant: the window totals render
+	// before the per-shard drain counters, and a shard accounts a
+	// drain before its chunk is counted, so the shards' drained
+	// requests never trail the window request total. The poller does
+	// not pause between snapshots, so some land mid-drain on every run.
 	stop := make(chan struct{})
+	var polls int
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -64,11 +69,16 @@ func TestShardedSoakOverSockets(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.Stats(); err != nil {
+			kv, err := c.Stats()
+			if err != nil {
 				errs <- fmt.Errorf("stats poller: %w", err)
 				return
 			}
-			time.Sleep(2 * time.Millisecond)
+			if err := shardsLeadWindows(kv, shards); err != nil {
+				errs <- fmt.Errorf("stats poller, snapshot %d: %w", polls, err)
+				return
+			}
+			polls++
 		}
 	}()
 
@@ -98,12 +108,34 @@ func TestShardedSoakOverSockets(t *testing.T) {
 		t.Fatalf("server drained %d requests, want %d", st.Requests, want)
 	}
 	var shardReqs int64
-	for _, sh := range st.PerShard {
+	for _, sh := range e.ShardStats() {
 		shardReqs += sh.Requests
 	}
 	if shardReqs != st.Requests {
 		t.Fatalf("shards drained %d requests, server drained %d", shardReqs, st.Requests)
 	}
+	t.Logf("%d STATS snapshots taken under traffic", polls)
+}
+
+// shardsLeadWindows checks one STATS snapshot: the per-shard drained
+// requests sum to at least the window request total.
+func shardsLeadWindows(kv map[string]string, shards int) error {
+	windows, err := client.StatInt(kv, "horam_server_window_requests_total")
+	if err != nil {
+		return err
+	}
+	var drained int64
+	for i := 0; i < shards; i++ {
+		n, err := client.StatInt(kv, shardSeries("horam_shard_drained_requests", i))
+		if err != nil {
+			return err
+		}
+		drained += n
+	}
+	if drained < windows {
+		return fmt.Errorf("shards drained %d requests, the window total already counts %d", drained, windows)
+	}
+	return nil
 }
 
 // soakClient drives one connection with MULTI batches of mixed

@@ -1,10 +1,6 @@
 package server
 
 import (
-	"strconv"
-	"time"
-
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/okv"
 )
@@ -14,10 +10,7 @@ import (
 // update is one atomic op, so counting happens on the hot path
 // without touching Server.mu (which guards the connection map only).
 // A "window" is one chunk of one connection's command: at most
-// MaxBatch requests submitted to the engine at once. The window
-// histogram's buckets coincide with engine.BucketFor's
-// (≤1, 2, ≤4, …, ≤64, 65+), so Stats can read the classic
-// [NumBuckets]int64 view straight out of it.
+// MaxBatch requests submitted to the engine at once.
 type instruments struct {
 	accepted   *obs.Counter
 	rejected   *obs.Counter
@@ -38,9 +31,9 @@ type instruments struct {
 // the plaintext TCP protocol already sees every connection, verb and
 // request line, so arrival counts and window sizes reveal nothing
 // beyond the traffic it tallies itself. What a wire adversary does
-// NOT see — how requests scattered across shards, the hit/miss mix,
-// the real-vs-pad cycle split — is never registered here.
-func newInstruments(reg *obs.Registry, kv bool) instruments {
+// NOT see — how full the KV table is, how many lookups missed — is
+// registered Trusted: STATS shows it, /metrics never does.
+func newInstruments(reg *obs.Registry, kv *okv.Store) instruments {
 	ins := instruments{
 		accepted: reg.Counter("horam_server_conns_accepted_total",
 			"TCP connections accepted",
@@ -66,7 +59,7 @@ func newInstruments(reg *obs.Registry, kv bool) instruments {
 			obs.Timing("wall-clock measurement; covered by the PR 7 timing gate, not snapshot equality"),
 			obs.DurationBounds()),
 	}
-	if kv {
+	if kv != nil {
 		ins.kvGets = reg.Counter("horam_server_kv_ops_total",
 			"KV verbs served", obs.Public("verbs travel in plaintext on the wire; per-verb counts are what a wire adversary already tallies"),
 			obs.Label{Key: "verb", Value: "get"})
@@ -80,6 +73,13 @@ func newInstruments(reg *obs.Registry, kv bool) instruments {
 			"wall-clock latency of one oblivious KV pipeline",
 			obs.Timing("wall-clock measurement; the pipeline's fixed three-batch shape, not its wall time, is the oblivious property"),
 			obs.DurationBounds())
+		table := obs.Trusted("how many keys live in the table and how many lookups missed depend on the keys clients chose; operator STATS only")
+		reg.GaugeFunc("horam_kv_count", "live keys in the KV table", table,
+			func() int64 { return kv.Stats().Count })
+		reg.GaugeFunc("horam_kv_capacity", "key slots in the KV table", table,
+			func() int64 { return kv.Stats().Capacity })
+		reg.GaugeFunc("horam_kv_misses", "KV gets and deletes of an absent key", table,
+			func() int64 { return kv.Stats().Misses })
 	}
 	return ins
 }
@@ -87,7 +87,8 @@ func newInstruments(reg *obs.Registry, kv bool) instruments {
 // Stats is a snapshot of the server's serving counters. Batches and
 // MeanBatch describe command chunks (a single READ/WRITE is a chunk of
 // one); the observable proof of request grouping across connections
-// is the per-shard drain view in PerShard and ShardHistogram.
+// is the engine's per-shard drain view (engine.ShardStats and the
+// horam_shard_drain_size series on STATS).
 type Stats struct {
 	// Accepted and Rejected count connections; Active is the number
 	// currently being served.
@@ -99,16 +100,6 @@ type Stats struct {
 	Requests  int64
 	Batches   int64
 	MeanBatch float64
-	// Histogram counts command chunks by size bucket, in
-	// engine.HistLabels order.
-	Histogram [engine.NumBuckets]int64
-	// PerShard is the engine's per-shard serving snapshot: queue
-	// depth, scheduler-drain histogram and scheme counters per shard.
-	PerShard []engine.ShardStats
-	// ShardHistogram is the element-wise aggregation of the per-shard
-	// drain histograms: how many requests each scheduler drain carried,
-	// whichever connections they came from.
-	ShardHistogram [engine.NumBuckets]int64
 	// KV is the oblivious key–value layer's counters when Config.KV is
 	// set (nil otherwise): live keys, capacity, and per-verb totals.
 	KV *okv.Stats
@@ -121,39 +112,17 @@ func (s *Server) record(size int) {
 	s.ins.windowHist.Observe(float64(size))
 }
 
-// windowCounters samples the window-level instrument block. The
-// histogram read is not atomic with the totals, but neither was the
-// old mutex-guarded snapshot with respect to the engine's counters;
-// per-field monotonicity is all consumers rely on.
-func (s *Server) windowCounters() (st Stats) {
-	st.Accepted = s.ins.accepted.Value()
-	st.Rejected = s.ins.rejected.Value()
-	st.Requests = s.ins.windowReqs.Value()
-	st.Batches = s.ins.windows.Value()
-	for i := 0; i < engine.NumBuckets; i++ {
-		st.Histogram[i] = s.ins.windowHist.Bucket(i)
-	}
-	return st
-}
-
-// Stats returns a snapshot of the serving counters, including the
-// per-shard view and its aggregation. The window counters are sampled
-// BEFORE the shard counters: a shard accounts its drain before the
-// drain's futures resolve, which is before record() counts the chunk
-// — so sampling in this order keeps a snapshot under live traffic
-// causally consistent (per-shard sums can only lead the window
-// totals, never trail them).
+// Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() Stats {
-	st := s.windowCounters()
+	st := Stats{
+		Accepted: s.ins.accepted.Value(),
+		Rejected: s.ins.rejected.Value(),
+		Requests: s.ins.windowReqs.Value(),
+		Batches:  s.ins.windows.Value(),
+	}
 	s.mu.Lock()
 	st.Active = int64(len(s.conns))
 	s.mu.Unlock()
-	st.PerShard = s.engine.ShardStats()
-	hists := make([][engine.NumBuckets]int64, len(st.PerShard))
-	for i, sh := range st.PerShard {
-		hists[i] = sh.Hist
-	}
-	st.ShardHistogram = engine.SumHists(hists...)
 	if st.Batches > 0 {
 		st.MeanBatch = float64(st.Requests) / float64(st.Batches)
 	}
@@ -165,143 +134,25 @@ func (s *Server) Stats() Stats {
 }
 
 // HistogramString renders the command-chunk size histogram for logs.
-func (st Stats) HistogramString() string { return engine.FormatHist(st.Histogram) }
+func (s *Server) HistogramString() string { return s.ins.windowHist.BucketString() }
 
-// appendDuration renders d as seconds with nanosecond precision plus
-// an "s" suffix ("0.002000000s") — allocation-free, and still
-// accepted by time.ParseDuration, which client.ParseStats uses to
-// read max_cycle/simtime back off a STATS line.
-func appendDuration(dst []byte, d time.Duration) []byte {
-	dst = strconv.AppendFloat(dst, d.Seconds(), 'f', 9, 64)
-	return append(dst, 's')
-}
-
-// appendStatsLine renders the STATS response into dst: aggregate
-// engine counters, the server's command-chunk counters, and
-// one group of keys per shard (queue depth, cycles, leveling pad
-// cycles, drains, drain-size histogram). The shard_hist key is the
-// element-wise aggregation of the per-shard histograms, so consumers
-// that only want the old single-histogram view still get one — built
-// from the per-shard truth.
+// writeStats renders one STATS response — "OK" and one series=value
+// token per sample of the registry, every class included — into the
+// connection writer, reusing the server's scratch buffer (statsMu
+// serialises polls; the serving path never takes it). The render is
+// allocation-free once the buffer is warm: a monitoring loop polling
+// STATS must not perturb the zero-alloc serving path.
 //
-// The build is allocation-free in the steady state (strconv.Append*
-// into a reused buffer, engine.ShardStatsInto into a reused slice):
-// a monitoring loop polling STATS must not perturb the zero-alloc
-// serving path — TestStatsLineAllocs enforces it.
-func (s *Server) appendStatsLine(dst []byte) []byte {
-	sum := s.engine.Stats()
-	st := s.windowCounters()
-	s.mu.Lock()
-	st.Active = int64(len(s.conns))
-	s.mu.Unlock()
-
-	if s.statsShards == nil {
-		s.statsShards = make([]engine.ShardStats, s.engine.Shards())
-	}
-	s.engine.ShardStatsInto(s.statsShards)
-	var shardHist [engine.NumBuckets]int64
-	for _, sh := range s.statsShards {
-		for i, n := range sh.Hist {
-			shardHist[i] += n
-		}
-	}
-	mean := 0.0
-	if st.Batches > 0 {
-		mean = float64(st.Requests) / float64(st.Batches)
-	}
-
-	dst = append(dst, "OK requests="...)
-	dst = strconv.AppendInt(dst, sum.Requests, 10)
-	dst = append(dst, " hits="...)
-	dst = strconv.AppendInt(dst, sum.Hits, 10)
-	dst = append(dst, " misses="...)
-	dst = strconv.AppendInt(dst, sum.Misses, 10)
-	dst = append(dst, " shuffles="...)
-	dst = strconv.AppendInt(dst, sum.Shuffles, 10)
-	dst = append(dst, " quanta="...)
-	dst = strconv.AppendInt(dst, sum.Quanta, 10)
-	dst = append(dst, " max_cycle="...)
-	dst = appendDuration(dst, sum.MaxCycleTime)
-	dst = append(dst, " simtime="...)
-	dst = appendDuration(dst, sum.SimTime)
-	dst = append(dst, " shards="...)
-	dst = strconv.AppendInt(dst, int64(sum.Shards), 10)
-	dst = append(dst, " conns="...)
-	dst = strconv.AppendInt(dst, st.Accepted, 10)
-	dst = append(dst, " active="...)
-	dst = strconv.AppendInt(dst, st.Active, 10)
-	dst = append(dst, " rejected="...)
-	dst = strconv.AppendInt(dst, st.Rejected, 10)
-	dst = append(dst, " batches="...)
-	dst = strconv.AppendInt(dst, st.Batches, 10)
-	dst = append(dst, " mean_batch="...)
-	dst = strconv.AppendFloat(dst, mean, 'f', 2, 64)
-	dst = append(dst, " hist="...)
-	dst = engine.AppendHist(dst, st.Histogram)
-	dst = append(dst, " shard_hist="...)
-	dst = engine.AppendHist(dst, shardHist)
-
-	if s.kv != nil {
-		kv := s.kv.Stats()
-		dst = append(dst, " kv_count="...)
-		dst = strconv.AppendInt(dst, kv.Count, 10)
-		dst = append(dst, " kv_capacity="...)
-		dst = strconv.AppendInt(dst, kv.Capacity, 10)
-		dst = append(dst, " kv_gets="...)
-		dst = strconv.AppendInt(dst, kv.Gets, 10)
-		dst = append(dst, " kv_sets="...)
-		dst = strconv.AppendInt(dst, kv.Sets, 10)
-		dst = append(dst, " kv_dels="...)
-		dst = strconv.AppendInt(dst, kv.Dels, 10)
-		dst = append(dst, " kv_misses="...)
-		dst = strconv.AppendInt(dst, kv.Misses, 10)
-	}
-
-	for _, sh := range s.statsShards {
-		id := int64(sh.Shard)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_depth="...)
-		dst = strconv.AppendInt(dst, int64(sh.QueueDepth), 10)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_cycles="...)
-		dst = strconv.AppendInt(dst, sh.Cycles, 10)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_pad="...)
-		dst = strconv.AppendInt(dst, sh.PadCycles, 10)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_quanta="...)
-		dst = strconv.AppendInt(dst, sh.ShuffleQuanta, 10)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_maxcycle="...)
-		dst = appendDuration(dst, sh.MaxCycleTime)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_batches="...)
-		dst = strconv.AppendInt(dst, sh.Batches, 10)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_reqs="...)
-		dst = strconv.AppendInt(dst, sh.Requests, 10)
-		dst = append(dst, " s"...)
-		dst = strconv.AppendInt(dst, id, 10)
-		dst = append(dst, "_hist="...)
-		dst = engine.AppendHist(dst, sh.Hist)
-	}
-	return dst
-}
-
-// writeStats renders one STATS response into the connection writer,
-// reusing the server's scratch buffer (statsMu serialises polls; the
-// serving path never takes it).
+// Series render in registry (name) order, and that order carries an
+// invariant: the server's window totals (horam_server_*) are sampled
+// before the engine's per-shard drain counters (horam_shard_*). A
+// shard accounts its drain before the drain's futures resolve, which
+// is before record() counts the chunk, so under live traffic the
+// per-shard sums can only lead the window totals, never trail them.
 func (s *Server) writeStats(w interface{ Write([]byte) (int, error) }) {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	s.statsBuf = s.appendStatsLine(s.statsBuf[:0])
+	s.statsBuf = s.reg.AppendStats(append(s.statsBuf[:0], "OK"...))
 	s.statsBuf = append(s.statsBuf, '\n')
 	w.Write(s.statsBuf) //horam:errok buffered writer; the flush in handle surfaces the error
 }
