@@ -32,11 +32,14 @@ test-shuffle:
 # Every committed fuzz target, 10 s each (stdlib fuzzing; tier-1 only
 # replays the seed corpora). Targets are discovered per package, so a
 # new Fuzz* function is picked up without editing this or the workflow.
+# -fuzzminimizetime bounds the minimisation of each new interesting
+# input: unbounded (60 s by default) it can eat the whole 10 s, and on a
+# cold fuzz cache the run then executes nothing after its first seconds.
 fuzz-smoke:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== $$pkg $$target"; \
-			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=10s $$pkg || exit 1; \
+			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=10s -fuzzminimizetime=100x $$pkg || exit 1; \
 		done; \
 	done
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -284,6 +285,32 @@ func TestTable53ParamsMatchPaper(t *testing.T) {
 	}
 	if p.HotFrac != 0.8 {
 		t.Fatal("workload is not 80/20")
+	}
+}
+
+// TestTable53Digits pins the paper's Table 5-3 run (horam-bench -exp
+// table5-3) to its exact digits, so a change to the scheduler or the
+// shuffle that moves the paper's metric fails here instead of drifting
+// inside TestComparisonShapeMatchesPaper's [2, 6] range. The run is
+// deterministic (seeded workload, simulated clock). Before a miss was
+// served by its own load (d2493e4) it read 6942 H-ORAM I/Os, 13.4x and
+// 3.6x; the paper reports a 3.5–3.8x I/O reduction.
+func TestTable53Digits(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full Table 5-3 run (≈2.4 s, far longer under the race detector)")
+	}
+	c, err := RunComparison(Table53Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.HORAM.IOAccesses != 6291 || c.Path.IOAccesses != 25000 {
+		t.Errorf("storage I/Os: H-ORAM %d, Path ORAM %d; want 6291 and 25000", c.HORAM.IOAccesses, c.Path.IOAccesses)
+	}
+	if got := fmt.Sprintf("%.1fx", c.Speedup); got != "13.7x" {
+		t.Errorf("speedup %s (%.4f), want 13.7x", got, c.Speedup)
+	}
+	if got := fmt.Sprintf("%.1fx", c.IORatio); got != "4.0x" {
+		t.Errorf("I/O reduction %s (%.4f), want 4.0x", got, c.IORatio)
 	}
 }
 

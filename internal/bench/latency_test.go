@@ -9,42 +9,36 @@ import (
 	"repro/internal/horam"
 )
 
-// TestLatencySweepSmoke runs the shard gate's workload under both
-// shuffle modes and sanity-checks the direction of the
-// deamortization effect: the incremental pipeline's worst single cycle
-// must be well under the monolithic one's, and the totals must stay
-// within a few percent (the period's work is identical; only its
-// placement changes). A flat group size keeps every cycle's service
-// rate equal, so the modes differ in shuffle placement alone.
+// TestLatencySweepSmoke runs the shard gate's workload and checks the
+// deamortization effect on every shard: quanta ran, and the worst
+// single cycle costs at most half of one period's shuffle time — a
+// shuffle that lands whole inside the cycle exhausting the miss budget
+// cannot meet that. A flat group size keeps every cycle's service rate
+// equal, so the costliest cycle is set by shuffle placement alone.
 func TestLatencySweepSmoke(t *testing.T) {
-	byMode := map[string]engine.Summary{}
-	for _, mode := range []string{"monolithic", "incremental"} {
-		o := engine.Options{Blocks: 4096, BlockSize: 64, MemoryBytes: 64 << 10, Shards: 2,
-			MonolithicShuffle: mode == "monolithic", Stages: []horam.Stage{{C: 3, Frac: 1}}}
-		e, reqs := hotspotEngine(t, o, "latency-smoke", 1200, 32)
-		lat := make([]time.Duration, len(reqs)) // virtual time from submission to completion
-		for i, r := range reqs {
-			lat[i] = r.DoneSim - r.SubmitSim
-		}
-		slices.Sort(lat)
-		if p50 := lat[(len(lat)-1)/2]; p50 <= 0 {
-			t.Fatalf("%s: empty latency distribution: p50 %v", mode, p50)
-		}
-		r := e.Stats()
-		if r.Shuffles == 0 {
-			t.Fatalf("%s: no shuffles; the run never exercised the period boundary", mode)
-		}
-		byMode[mode] = r
+	o := engine.Options{Blocks: 4096, BlockSize: 64, MemoryBytes: 64 << 10, Shards: 2,
+		Stages: []horam.Stage{{C: 3, Frac: 1}}}
+	e, reqs := hotspotEngine(t, o, "latency-smoke", 1200, 32)
+	lat := make([]time.Duration, len(reqs)) // virtual time from submission to completion
+	for i, r := range reqs {
+		lat[i] = r.DoneSim - r.SubmitSim
 	}
-	mono, incr := byMode["monolithic"], byMode["incremental"]
-	if incr.Quanta == 0 || mono.Quanta != 0 {
-		t.Fatalf("quanta: incremental %d, monolithic %d", incr.Quanta, mono.Quanta)
+	slices.Sort(lat)
+	if p50 := lat[(len(lat)-1)/2]; p50 <= 0 {
+		t.Fatalf("empty latency distribution: p50 %v", p50)
 	}
-	if incr.MaxCycleTime*2 > mono.MaxCycleTime {
-		t.Fatalf("max cycle cost: incremental %v vs monolithic %v — no deamortization", incr.MaxCycleTime, mono.MaxCycleTime)
+	if q := e.Stats().Quanta; q == 0 {
+		t.Fatal("no shuffle quanta ran")
 	}
-	ratio := float64(incr.SimTime) / float64(mono.SimTime)
-	if ratio > 1.25 || ratio < 0.8 {
-		t.Fatalf("sim totals diverge: incremental %v vs monolithic %v", incr.SimTime, mono.SimTime)
+	for i := 0; i < o.Shards; i++ {
+		st := e.Backend(i).Stats()
+		if st.Shuffles == 0 {
+			t.Fatalf("shard %d: no shuffles; the run never exercised the period boundary", i)
+		}
+		if perPeriod := st.ShuffleTime / time.Duration(st.Shuffles); 2*st.MaxCycleTime > perPeriod {
+			t.Fatalf("shard %d: max cycle cost %v exceeds half a period's shuffle time %v — no deamortization",
+				i, st.MaxCycleTime, perPeriod)
+		}
+		t.Logf("shard %d: %d periods, max cycle %v, shuffle time %v per period", i, st.Shuffles, st.MaxCycleTime, st.ShuffleTime/time.Duration(st.Shuffles))
 	}
 }

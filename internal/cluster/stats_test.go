@@ -14,7 +14,7 @@ import (
 // scheme counters a gateway reads back off each node's STATS line
 // (remoteShard.Stats, read by series name) equal the counters
 // the node's own engine holds — including the two durations, which
-// cross the wire as decimal seconds.
+// cross the wire as integer nanoseconds (`horam_shard_max_cycle_ns`, `horam_shard_sim_ns`).
 func TestRemoteStatsMatchNodeEngines(t *testing.T) {
 	opts := gatewayOpts(2)
 	var nodes []*engine.Engine

@@ -74,12 +74,6 @@ type Common struct {
 	ShardIndex    int
 	// ShuffleRatio enables partial shuffling (§5.3.1); 0 or 1 = full.
 	ShuffleRatio float64
-	// MonolithicShuffle selects the stop-the-world shuffle (the whole
-	// period inside one scheduler cycle) instead of the default
-	// deamortized pipeline. It is the reference path the tests and the
-	// paper's evaluation compare against; no daemon sets it, so the
-	// manifest does not echo it.
-	MonolithicShuffle bool
 	// Stages overrides the scheduler's c schedule; nil selects the
 	// paper's {1, 3, 5} over {20%, 13%, 67%}.
 	Stages []Stage

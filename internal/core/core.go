@@ -170,15 +170,14 @@ func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 		snapSealer: snapSealer,
 	}
 	cfg := horam.Config{
-		Blocks:            opts.Blocks,
-		BlockSize:         opts.BlockSize,
-		MemoryBytes:       opts.MemoryBytes,
-		ShuffleRatio:      opts.ShuffleRatio,
-		MonolithicShuffle: opts.MonolithicShuffle,
-		Stages:            opts.Stages,
-		ConstantTime:      opts.ConstantTime,
-		Sealer:            sealer,
-		RNG:               blockcipher.NewRNGFromString(seed),
+		Blocks:       opts.Blocks,
+		BlockSize:    opts.BlockSize,
+		MemoryBytes:  opts.MemoryBytes,
+		ShuffleRatio: opts.ShuffleRatio,
+		Stages:       opts.Stages,
+		ConstantTime: opts.ConstantTime,
+		Sealer:       sealer,
+		RNG:          blockcipher.NewRNGFromString(seed),
 	}
 	if opts.DataDir != "" {
 		if err := c.wireDurability(&cfg, opts.FsyncEvery); err != nil {

@@ -1,9 +1,8 @@
 // Differential tests: the sharded engine against a plain map model.
 // The model defines the reference semantics — reads return the last
 // value written in submission order (zeros if never written) — and the
-// engine must match it at every shard count, in both shuffle modes,
-// across shuffle periods, under randomized mixed batches that include
-// duplicate addresses.
+// engine must match it at every shard count, across shuffle periods,
+// under randomized mixed batches that include duplicate addresses.
 package engine
 
 import (
@@ -94,33 +93,26 @@ func runDifferential(t *testing.T, e *Engine, label string) []byte {
 
 // TestDifferentialAgainstMapModel drives the same seeded randomized
 // workload (mixed read/write batches of random sizes, duplicate
-// addresses allowed) through the engine at shard counts 1, 2 and 4 in
-// both shuffle modes, checking every read against the map model as
-// batches complete — and then checks the two modes returned exactly
-// the same bytes for every read (identical logical results).
+// addresses allowed) through the engine at shard counts 1, 2 and 4,
+// checking every read against the map model as batches complete.
 func TestDifferentialAgainstMapModel(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			logs := make(map[string][]byte)
 			for _, mode := range shuffleModes {
 				e, err := New(Options{
-					Blocks:            diffBlocks,
-					BlockSize:         diffBlockSize,
-					MemoryBytes:       diffMemBytes,
-					Insecure:          true,
-					Seed:              fmt.Sprintf("differential-%d", shards),
-					Shards:            shards,
-					MonolithicShuffle: mode.monolithic,
+					Blocks:      diffBlocks,
+					BlockSize:   diffBlockSize,
+					MemoryBytes: diffMemBytes,
+					Insecure:    true,
+					Seed:        fmt.Sprintf("differential-%d", shards),
+					Shards:      shards,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				logs[mode.name] = runDifferential(t, e, mode.name)
+				runDifferential(t, e, mode.name)
 				e.Close()
-			}
-			if !bytes.Equal(logs["incremental"], logs["monolithic"]) {
-				t.Fatal("incremental and monolithic shuffle modes returned different read results for the same workload")
 			}
 		})
 	}

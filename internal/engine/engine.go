@@ -372,15 +372,14 @@ func planShards(opts Options) (*shardPlan, error) {
 	p.shardOpts = make([]core.Options, opts.Shards)
 	for s := 0; s < opts.Shards; s++ {
 		p.shardOpts[s] = core.Options{
-			Blocks:            p.counts[s],
-			BlockSize:         opts.BlockSize,
-			MemoryBytes:       memPerShard,
-			Insecure:          opts.Insecure,
-			ShuffleRatio:      opts.ShuffleRatio,
-			MonolithicShuffle: opts.MonolithicShuffle,
-			Stages:            opts.Stages,
-			ConstantTime:      opts.ConstantTime,
-			FsyncEvery:        opts.FsyncEvery,
+			Blocks:       p.counts[s],
+			BlockSize:    opts.BlockSize,
+			MemoryBytes:  memPerShard,
+			Insecure:     opts.Insecure,
+			ShuffleRatio: opts.ShuffleRatio,
+			Stages:       opts.Stages,
+			ConstantTime: opts.ConstantTime,
+			FsyncEvery:   opts.FsyncEvery,
 		}
 		if opts.DataDir != "" {
 			p.shardOpts[s].DataDir = shardDir(opts.DataDir, s)
@@ -917,8 +916,7 @@ type Summary struct {
 	Padded   int64 // leveling dummy cycles, summed (subset of Cycles)
 	// Quanta sums the shards' incremental shuffle quanta; MaxCycleTime
 	// is the costliest single scheduler cycle on any shard — the
-	// deamortization bound (huge in monolithic mode, O(one partition)
-	// in incremental mode).
+	// deamortization bound, O(one partition) of storage work.
 	Quanta       int64
 	MaxCycleTime time.Duration
 	SimTime      time.Duration

@@ -1,10 +1,10 @@
 // Obliviousness regression: every shard's access-period bus must
 // present the identical shape every cycle — exactly one storage load
 // overlapped with exactly c memory-tier path accesses — regardless of
-// the workload's hit/miss mix and of the shard count, in BOTH shuffle
-// modes (the monolithic stop-the-world pass and the default
-// deamortized pipeline). This is the paper's §4.2 indistinguishability
-// argument, asserted on recorded device traces via internal/trace.
+// the workload's hit/miss mix and of the shard count, while the
+// deamortized shuffle pipeline runs its quanta between cycles. This
+// is the paper's §4.2 indistinguishability argument, asserted on
+// recorded device traces via internal/trace.
 package engine
 
 import (
@@ -18,14 +18,12 @@ import (
 	"repro/internal/trace"
 )
 
-// shuffleModes enumerates the two shuffle pipelines every obliviousness
-// property must hold under.
+// shuffleModes names the shuffle pipeline every obliviousness property
+// must hold under; its name is the last element of the subtest IDs.
 var shuffleModes = []struct {
-	name       string
-	monolithic bool
+	name string
 }{
-	{"incremental", false},
-	{"monolithic", true},
+	{"incremental"},
 }
 
 // shardShape is the adversary-visible per-cycle shape of one shard's
@@ -40,20 +38,19 @@ type shardShape struct {
 // expected per-cycle shape is constant over the whole period) and
 // attaches a shuffle-filtered trace recorder to every shard. The
 // memory tier is sized so every shard's miss budget exceeds its
-// shuffle-period quantum count — in the deamortized mode, cycles only
-// carry their storage load while budget remains, and this test's
-// cycle-grouping keys on the loads.
-func obliviousEngine(t *testing.T, shards int, monolithic bool, seed string) (*Engine, []*trace.Recorder) {
+// shuffle-period quantum count — cycles only carry their storage load
+// while budget remains, and this test's cycle-grouping keys on the
+// loads.
+func obliviousEngine(t *testing.T, shards int, seed string) (*Engine, []*trace.Recorder) {
 	t.Helper()
 	e, err := New(Options{
-		Blocks:            1024,
-		BlockSize:         64,
-		MemoryBytes:       16 << 10,
-		Insecure:          true,
-		Seed:              seed,
-		Shards:            shards,
-		MonolithicShuffle: monolithic,
-		Stages:            []horam.Stage{{C: 3, Frac: 1}},
+		Blocks:      1024,
+		BlockSize:   64,
+		MemoryBytes: 16 << 10,
+		Insecure:    true,
+		Seed:        seed,
+		Shards:      shards,
+		Stages:      []horam.Stage{{C: 3, Frac: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +120,7 @@ func analyzeShard(t *testing.T, label string, rec *trace.Recorder, storName stri
 // writes mixed into the hot case — and asserts every shard's per-cycle
 // bus shape is identical across cycles, across the two workloads, and
 // across the shards of each engine, at shard counts 1, 2 and 4, in
-// both shuffle modes.
+// the deamortized shuffle pipeline.
 func TestBusShapeInvariantAcrossWorkloadsAndShardCounts(t *testing.T) {
 	const requests = 360
 	workloads := []struct {
@@ -139,7 +136,7 @@ func TestBusShapeInvariantAcrossWorkloadsAndShardCounts(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			shapes := make(map[string]map[int]shardShape) // workload -> shard -> shape
 			for _, wl := range workloads {
-				e, recs := obliviousEngine(t, shards, mode.monolithic, fmt.Sprintf("oblivious-%d", shards))
+				e, recs := obliviousEngine(t, shards, fmt.Sprintf("oblivious-%d", shards))
 				storName := e.Shard(0).Engine().Stor().Name()
 				rng := blockcipher.NewRNGFromString("oblivious-wl")
 				payload := bytes.Repeat([]byte{0xab}, 64)
@@ -230,14 +227,13 @@ func TestShardCycleCountsHideCollisionStructure(t *testing.T) {
 		for _, shards := range []int{2, 4} {
 			for _, wl := range workloads {
 				e, err := New(Options{
-					Blocks:            1024,
-					BlockSize:         64,
-					MemoryBytes:       16 << 10,
-					Insecure:          true,
-					Seed:              fmt.Sprintf("leveling-%d", shards),
-					Shards:            shards,
-					MonolithicShuffle: mode.monolithic,
-					Stages:            []horam.Stage{{C: 3, Frac: 1}},
+					Blocks:      1024,
+					BlockSize:   64,
+					MemoryBytes: 16 << 10,
+					Insecure:    true,
+					Seed:        fmt.Sprintf("leveling-%d", shards),
+					Shards:      shards,
+					Stages:      []horam.Stage{{C: 3, Frac: 1}},
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -27,13 +27,12 @@ func TestNoStorageSlotReadTwiceWithLevelingPads(t *testing.T) {
 		for _, mode := range shuffleModes {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, mode.name), func(t *testing.T) {
 				e, err := New(Options{
-					Blocks:            blocks,
-					BlockSize:         64,
-					MemoryBytes:       16 << 10,
-					Insecure:          true,
-					Seed:              "read-once",
-					Shards:            shards,
-					MonolithicShuffle: mode.monolithic,
+					Blocks:      blocks,
+					BlockSize:   64,
+					MemoryBytes: 16 << 10,
+					Insecure:    true,
+					Seed:        "read-once",
+					Shards:      shards,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -18,11 +18,10 @@ import (
 // ctGeometry is one shard of the block_ct benchmark workload: 512
 // blocks of 64 B under an 8 KiB memory budget, a 124-slot memory tree
 // with a miss budget of 62.
-func ctGeometry(constantTime, monolithic bool) Config {
+func ctGeometry(constantTime bool) Config {
 	cfg := testConfig(512, 64, 0)
 	cfg.MemoryBytes = 8 << 10
 	cfg.ConstantTime = constantTime
-	cfg.MonolithicShuffle = monolithic
 	return cfg
 }
 
@@ -53,88 +52,86 @@ func copyStorage(src device.Backend) device.Factory {
 // more real blocks — in the tree or its stash — than the miss budget.
 func TestMemoryTreeStaysWithinMissBudget(t *testing.T) {
 	for _, ct := range []bool{false, true} {
-		for _, monolithic := range []bool{false, true} {
-			t.Run(fmt.Sprintf("constantTime=%v/monolithic=%v", ct, monolithic), func(t *testing.T) {
-				cfg := ctGeometry(ct, monolithic)
-				o, err := New(cfg)
-				if err != nil {
+		t.Run(fmt.Sprintf("constantTime=%v", ct), func(t *testing.T) {
+			cfg := ctGeometry(ct)
+			o, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := o.MissBudget()
+			if budget != 62 {
+				t.Fatalf("miss budget %d, want 62 at this geometry", budget)
+			}
+			check := func(when string) {
+				t.Helper()
+				if real := o.mem.RealCount(); real > budget {
+					t.Fatalf("%s: memory tree holds %d real blocks, miss budget %d", when, real, budget)
+				}
+				if peak := o.mem.StashPeak(); int64(peak) > budget {
+					t.Fatalf("%s: stash peak %d, miss budget %d", when, peak, budget)
+				}
+			}
+
+			rng := blockcipher.NewRNGFromString("horam-ctbound")
+			model := make(map[int64][]byte)
+			restored := false
+			for batch := 0; o.Stats().Shuffles < 4; batch++ {
+				if batch > 2000 {
+					t.Fatalf("only %d shuffles after %d batches", o.Stats().Shuffles, batch)
+				}
+				var reqs []*Request
+				for i := 0; i < 4; i++ {
+					addr := rng.Int63n(cfg.Blocks) // uniform
+					if rng.Intn(5) != 0 {
+						addr = rng.Int63n(24) // hot set
+					}
+					r := &Request{Op: OpRead, Addr: addr}
+					if rng.Intn(2) == 0 {
+						r.Op, r.Data = OpWrite, fill(cfg.BlockSize, byte(batch+i))
+					}
+					reqs = append(reqs, r)
+				}
+				if err := o.RunBatch(reqs); err != nil {
 					t.Fatal(err)
 				}
-				budget := o.MissBudget()
-				if budget != 62 {
-					t.Fatalf("miss budget %d, want 62 at this geometry", budget)
-				}
-				check := func(when string) {
-					t.Helper()
-					if real := o.mem.RealCount(); real > budget {
-						t.Fatalf("%s: memory tree holds %d real blocks, miss budget %d", when, real, budget)
-					}
-					if peak := o.mem.StashPeak(); int64(peak) > budget {
-						t.Fatalf("%s: stash peak %d, miss budget %d", when, peak, budget)
+				for _, r := range reqs {
+					if r.Op == OpWrite {
+						model[r.Addr] = r.Data
 					}
 				}
+				check(fmt.Sprintf("batch %d", batch))
 
-				rng := blockcipher.NewRNGFromString("horam-ctbound")
-				model := make(map[int64][]byte)
-				restored := false
-				for batch := 0; o.Stats().Shuffles < 4; batch++ {
-					if batch > 2000 {
-						t.Fatalf("only %d shuffles after %d batches", o.Stats().Shuffles, batch)
-					}
-					var reqs []*Request
-					for i := 0; i < 4; i++ {
-						addr := rng.Int63n(cfg.Blocks) // uniform
-						if rng.Intn(5) != 0 {
-							addr = rng.Int63n(24) // hot set
-						}
-						r := &Request{Op: OpRead, Addr: addr}
-						if rng.Intn(2) == 0 {
-							r.Op, r.Data = OpWrite, fill(cfg.BlockSize, byte(batch+i))
-						}
-						reqs = append(reqs, r)
-					}
-					if err := o.RunBatch(reqs); err != nil {
-						t.Fatal(err)
-					}
-					for _, r := range reqs {
-						if r.Op == OpWrite {
-							model[r.Addr] = r.Data
-						}
-					}
-					check(fmt.Sprintf("batch %d", batch))
-
-					// Restart once, halfway through the second period.
-					if !restored && o.Stats().Shuffles == 1 && !o.ShufflePending() && o.missCount >= budget/2 {
-						snap, err := o.CaptureSnapshot()
-						if err != nil {
-							t.Fatal(err)
-						}
-						rcfg := cfg
-						rcfg.RNG = blockcipher.NewRNGFromString("horam-ctbound/restored")
-						rcfg.Storage = copyStorage(o.Stor())
-						if o, err = Restore(rcfg, snap); err != nil {
-							t.Fatal(err)
-						}
-						restored = true
-						check("after restore")
-					}
-				}
-				if !restored {
-					t.Fatal("traffic never reached the mid-period restart")
-				}
-
-				for addr, want := range model {
-					got, err := o.Read(addr)
+				// Restart once, halfway through the second period.
+				if !restored && o.Stats().Shuffles == 1 && !o.ShufflePending() && o.missCount >= budget/2 {
+					snap, err := o.CaptureSnapshot()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("block %d = %x, want %x", addr, got, want)
+					rcfg := cfg
+					rcfg.RNG = blockcipher.NewRNGFromString("horam-ctbound/restored")
+					rcfg.Storage = copyStorage(o.Stor())
+					if o, err = Restore(rcfg, snap); err != nil {
+						t.Fatal(err)
 					}
+					restored = true
+					check("after restore")
 				}
-				check("after read-back")
-			})
-		}
+			}
+			if !restored {
+				t.Fatal("traffic never reached the mid-period restart")
+			}
+
+			for addr, want := range model {
+				got, err := o.Read(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("block %d = %x, want %x", addr, got, want)
+				}
+			}
+			check("after read-back")
+		})
 	}
 }
 
@@ -148,7 +145,7 @@ func BenchmarkAccessConstantTime(b *testing.B) {
 			name = "constant-time"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := ctGeometry(ct, false)
+			cfg := ctGeometry(ct)
 			o, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -23,10 +23,17 @@ import (
 var ErrPoisoned = errors.New("horam: instance poisoned by failed shuffle")
 
 // shuffleState is the incremental shuffle state machine: the in-flight
-// period's trusted pool and progress cursors. One quantum — the tree
-// evict, or a single partition rewrite — executes per shuffle-mode
-// scheduler cycle, so the period's O(window·partition) device work is
-// spread across O(window) cycles instead of landing in one.
+// period's trusted pool and progress cursors. The paper (§4.3) ends
+// each access period with one stop-the-world pass — oblivious tree
+// evict, then group & partition shuffle over the window, then a fresh
+// empty tree and touched-bit state. Here that period is deamortized:
+// one quantum — the tree evict, or a single partition rewrite —
+// executes per shuffle-mode scheduler cycle, so the period's
+// O(window·partition) device work is spread across O(window) cycles
+// instead of landing in one. With ShuffleRatio r < 1 only ⌈r·√N⌉
+// partitions form the window each period (§5.3.1), cycling
+// round-robin; slack slots absorb the extra hot data until each
+// partition's next turn.
 type shuffleState struct {
 	active   bool
 	evicted  bool          // the tree-evict quantum has run
@@ -58,13 +65,14 @@ func (o *ORAM) shuffleWindow() int64 {
 	return window
 }
 
-// evictTree is the oblivious tree evict shared by both shuffle modes:
-// the whole memory tree (real + dummy slots) is scanned into a trusted
-// buffer, shuffled, and the dummies dropped, so the scan order reveals
-// nothing about which slots were real. DrainAll performs the full
-// sequential scan on the memory device (charging its time); the
-// uniform shuffle stands in for the oblivious buffer shuffle — inside
-// trusted memory any uniform permutation is admissible.
+// evictTree is the oblivious tree evict, the first quantum of every
+// shuffle period: the whole memory tree (real + dummy slots) is
+// scanned into a trusted buffer, shuffled, and the dummies dropped, so
+// the scan order reveals nothing about which slots were real. DrainAll
+// performs the full sequential scan on the memory device (charging its
+// time); the uniform shuffle stands in for the oblivious buffer
+// shuffle — inside trusted memory any uniform permutation is
+// admissible.
 func (o *ORAM) evictTree() ([]stash.Block, error) {
 	evicted, err := o.mem.DrainAll()
 	if err != nil {
@@ -88,72 +96,11 @@ func (o *ORAM) evictTree() ([]stash.Block, error) {
 	return pool, nil
 }
 
-// evictAndShuffle runs the paper's shuffle period (§4.3) as one
-// monolithic pass (Config.MonolithicShuffle):
-//
-//  1. oblivious tree evict (evictTree);
-//  2. group & partition shuffle — the shuffle window's partitions are
-//     processed left to right: read the partition sequentially, keep
-//     its live cold blocks, concatenate the next piece of the evicted
-//     hot data, shuffle in trusted memory (cache shuffle), write back
-//     sequentially under a fresh intra-partition permutation;
-//  3. a new empty tree (the DrainAll already re-sealed dummies) and a
-//     cleared touched-bit state start the next access period.
-//
-// With ShuffleRatio r < 1 only ⌈r·√N⌉ partitions form the window each
-// period (§5.3.1), cycling round-robin; slack slots absorb the extra
-// hot data until each partition's next turn.
-func (o *ORAM) evictAndShuffle() error {
-	o.inShuffle = true
-	defer func() { o.inShuffle = false }()
-	return o.serial("shuffle", func() error {
-		// Phase 1: oblivious tree evict.
-		pool, err := o.evictTree()
-		if err != nil {
-			return err
-		}
-
-		// Phase 2: group & partition shuffle over the window.
-		window := o.shuffleWindow()
-		// Storage slots are only ever written here, so bracketing the
-		// partition writes with generation marks gives the persistence
-		// layer an exact consistency witness: started > completed on
-		// disk means a crash tore this very loop.
-		if o.cfg.ShuffleMark != nil {
-			if err := o.cfg.ShuffleMark(o.shuffleGen+1, false); err != nil {
-				return err
-			}
-		}
-		poolIdx := 0
-		shuffled := int64(0)
-		for shuffled < window || poolIdx < len(pool) {
-			if shuffled >= o.partitions {
-				// Every partition visited and hot data still homeless:
-				// the slack sizing is insufficient (cannot happen with
-				// the shipped factors; guard against config drift).
-				return fmt.Errorf("horam: shuffle could not place %d evicted blocks", len(pool)-poolIdx)
-			}
-			p := o.nextPart
-			o.nextPart = (o.nextPart + 1) % o.partitions
-			if _, err := o.shufflePartition(p, pool, &poolIdx); err != nil {
-				return err
-			}
-			shuffled++
-		}
-		o.stats.PartShuffled += shuffled
-		o.stats.Shuffles++
-
-		// Phase 3: fresh period state.
-		o.missCount = 0
-		return o.endShufflePeriod()
-	})
-}
-
 // beginShuffle arms the incremental state machine. The new access
 // period's miss budget opens immediately: the loads issued by the
 // shuffle-mode cycles that follow fill the freshly emptied tree and
-// count against it, exactly as the first post-shuffle loads do in
-// monolithic mode.
+// count against it, exactly as the loads after a stop-the-world pass
+// would.
 func (o *ORAM) beginShuffle() {
 	o.sm = shuffleState{active: true, window: o.shuffleWindow()}
 	o.missCount = 0
@@ -165,7 +112,7 @@ func (o *ORAM) beginShuffle() {
 // next piece of the pool. The bus shape of each quantum is fixed — a
 // sequential tree scan, or one sequential partition read + rewrite —
 // independent of the real/dummy mix, so spreading the period across
-// cycles reveals nothing the monolithic pass did not. Callers charge
+// cycles reveals nothing a stop-the-world pass would not. Callers charge
 // it to the "shuffle" accounting bucket via serial.
 //
 // Observability (SetObs) wraps the real work: the wall-clock duration
@@ -202,6 +149,11 @@ func (o *ORAM) runShuffleQuantum() error {
 			o.sm.poolAddr[b.Addr] = i
 		}
 		o.sm.evicted = true
+		// Storage slots are only ever written by the partition
+		// quanta that follow, so bracketing them with generation
+		// marks gives the persistence layer an exact consistency
+		// witness: started > completed on disk means a crash tore
+		// this very period.
 		if o.cfg.ShuffleMark != nil {
 			if err := o.cfg.ShuffleMark(o.shuffleGen+1, false); err != nil {
 				return err
@@ -211,18 +163,15 @@ func (o *ORAM) runShuffleQuantum() error {
 	}
 
 	if o.sm.shuffled >= o.partitions && o.sm.poolIdx < len(o.sm.pool) {
+		// Every partition visited and hot data still homeless: the
+		// slack sizing is insufficient (cannot happen with the shipped
+		// factors; guard against config drift).
 		return fmt.Errorf("horam: shuffle could not place %d evicted blocks", len(o.sm.pool)-o.sm.poolIdx)
 	}
 	p := o.nextPart
 	o.nextPart = (o.nextPart + 1) % o.partitions
-	before := o.sm.poolIdx
-	if _, err := o.shufflePartition(p, o.sm.pool, &o.sm.poolIdx); err != nil {
+	if err := o.shufflePartition(p); err != nil {
 		return err
-	}
-	// Blocks absorbed into the partition left the pool: requests for
-	// them are storage misses again, not pool hits.
-	for i := before; i < o.sm.poolIdx; i++ {
-		delete(o.sm.poolAddr, o.sm.pool[i].Addr)
 	}
 	o.sm.shuffled++
 
@@ -261,10 +210,10 @@ func (o *ORAM) endShufflePeriod() error {
 // completion, one quantum at a time (a no-op when none is pending).
 // Quiesce points use it: a snapshot must sit at a period boundary, and
 // finishing the pending quanta — rather than persisting the mid-flight
-// pool — keeps the on-disk generation-marker protocol exactly as the
-// monolithic mode defined it. Quanta run outside scheduler cycles
-// here, so the cycle counter does not move and a leveled multi-shard
-// engine stays leveled.
+// pool — keeps the on-disk generation-marker protocol at whole
+// periods: one started/completed marker pair brackets each period.
+// Quanta run outside scheduler cycles here, so the cycle counter does
+// not move and a leveled multi-shard engine stays leveled.
 func (o *ORAM) FinishShuffle() error {
 	if o.poisoned != nil {
 		return o.poisoned
@@ -279,8 +228,7 @@ func (o *ORAM) FinishShuffle() error {
 }
 
 // shufflePartition reshuffles partition p, absorbing as much of the
-// evicted pool (from *poolIdx on) as fits. It returns the number of
-// pool blocks absorbed.
+// in-flight period's evicted pool (from o.sm.poolIdx on) as fits.
 //
 // The quantum runs entirely in the instance's persistent scratch: the
 // partition is fetched with one vectored ReadSlots burst, the records
@@ -289,7 +237,7 @@ func (o *ORAM) FinishShuffle() error {
 // implementation exactly), and written back with one WriteSlots burst.
 // The meter charges and hook events are per slot in slot order either
 // way — the bus-visible sequence is unchanged.
-func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int, error) {
+func (o *ORAM) shufflePartition(p int64) error {
 	base := p * o.partSlots
 	sc := o.shufScratchFor(o.partSlots)
 
@@ -299,10 +247,10 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 		sc.slots[i] = base + i
 	}
 	if err := o.storDev.ReadSlots(sc.slots, sc.sealedV); err != nil {
-		return 0, err
+		return err
 	}
 	if err := o.codec.OpenRun(sc.readPt, sc.sealedV); err != nil {
-		return 0, err
+		return err
 	}
 
 	// Collect live cold blocks. A slot is live iff the permutation
@@ -318,7 +266,7 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 		}
 		e, err := o.perm.Lookup(addr)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if e.Tier != posmap.TierStorage || e.Slot != base+i {
 			continue // stale copy
@@ -326,13 +274,14 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 		blocks = append(blocks, shufRec{addr, payload})
 	}
 
-	// Concatenate the next piece of evicted hot data.
-	absorbed := 0
-	for int64(len(blocks)) < o.partSlots && *poolIdx < len(pool) {
-		b := pool[*poolIdx]
-		*poolIdx++
+	// Concatenate the next piece of evicted hot data. Absorbed blocks
+	// leave the pool: requests for them are storage misses again, not
+	// pool hits.
+	for int64(len(blocks)) < o.partSlots && o.sm.poolIdx < len(o.sm.pool) {
+		b := o.sm.pool[o.sm.poolIdx]
+		o.sm.poolIdx++
+		delete(o.sm.poolAddr, b.Addr)
 		blocks = append(blocks, shufRec{b.Addr, b.Data})
-		absorbed++
 	}
 	sc.recs = blocks[:0]
 
@@ -353,17 +302,17 @@ func (o *ORAM) shufflePartition(p int64, pool []stash.Block, poolIdx *int) (int,
 		}
 	}
 	if err := o.codec.SealRun(sc.writePt, sc.sealedV); err != nil {
-		return 0, err
+		return err
 	}
 	if err := o.storDev.WriteSlots(sc.slots, sc.sealedV); err != nil {
-		return 0, err
+		return err
 	}
 	for i := int64(0); i < o.partSlots; i++ {
 		if bi, ok := sc.slotOf[base+i]; ok {
 			if err := o.perm.SetStorage(blocks[bi].addr, base+i); err != nil {
-				return 0, err
+				return err
 			}
 		}
 	}
-	return absorbed, nil
+	return nil
 }

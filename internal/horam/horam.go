@@ -80,17 +80,6 @@ type Config struct {
 	// of partitions reshuffled per period. 0 or 1 means full shuffle.
 	// With r < 1 partitions get 2x slack slots to absorb imbalance.
 	ShuffleRatio float64
-	// MonolithicShuffle runs each shuffle period as one stop-the-world
-	// pass inside the scheduler cycle that exhausts the miss budget —
-	// O(window·partition) device work in a single cycle. The default
-	// (false) is the deamortized pipeline: the period is split into
-	// bounded quanta (the tree evict, then one partition rewrite per
-	// shuffle-mode cycle), so the worst-case storage work any cycle
-	// performs is O(one partition) and requests keep being served
-	// while the shuffle progresses. Both modes produce identical
-	// logical results and identical per-period shuffle bus traffic;
-	// the differential and obliviousness tests assert both.
-	MonolithicShuffle bool
 	// BackgroundShuffle models the paper's §5.1 "non-shuffle case"
 	// (Figure 5-2): the shuffle runs off the critical path — offline,
 	// or on the remote server so it never crosses the network — and
@@ -101,9 +90,12 @@ type Config struct {
 	// ConstantTime hardens the memory tree's trusted-memory control
 	// structures (stash, position map) against a co-located timing
 	// adversary; see pathoram.Config.ConstantTime. Device traffic is
-	// byte-identical to the default mode. The permutation list and the
-	// shuffle's pool bookkeeping keep their indexed layout — period
-	// aggregate work remains a documented residual channel.
+	// byte-identical to the default mode. This layer is not hardened:
+	// its memory touches still depend on the secret address. cycleInner
+	// indexes the permutation list at each window request's address,
+	// serveHit probes the pool map keyed by it, and evictTree permutes
+	// the evicted pool with an ordinary Fisher–Yates shuffle (see
+	// ROADMAP item 18).
 	ConstantTime bool
 	// Sealer seals blocks on both tiers; required.
 	Sealer blockcipher.Sealer
@@ -181,14 +173,14 @@ type Stats struct {
 	PartShuffled int64 // partitions reshuffled in total
 	EvictedReal  int64 // real blocks evicted from the tree across shuffles
 	// ShuffleQuanta counts incremental shuffle quanta executed (the
-	// tree evict and each partition rewrite count one). Zero in
-	// monolithic mode.
+	// tree evict and each partition rewrite count one).
 	ShuffleQuanta int64
 	// MaxCycleTime is the device time charged by the costliest single
 	// scheduler cycle, including any shuffle work that ran inside it —
-	// the deamortization bound the incremental pipeline enforces. In
-	// monolithic mode the shuffle-triggering cycle absorbs the whole
-	// period, so this is the direct tail-latency witness.
+	// the deamortization bound the incremental pipeline enforces, and
+	// the direct tail-latency witness: a cycle carries at most one
+	// partition rewrite plus, when a period starts, the tree evict —
+	// never the whole period.
 	MaxCycleTime time.Duration
 }
 
@@ -442,15 +434,13 @@ func (o *ORAM) Clock() *simclock.Clock { return o.clk }
 // Stats returns scheme-level counters.
 func (o *ORAM) Stats() Stats { return o.stats }
 
-// InShuffle reports whether shuffle work — a monolithic pass or one
-// incremental quantum — is currently executing; device hooks use it to
-// classify observed traffic.
+// InShuffle reports whether a shuffle quantum is currently executing;
+// device hooks use it to classify observed traffic.
 func (o *ORAM) InShuffle() bool { return o.inShuffle }
 
 // ShufflePending reports whether an incremental shuffle period is in
 // flight: quanta remain to be executed by upcoming scheduler cycles
-// (or by FinishShuffle). Always false in monolithic mode and between
-// periods.
+// (or by FinishShuffle). False between periods.
 func (o *ORAM) ShufflePending() bool { return o.sm.active }
 
 // Partitions returns the storage partition count √N.

@@ -372,7 +372,7 @@ func recordStorage(t *testing.T, o *ORAM, addrs []int64) *trace.Recorder {
 func TestSquareRootInvariantHolds(t *testing.T) {
 	// Between two shuffle rewrites of a storage slot, access traffic
 	// reads it at most once (§4.3) — checked over the whole run, across
-	// several shuffles, in every shuffle mode the scheduler has.
+	// several shuffles, with full and partial shuffling.
 	type tc struct {
 		name     string
 		cfg      Config
@@ -380,17 +380,14 @@ func TestSquareRootInvariantHolds(t *testing.T) {
 		requests int
 	}
 	var cases []tc
-	for _, monolithic := range []bool{false, true} {
-		for _, ratio := range []float64{0, 0.5} {
-			for _, wl := range workloads {
-				cfg := auditConfig("sqrt-inv")
-				cfg.MonolithicShuffle = monolithic
-				cfg.ShuffleRatio = ratio
-				cases = append(cases, tc{fmt.Sprintf("monolithic=%v/ratio=%g/%s", monolithic, ratio, wl.name), cfg, wl.gen, wl.requests})
-			}
+	for _, ratio := range []float64{0, 0.5} {
+		for _, wl := range workloads {
+			cfg := auditConfig("sqrt-inv")
+			cfg.ShuffleRatio = ratio
+			cases = append(cases, tc{fmt.Sprintf("ratio=%g/%s", ratio, wl.name), cfg, wl.gen, wl.requests})
 		}
 	}
-	cases = append(cases, tc{"constantTime/block_ct/hot", ctGeometry(true, false), workloads[0].gen, 1600})
+	cases = append(cases, tc{"constantTime/block_ct/hot", ctGeometry(true), workloads[0].gen, 1600})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -420,63 +417,64 @@ func TestStorageTraceUniformAndWorkloadIndependent(t *testing.T) {
 		bins     = 16
 		alpha    = 0.001
 	)
-	for _, monolithic := range []bool{false, true} {
-		t.Run(fmt.Sprintf("monolithic=%v", monolithic), func(t *testing.T) {
-			reads := make(map[string][]int64)
-			var hotAddrs []int64
-			var slots int64
-			for _, wl := range workloads {
-				cfg := auditConfig("audit-" + wl.name)
-				cfg.MonolithicShuffle = monolithic
-				o, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				addrs := draw(t, o, wl.gen, "audit-wl-"+wl.name, requests)
-				reads[wl.name] = recordStorage(t, o, addrs).Reads()
-				slots = o.Partitions() * o.PartitionSlots()
-				if wl.name == "hot" {
-					hotAddrs = addrs
-				}
-			}
-
-			check, err := trace.CheckUniform(reads["hot"], slots, bins, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !check.Pass {
-				t.Errorf("hot workload's storage reads are not uniform: chi2 %.1f > critical %.1f", check.Chi2, check.Critical)
-			}
-			chi2, dof, err := trace.TwoSampleChiSquare(reads["hot"], reads["uniform"], slots, bins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			crit := trace.ChiSquareCritical(dof, alpha)
-			if chi2 > crit {
-				t.Errorf("hot and uniform storage traces are distinguishable: chi2 %.1f > critical %.1f", chi2, crit)
-			}
-
-			// Power canary: an unprotected store reads the hot
-			// workload's addresses as its slots. Both tests must see
-			// that, or a pass above would say nothing.
-			canary, err := trace.CheckUniform(hotAddrs, slots, bins, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if canary.Pass {
-				t.Errorf("uniformity test passed an unprotected hot trace: chi2 %.1f ≤ critical %.1f", canary.Chi2, canary.Critical)
-			}
-			canaryChi2, canaryDof, err := trace.TwoSampleChiSquare(hotAddrs, reads["uniform"], slots, bins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if canaryCrit := trace.ChiSquareCritical(canaryDof, alpha); canaryChi2 <= canaryCrit {
-				t.Errorf("two-sample test could not tell an unprotected hot trace from H-ORAM's: chi2 %.1f ≤ critical %.1f", canaryChi2, canaryCrit)
-			}
-			t.Logf("uniformity chi2 %.1f, hot vs uniform chi2 %.1f (critical %.1f); canary %.1f and %.1f",
-				check.Chi2, chi2, crit, canary.Chi2, canaryChi2)
-		})
+	reads := make(map[string][]int64)
+	var hotAddrs []int64
+	var slots int64
+	for _, wl := range workloads {
+		cfg := auditConfig("audit-" + wl.name)
+		o, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := draw(t, o, wl.gen, "audit-wl-"+wl.name, requests)
+		reads[wl.name] = recordStorage(t, o, addrs).Reads()
+		slots = o.Partitions() * o.PartitionSlots()
+		if wl.name == "hot" {
+			hotAddrs = addrs
+		}
 	}
+
+	t.Run("hot-is-uniform", func(t *testing.T) {
+		check, err := trace.CheckUniform(reads["hot"], slots, bins, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check.Pass {
+			t.Errorf("hot workload's storage reads are not uniform: chi2 %.1f > critical %.1f", check.Chi2, check.Critical)
+		}
+		t.Logf("uniformity chi2 %.1f (critical %.1f)", check.Chi2, check.Critical)
+	})
+	t.Run("hot-matches-uniform", func(t *testing.T) {
+		chi2, dof, err := trace.TwoSampleChiSquare(reads["hot"], reads["uniform"], slots, bins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crit := trace.ChiSquareCritical(dof, alpha)
+		if chi2 > crit {
+			t.Errorf("hot and uniform storage traces are distinguishable: chi2 %.1f > critical %.1f", chi2, crit)
+		}
+		t.Logf("hot vs uniform chi2 %.1f (critical %.1f)", chi2, crit)
+	})
+	// Power canary: an unprotected store reads the hot workload's
+	// addresses as its slots. Both tests must see that, or a pass
+	// above would say nothing.
+	t.Run("canary-detected", func(t *testing.T) {
+		canary, err := trace.CheckUniform(hotAddrs, slots, bins, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canary.Pass {
+			t.Errorf("uniformity test passed an unprotected hot trace: chi2 %.1f ≤ critical %.1f", canary.Chi2, canary.Critical)
+		}
+		canaryChi2, canaryDof, err := trace.TwoSampleChiSquare(hotAddrs, reads["uniform"], slots, bins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canaryCrit := trace.ChiSquareCritical(canaryDof, alpha); canaryChi2 <= canaryCrit {
+			t.Errorf("two-sample test could not tell an unprotected hot trace from H-ORAM's: chi2 %.1f ≤ critical %.1f", canaryChi2, canaryCrit)
+		}
+		t.Logf("canary chi2 %.1f and %.1f", canary.Chi2, canaryChi2)
+	})
 }
 
 func TestHitsDontTouchStorageBeyondPadding(t *testing.T) {

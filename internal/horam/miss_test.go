@@ -8,20 +8,17 @@ import (
 	"repro/internal/posmap"
 )
 
-// missModes runs fn once per scheduler mode a miss can be served in:
-// default and constant-time controller, incremental and monolithic
-// shuffle.
+// missModes runs fn once per controller a miss can be served in:
+// default and constant-time.
 func missModes(t *testing.T, fn func(t *testing.T, o *ORAM, model map[int64][]byte)) {
 	for _, ct := range []bool{false, true} {
-		for _, mono := range []bool{false, true} {
-			t.Run(fmt.Sprintf("constantTime=%v/monolithic=%v", ct, mono), func(t *testing.T) {
-				o, model := seeded(t, ct, mono)
-				fn(t, o, model)
-				if st := o.Stats(); st.Requests != st.Hits+st.Misses {
-					t.Fatalf("Stats: Requests %d != Hits %d + Misses %d", st.Requests, st.Hits, st.Misses)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("constantTime=%v", ct), func(t *testing.T) {
+			o, model := seeded(t, ct)
+			fn(t, o, model)
+			if st := o.Stats(); st.Requests != st.Hits+st.Misses {
+				t.Fatalf("Stats: Requests %d != Hits %d + Misses %d", st.Requests, st.Hits, st.Misses)
+			}
+		})
 	}
 }
 
@@ -29,11 +26,10 @@ func missModes(t *testing.T, fn func(t *testing.T, o *ORAM, model map[int64][]by
 // payload and drives it across at least one shuffle, so a share of
 // those payloads is back in storage. It returns the instance at a
 // period boundary together with the map model of its contents.
-func seeded(t *testing.T, constantTime, monolithic bool) (*ORAM, map[int64][]byte) {
+func seeded(t *testing.T, constantTime bool) (*ORAM, map[int64][]byte) {
 	t.Helper()
 	cfg := testConfig(64, 32, 64)
 	cfg.ConstantTime = constantTime
-	cfg.MonolithicShuffle = monolithic
 	o, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

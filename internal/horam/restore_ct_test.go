@@ -62,15 +62,15 @@ func memTreeView(t *testing.T, o *ORAM) []string {
 // never-restored twin draws its leaves from its own RNG stream, so only
 // its results are compared.)
 func TestConstantTimeRestoreMatchesTwins(t *testing.T) {
-	ctR, err := New(ctGeometry(true, false))
+	ctR, err := New(ctGeometry(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctT, err := New(ctGeometry(true, false))
+	ctT, err := New(ctGeometry(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defR, err := New(ctGeometry(false, false))
+	defR, err := New(ctGeometry(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestConstantTimeRestoreMatchesTwins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcfg := ctGeometry(ct, false)
+		rcfg := ctGeometry(ct)
 		rcfg.RNG = blockcipher.NewRNGFromString("horam-ct-restore/restored")
 		rcfg.Storage = copyStorage(o.Stor())
 		r, err := Restore(rcfg, snap)

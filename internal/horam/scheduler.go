@@ -236,20 +236,13 @@ func (o *ORAM) cycleInner() error {
 		}
 	}
 	if o.missCount >= o.missBudget && !o.sm.active {
-		if o.cfg.MonolithicShuffle {
-			if err := o.evictAndShuffle(); err != nil {
-				o.poison(err)
-				return err
-			}
-		} else {
-			o.beginShuffle()
-			// The evict quantum runs in the triggering cycle itself:
-			// the block this cycle loaded still belongs to the period
-			// that just ended, so it is evicted with the rest.
-			if err := o.serial("shuffle", o.shuffleQuantum); err != nil {
-				o.poison(err)
-				return err
-			}
+		o.beginShuffle()
+		// The evict quantum runs in the triggering cycle itself: the
+		// block this cycle loaded still belongs to the period that
+		// just ended, so it is evicted with the rest.
+		if err := o.serial("shuffle", o.shuffleQuantum); err != nil {
+			o.poison(err)
+			return err
 		}
 	}
 	return nil

@@ -1,7 +1,7 @@
 // Tests for the deamortized shuffle pipeline and its failure paths:
-// mode equivalence (incremental vs monolithic), the per-cycle cost
-// bound, quiesce-finishes-the-shuffle, sticky poisoning after a
-// mid-flight shuffle failure, and the ROB-abandonment memory fix.
+// the absolute per-period traffic, quantum and per-cycle cost oracles,
+// quiesce-finishes-the-shuffle, sticky poisoning after a mid-flight
+// shuffle failure, and the ROB-abandonment memory fix.
 package horam
 
 import (
@@ -32,93 +32,84 @@ func (f *faultSealer) Seal(pt []byte) ([]byte, error) {
 	return f.Sealer.Seal(pt)
 }
 
-// testConfigMode is testConfig with the shuffle mode selectable.
-func testConfigMode(blocks int64, blockSize int, memSlots int64, monolithic bool) Config {
-	cfg := testConfig(blocks, blockSize, memSlots)
-	cfg.MonolithicShuffle = monolithic
-	return cfg
-}
-
-// TestIncrementalMatchesMonolithic runs one seeded workload through
-// both shuffle modes and asserts they return identical bytes for every
-// read and produce identical per-period shuffle bus traffic (the same
-// tree scan and the same partition rewrites, merely spread across
-// cycles). Only the interleaving differs between the modes; the work
-// content of a period does not.
+// TestIncrementalMatchesMonolithic pins the deamortized shuffle
+// pipeline to absolute oracles taken from the instance's own geometry.
+// (The name predates the pipeline being the only shuffle: each check
+// below replaces a comparison against the paper's stop-the-world pass.)
+// One seeded workload must read back the map model's bytes, and every
+// period must present the same shuffle bus traffic — one sequential
+// read of every memory-tier device slot (the reseal is a raw write off
+// the bus), one sequential read and rewrite of every partition — run
+// as exactly one evict quantum plus one quantum per partition. The
+// deamortization bound: no single cycle may cost more than a third of
+// one period's shuffle time, which a pass that runs the whole period
+// inside one cycle cannot meet.
 func TestIncrementalMatchesMonolithic(t *testing.T) {
 	const blocks, blockSize, memSlots = 144, 16, 60
-	type run struct {
-		reads      []byte
-		perPeriod  int64
-		shuffles   int64
-		quanta     int64
-		maxCycleNs time.Duration
-	}
-	results := make(map[bool]run)
-	for _, monolithic := range []bool{false, true} {
-		o, err := New(testConfigMode(blocks, blockSize, memSlots, monolithic))
+	o := build(t, blocks, blockSize, memSlots)
+	var memEvents, storEvents int64
+	o.Mem().SetHook(func(_ string, _ device.Op, _ int64) {
+		if o.InShuffle() {
+			memEvents++
+		}
+	})
+	o.Stor().SetHook(func(_ string, _ device.Op, _ int64) {
+		if o.InShuffle() {
+			storEvents++
+		}
+	})
+
+	rng := blockcipher.NewRNGFromString("mode-equivalence")
+	model := make(map[int64][]byte)
+	for i := 0; i < 400; i++ {
+		a := rng.Int63n(blocks)
+		if rng.Intn(2) == 0 {
+			data := fill(blockSize, byte(rng.Intn(256)))
+			if err := o.Write(a, data); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			model[a] = data
+			continue
+		}
+		got, err := o.Read(a)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("op %d: %v", i, err)
 		}
-		var shuffleEvents int64
-		hook := func(_ string, _ device.Op, _ int64) {
-			if o.InShuffle() {
-				shuffleEvents++
-			}
+		want, ok := model[a]
+		if !ok {
+			want = make([]byte, blockSize) // never written: zeros
 		}
-		o.Stor().SetHook(hook)
-		o.Mem().SetHook(hook)
-
-		rng := blockcipher.NewRNGFromString("mode-equivalence")
-		var reads []byte
-		for i := 0; i < 400; i++ {
-			a := rng.Int63n(blocks)
-			if rng.Intn(2) == 0 {
-				if err := o.Write(a, fill(blockSize, byte(rng.Intn(256)))); err != nil {
-					t.Fatalf("monolithic=%v op %d: %v", monolithic, i, err)
-				}
-			} else {
-				got, err := o.Read(a)
-				if err != nil {
-					t.Fatalf("monolithic=%v op %d: %v", monolithic, i, err)
-				}
-				reads = append(reads, got[0])
-			}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("op %d: read %d returned %x, want %x", i, a, got, want)
 		}
-		// Close out the last in-flight period so the traffic count
-		// covers whole periods only.
-		if err := o.FinishShuffle(); err != nil {
-			t.Fatal(err)
-		}
-		st := o.Stats()
-		if st.Shuffles < 2 {
-			t.Fatalf("monolithic=%v: only %d shuffles; geometry drifted", monolithic, st.Shuffles)
-		}
-		if shuffleEvents%st.Shuffles != 0 {
-			t.Fatalf("monolithic=%v: %d shuffle events over %d periods does not divide evenly — periods differ in traffic", monolithic, shuffleEvents, st.Shuffles)
-		}
-		results[monolithic] = run{reads, shuffleEvents / st.Shuffles, st.Shuffles, st.ShuffleQuanta, st.MaxCycleTime}
 	}
-
-	mono, incr := results[true], results[false]
-	if !bytes.Equal(mono.reads, incr.reads) {
-		t.Fatal("the two shuffle modes returned different read results for the same workload")
+	// Close out the last in-flight period so the traffic counts cover
+	// whole periods only.
+	if err := o.FinishShuffle(); err != nil {
+		t.Fatal(err)
 	}
-	if mono.perPeriod != incr.perPeriod {
-		t.Fatalf("per-period shuffle bus traffic differs: monolithic %d events, incremental %d", mono.perPeriod, incr.perPeriod)
+	st := o.Stats()
+	if st.Shuffles < 2 {
+		t.Fatalf("only %d shuffles; geometry drifted", st.Shuffles)
 	}
-	if mono.quanta != 0 {
-		t.Fatalf("monolithic mode ran %d quanta", mono.quanta)
+	if want := st.Shuffles * o.Mem().Slots(); memEvents != want {
+		t.Fatalf("memory-tier shuffle events %d over %d periods, want %d (%d device slots per period)",
+			memEvents, st.Shuffles, want, o.Mem().Slots())
 	}
-	if incr.quanta == 0 {
-		t.Fatal("incremental mode ran no quanta")
+	if want := st.Shuffles * 2 * o.Partitions() * o.PartitionSlots(); storEvents != want {
+		t.Fatalf("storage shuffle events %d over %d periods, want %d (read + rewrite of %d partitions × %d slots per period)",
+			storEvents, st.Shuffles, want, o.Partitions(), o.PartitionSlots())
 	}
-	// The deamortization bound: the costliest single cycle of the
-	// incremental pipeline must be far below the monolithic one, which
-	// absorbs a whole O(window·partition) period.
-	if incr.maxCycleNs*3 > mono.maxCycleNs {
-		t.Fatalf("max cycle cost: incremental %v vs monolithic %v — deamortization bound not met", incr.maxCycleNs, mono.maxCycleNs)
+	if want := st.Shuffles * (1 + o.Partitions()); st.ShuffleQuanta != want {
+		t.Fatalf("%d quanta over %d periods, want %d (one evict + %d partition rewrites per period)",
+			st.ShuffleQuanta, st.Shuffles, want, o.Partitions())
 	}
+	if perPeriod := o.ShuffleTime() / time.Duration(st.Shuffles); 3*st.MaxCycleTime > perPeriod {
+		t.Fatalf("max cycle cost %v exceeds a third of a period's shuffle time %v — deamortization bound not met",
+			st.MaxCycleTime, perPeriod)
+	}
+	t.Logf("%d periods: %d memory-tier and %d storage events, %d quanta; max cycle %v, shuffle time %v per period",
+		st.Shuffles, memEvents, storEvents, st.ShuffleQuanta, st.MaxCycleTime, o.ShuffleTime()/time.Duration(st.Shuffles))
 }
 
 // driveToPendingShuffle issues single-request drains until one returns
@@ -192,9 +183,9 @@ func TestSnapshotFinishesInFlightShuffle(t *testing.T) {
 // buildFaulty constructs an instance whose sealer fails mid-shuffle,
 // after the tree reseal and at least one full partition rewrite — the
 // exact partial-rewrite state the sticky-poison fix is about.
-func buildFaulty(t *testing.T, monolithic bool) *ORAM {
+func buildFaulty(t *testing.T) *ORAM {
 	t.Helper()
-	cfg := testConfigMode(64, 16, 28, monolithic)
+	cfg := testConfig(64, 16, 28)
 	armed := false
 	sealsInShuffle := 0
 	var o *ORAM
@@ -224,43 +215,39 @@ func buildFaulty(t *testing.T, monolithic bool) *ORAM {
 // inconsistent state. Now the failure is sticky — the instance is
 // poisoned and every subsequent operation reports it.
 func TestShuffleFailurePoisonsInstance(t *testing.T) {
-	for _, monolithic := range []bool{false, true} {
-		o := buildFaulty(t, monolithic)
-		var failure error
-		for i := 0; i < 4000 && failure == nil; i++ {
-			failure = o.Write(int64(i)%64, fill(16, byte(i)))
-		}
-		if failure == nil {
-			t.Fatalf("monolithic=%v: injected seal fault never fired", monolithic)
-		}
-		if !errors.Is(failure, errInjectedSeal) {
-			t.Fatalf("monolithic=%v: failure is %v, want the injected fault", monolithic, failure)
-		}
-		if errors.Is(failure, ErrPoisoned) {
-			t.Fatalf("monolithic=%v: the triggering operation itself should report the root cause, not the poison wrapper", monolithic)
-		}
+	o := buildFaulty(t)
+	var failure error
+	for i := 0; i < 4000 && failure == nil; i++ {
+		failure = o.Write(int64(i)%64, fill(16, byte(i)))
+	}
+	if failure == nil {
+		t.Fatal("injected seal fault never fired")
+	}
+	if !errors.Is(failure, errInjectedSeal) {
+		t.Fatalf("failure is %v, want the injected fault", failure)
+	}
+	if errors.Is(failure, ErrPoisoned) {
+		t.Fatal("the triggering operation itself should report the root cause, not the poison wrapper")
+	}
 
-		assertPoisoned := func(op string, err error) {
-			if !errors.Is(err, ErrPoisoned) {
-				t.Fatalf("monolithic=%v: %s after failed shuffle returned %v, want ErrPoisoned", monolithic, op, err)
-			}
+	assertPoisoned := func(op string, err error) {
+		if !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("%s after failed shuffle returned %v, want ErrPoisoned", op, err)
 		}
-		_, err := o.Read(1)
-		assertPoisoned("Read", err)
-		assertPoisoned("Write", o.Write(1, fill(16, 9)))
-		assertPoisoned("Submit", o.Submit(&Request{Op: OpRead, Addr: 1}))
-		assertPoisoned("Drain", o.Drain())
-		_, err = o.PadToCycles(o.Stats().Cycles + 1)
-		assertPoisoned("PadToCycles", err)
-		_, err = o.CaptureSnapshot()
-		assertPoisoned("CaptureSnapshot", err)
-		if !monolithic {
-			assertPoisoned("FinishShuffle", o.FinishShuffle())
-		}
-		// The shuffle must NOT have been silently retried or completed.
-		if o.Stats().Shuffles != 0 {
-			t.Fatalf("monolithic=%v: %d shuffles completed after the mid-flight failure", monolithic, o.Stats().Shuffles)
-		}
+	}
+	_, err := o.Read(1)
+	assertPoisoned("Read", err)
+	assertPoisoned("Write", o.Write(1, fill(16, 9)))
+	assertPoisoned("Submit", o.Submit(&Request{Op: OpRead, Addr: 1}))
+	assertPoisoned("Drain", o.Drain())
+	_, err = o.PadToCycles(o.Stats().Cycles + 1)
+	assertPoisoned("PadToCycles", err)
+	_, err = o.CaptureSnapshot()
+	assertPoisoned("CaptureSnapshot", err)
+	assertPoisoned("FinishShuffle", o.FinishShuffle())
+	// The shuffle must NOT have been silently retried or completed.
+	if o.Stats().Shuffles != 0 {
+		t.Fatalf("%d shuffles completed after the mid-flight failure", o.Stats().Shuffles)
 	}
 }
 

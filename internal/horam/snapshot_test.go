@@ -19,7 +19,7 @@ import (
 func TestSnapshotCarriesTrustedTopBlocks(t *testing.T) {
 	for _, ct := range []bool{false, true} {
 		t.Run(fmt.Sprintf("constantTime=%v", ct), func(t *testing.T) {
-			cfg := ctGeometry(ct, false)
+			cfg := ctGeometry(ct)
 			o, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
