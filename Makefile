@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline unreached fmt
+.PHONY: ci build vet fmt-check lint test test-shuffle examples fuzz-smoke race bench-smoke bench bench-sealer bench-sealer-baseline bench-timing bench-timing-baseline unreached fmt
 
-ci: build vet fmt-check lint test test-shuffle fuzz-smoke race bench-smoke bench-sealer bench-timing
+ci: build vet fmt-check lint test test-shuffle examples fuzz-smoke race bench-smoke bench-sealer bench-timing
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ test:
 # fixed order silently satisfies.
 test-shuffle:
 	$(GO) test -shuffle=on -count=1 ./...
+
+# Run every example end to end: go build only compiles them, and each
+# must exit 0 (each takes well under a second once built).
+examples:
+	@for ex in examples/*/; do \
+		echo "== $$ex"; \
+		$(GO) run ./$$ex || exit 1; \
+	done
 
 # Every committed fuzz target, 10 s each (stdlib fuzzing; tier-1 only
 # replays the seed corpora). Targets are discovered per package, so a

@@ -15,18 +15,18 @@ import (
 	"time"
 
 	"repro/internal/blockcipher"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
 const (
 	users      = 4
 	perUser    = 1024 // blocks per user region
-	reqPerUser = 500
+	reqPerUser = 256  // users*reqPerUser stays within one engine drain (1024)
 )
 
 func main() {
-	client, err := core.Open(core.Options{
+	store, err := engine.New(engine.Options{
 		Blocks:      users * perUser,
 		BlockSize:   512,
 		MemoryBytes: 512 << 10,
@@ -50,14 +50,14 @@ func main() {
 
 	// Interleave the streams round-robin into one batch — the shared
 	// ROB is exactly how the paper's scheduler absorbs multiple users.
-	var reqs []*core.Request
+	var reqs []*engine.Request
 	for i := 0; i < reqPerUser; i++ {
 		for u := 0; u < users; u++ {
 			addr := int64(u*perUser) + gens[u].Next()
-			reqs = append(reqs, &core.Request{Addr: addr, User: u})
+			reqs = append(reqs, &engine.Request{Addr: addr, User: u})
 		}
 	}
-	if err := client.Batch(reqs); err != nil {
+	if err := store.Batch(reqs); err != nil {
 		log.Fatal(err)
 	}
 
@@ -66,7 +66,7 @@ func main() {
 	for _, r := range reqs {
 		served[r.User]++
 	}
-	st := client.Stats()
+	st := store.Shard(0).Stats()
 	fmt.Printf("%d users sharing one H-ORAM, %d total requests\n", users, len(reqs))
 	for u, n := range served {
 		fmt.Printf("  user %d: %d requests served\n", u, n)
@@ -75,4 +75,7 @@ func main() {
 		st.Cycles, st.Misses, st.Hits, st.DummyIO, st.Shuffles)
 	fmt.Printf("simulated time %v -> %v per request across all users\n",
 		st.SimulatedTime, st.SimulatedTime/time.Duration(len(reqs)))
+	if err := store.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -1,5 +1,5 @@
-// Quickstart: open an H-ORAM client, write some blocks, read them
-// back, and print what the scheme did under the hood.
+// Quickstart: open an H-ORAM store (a one-shard engine), write some
+// blocks, read them back, and print what the scheme did under the hood.
 //
 //	go run ./examples/quickstart
 package main
@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func main() {
 	key := bytes.Repeat([]byte{0x42}, 32)
-	client, err := core.Open(core.Options{
+	store, err := engine.New(engine.Options{
 		Blocks:      4096,    // 4 Mi data set of 1 KiB blocks
 		MemoryBytes: 1 << 20, // 1 MiB trusted-adjacent cache tier
 		Key:         key,
@@ -25,15 +25,15 @@ func main() {
 
 	// Store a few blocks.
 	for i := int64(0); i < 8; i++ {
-		block := make([]byte, client.BlockSize())
+		block := make([]byte, store.BlockSize())
 		copy(block, fmt.Sprintf("hello from block %d", i))
-		if err := client.Write(i, block); err != nil {
+		if err := store.Write(i, block); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	// Read one back.
-	data, err := client.Read(3)
+	data, err := store.Read(3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,18 +42,23 @@ func main() {
 	// Batched access is the intended mode: the secure scheduler groups
 	// cache hits with storage loads so every cycle looks identical on
 	// the bus.
-	var reqs []*core.Request
+	var reqs []*engine.Request
 	for i := int64(0); i < 8; i++ {
-		reqs = append(reqs, &core.Request{Addr: i}) // reads
+		reqs = append(reqs, &engine.Request{Addr: i}) // reads
 	}
-	if err := client.Batch(reqs); err != nil {
+	if err := store.Batch(reqs); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("batch of %d reads completed\n", len(reqs))
 
-	st := client.Stats()
+	// The one shard is the H-ORAM instance; its counters carry the
+	// dummy I/O and the access/shuffle time split.
+	st := store.Shard(0).Stats()
 	fmt.Printf("requests=%d hits=%d misses=%d dummyIO=%d shuffles=%d\n",
 		st.Requests, st.Hits, st.Misses, st.DummyIO, st.Shuffles)
 	fmt.Printf("simulated time: %v (access %v, shuffle %v)\n",
 		st.SimulatedTime, st.AccessTime, st.ShuffleTime)
+	if err := store.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

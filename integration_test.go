@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/blockcipher"
 	"repro/internal/core"
-	"repro/internal/horam"
+	"repro/internal/engine"
 )
 
 func integrationKey() []byte {
@@ -25,7 +25,7 @@ func integrationKey() []byte {
 // public API with AES-GCM sealing on every block, crossing
 // several shuffle periods.
 func TestEndToEndWithRealCrypto(t *testing.T) {
-	client, err := core.Open(core.Options{
+	client, err := engine.New(engine.Options{
 		Blocks:      512,
 		BlockSize:   128,
 		MemoryBytes: 16 << 10, // tiny: forces shuffles
@@ -34,6 +34,7 @@ func TestEndToEndWithRealCrypto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer client.Close()
 	version := make(map[int64]byte)
 	rng := blockcipher.NewRNGFromString("e2e")
 	for i := 0; i < 400; i++ {
@@ -67,7 +68,7 @@ func TestEndToEndWithRealCrypto(t *testing.T) {
 // checks that the authentication failure surfaces through H-ORAM's
 // public API instead of silently returning wrong data.
 func TestTamperDetectedThroughTheStack(t *testing.T) {
-	client, err := core.Open(core.Options{
+	client, err := engine.New(engine.Options{
 		Blocks:      256,
 		BlockSize:   64,
 		MemoryBytes: 8 << 10,
@@ -76,7 +77,8 @@ func TestTamperDetectedThroughTheStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stor := client.Engine().Stor()
+	defer client.Close()
+	stor := client.Shard(0).Engine().Stor()
 	junk := make([]byte, stor.SlotSize())
 	for slot := int64(0); slot < stor.Slots(); slot++ {
 		if err := stor.WriteRaw(slot, junk); err != nil {
@@ -92,10 +94,13 @@ func TestTamperDetectedThroughTheStack(t *testing.T) {
 
 // TestSameSeedSameTrace re-runs a full experiment and requires
 // bit-identical scheme counters and virtual time — the property the
-// whole evaluation's reproducibility rests on.
+// whole evaluation's reproducibility rests on. The instance's own
+// counters carry the RNG-driven ones (dummy I/O, partial shuffles,
+// evictions) beside the virtual-time split; the engine's summary is
+// compared too.
 func TestSameSeedSameTrace(t *testing.T) {
-	run := func() (horam.Stats, int64) {
-		client, err := core.Open(core.Options{
+	run := func() (core.Stats, engine.Summary) {
+		client, err := engine.New(engine.Options{
 			Blocks:      512,
 			BlockSize:   64,
 			MemoryBytes: 8 << 10,
@@ -105,19 +110,20 @@ func TestSameSeedSameTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var reqs []*core.Request
+		defer client.Close()
+		var reqs []*engine.Request
 		for i := 0; i < 300; i++ {
-			reqs = append(reqs, &core.Request{Addr: int64(i*7) % 512})
+			reqs = append(reqs, &engine.Request{Addr: int64(i*7) % 512})
 		}
 		if err := client.Batch(reqs); err != nil {
 			t.Fatal(err)
 		}
-		return client.Stats().Stats, int64(client.Stats().SimulatedTime)
+		return client.Shard(0).Stats(), client.Stats()
 	}
-	s1, t1 := run()
-	s2, t2 := run()
-	if s1 != s2 || t1 != t2 {
-		t.Fatalf("same seed diverged:\n%+v @%d\n%+v @%d", s1, t1, s2, t2)
+	s1, sum1 := run()
+	s2, sum2 := run()
+	if s1 != s2 || sum1 != sum2 {
+		t.Fatalf("same seed diverged:\n%+v\n%+v\n%+v\n%+v", s1, sum1, s2, sum2)
 	}
 }
 
@@ -125,7 +131,7 @@ func TestSameSeedSameTrace(t *testing.T) {
 // the same randomized operation sequence (property-based).
 func TestHORAMMatchesReferenceModel(t *testing.T) {
 	f := func(ops []uint16, writes []byte) bool {
-		client, err := core.Open(core.Options{
+		client, err := engine.New(engine.Options{
 			Blocks:      64,
 			BlockSize:   16,
 			MemoryBytes: 1 << 10,
@@ -135,6 +141,7 @@ func TestHORAMMatchesReferenceModel(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer client.Close()
 		ref := make(map[int64]byte)
 		for i, op := range ops {
 			addr := int64(op % 64)
@@ -170,7 +177,7 @@ func TestHORAMMatchesReferenceModel(t *testing.T) {
 // guaranteed to straddle shuffle periods and checks program-order
 // semantics survive the period boundary.
 func TestBatchWriteReadInterleavingAcrossPeriods(t *testing.T) {
-	client, err := core.Open(core.Options{
+	client, err := engine.New(engine.Options{
 		Blocks:      256,
 		BlockSize:   32,
 		MemoryBytes: 2 << 10, // ~30-block tree: many periods
@@ -180,10 +187,11 @@ func TestBatchWriteReadInterleavingAcrossPeriods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reqs []*core.Request
+	defer client.Close()
+	var reqs []*engine.Request
 	for a := int64(0); a < 200; a++ {
-		reqs = append(reqs, &core.Request{Op: horam.OpWrite, Addr: a, Data: bytes.Repeat([]byte{byte(a)}, 32)})
-		reqs = append(reqs, &core.Request{Addr: a})
+		reqs = append(reqs, &engine.Request{Op: engine.OpWrite, Addr: a, Data: bytes.Repeat([]byte{byte(a)}, 32)})
+		reqs = append(reqs, &engine.Request{Addr: a})
 	}
 	if err := client.Batch(reqs); err != nil {
 		t.Fatal(err)

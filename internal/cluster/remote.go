@@ -147,13 +147,6 @@ func (r *remoteShard) Peek() (epoch, checkpoint uint64, err error) {
 	return epoch, checkpoint, nil
 }
 
-// RestoreCheckpoint is refused: a node restores its own directory at
-// startup, and rolling a remote shard to an older cut belongs to the
-// migration/failover seam, not this transport.
-func (r *remoteShard) RestoreCheckpoint(checkpoint, epoch uint64) error {
-	return engine.ErrRemoteRestore
-}
-
 func (r *remoteShard) Close() error {
 	if err := r.c.Close(); err != nil {
 		return r.fail(err)

@@ -1,20 +1,11 @@
-// Package core is the public face of the H-ORAM library: a small,
-// stable client API over the full engine in internal/horam. It owns
-// key handling (one 32-byte master key fans out to the sealer and the
-// randomness), picks the paper's defaults for every knob, and offers
-// both a simple Read/Write interface and the batched interface the
-// scheduler was designed for.
-//
-// A minimal session:
-//
-//	client, err := core.Open(core.Options{
-//	        Blocks:      1 << 16,      // 64 Mi of 1 KiB blocks
-//	        MemoryBytes: 8 << 20,      // 8 MiB cache tier
-//	        Key:         key,          // 32 bytes
-//	})
-//	...
-//	err = client.Write(42, payload)
-//	data, err := client.Read(42)
+// Package core is the in-process shard an engine runs: key schedule,
+// durable directory, checkpoint and restore at a caller-chosen cut. A
+// Client is one H-ORAM instance (internal/horam) behind a mutex. It
+// fans one 32-byte master key out to the sealer, the snapshot sealer
+// and the randomness, picks the paper's defaults for every knob, and
+// implements internal/engine's ShardBackend, so the engine drives it
+// directly. Programs open an engine (engine.New, Shards 0 or 1 for one
+// instance); the engine opens, restores and checkpoints its clients.
 package core
 
 import (
@@ -52,10 +43,10 @@ type Store interface {
 //   - DataDir enables the durable storage backend: the storage tier
 //     becomes a preallocated device.File at DataDir/storage.dat, a
 //     shuffle-generation marker is maintained at DataDir/storage.gen,
-//     and SaveSnapshot/Restore persist the control state at
+//     and SaveSnapshotAt persists the control state at
 //     DataDir/state.snap. Open always REINITIALISES the storage file
 //     (and removes any stale state.snap); resuming a previous image
-//     goes through Restore. Empty keeps the in-memory simulator.
+//     goes through RestoreCheckpoint. Empty keeps the simulator.
 type Options = config.Common
 
 // Client is an H-ORAM session. All methods are safe for concurrent
@@ -72,7 +63,7 @@ type Client struct {
 
 	dataDir    string // "" = in-memory simulation, nothing persisted
 	epoch      uint64 // key-derivation boot generation (see persist.go)
-	checkpoint uint64 // SaveSnapshot calls over the instance's life
+	checkpoint uint64 // lifetime number of the last checkpoint
 	snapSealer blockcipher.Sealer
 
 	oramMu sync.Mutex // serialises all oram entries
@@ -93,7 +84,7 @@ func resolve(opts Options) (Options, error) {
 
 // Open validates the options and constructs a fresh client. With
 // DataDir set, the durable storage file is (re)initialised from
-// scratch — resuming a persisted image goes through Restore.
+// scratch — resuming a persisted image goes through RestoreCheckpoint.
 func Open(opts Options) (*Client, error) {
 	opts, err := resolve(opts)
 	if err != nil {
@@ -118,15 +109,14 @@ func Open(opts Options) (*Client, error) {
 }
 
 // prepare derives the epoch-salted key material and builds the horam
-// configuration plus a client shell. Open uses epoch 0; Restore uses
-// the snapshot's epoch + 1 so the engine's RNG stream never replays
-// (see the epoch discussion in persist.go).
+// configuration plus a client shell. Open uses epoch 0;
+// RestoreCheckpoint uses the epoch its caller picked past every
+// persisted one, so the RNG streams never replay (see the epoch
+// discussion in persist.go).
 func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 	seed := opts.Seed
-	var sealer, snapSealer blockcipher.Sealer
+	var sealer blockcipher.Sealer = blockcipher.NullSealer{}
 	if opts.Insecure {
-		sealer = blockcipher.NullSealer{}
-		snapSealer = blockcipher.NullSealer{}
 		if seed == "" {
 			seed = "core-insecure"
 		}
@@ -138,25 +128,14 @@ func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 		if seed == "" {
 			seed = string(prf.Derive("client-seed", 32))
 		}
-		// The sealing KEY is epoch-independent (pre-crash ciphertext
-		// must open after a restore), so a durable client's nonce
-		// streams take fresh entropy on every boot, fresh Open
-		// included; without a DataDir nothing sealed outlives the
-		// process and the streams stay a pure function of the key.
-		nonceRNG := blockcipher.NewRNG
-		if opts.DataDir != "" {
-			nonceRNG = blockcipher.NewBootRNG
-		}
-		rng := nonceRNG(prf.Derive(fmt.Sprintf("sealer-rng-epoch-%d", epoch), 32))
-		sealer, err = blockcipher.NewAESSealer(opts.Key, rng)
-		if err != nil {
+		rng := nonceRNG(opts)(prf.Derive(fmt.Sprintf("sealer-rng-epoch-%d", epoch), 32))
+		if sealer, err = blockcipher.NewAESSealer(opts.Key, rng); err != nil {
 			return nil, horam.Config{}, err
 		}
-		snapRNG := nonceRNG(prf.Derive(fmt.Sprintf("snapshot-nonce-epoch-%d", epoch), 32))
-		snapSealer, err = blockcipher.NewAESSealer(prf.Derive("snapshot-key", 32), snapRNG)
-		if err != nil {
-			return nil, horam.Config{}, err
-		}
+	}
+	snapSealer, err := snapshotSealer(opts, epoch)
+	if err != nil {
+		return nil, horam.Config{}, err
 	}
 	if epoch > 0 {
 		seed = fmt.Sprintf("%s/epoch-%d", seed, epoch)
@@ -185,6 +164,34 @@ func prepare(opts Options, epoch uint64) (*Client, horam.Config, error) {
 		}
 	}
 	return c, cfg, nil
+}
+
+// nonceRNG picks the constructor of the sealers' nonce streams. The
+// sealing KEY is epoch-independent (pre-crash ciphertext must open
+// after a restore), so a durable client's nonce streams take fresh
+// entropy on every boot, fresh Open included; without a DataDir
+// nothing sealed outlives the process and the streams stay a pure
+// function of the key.
+func nonceRNG(opts Options) func(seed []byte) *blockcipher.RNG {
+	if opts.DataDir != "" {
+		return blockcipher.NewBootRNG
+	}
+	return blockcipher.NewRNG
+}
+
+// snapshotSealer builds the sealer of the shard's control snapshots.
+// Its key is epoch-independent, so a snapshot from any boot opens;
+// only the nonce stream is salted with the boot epoch.
+func snapshotSealer(opts Options, epoch uint64) (blockcipher.Sealer, error) {
+	if opts.Insecure {
+		return blockcipher.NullSealer{}, nil
+	}
+	prf, err := blockcipher.NewPRF(opts.Key)
+	if err != nil {
+		return nil, err
+	}
+	rng := nonceRNG(opts)(prf.Derive(fmt.Sprintf("snapshot-nonce-epoch-%d", epoch), 32))
+	return blockcipher.NewAESSealer(prf.Derive("snapshot-key", 32), rng)
 }
 
 // BlockSize returns the client's block size in bytes.
@@ -253,6 +260,10 @@ func (c *Client) Stats() Stats {
 		ShuffleTime:   c.oram.ShuffleTime(),
 	}
 }
+
+// Cycles returns the cumulative scheduler cycle count, the quantity
+// the engine levels across shards. It cannot fail in process.
+func (c *Client) Cycles() (int64, error) { return c.Stats().Cycles, nil }
 
 // PadToCycles runs dummy scheduler cycles — bus-indistinguishable
 // from real ones — until the client's cumulative cycle count reaches

@@ -150,7 +150,7 @@ func TestNoNonceRepeatsAcrossRestore(t *testing.T) {
 		if c.Stats().Shuffles == 0 {
 			t.Fatalf("%s never shuffled; grow the workload so storage writes are covered", boot)
 		}
-		if err := c.SaveSnapshot(); err != nil {
+		if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 			t.Fatalf("%s: SaveSnapshot: %v", boot, err)
 		}
 		log.snapshotNonce(c, boot+" checkpoint")
@@ -163,7 +163,7 @@ func TestNoNonceRepeatsAcrossRestore(t *testing.T) {
 	}
 
 	for epoch := uint64(1); epoch <= 2; epoch++ {
-		r, err := Restore(opts)
+		r, err := restoreNewest(opts)
 		if err != nil {
 			t.Fatalf("Restore to epoch %d: %v", epoch, err)
 		}

@@ -4,7 +4,7 @@
 //
 //	DataDir/storage.dat   sealed storage-tier slots (device.File)
 //	DataDir/storage.gen   shuffle generation marker {started, completed}
-//	DataDir/state.snap    sealed control-state snapshot (SaveSnapshot)
+//	DataDir/state.snap    sealed control-state snapshot (SaveSnapshotAt)
 //
 // The storage file is the durable ground truth for storage-resident
 // blocks; state.snap recovers everything else — the permutation list,
@@ -13,9 +13,10 @@
 // the sealer, the snapshot sealer and every RNG stream are re-derived
 // from the key the operator supplies at restart.
 //
-// Epochs and nonces. Each Restore bumps a key-derivation epoch (stored
-// in the snapshot) and salts every derived RNG stream with it, so a
-// rebooted instance never replays the randomness of a previous boot.
+// Epochs and nonces. Each restore boots at a key-derivation epoch past
+// every one the directory has used (stored in the snapshot) and salts
+// every derived RNG stream with it, so a rebooted instance never
+// replays the randomness of a previous boot.
 // The sealers' nonce streams also take fresh OS entropy on every boot
 // (blockcipher.NewBootRNG), so no GCM nonce repeats under the
 // epoch-independent sealing key — not after a restore, and not after a
@@ -25,7 +26,7 @@
 // Consistency. Storage slots are only written during shuffle periods;
 // horam brackets each period's writes with the storage.gen marker
 // ({G, G-1} before the first write, fsync then {G, G} after the last).
-// A snapshot records the generation it was taken at, so Restore can
+// A snapshot records the generation it was taken at, so a restore can
 // decide exactly which images are safe: marker {G, G} equal to the
 // snapshot's G resumes cleanly; completed > G means the storage file
 // advanced past the checkpoint (writes since the snapshot are lost and
@@ -38,6 +39,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -115,30 +117,32 @@ func (c *Client) markFreshLayout() error {
 }
 
 // Epoch returns the client's key-derivation boot generation: 0 for a
-// fresh Open, previous+1 after each Restore.
+// fresh Open, the epoch RestoreCheckpoint was given after a restore.
 func (c *Client) Epoch() uint64 { return c.epoch }
 
-// Checkpoint returns the number of SaveSnapshot calls over the
-// instance's whole life (the counter survives restores). The engine
-// uses it to verify that all shards restored from the SAME checkpoint.
-func (c *Client) Checkpoint() uint64 { return c.checkpoint }
-
-// DataDir returns the durable directory, or "" for a pure simulation.
-func (c *Client) DataDir() string { return c.dataDir }
-
-// SaveSnapshot captures the control state at a quiescent point, seals
-// it, and atomically replaces DataDir/state.snap — first rotating the
-// previous snapshot to state.snap.prev, so one older checkpoint stays
-// recoverable (the engine rolls individual shards back to it when a
-// crash lands midway through a multi-shard checkpoint). Callers
-// running traffic quiesce first (internal/engine blocks new batches
-// and levels shards before asking every shard to save).
-func (c *Client) SaveSnapshot() error {
-	return c.SaveSnapshotAt(c.Checkpoint() + 1)
+// Checkpoint returns the lifetime number of the instance's last
+// checkpoint (the counter survives restores). The engine uses it to
+// verify that all shards restored from the SAME checkpoint.
+func (c *Client) Checkpoint() uint64 {
+	c.oramMu.Lock()
+	defer c.oramMu.Unlock()
+	return c.checkpoint
 }
 
-// SaveSnapshotAt saves a checkpoint with an explicit lifetime number,
-// which must exceed the client's current one. The engine drives all
+// Peek reports the live epoch and lifetime checkpoint counter: the
+// engine reads them from every shard to check that all shards stand on
+// one cut, and to pick the next checkpoint number.
+func (c *Client) Peek() (epoch, checkpoint uint64, err error) {
+	return c.Epoch(), c.Checkpoint(), nil
+}
+
+// SaveSnapshotAt captures the control state at a quiescent point,
+// seals it, and atomically replaces DataDir/state.snap — first rotating
+// the previous snapshot to state.snap.prev, so one older checkpoint
+// stays recoverable (the engine rolls individual shards back to it
+// when a crash lands midway through a multi-shard checkpoint). The
+// lifetime number must exceed the client's current one, and the
+// caller chooses it: the engine quiesces, levels, and drives all
 // its shards with ONE number (max across shards + 1) so that a
 // transiently failed per-shard save — which leaves that shard's
 // counter behind — re-aligns at the very next checkpoint instead of
@@ -153,13 +157,13 @@ func (c *Client) SaveSnapshotAt(checkpoint uint64) error {
 }
 
 // saveLocked writes the snapshot under oramMu at the given lifetime
-// checkpoint number. The epoch-persisting re-save a Restore performs
+// checkpoint number. The epoch-persisting re-save a restore performs
 // passes the UNCHANGED current number (same Checkpoint, new Epoch): it
 // must not advance the lockstep counter the engine compares across
 // shards.
 func (c *Client) saveLocked(ckpt uint64) error {
 	if c.dataDir == "" {
-		return errors.New("core: SaveSnapshot requires Options.DataDir")
+		return errors.New("core: SaveSnapshotAt requires Options.DataDir")
 	}
 	shard, err := c.oram.CaptureSnapshot()
 	if err != nil {
@@ -181,7 +185,7 @@ func (c *Client) saveLocked(ckpt uint64) error {
 		return err
 	}
 	// Rotate, then write: if the write never lands, the previous
-	// checkpoint is still at state.snap.prev and Restore falls back.
+	// checkpoint is still at state.snap.prev and a restore falls back.
 	if err := os.Rename(c.statePath(), c.statePrevPath()); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -205,92 +209,77 @@ func loadShard(sealer blockcipher.Sealer, path string) (*snapshot.Shard, error) 
 	return snapshot.DecodeShard(payload)
 }
 
-// Peek reads the durable directory's newest snapshot (falling back to
-// the rotated previous one if the newest write never landed) and
-// reports its epoch and checkpoint without building a client. The
-// engine uses it to agree on one target checkpoint and one fresh boot
-// epoch across all shards before restoring any of them.
-func Peek(opts Options) (epoch, checkpoint uint64, err error) {
-	opts, err = resolve(opts)
-	if err != nil {
-		return 0, 0, err
-	}
+// readNewest reads and authenticates, without writing anything, the
+// newest readable snapshot in opts.DataDir — state.snap, or
+// state.snap.prev when the last save died between its rotate and its
+// write — and returns the sealer that opened it.
+func readNewest(opts Options) (*snapshot.Shard, blockcipher.Sealer, error) {
 	if opts.DataDir == "" {
-		return 0, 0, errors.New("core: Peek requires Options.DataDir")
+		return nil, nil, errors.New("core: reading a snapshot requires Options.DataDir")
 	}
-	probe, _, err := prepare(opts, 0)
+	sealer, err := snapshotSealer(opts, 0) // the key is epoch-independent; opening draws no nonce
 	if err != nil {
+		return nil, nil, err
+	}
+	shard, err := loadShard(sealer, filepath.Join(opts.DataDir, StateFileName))
+	if errors.Is(err, fs.ErrNotExist) {
+		if prev, perr := loadShard(sealer, filepath.Join(opts.DataDir, StatePrevFileName)); !errors.Is(perr, fs.ErrNotExist) {
+			shard, err = prev, perr
+		}
+	}
+	return shard, sealer, err
+}
+
+// readSnapshot is readNewest pinned to the exact checkpoint want: the
+// newest snapshot when it holds that checkpoint, else the rotated
+// state.snap.prev. No save is numbered 0, so want 0 finds nothing.
+func readSnapshot(opts Options, want uint64) (*snapshot.Shard, error) {
+	shard, sealer, err := readNewest(opts)
+	if err != nil || shard.Checkpoint == want {
+		return shard, err
+	}
+	prev, err := loadShard(sealer, filepath.Join(opts.DataDir, StatePrevFileName))
+	if err != nil {
+		return nil, fmt.Errorf("core: no snapshot at checkpoint %d: current is %d and the previous copy is unreadable: %w", want, shard.Checkpoint, err)
+	}
+	if prev.Checkpoint != want {
+		return nil, fmt.Errorf("core: no snapshot at checkpoint %d: have %d and %d", want, shard.Checkpoint, prev.Checkpoint)
+	}
+	return prev, nil
+}
+
+// Peek reports the epoch and checkpoint of the durable directory's
+// newest snapshot without building a client or touching the directory.
+// The engine peeks every shard to agree on one target checkpoint and
+// one fresh boot epoch before restoring any of them.
+func Peek(opts Options) (epoch, checkpoint uint64, err error) {
+	if opts, err = resolve(opts); err != nil {
 		return 0, 0, err
 	}
-	shard, err := loadShard(probe.snapSealer, probe.statePath())
-	if os.IsNotExist(err) {
-		shard, err = loadShard(probe.snapSealer, probe.statePrevPath())
-	}
+	shard, _, err := readNewest(opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	return shard.Epoch, shard.Checkpoint, nil
 }
 
-// Restore resumes a client from the image a previous SaveSnapshot left
-// in opts.DataDir, at the newest recoverable checkpoint, booting at
-// the stored epoch + 1. The options must carry the same geometry and
-// key material as the instance that saved; the snapshot checksum,
-// sealing tag, geometry echo and shuffle-generation marker are all
-// verified before any state is adopted.
-func Restore(opts Options) (*Client, error) {
-	return restoreAt(opts, 0, false)
-}
-
 // RestoreCheckpoint resumes a client from the snapshot with the exact
 // lifetime checkpoint number — the current one or the rotated previous
-// one — booting at the given epoch. The engine uses it to roll every
-// shard onto one consistent checkpoint cut with one shared fresh
-// epoch, even when a crash interrupted the checkpoint loop.
+// one — booting at the given epoch, which the caller picks past every
+// epoch the directory has used. The engine uses it to roll every shard
+// onto one consistent checkpoint cut with one shared fresh epoch, even
+// when a crash interrupted the checkpoint loop. The options must carry
+// the same geometry and key material as the instance that saved; the
+// snapshot checksum, sealing tag, geometry echo and shuffle-generation
+// marker are all verified before any state is adopted.
 func RestoreCheckpoint(opts Options, checkpoint, epoch uint64) (*Client, error) {
-	return restoreAt(opts, epoch, true, checkpoint)
-}
-
-// restoreAt implements Restore and RestoreCheckpoint. With pin set,
-// wantCkpt[0] selects the exact checkpoint and epoch is used verbatim;
-// otherwise the newest available snapshot wins and the boot epoch is
-// its stored epoch + 1.
-func restoreAt(opts Options, epoch uint64, pin bool, wantCkpt ...uint64) (*Client, error) {
 	opts, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.DataDir == "" {
-		return nil, errors.New("core: Restore requires Options.DataDir")
-	}
-
-	// Epoch 0 here only builds the (epoch-independent) snapshot-opening
-	// key; the real client is prepared again below at the right epoch.
-	probe, _, err := prepare(opts, 0)
+	shard, err := readSnapshot(opts, checkpoint)
 	if err != nil {
 		return nil, err
-	}
-	shard, err := loadShard(probe.snapSealer, probe.statePath())
-	if os.IsNotExist(err) {
-		// A crash between the rotate and the write of the last save:
-		// the previous checkpoint is the newest complete one.
-		shard, err = loadShard(probe.snapSealer, probe.statePrevPath())
-	}
-	if err != nil {
-		return nil, err
-	}
-	if pin && shard.Checkpoint != wantCkpt[0] {
-		prev, perr := loadShard(probe.snapSealer, probe.statePrevPath())
-		if perr != nil {
-			return nil, fmt.Errorf("core: no snapshot at checkpoint %d: current is %d and the previous copy is unreadable: %w", wantCkpt[0], shard.Checkpoint, perr)
-		}
-		if prev.Checkpoint != wantCkpt[0] {
-			return nil, fmt.Errorf("core: no snapshot at checkpoint %d: have %d and %d", wantCkpt[0], shard.Checkpoint, prev.Checkpoint)
-		}
-		shard = prev
-	}
-	if !pin {
-		epoch = shard.Epoch + 1
 	}
 
 	gen, err := snapshot.ReadGen(filepath.Join(opts.DataDir, GenFileName))
@@ -327,7 +316,7 @@ func restoreAt(opts Options, epoch uint64, pin bool, wantCkpt ...uint64) (*Clien
 
 // Close releases OS resources held by the durable backend (no-op for a
 // pure simulation). It does not snapshot; callers that want the latest
-// control state persisted call SaveSnapshot first.
+// control state persisted call SaveSnapshotAt first.
 func (c *Client) Close() error {
 	c.oramMu.Lock()
 	defer c.oramMu.Unlock()

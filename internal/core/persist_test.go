@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,6 +22,17 @@ func durableOpts(dir string) Options {
 		Key:         testKey(),
 		DataDir:     dir,
 	}
+}
+
+// restoreNewest resumes the newest checkpoint in opts.DataDir at one
+// epoch past the one it stored: the policy the engine applies when it
+// restores a single shard.
+func restoreNewest(opts Options) (*Client, error) {
+	epoch, ckpt, err := Peek(opts)
+	if err != nil {
+		return nil, err
+	}
+	return RestoreCheckpoint(opts, ckpt, epoch+1)
 }
 
 func payloadFor(addr int64, generation int, size int) []byte {
@@ -59,7 +72,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if c.Stats().Shuffles == 0 {
 		t.Fatal("workload never crossed a shuffle period; grow it so the test covers post-shuffle restores")
 	}
-	if err := c.SaveSnapshot(); err != nil {
+	if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	preStats := c.Stats()
@@ -67,7 +80,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	r, err := Restore(opts)
+	r, err := restoreNewest(opts)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -97,7 +110,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := r.Write(7, data); err != nil {
 		t.Fatalf("Write after restore: %v", err)
 	}
-	if err := r.SaveSnapshot(); err != nil {
+	if err := r.SaveSnapshotAt(r.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot after restore: %v", err)
 	}
 }
@@ -115,13 +128,13 @@ func TestRestoreChain(t *testing.T) {
 	if err := c.Write(3, data); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	if err := c.SaveSnapshot(); err != nil {
+	if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	c.Close()
 
 	for epoch := uint64(1); epoch <= 2; epoch++ {
-		r, err := Restore(opts)
+		r, err := restoreNewest(opts)
 		if err != nil {
 			t.Fatalf("Restore #%d: %v", epoch, err)
 		}
@@ -135,16 +148,22 @@ func TestRestoreChain(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("block 3 = %q, want %q", got, data)
 		}
-		if err := r.SaveSnapshot(); err != nil {
+		if err := r.SaveSnapshotAt(r.Checkpoint() + 1); err != nil {
 			t.Fatalf("SaveSnapshot: %v", err)
 		}
 		r.Close()
+	}
+	// No save is numbered 0: the exact-cut entry must not fall back to
+	// the newest snapshot.
+	if r, err := RestoreCheckpoint(opts, 0, 9); err == nil {
+		r.Close()
+		t.Fatal("RestoreCheckpoint at checkpoint 0 succeeded")
 	}
 }
 
 // TestRestorePersistsEpochImmediately: a boot that crashes before its
 // first explicit checkpoint must still never be followed by a boot at
-// the same epoch — the epoch bump is made durable inside Restore
+// the same epoch — the epoch bump is made durable inside the restore
 // itself, or the crashed boot's nonce/RNG streams would replay.
 func TestRestorePersistsEpochImmediately(t *testing.T) {
 	dir := t.TempDir()
@@ -153,12 +172,12 @@ func TestRestorePersistsEpochImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := c.SaveSnapshot(); err != nil {
+	if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	c.Close()
 
-	r1, err := Restore(opts)
+	r1, err := restoreNewest(opts)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -167,7 +186,7 @@ func TestRestorePersistsEpochImmediately(t *testing.T) {
 	}
 	// Simulate a crash: no SaveSnapshot, no Close.
 
-	r2, err := Restore(opts)
+	r2, err := restoreNewest(opts)
 	if err != nil {
 		t.Fatalf("second Restore: %v", err)
 	}
@@ -188,7 +207,7 @@ func TestStaleSnapshotRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := c.SaveSnapshot(); err != nil {
+	if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	// Drive traffic until at least one more shuffle completes.
@@ -204,7 +223,7 @@ func TestStaleSnapshotRefused(t *testing.T) {
 	}
 	c.Close()
 
-	_, err = Restore(opts)
+	_, err = restoreNewest(opts)
 	if err == nil {
 		t.Fatal("Restore accepted a snapshot older than the storage image")
 	}
@@ -226,7 +245,7 @@ func TestTornSnapshotRefused(t *testing.T) {
 	if err := c.Write(5, payloadFor(5, 0, opts.BlockSize)); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	if err := c.SaveSnapshot(); err != nil {
+	if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	c.Close()
@@ -241,7 +260,7 @@ func TestTornSnapshotRefused(t *testing.T) {
 	if err := os.WriteFile(statePath, raw[:len(raw)/2], 0o600); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if _, err := Restore(opts); err == nil {
+	if _, err := restoreNewest(opts); err == nil {
 		t.Fatal("Restore accepted a truncated snapshot")
 	}
 
@@ -251,7 +270,7 @@ func TestTornSnapshotRefused(t *testing.T) {
 	if err := os.WriteFile(statePath, flipped, 0o600); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if _, err := Restore(opts); err == nil {
+	if _, err := restoreNewest(opts); err == nil {
 		t.Fatal("Restore accepted a bit-flipped snapshot")
 	}
 
@@ -261,12 +280,12 @@ func TestTornSnapshotRefused(t *testing.T) {
 	}
 	bad := opts
 	bad.Key = bytes.Repeat([]byte{0xee}, 32)
-	if _, err := Restore(bad); err == nil {
+	if _, err := restoreNewest(bad); err == nil {
 		t.Fatal("Restore accepted the snapshot under a different master key")
 	}
 
 	// And the pristine bytes still restore.
-	r, err := Restore(opts)
+	r, err := restoreNewest(opts)
 	if err != nil {
 		t.Fatalf("Restore of pristine snapshot: %v", err)
 	}
@@ -289,14 +308,14 @@ func TestTornShuffleRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := c.SaveSnapshot(); err != nil {
+	if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	c.Close()
 	if err := snapshot.WriteGen(filepath.Join(dir, GenFileName), snapshot.Gen{Started: 1, Completed: 0}); err != nil {
 		t.Fatalf("WriteGen: %v", err)
 	}
-	_, err = Restore(opts)
+	_, err = restoreNewest(opts)
 	if err == nil {
 		t.Fatal("Restore accepted a torn (mid-shuffle) storage image")
 	}
@@ -314,7 +333,7 @@ func TestFreshOpenClearsStaleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := c.SaveSnapshot(); err != nil {
+	if err := c.SaveSnapshotAt(c.Checkpoint() + 1); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
 	c.Close()
@@ -327,7 +346,24 @@ func TestFreshOpenClearsStaleSnapshot(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, StateFileName)); !os.IsNotExist(err) {
 		t.Fatal("fresh Open left the previous state.snap behind")
 	}
-	if _, err := Restore(opts); err == nil {
+	if _, err := restoreNewest(opts); err == nil {
 		t.Fatal("Restore succeeded against a reinitialised layout with no snapshot")
+	}
+}
+
+// TestPeekIsReadOnly: probing a shard directory that holds no snapshot
+// must neither create it nor blame the rotated copy — the error is the
+// missing state.snap itself.
+func TestPeekIsReadOnly(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	_, _, err := Peek(durableOpts(dir))
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Peek of a missing directory: err = %v, want fs.ErrNotExist", err)
+	}
+	if !strings.Contains(err.Error(), StateFileName) || strings.Contains(err.Error(), StatePrevFileName) {
+		t.Fatalf("Peek error %q names the wrong file, want %s", err, StateFileName)
+	}
+	if _, serr := os.Stat(dir); !errors.Is(serr, fs.ErrNotExist) {
+		t.Fatalf("Peek created the directory it probed (stat err = %v)", serr)
 	}
 }

@@ -60,8 +60,6 @@ func (s *stubBackend) SaveSnapshotAt(uint64) error { return errors.New("stub: no
 
 func (s *stubBackend) Peek() (uint64, uint64, error) { return 0, 0, nil }
 
-func (s *stubBackend) RestoreCheckpoint(uint64, uint64) error { return ErrRemoteRestore }
-
 func (s *stubBackend) Close() error {
 	s.closed = true
 	return s.closeErr

@@ -126,11 +126,6 @@ type shard struct {
 	id      int
 	backend ShardBackend
 
-	// client is the in-process core.Client behind backend, or nil for
-	// a remote shard. Shard() exposes it to stats collection and trace
-	// tests; everything on the hot path goes through backend.
-	client *core.Client
-
 	// kick wakes the scheduler goroutine; capacity 1 coalesces kicks
 	// that arrive while a drain is running without losing any.
 	kick chan struct{}
@@ -467,8 +462,9 @@ func NewWithBackends(opts Options, backends []ShardBackend) (*Engine, error) {
 }
 
 // assemble builds the engine from resolved options over in-process
-// shards; restoring selects RestoreCheckpoint (resume each shard from
-// its snapshot at one consistent cut) over open (fresh layout).
+// shards; restoring selects core.RestoreCheckpoint (resume each shard
+// from its snapshot at one consistent cut) over core.Open (fresh
+// layout).
 func assemble(opts Options, restoring bool) (*Engine, error) {
 	plan, err := planShards(opts)
 	if err != nil {
@@ -483,11 +479,6 @@ func assemble(opts Options, restoring bool) (*Engine, error) {
 		}
 	}
 
-	locals := make([]*localShard, opts.Shards)
-	for s := range locals {
-		locals[s] = &localShard{opts: plan.shardOpts[s]}
-	}
-
 	// Restores must land every shard on ONE consistent checkpoint cut
 	// with ONE fresh boot epoch, even when a crash interrupted a
 	// previous checkpoint or restore loop and left the per-shard
@@ -497,8 +488,8 @@ func assemble(opts Options, restoring bool) (*Engine, error) {
 	// replay a nonce/RNG stream.
 	var targetCkpt, targetEpoch uint64
 	if restoring {
-		for s, l := range locals {
-			epoch, ckpt, err := l.Peek()
+		for s, so := range plan.shardOpts {
+			epoch, ckpt, err := core.Peek(so)
 			if err != nil {
 				return nil, fmt.Errorf("engine: shard %d: %w", s, err)
 			}
@@ -512,22 +503,22 @@ func assemble(opts Options, restoring bool) (*Engine, error) {
 	}
 
 	backends := make([]ShardBackend, opts.Shards)
-	for s, l := range locals {
-		var err error
+	for s, so := range plan.shardOpts {
+		var c *core.Client
 		if restoring {
-			err = l.RestoreCheckpoint(targetCkpt, targetEpoch)
+			c, err = core.RestoreCheckpoint(so, targetCkpt, targetEpoch)
 		} else {
-			err = l.open()
+			c, err = core.Open(so)
 		}
 		if err != nil {
 			// Unwind the shards already open, or their resources leak
 			// on every failed construction attempt.
-			for _, prev := range locals[:s] {
+			for _, prev := range backends[:s] {
 				prev.Close() //horam:errok unwinding a failed construction; the shard-open error is the one to surface
 			}
 			return nil, fmt.Errorf("engine: shard %d: %w", s, err)
 		}
-		backends[s] = l
+		backends[s] = c
 	}
 	return build(opts, plan, backends)
 }
@@ -549,9 +540,6 @@ func build(opts Options, plan *shardPlan, backends []ShardBackend) (*Engine, err
 			backend: b,
 			kick:    make(chan struct{}, 1),
 			done:    make(chan struct{}),
-		}
-		if l, ok := b.(*localShard); ok {
-			sh.client = l.client
 		}
 		go sh.run()
 		e.shards = append(e.shards, sh)
@@ -591,10 +579,11 @@ func (e *Engine) Shard(i int) *core.Client {
 	if i < 0 || i >= len(e.shards) {
 		panic(fmt.Sprintf("engine: Shard(%d): index out of range [0,%d)", i, len(e.shards)))
 	}
-	if e.shards[i].client == nil {
+	c, ok := e.shards[i].backend.(*core.Client)
+	if !ok {
 		panic(fmt.Sprintf("engine: Shard(%d): shard is not in-process (remote backend)", i))
 	}
-	return e.shards[i].client
+	return c
 }
 
 // Backend exposes shard i's transport backend. It panics on an

@@ -102,8 +102,8 @@ func (e *Engine) Observe(reg *obs.Registry, tr *obs.Tracer) {
 	}
 	for i, sh := range e.shards {
 		sh.tracer = tr
-		if sh.client != nil {
-			sh.client.SetObs(tr, i+1, quantum)
+		if c, ok := sh.backend.(*core.Client); ok {
+			c.SetObs(tr, i+1, quantum)
 		}
 	}
 }

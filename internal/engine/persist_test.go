@@ -8,10 +8,14 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/blockcipher"
+	"repro/internal/core"
+	"repro/internal/snapshot"
 )
 
 func persistOpts(dir string, shards int) Options {
@@ -203,7 +207,7 @@ func TestRestoreHealsStaggeredCheckpoint(t *testing.T) {
 	}
 	// Crash simulation: the next checkpoint loop replaced shard 0's
 	// snapshot and died before reaching shard 1.
-	if err := e.shards[0].client.SaveSnapshot(); err != nil {
+	if err := e.Shard(0).SaveSnapshotAt(e.Shard(0).Checkpoint() + 1); err != nil {
 		t.Fatalf("shard 0 SaveSnapshot: %v", err)
 	}
 	e.Close()
@@ -227,6 +231,75 @@ func TestRestoreHealsStaggeredCheckpoint(t *testing.T) {
 	}
 }
 
+// TestFailedRestoreLeavesDirectoryRestorable: a restore that fails at
+// shard 1 (a torn storage image) must name that shard, close the shard
+// it had already opened, and leave the directory restorable once the
+// fault is gone — at an epoch past the one shard 0 persisted during
+// the failed attempt, so no boot replays that attempt's streams.
+func TestFailedRestoreLeavesDirectoryRestorable(t *testing.T) {
+	opts := persistOpts(t.TempDir(), 2)
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make(map[int64]byte)
+	runWorkload(t, e, "failed-restore-wl", 200, model)
+	if err := e.SaveSnapshot(); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	e.Close()
+
+	genPath := filepath.Join(shardDir(opts.DataDir, 1), core.GenFileName)
+	gen, err := snapshot.ReadGen(genPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.WriteGen(genPath, snapshot.Gen{Started: gen.Completed + 1, Completed: gen.Completed}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(opts); err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("Restore over a torn shard 1: err = %v, want a refusal naming shard 1", err)
+	}
+	storage, err := filepath.EvalSymlinks(filepath.Join(shardDir(opts.DataDir, 0), core.StorageFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fds, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Logf("no /proc/self/fd (%v): fd leak check skipped", err)
+	} else {
+		for _, fd := range fds {
+			if link, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); link == storage {
+				t.Fatalf("fd %s still holds shard 0's storage file after the failed restore", fd.Name())
+			}
+		}
+	}
+	resolved, err := resolveOptions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planShards(resolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failedEpoch, _, err := core.Peek(plan.shardOpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := snapshot.WriteGen(genPath, gen); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(opts)
+	if err != nil {
+		t.Fatalf("Restore after the marker is repaired: %v", err)
+	}
+	defer r.Close()
+	if r.Epoch() <= failedEpoch {
+		t.Fatalf("restored at epoch %d, not past epoch %d that shard 0 persisted in the failed attempt", r.Epoch(), failedEpoch)
+	}
+	checkModel(t, r, model, "after a failed then repaired restore")
+}
+
 // TestSaveSnapshotRealignsLaggingCounter: a shard whose previous save
 // transiently failed lags its lifetime checkpoint counter; the next
 // engine checkpoint must drive every shard to ONE shared number (max
@@ -244,16 +317,16 @@ func TestSaveSnapshotRealignsLaggingCounter(t *testing.T) {
 	}
 	// Simulate a transiently failed save at shard 1 during the next
 	// checkpoint: only shard 0 advanced.
-	if err := e.shards[0].client.SaveSnapshot(); err != nil {
+	if err := e.Shard(0).SaveSnapshotAt(e.Shard(0).Checkpoint() + 1); err != nil {
 		t.Fatalf("shard 0 SaveSnapshot: %v", err)
 	}
-	if a, b := e.shards[0].client.Checkpoint(), e.shards[1].client.Checkpoint(); a == b {
+	if a, b := e.Shard(0).Checkpoint(), e.Shard(1).Checkpoint(); a == b {
 		t.Fatalf("setup failed: counters already equal (%d)", a)
 	}
 	if err := e.SaveSnapshot(); err != nil {
 		t.Fatalf("realigning SaveSnapshot: %v", err)
 	}
-	if a, b := e.shards[0].client.Checkpoint(), e.shards[1].client.Checkpoint(); a != b {
+	if a, b := e.Shard(0).Checkpoint(), e.Shard(1).Checkpoint(); a != b {
 		t.Fatalf("counters still skewed after engine checkpoint: %d vs %d", a, b)
 	}
 }
