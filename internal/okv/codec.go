@@ -9,19 +9,22 @@
 //	[7:7+klen] key bytes
 //	rest       zeros
 //
-// A never-written ORAM block reads back as all zeros, which decodes as
-// a valid empty slot — the table needs no initialisation pass. Decode
-// refuses structurally impossible inputs (unknown flags, lengths out
-// of range, a non-canonical empty record) instead of guessing: the
-// block store authenticates its contents, so a malformed slot means
-// the table layout itself was damaged (e.g. raw WRITE traffic landed
-// inside the KV region) and continuing would corrupt it further.
+// A never-written ORAM block reads back as all zeros, which parses as
+// a valid empty slot — the table needs no initialisation pass. The
+// parse (slotState) marks structurally impossible inputs (unknown
+// flags, lengths out of range, a non-canonical empty record) invalid
+// instead of guessing: the block store authenticates its contents, so
+// a malformed slot means the table layout itself was damaged (e.g. raw
+// WRITE traffic landed inside the KV region), and the op refuses it
+// rather than corrupt the table further.
 package okv
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
-	"fmt"
+
+	"repro/internal/ctops"
 )
 
 // slotHeaderLen is the fixed metadata prefix of a slot block.
@@ -33,17 +36,10 @@ const (
 	slotOccupied = 0x01
 )
 
-// ErrCorruptSlot is returned (wrapped) when a slot block read from the
-// store fails to decode. It indicates table damage, not a caller
-// error.
+// ErrCorruptSlot is returned (wrapped) when a candidate slot block
+// read from the store fails the validity mask. It indicates table
+// damage, not a caller error.
 var ErrCorruptSlot = errors.New("okv: corrupt slot block")
-
-// slotEntry is the decoded form of a slot block.
-type slotEntry struct {
-	occupied bool
-	key      []byte
-	valLen   int
-}
 
 // layout is the static table geometry: how buckets, slots and extent
 // runs map onto the backend's flat block address space.
@@ -100,30 +96,30 @@ func (l layout) encodeSlot(key []byte, valLen int) []byte {
 	return b
 }
 
-// decodeSlot parses a slot block. The key slice aliases b.
-func (l layout) decodeSlot(b []byte) (slotEntry, error) {
-	if len(b) != l.blockSize {
-		return slotEntry{}, fmt.Errorf("%w: %d bytes, want %d", ErrCorruptSlot, len(b), l.blockSize)
-	}
-	klen := int(binary.BigEndian.Uint16(b[1:3]))
-	vlen := int(binary.BigEndian.Uint32(b[3:7]))
-	switch b[0] {
-	case slotEmpty:
-		if klen != 0 || vlen != 0 {
-			return slotEntry{}, fmt.Errorf("%w: empty flag with key length %d, value length %d", ErrCorruptSlot, klen, vlen)
-		}
-		return slotEntry{}, nil
-	case slotOccupied:
-		if klen < 1 || klen > l.maxKey || slotHeaderLen+klen > l.blockSize {
-			return slotEntry{}, fmt.Errorf("%w: key length %d out of [1,%d]", ErrCorruptSlot, klen, l.maxKey)
-		}
-		if vlen > l.maxValue {
-			return slotEntry{}, fmt.Errorf("%w: value length %d exceeds cap %d", ErrCorruptSlot, vlen, l.maxValue)
-		}
-		return slotEntry{occupied: true, key: b[slotHeaderLen : slotHeaderLen+klen], valLen: vlen}, nil
-	default:
-		return slotEntry{}, fmt.Errorf("%w: unknown flag byte 0x%02x", ErrCorruptSlot, b[0])
-	}
+// slotLens reads a slot block's key and value length fields, unchecked.
+func slotLens(b []byte) (klen, vlen int) {
+	return int(binary.BigEndian.Uint16(b[1:3])), int(binary.BigEndian.Uint32(b[3:7]))
+}
+
+// slotState is the masked parse of one slot block's header: occ is 1
+// for an occupied slot, and ok is 1 unless the block is malformed —
+// an unknown flag byte, an empty slot with a non-zero key or value
+// length, or an occupied one with a key length outside [1, maxKey] or
+// a value length over maxValue. Every check runs on every block, in
+// fixed order. b must be one block (blockSize bytes); resolve caps
+// maxKey at blockSize − slotHeaderLen, so an in-range key fits it.
+//
+//horam:constant-time
+//horam:mask
+//horam:secret b
+func (l layout) slotState(b []byte) (occ, ok int) {
+	klen, vlen := slotLens(b)
+	empty := subtle.ConstantTimeByteEq(b[0], slotEmpty)
+	occ = subtle.ConstantTimeByteEq(b[0], slotOccupied)
+	noLens := ctops.EqInt(klen|vlen, 0)
+	keyOK := ctops.LtInt(0, klen) & ctops.GeInt(l.maxKey, klen)
+	valOK := ctops.GeInt(l.maxValue, vlen)
+	return occ, empty&noLens | occ&keyOK&valOK
 }
 
 // encodeValueInto splits a value into out, a pre-sized extent run of

@@ -69,10 +69,10 @@ func TestCodecAllocs(t *testing.T) {
 		t.Errorf("encodeValueInto allocates %.1f times, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := l.decodeSlot(slot); err != nil {
-			t.Fatal(err)
+		if _, ok := l.slotState(slot); ok != 1 {
+			t.Fatal("slotState refuses an encoded slot")
 		}
 	}); avg != 0 {
-		t.Errorf("decodeSlot allocates %.1f times, want 0", avg)
+		t.Errorf("slotState allocates %.1f times, want 0", avg)
 	}
 }

@@ -1,8 +1,9 @@
 // Fuzz and corruption coverage for the slot-block codec: round-trips
 // are exact, decode never panics on arbitrary bytes, anything decode
-// accepts re-encodes to a block decode agrees with, and structurally
+// accepts re-encodes to a block decode agrees with, structurally
 // impossible inputs are refused with ErrCorruptSlot rather than
-// guessed at.
+// guessed at, and the masked parse the selector runs (slotState)
+// accepts exactly what decode accepts.
 package okv
 
 import (
@@ -32,6 +33,20 @@ func FuzzSlotCodec(f *testing.F) {
 	f.Add(l.encodeSlot(bytes.Repeat([]byte{1}, l.maxKey), l.maxValue)) // both caps
 	f.Add([]byte{0x7f})                                                // short + bad flag
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The masked parse's domain is one block: fit the input to
+		// the block size, then it must accept exactly what decodeSlot
+		// accepts, with equal occupancy and lengths.
+		blk := make([]byte, l.blockSize)
+		copy(blk, data)
+		ref, refErr := l.decodeSlot(blk)
+		occ, ok := l.slotState(blk)
+		if (ok == 1) != (refErr == nil) {
+			t.Fatalf("slotState ok=%d, decodeSlot err=%v", ok, refErr)
+		}
+		if klen, vlen := slotLens(blk); ok == 1 && ((occ == 1) != ref.occupied || klen != len(ref.key) || vlen != ref.valLen) {
+			t.Fatalf("slotState (occ %d, klen %d, vlen %d), decodeSlot %+v", occ, klen, vlen, ref)
+		}
+
 		e, err := l.decodeSlot(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSlot) {
@@ -84,17 +99,16 @@ func TestSlotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSlotCodecRefusals pins the corruption classes decode must
-// refuse.
-func TestSlotCodecRefusals(t *testing.T) {
-	l := fuzzLayout()
+// malformedSlots returns one block of each malformed form decode
+// refuses, at layout l (which must fit the key "alice").
+func malformedSlots(l layout) map[string][]byte {
 	base := l.encodeSlot([]byte("alice"), 17)
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), base...)
 		f(b)
 		return b
 	}
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"wrong length":          base[:l.blockSize-1],
 		"unknown flag":          mutate(func(b []byte) { b[0] = 0x7f }),
 		"empty with key length": mutate(func(b []byte) { b[0] = slotEmpty }),
@@ -108,7 +122,18 @@ func TestSlotCodecRefusals(t *testing.T) {
 			binary.BigEndian.PutUint32(b[3:7], 9)
 		}),
 	}
-	for name, blk := range cases {
+}
+
+// TestSlotCodecRefusals pins the corruption classes decode must
+// refuse, and the masked parse marks every full-size one invalid.
+func TestSlotCodecRefusals(t *testing.T) {
+	l := fuzzLayout()
+	for name, blk := range malformedSlots(l) {
+		if len(blk) == l.blockSize {
+			if _, ok := l.slotState(blk); ok != 0 {
+				t.Errorf("%s: slotState accepts it", name)
+			}
+		}
 		if _, err := l.decodeSlot(blk); !errors.Is(err, ErrCorruptSlot) {
 			t.Errorf("%s: got %v, want ErrCorruptSlot", name, err)
 		}

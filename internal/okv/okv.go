@@ -41,6 +41,14 @@
 // the engine manifest by Store.Checkpoint — persistence adds no new
 // volume channel.
 //
+// # Trusted-memory timing
+//
+// Target selection and batch-3 composition are branchless on slot
+// contents in every mode: one fixed-order pass over all 2S candidate
+// slots with masked compares, and masked copies for the write-back
+// (selectTarget, composeWrites; both linted as constant-time code).
+// The engine's config.WithConstantTime hardens the block layer below.
+//
 // # Residual channels
 //
 // The op COUNT is observable, as it is for any client of the block
@@ -48,14 +56,15 @@
 // refused before any block traffic; validity depends only on the
 // request itself, never on secret table state, so the refusal reveals
 // nothing an adversary did not already know. ErrTableFull is returned
-// only AFTER the full fixed pipeline has run.
+// only AFTER the full fixed pipeline has run. A damaged candidate slot
+// (ErrCorruptSlot) stops the op after the lookup batch, before
+// anything is written: table damage is not a state the fixed shape
+// hides.
 package okv
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -119,14 +128,11 @@ type Options struct {
 	Insecure bool
 	// Seed is the insecure-mode PRF seed; empty selects a fixed one.
 	Seed string
-	// ConstantTime makes the trusted-memory half of every operation
-	// branchless on secret state: target-slot selection scans all 2S
-	// candidates with masked compares (crypto/subtle) instead of
-	// breaking at the first match, and batch-3 contents are composed
-	// with masked copies. The backend request stream is byte-for-byte
-	// identical to the default mode; only the CPU-side timing channel
-	// closes. Pair it with the engine's config.WithConstantTime so
-	// the block layer below is hardened too.
+	// ConstantTime is ignored: target selection and batch-3
+	// composition are branchless on slot contents in every mode. The
+	// engine's config.WithConstantTime hardens the block layer below.
+	//
+	// Deprecated: the store has one selector; leave the field unset.
 	ConstantTime bool
 }
 
@@ -168,15 +174,14 @@ type Store struct {
 	be  Backend
 	lay layout
 	prf *blockcipher.PRF
-	ct  bool // constant-time selection and batch-3 composition
 
 	quiesce sync.RWMutex            // ops hold R; Checkpoint/Close hold W
 	stripes [lockStripes]sync.Mutex // bucket-striped op exclusion
 	closed  bool                    // written under quiesce.W, read under .R
 
 	// ops pools per-operation pipeline scratch (request structs,
-	// decoded entries, batch-3 encode buffers) so the steady-state op
-	// path allocates nothing beyond the value returned to the caller.
+	// selector scratch, batch-3 buffers), so an op reuses its
+	// pipeline's buffers instead of allocating them.
 	ops sync.Pool
 
 	statMu sync.Mutex
@@ -188,28 +193,26 @@ type Store struct {
 }
 
 // opScratch holds one operation's fixed pipeline state: the request
-// structs and pointer slices of all three batches, the decoded slot
-// entries, and the batch-3 encode buffers. Shapes depend only on the
-// layout, so a pooled scratch serves any op. The pointer slices are
+// structs and pointer slices of all three batches, the selector's
+// scratch, and the batch-3 encode and compose buffers. Shapes depend
+// only on the layout, so a pooled scratch serves any op. The pointer slices are
 // wired to the request arrays once, at construction; each use resets
 // the request structs wholesale (which also clears the scheduler's
 // internal completion mark).
 type opScratch struct {
 	slotIdx  []int64
-	entries  []slotEntry
 	lookupRs []core.Request
 	lookups  []*core.Request
 	extRs    []core.Request
 	extReads []*core.Request
 	writeRs  []core.Request
 	writes   []*core.Request
-	extData  [][]byte // batch-3 extent payload views
 	slotBuf  []byte   // batch-3 slot encode / delete scrub
 	extBufs  [][]byte // batch-3 extent encodes, one backing slab
 
-	// Constant-time mode scratch: the padded probe key, per-candidate
-	// occupancy masks, the gathered target slot read-back, and the
-	// masked-composed batch-3 payloads.
+	// The padded probe key, per-candidate occupancy masks, the
+	// gathered target slot read-back, and the masked-composed batch-3
+	// payloads.
 	keyBuf    []byte
 	occs      []int
 	slotRead  []byte
@@ -221,14 +224,12 @@ func newOpScratch(lay layout) *opScratch {
 	S, E := lay.slots, lay.extents
 	sc := &opScratch{
 		slotIdx:   make([]int64, 2*S),
-		entries:   make([]slotEntry, 2*S),
 		lookupRs:  make([]core.Request, 2*S),
 		lookups:   make([]*core.Request, 2*S),
 		extRs:     make([]core.Request, E),
 		extReads:  make([]*core.Request, E),
 		writeRs:   make([]core.Request, 1+E),
 		writes:    make([]*core.Request, 1+E),
-		extData:   make([][]byte, E),
 		slotBuf:   make([]byte, lay.blockSize),
 		extBufs:   make([][]byte, E),
 		keyBuf:    make([]byte, lay.maxKey),
@@ -241,9 +242,9 @@ func newOpScratch(lay layout) *opScratch {
 	for j := range sc.extBufs {
 		sc.extBufs[j] = backing[j*lay.blockSize : (j+1)*lay.blockSize]
 	}
-	ctBacking := make([]byte, E*lay.blockSize)
+	writeBacking := make([]byte, E*lay.blockSize)
 	for j := range sc.extWrite {
-		sc.extWrite[j] = ctBacking[j*lay.blockSize : (j+1)*lay.blockSize]
+		sc.extWrite[j] = writeBacking[j*lay.blockSize : (j+1)*lay.blockSize]
 	}
 	for i := range sc.lookupRs {
 		sc.lookups[i] = &sc.lookupRs[i]
@@ -374,7 +375,6 @@ func New(opts Options) (*Store, error) {
 		be:  opts.Backend,
 		lay: lay,
 		prf: prf,
-		ct:  opts.ConstantTime,
 	}
 	s.ops.New = func() any { return newOpScratch(lay) }
 	return s, nil
@@ -550,121 +550,41 @@ func (s *Store) access(kind opKind, key, value []byte) (val []byte, found bool, 
 	if err := s.be.Batch(sc.lookups); err != nil {
 		return nil, false, fmt.Errorf("okv: lookup batch: %w", err)
 	}
-	// Classify and pick the target slot. Every path lands on exactly
-	// one of the 2S candidates. Both selectors make the same
-	// decisions (first key match in scan order; the freer bucket with
-	// ties to b0, then its first free slot; the PRF dummy on miss or
-	// full) so the two modes issue byte-identical backend traffic —
-	// they differ only in whether the scan branches on slot contents.
-	var (
-		target     int
-		tIdx       int64 // target's global slot index
-		full       bool
-		valLen     int
-		fndM, fulM int // CT-mode 0/1 masks for found/full
-	)
-	if s.ct {
-		tIdx, fndM, fulM, valLen = s.selectTargetCT(sc, kind, key)
-		found = fndM == 1
-		full = fulM == 1
-	} else {
-		entries := sc.entries
-		for i := range sc.lookupRs {
-			e, err := s.lay.decodeSlot(sc.lookupRs[i].Result)
-			if err != nil {
-				return nil, false, fmt.Errorf("okv: slot %d of bucket %d: %w", i%S, sc.slotIdx[i]/int64(S), err)
-			}
-			entries[i] = e
+	// A block of the wrong size breaks the backend's contract; lengths
+	// are public, so this check may branch.
+	for i := range sc.lookupRs {
+		if n := len(sc.lookupRs[i].Result); n != s.lay.blockSize {
+			return nil, false, fmt.Errorf("okv: slot %d of bucket %d: %w: %d bytes, want %d",
+				i%S, sc.slotIdx[i]/int64(S), ErrCorruptSlot, n, s.lay.blockSize)
 		}
-		target = -1
-		for i, e := range entries {
-			if e.occupied && bytes.Equal(e.key, key) {
-				target = i
-				found = true
-				break
-			}
-		}
-		if !found {
-			if kind == opSet {
-				// Two-choice insert: the bucket with more free slots
-				// wins (ties to b0), then its first free slot.
-				free := [2]int{}
-				for i, e := range entries {
-					if !e.occupied {
-						free[i/S]++
-					}
-				}
-				half := 0
-				if free[1] > free[0] {
-					half = 1
-				}
-				if free[half] == 0 {
-					full = true
-					target = s.dummySlot(key)
-				} else {
-					for j := 0; j < S; j++ {
-						if !entries[half*S+j].occupied {
-							target = half*S + j
-							break
-						}
-					}
-				}
-			} else {
-				target = s.dummySlot(key)
-			}
-		}
-		if found {
-			valLen = entries[target].valLen
-		}
-		tIdx = sc.slotIdx[target]
 	}
+	sel := s.selectTarget(sc, kind, key)
+	// Table damage stops the op before batch 2, so a damaged table is
+	// never overwritten. This is the one branch on slot contents.
+	if sel.corrupt == 1 {
+		return nil, false, fmt.Errorf("okv: slot %d of bucket %d: %w",
+			sel.badIdx%int64(S), sel.badIdx/int64(S), ErrCorruptSlot)
+	}
+	found = sel.found == 1
 
 	// Batch 2: read the target slot's fixed extent run. On the miss
 	// and full paths this is the dummy read that keeps the shape.
 	for j := range sc.extRs {
-		sc.extRs[j] = core.Request{Op: core.OpRead, Addr: s.lay.extentAddr(tIdx, j)}
+		sc.extRs[j] = core.Request{Op: core.OpRead, Addr: s.lay.extentAddr(sel.tIdx, j)}
 	}
 	if err := s.be.Batch(sc.extReads); err != nil {
 		return nil, false, fmt.Errorf("okv: extent batch: %w", err)
 	}
 
-	// Compute batch 3's contents: by default write back the exact
-	// bytes just read (a semantic no-op — the ORAM re-encrypts every
-	// write, so it is bus-indistinguishable from a mutation).
-	var slotData []byte
-	extData := sc.extData
-	for j := range sc.extRs {
-		extData[j] = sc.extRs[j].Result
-	}
-	if s.ct {
-		slotData = s.composeWritesCT(sc, kind, key, value, fndM, fulM, valLen, &val)
-		extData = sc.extWrite
-	} else {
-		slotData = sc.lookupRs[target].Result
-		switch {
-		case kind == opSet && !full:
-			s.lay.encodeSlotInto(sc.slotBuf, key, len(value))
-			s.lay.encodeValueInto(sc.extBufs, value)
-			slotData = sc.slotBuf
-			copy(extData, sc.extBufs)
-		case kind == opDel && found:
-			// Vacate the slot and scrub the extents so deleted values
-			// do not linger in the (encrypted) block image.
-			for i := range sc.slotBuf {
-				sc.slotBuf[i] = 0
-			}
-			s.lay.encodeValueInto(sc.extBufs, nil)
-			slotData = sc.slotBuf
-			copy(extData, sc.extBufs)
-		case kind == opGet && found:
-			val = s.lay.decodeValue(extData, valLen)
-		}
-	}
+	// Batch 3's contents: the bytes just read (a semantic no-op — the
+	// ORAM re-encrypts every write, so it is bus-indistinguishable
+	// from a mutation), overlaid by the op's outcome.
+	slotData := s.composeWrites(sc, kind, key, value, sel.found, sel.full, sel.valLen, &val)
 
 	// Batch 3: one slot write plus the extent run.
-	sc.writeRs[0] = core.Request{Op: core.OpWrite, Addr: s.lay.slotAddr(tIdx), Data: slotData}
-	for j, d := range extData {
-		sc.writeRs[1+j] = core.Request{Op: core.OpWrite, Addr: s.lay.extentAddr(tIdx, j), Data: d}
+	sc.writeRs[0] = core.Request{Op: core.OpWrite, Addr: s.lay.slotAddr(sel.tIdx), Data: slotData}
+	for j, d := range sc.extWrite {
+		sc.writeRs[1+j] = core.Request{Op: core.OpWrite, Addr: s.lay.extentAddr(sel.tIdx, j), Data: d}
 	}
 	if err := s.be.Batch(sc.writes); err != nil {
 		return nil, false, fmt.Errorf("okv: write batch: %w", err)
@@ -681,7 +601,7 @@ func (s *Store) access(kind opKind, key, value []byte) (val []byte, found bool, 
 		}
 	case opSet:
 		s.sets++
-		if full {
+		if sel.full == 1 {
 			return nil, false, fmt.Errorf("%w (capacity %d, %d live keys)", ErrTableFull, s.Capacity(), s.count)
 		}
 		if !found {
@@ -698,42 +618,53 @@ func (s *Store) access(kind opKind, key, value []byte) (val []byte, found bool, 
 	return val, found, nil
 }
 
-// selectTargetCT is the constant-time selector: one fixed-order pass
-// over all 2S candidate slots with masked compares picks the same
-// target the branching selector would — first key match in scan
-// order; otherwise for SET the freer bucket (ties to b0) and its
-// first free slot; otherwise the PRF dummy — and gathers the target's
-// global slot index and read-back bytes without a secret-indexed
-// load. The op kind is the caller's own request and so public;
-// everything derived from slot contents flows through 0/1 masks.
-// Returned found/full are 0/1 masks (they become caller-visible
-// outputs only after the pipeline completes).
+// selection is selectTarget's outcome. found, full and corrupt are
+// 0/1 masks; they become caller-visible only after the pipeline
+// completes (corrupt stops it after batch 1).
+type selection struct {
+	tIdx    int64 // target's global slot index
+	found   int
+	full    int
+	valLen  int   // the target's value length on a hit, else 0
+	corrupt int   // some candidate slot failed the validity mask
+	badIdx  int64 // global slot index of the first such slot in scan order
+}
+
+// selectTarget picks the op's target slot in one fixed-order pass over
+// all 2S candidate slots with masked compares: the first key match in
+// scan order; otherwise for SET the freer bucket (ties to b0) and its
+// first free slot; otherwise the PRF dummy. It gathers the target's
+// global slot index and read-back bytes without a secret-indexed load,
+// and folds every candidate's validity mask (slotState) into corrupt.
+// The op kind is the caller's own request and so public; everything
+// derived from slot contents flows through 0/1 masks.
 //
 //horam:constant-time
 //horam:secret key raw
-func (s *Store) selectTargetCT(sc *opScratch, kind opKind, key []byte) (tIdx int64, fnd, full, valLen int) {
+func (s *Store) selectTarget(sc *opScratch, kind opKind, key []byte) selection {
 	S := s.lay.slots
 	// Probe key, zero-padded to the fixed compare window. Slot blocks
 	// zero-pad the key region past klen too (encodeSlotInto, and a
 	// fresh or scrubbed block is all zeros), so a full-window compare
 	// plus a length check is an exact key match even for keys with
 	// trailing zero bytes.
-	n := copy(sc.keyBuf, key)
-	for i := n; i < len(sc.keyBuf); i++ {
-		sc.keyBuf[i] = 0
-	}
-	tgt := 0
+	clear(sc.keyBuf[copy(sc.keyBuf, key):])
+	tgt, badAt := 0, 0
+	fnd, valLen, bad := 0, 0, 0
 	free0, free1 := 0, 0
 	for i := 0; i < 2*S; i++ {
 		raw := sc.lookupRs[i].Result
-		occ := int(subtle.ConstantTimeByteEq(raw[0], slotOccupied))
+		occ, ok := s.lay.slotState(raw)
+		klen, vlen := slotLens(raw)
+		first := (ok ^ 1) & (bad ^ 1) // first damaged slot in scan order
+		badAt = ctops.SelectInt(first, i, badAt)
+		bad |= ok ^ 1
 		sc.occs[i] = occ
-		klen := int(binary.BigEndian.Uint16(raw[1:3]))
 		keyEq := occ & ctops.EqInt(klen, len(key)) &
 			subtle.ConstantTimeCompare(raw[slotHeaderLen:slotHeaderLen+s.lay.maxKey], sc.keyBuf)
 		m := keyEq & (fnd ^ 1) // first match in scan order wins
 		tgt = ctops.SelectInt(m, i, tgt)
-		valLen = ctops.SelectInt(m, int(binary.BigEndian.Uint32(raw[3:7])), valLen)
+		valLen = ctops.SelectInt(m, vlen, valLen)
 		fnd |= m
 		if i < S { // public: loop index
 			free0 += occ ^ 1
@@ -753,6 +684,7 @@ func (s *Store) selectTargetCT(sc *opScratch, kind opKind, key []byte) (tIdx int
 		firstFree = ctops.SelectInt(pick, i, firstFree)
 		hasFree |= pick
 	}
+	full := 0
 	dummy := s.dummySlot(key) // stateless PRF: computing it on every path is free
 	if kind == opSet {        // public: the caller's own op kind
 		full = (fnd ^ 1) & (hasFree ^ 1)
@@ -762,34 +694,29 @@ func (s *Store) selectTargetCT(sc *opScratch, kind opKind, key []byte) (tIdx int
 		tgt = ctops.SelectInt(fnd, tgt, dummy)
 	}
 
-	// Gather the target's slot index and read-back bytes with a full
-	// masked pass instead of indexing by the secret tgt.
+	// Gather the target's and the first damaged slot's global indices,
+	// and the target's read-back bytes, with a full masked pass instead
+	// of indexing by a secret position.
+	var tIdx, badIdx int64
 	for i := 0; i < 2*S; i++ {
 		m := ctops.EqInt(i, tgt)
 		tIdx = ctops.Select64(m, sc.slotIdx[i], tIdx)
+		badIdx = ctops.Select64(ctops.EqInt(i, badAt), sc.slotIdx[i], badIdx)
 		ctops.CopyBytes(m, sc.slotRead, sc.lookupRs[i].Result)
 	}
-
-	// Clamp the gathered value length arithmetically: the default
-	// selector relies on decodeSlot validation, which the masked scan
-	// skips (the sealer authenticates blocks, so an out-of-range
-	// length means table damage, not attacker input).
-	valLen = ctops.SelectInt(fnd, valLen, 0)
-	valLen = ctops.SelectInt(ctops.LtInt(s.lay.maxValue, valLen), s.lay.maxValue, valLen)
-	return tIdx, fnd, full, valLen
+	return selection{tIdx: tIdx, found: fnd, full: full, valLen: valLen, corrupt: bad, badIdx: badIdx}
 }
 
-// composeWritesCT fills the batch-3 payload buffers (sc.writeSlot,
+// composeWrites fills the batch-3 payload buffers (sc.writeSlot,
 // sc.extWrite) with masked copies: every op stages the gathered
 // read-back bytes, then the outcome mask overlays the freshly encoded
-// slot/value run. The staged bytes equal what the default mode writes
-// in every case — only the composition is branchless. For GET it also
-// produces the caller's value; trimming it to the hit/miss outcome is
-// a branch on the op's own return value, not on hidden state.
+// slot/value run. For GET it also produces the caller's value;
+// trimming it to the hit/miss outcome is a branch on the op's own
+// return value, not on hidden state.
 //
 //horam:constant-time
 //horam:secret key value
-func (s *Store) composeWritesCT(sc *opScratch, kind opKind, key, value []byte, fnd, full, valLen int, val *[]byte) []byte {
+func (s *Store) composeWrites(sc *opScratch, kind opKind, key, value []byte, fnd, full, valLen int, val *[]byte) []byte {
 	copy(sc.writeSlot, sc.slotRead)
 	for j := range sc.extWrite {
 		copy(sc.extWrite[j], sc.extRs[j].Result)

@@ -482,14 +482,12 @@ func (s *Server) handleKV(w *bufio.Writer, fields []string) {
 		fmt.Fprintln(w, "ERR kv disabled (start horamd with -kv)")
 		return
 	}
-	usage := map[string]string{
-		"KGET": "usage: KGET <hexkey>",
-		"KSET": "usage: KSET <hexkey> [<hexvalue>]",
-		"KDEL": "usage: KDEL <hexkey>",
-	}[verb]
-	wantMax := 2
-	if verb == "KSET" {
-		wantMax = 3
+	usage, wantMax := "usage: KGET <hexkey>", 2
+	switch verb {
+	case "KSET":
+		usage, wantMax = "usage: KSET <hexkey> [<hexvalue>]", 3
+	case "KDEL":
+		usage = "usage: KDEL <hexkey>"
 	}
 	if len(fields) < 2 || len(fields) > wantMax {
 		fmt.Fprintln(w, "ERR "+usage)
