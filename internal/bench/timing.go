@@ -56,7 +56,13 @@ type TimingReport struct {
 type timingPair struct {
 	name   string
 	canary bool
-	build  func(ct bool) (a, b func(), cleanup func(), err error)
+	build  func(ct bool) (pairOps, error)
+}
+
+// pairOps is one built pair: a and b are the timed sides; resetA and
+// resetB, when set, run untimed before every call of a and of b.
+type pairOps struct {
+	a, b, resetA, resetB func()
 }
 
 // stashPair: Take+Put per iteration on a 3/4-full stash. Side A takes
@@ -65,7 +71,7 @@ type timingPair struct {
 // (map mode: failed lookup + replace). Same public op sequence, the
 // hit/miss split is the secret. The inner loop amplifies the per-op
 // difference above timer resolution.
-func stashPair(ct bool) (func(), func(), func(), error) {
+func stashPair(ct bool) (pairOps, error) {
 	const (
 		capacity  = 128
 		blockSize = 64
@@ -82,7 +88,7 @@ func stashPair(ct bool) (func(), func(), func(), error) {
 	// Even addresses resident, odd absent.
 	for i := 0; i < resident; i++ {
 		if err := s.Put(int64(2*i), buf); err != nil {
-			return nil, nil, nil, err
+			return pairOps{}, err
 		}
 	}
 	const (
@@ -108,14 +114,14 @@ func stashPair(ct bool) (func(), func(), func(), error) {
 			}
 		}
 	}
-	return a, b, nil, nil
+	return pairOps{a: a, b: b}, nil
 }
 
 // posmapPair: position-map lookups of one hot address vs a sweep of
 // addresses. In default mode both are array indexing (the residual
 // channel is the cache line, below this harness's resolution); in CT
 // mode both are full scans. Not a canary.
-func posmapPair(ct bool) (func(), func(), func(), error) {
+func posmapPair(ct bool) (pairOps, error) {
 	const (
 		blocks = 1024
 		nLeaf  = 512
@@ -124,7 +130,7 @@ func posmapPair(ct bool) (func(), func(), func(), error) {
 	rng := blockcipher.NewRNGFromString("bench-timing-posmap")
 	m, err := posmap.NewPositionMap(blocks, nLeaf, rng)
 	if err != nil {
-		return nil, nil, nil, err
+		return pairOps{}, err
 	}
 	m.SetConstantTime(ct)
 	m.RemapAll()
@@ -147,7 +153,7 @@ func posmapPair(ct bool) (func(), func(), func(), error) {
 			sinkB += v
 		}
 	}
-	return a, b, nil, nil
+	return pairOps{a: a, b: b}, nil
 }
 
 // pathoramPair: end-to-end Path ORAM reads — one hot address vs a
@@ -157,7 +163,7 @@ func posmapPair(ct bool) (func(), func(), func(), error) {
 // one path write. What differs between the sides is pure secret
 // state — which addresses sit in the stash and where on the tree the
 // target lives — exactly the residue ConstantTime must erase.
-func pathoramPair(ct bool) (func(), func(), func(), error) {
+func pathoramPair(ct bool) (pairOps, error) {
 	const (
 		blocks    = 64
 		blockSize = 32
@@ -174,16 +180,16 @@ func pathoramPair(ct bool) (func(), func(), func(), error) {
 	}
 	dev, err := device.New(device.DRAM(), cfg.SlotSize(), 16*blocks, simclock.New())
 	if err != nil {
-		return nil, nil, nil, err
+		return pairOps{}, err
 	}
 	o, err := pathoram.New(cfg, dev)
 	if err != nil {
-		return nil, nil, nil, err
+		return pairOps{}, err
 	}
 	payload := make([]byte, blockSize)
 	for i := int64(0); i < blocks; i++ {
 		if err := o.Write(i, payload); err != nil {
-			return nil, nil, nil, err
+			return pairOps{}, err
 		}
 	}
 	// Symmetric harness arithmetic; only the address differs.
@@ -204,7 +210,82 @@ func pathoramPair(ct bool) (func(), func(), func(), error) {
 			}
 		}
 	}
-	return a, b, nil, nil
+	return pairOps{a: a, b: b}, nil
+}
+
+// compactPair: one path's eviction removal on stashes sized like a
+// block_ct shard's (capacity 62, 48 resident, 20 marked — one path's
+// slots). Side A marks the last 20 resident entries, so no survivor
+// has to move; side B marks the first 20, so every survivor moves 20
+// entries down. Only the removals are timed, one on each of 8 stashes
+// per sample: each side's untimed reset puts back what the other side
+// removed. In constant-time mode the removal is RemoveMasked, whose
+// swap passes must cost the same whatever distances the survivors
+// travel; default mode removes the same blocks one Take at a time. Not
+// a canary.
+func compactPair(ct bool) (pairOps, error) {
+	const (
+		capacity  = 62
+		blockSize = 64
+		resident  = 48
+		marked    = 20
+		inner     = 8
+	)
+	back, front := make([]int64, marked), make([]int64, marked)
+	for i := range back {
+		back[i] = int64(resident - marked + i)
+		front[i] = int64(i)
+	}
+	buf := make([]byte, blockSize)
+	puts := make([]func(addr int64) error, inner)
+	removes := make([]func(addrs []int64), inner)
+	for k := range puts {
+		if ct {
+			s := stash.NewConstantTime(capacity, blockSize)
+			mask := make([]int, capacity)
+			puts[k] = func(addr int64) error { return s.PutMasked(1, addr, addr, buf) }
+			removes[k] = func(addrs []int64) {
+				// Address a is the a-th resident block, so it sits at entry a.
+				clear(mask)
+				for _, a := range addrs {
+					mask[a] = 1
+				}
+				s.RemoveMasked(mask)
+			}
+		} else {
+			s := stash.New(capacity)
+			puts[k] = func(addr int64) error { return s.Put(addr, buf) }
+			removes[k] = func(addrs []int64) {
+				for _, a := range addrs {
+					s.Take(a)
+				}
+			}
+		}
+		for a := int64(0); a < resident; a++ {
+			if err := puts[k](a); err != nil {
+				return pairOps{}, err
+			}
+		}
+	}
+	remove := func(addrs []int64) func() {
+		return func() {
+			for _, r := range removes {
+				r(addrs)
+			}
+		}
+	}
+	putBack := func(addrs []int64) func() {
+		return func() {
+			for _, put := range puts {
+				for _, a := range addrs {
+					if err := put(a); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	}
+	return pairOps{a: remove(back), b: remove(front), resetA: putBack(front), resetB: putBack(back)}, nil
 }
 
 // timingPairs is the experiment's pair catalogue.
@@ -212,6 +293,7 @@ var timingPairs = []timingPair{
 	{name: "stash-take-put", canary: true, build: stashPair},
 	{name: "posmap-lookup", canary: false, build: posmapPair},
 	{name: "pathoram-read", canary: false, build: pathoramPair},
+	{name: "stash-evict-compact", canary: false, build: compactPair},
 }
 
 // RunTiming measures every pair in both modes.
@@ -225,14 +307,11 @@ func RunTiming(opts timing.Options, threshold float64) (*TimingReport, error) {
 			name string
 			ct   bool
 		}{{"default", false}, {"constant-time", true}} {
-			a, b, cleanup, err := p.build(mode.ct)
+			ops, err := p.build(mode.ct)
 			if err != nil {
 				return nil, fmt.Errorf("bench: timing pair %s (%s): %w", p.name, mode.name, err)
 			}
-			res := timing.MeasurePair(opts, a, b)
-			if cleanup != nil {
-				cleanup()
-			}
+			res := timing.MeasurePairReset(opts, ops.a, ops.b, ops.resetA, ops.resetB)
 			rep.Samples = res.A.N
 			row := TimingRow{Pair: p.name, Mode: mode.name, Canary: p.canary && !mode.ct, PairResult: res}
 			rep.Rows = append(rep.Rows, row)
@@ -255,7 +334,7 @@ func RunTiming(opts timing.Options, threshold float64) (*TimingReport, error) {
 func FormatTiming(rep *TimingReport) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== timing variance: secret-dependent wall-clock distinguishability (|t| threshold %.0f) ==\n", rep.Threshold)
-	fmt.Fprintf(&sb, "%-16s %-14s %12s %12s %10s  %s\n", "pair", "mode", "mean A (ns)", "mean B (ns)", "Welch t", "verdict")
+	fmt.Fprintf(&sb, "%-20s %-14s %12s %12s %10s  %s\n", "pair", "mode", "mean A (ns)", "mean B (ns)", "Welch t", "verdict")
 	for _, r := range rep.Rows {
 		abs := r.T
 		if abs < 0 {
@@ -268,7 +347,7 @@ func FormatTiming(rep *TimingReport) string {
 		if r.Canary {
 			verdict += " (canary)"
 		}
-		fmt.Fprintf(&sb, "%-16s %-14s %12.0f %12.0f %10.1f  %s\n", r.Pair, r.Mode, r.A.Mean, r.B.Mean, r.T, verdict)
+		fmt.Fprintf(&sb, "%-20s %-14s %12.0f %12.0f %10.1f  %s\n", r.Pair, r.Mode, r.A.Mean, r.B.Mean, r.T, verdict)
 	}
 	fmt.Fprintf(&sb, "constant-time gate: %s (every CT pair under threshold)\n", passFail(rep.CTPass))
 	fmt.Fprintf(&sb, "detection power:    %s (default-mode canary over threshold)\n", passFail(rep.DetectPass))

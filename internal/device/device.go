@@ -277,32 +277,41 @@ func (m *meter) checkWritePayload(src []byte, raw bool) error {
 	return nil
 }
 
-// chargeRead bills one slot read to the clock and counters.
-func (m *meter) chargeRead(slot int64) {
+// readLat bills one slot read to the counters and returns its
+// latency; the caller advances the clock by it, once per slot or once
+// per run of slots (the clock takes a lock per Advance).
+func (m *meter) readLat(slot int64) time.Duration {
 	lat := transferTime(m.slotSize, m.profile.ReadBandwidth)
 	if m.sequential(slot) {
 		m.stats.SeqReads++
 	} else {
 		lat += m.profile.RandomReadPenalty
 	}
-	m.clock.Advance(lat)
 	m.stats.Reads++
 	m.stats.BytesRead += int64(m.slotSize)
 	m.stats.Busy += lat
+	return lat
 }
 
+// chargeRead bills one slot read to the clock and counters.
+func (m *meter) chargeRead(slot int64) { m.clock.Advance(m.readLat(slot)) }
+
 // chargeWrite bills one slot write to the clock and counters.
-func (m *meter) chargeWrite(slot int64) {
+func (m *meter) chargeWrite(slot int64) { m.clock.Advance(m.writeLat(slot)) }
+
+// writeLat bills one slot write to the counters and returns its
+// latency, like readLat.
+func (m *meter) writeLat(slot int64) time.Duration {
 	lat := transferTime(m.slotSize, m.profile.WriteBandwidth)
 	if m.sequential(slot) {
 		m.stats.SeqWrites++
 	} else {
 		lat += m.profile.RandomWritePenalty
 	}
-	m.clock.Advance(lat)
 	m.stats.Writes++
 	m.stats.BytesWritten += int64(m.slotSize)
 	m.stats.Busy += lat
+	return lat
 }
 
 // observe dispatches the adversary hook.

@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/simclock"
 )
@@ -182,18 +183,11 @@ func (d *File) ReadRaw(slot int64, dst []byte) error {
 // ReadSlots implements Backend: accounting is charged per slot in
 // argument order exactly as a Read loop would, but each maximal run of
 // contiguous slots is fetched with one preadv burst instead of one
-// pread per slot.
+// pread per slot, and advances the clock once by the run's summed
+// latency.
 func (d *File) ReadSlots(slots []int64, bufs [][]byte) error {
-	if err := checkVector(slots, bufs); err != nil {
+	if err := d.checkReadRun(slots, bufs); err != nil {
 		return err
-	}
-	for i, slot := range slots {
-		if err := d.checkSlot(slot); err != nil {
-			return err
-		}
-		if err := d.checkReadBuf(bufs[i], false); err != nil {
-			return err
-		}
 	}
 	for start := 0; start < len(slots); {
 		end := start + 1
@@ -201,11 +195,13 @@ func (d *File) ReadSlots(slots []int64, bufs [][]byte) error {
 			end++
 		}
 		views := d.views[:0]
+		var lat time.Duration
 		for i := start; i < end; i++ {
-			d.chargeRead(slots[i])
+			lat += d.readLat(slots[i])
 			d.observe(OpRead, slots[i])
 			views = append(views, bufs[i][:d.slotSize])
 		}
+		d.clock.Advance(lat)
 		d.views = views[:0]
 		if err := d.preadvAt(views, d.off(slots[start])); err != nil {
 			return fmt.Errorf("device %s: preadv slots [%d,%d]: %w", d.profile.Name, slots[start], slots[end-1], err)
@@ -216,23 +212,16 @@ func (d *File) ReadSlots(slots []int64, bufs [][]byte) error {
 }
 
 // WriteSlots implements Backend: per-slot accounting, one pwritev
-// burst per contiguous run. Under a periodic fsync policy it falls
-// back to the sequential Write loop so the policy's sync points (and
-// the Syncs counter) stay exactly where they have always been.
+// burst and one clock advance per contiguous run. Under a periodic
+// fsync policy it falls back to the sequential Write loop so the
+// policy's sync points (and the Syncs counter) stay exactly where they
+// have always been.
 func (d *File) WriteSlots(slots []int64, bufs [][]byte) error {
 	if d.fsyncEvery > 0 {
 		return WriteSlotsSeq(d, slots, bufs)
 	}
-	if err := checkVector(slots, bufs); err != nil {
+	if err := d.checkWriteRun(slots, bufs); err != nil {
 		return err
-	}
-	for i, slot := range slots {
-		if err := d.checkSlot(slot); err != nil {
-			return err
-		}
-		if err := d.checkWritePayload(bufs[i], false); err != nil {
-			return err
-		}
 	}
 	for start := 0; start < len(slots); {
 		end := start + 1
@@ -240,11 +229,13 @@ func (d *File) WriteSlots(slots []int64, bufs [][]byte) error {
 			end++
 		}
 		views := d.views[:0]
+		var lat time.Duration
 		for i := start; i < end; i++ {
-			d.chargeWrite(slots[i])
+			lat += d.writeLat(slots[i])
 			d.observe(OpWrite, slots[i])
 			views = append(views, bufs[i])
 		}
+		d.clock.Advance(lat)
 		d.views = views[:0]
 		if err := d.pwritevAt(views, d.off(slots[start])); err != nil {
 			return fmt.Errorf("device %s: pwritev slots [%d,%d]: %w", d.profile.Name, slots[start], slots[end-1], err)

@@ -1,6 +1,9 @@
 package device
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Vectored slot I/O. The shuffle quantum and multi-slot cycle paths
 // touch runs of slots at a time; issuing them through the one-slot
@@ -11,10 +14,11 @@ import "fmt"
 //   - ReadSlotsSeq/WriteSlotsSeq, the sequential fallback any Device
 //     can be adapted through — it IS the accounting contract: vectored
 //     implementations must charge, count and observe exactly as the
-//     fallback would;
+//     fallback would, though they may advance the clock once by a
+//     run's summed latency rather than once per slot;
 //   - the Sim and Tiered implementations (Sim has no syscalls to
-//     coalesce; Tiered splits a request into per-tier runs and lets
-//     each tier coalesce its own).
+//     coalesce, only clock advances; Tiered splits a request into
+//     per-tier runs and lets each tier coalesce its own).
 //
 // The package-level ReadSlots/WriteSlots helpers adapt a plain Device:
 // they use the native vectored path when the device has one and the
@@ -30,6 +34,40 @@ type vectorDevice interface {
 func checkVector(slots []int64, bufs [][]byte) error {
 	if len(slots) != len(bufs) {
 		return fmt.Errorf("device: %d slots, %d buffers", len(slots), len(bufs))
+	}
+	return nil
+}
+
+// checkReadRun validates a whole ReadSlots request before any slot of
+// it is charged.
+func (m *meter) checkReadRun(slots []int64, bufs [][]byte) error {
+	if err := checkVector(slots, bufs); err != nil {
+		return err
+	}
+	for i, slot := range slots {
+		if err := m.checkSlot(slot); err != nil {
+			return err
+		}
+		if err := m.checkReadBuf(bufs[i], false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkWriteRun validates a whole WriteSlots request before any slot
+// of it is charged.
+func (m *meter) checkWriteRun(slots []int64, bufs [][]byte) error {
+	if err := checkVector(slots, bufs); err != nil {
+		return err
+	}
+	for i, slot := range slots {
+		if err := m.checkSlot(slot); err != nil {
+			return err
+		}
+		if err := m.checkWritePayload(bufs[i], false); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -82,15 +120,38 @@ func WriteSlots(d Device, slots []int64, bufs [][]byte) error {
 	return WriteSlotsSeq(d, slots, bufs)
 }
 
-// ReadSlots implements Backend. A Sim has no syscalls to coalesce, so
-// the fallback is also the fast path.
+// ReadSlots implements Backend. A Sim has no syscalls to coalesce; it
+// validates the whole request, bills and observes each slot as Read
+// would, and advances the clock once by the summed latency instead of
+// once per slot.
 func (s *Sim) ReadSlots(slots []int64, bufs [][]byte) error {
-	return ReadSlotsSeq(s, slots, bufs)
+	if err := s.checkReadRun(slots, bufs); err != nil {
+		return err
+	}
+	var lat time.Duration
+	for i, slot := range slots {
+		lat += s.readLat(slot)
+		s.copyOut(slot, bufs[i])
+		s.observe(OpRead, slot)
+	}
+	s.clock.Advance(lat)
+	return nil
 }
 
-// WriteSlots implements Backend.
+// WriteSlots implements Backend, with ReadSlots' validation and single
+// clock advance.
 func (s *Sim) WriteSlots(slots []int64, bufs [][]byte) error {
-	return WriteSlotsSeq(s, slots, bufs)
+	if err := s.checkWriteRun(slots, bufs); err != nil {
+		return err
+	}
+	var lat time.Duration
+	for i, slot := range slots {
+		lat += s.writeLat(slot)
+		s.copyIn(slot, bufs[i])
+		s.observe(OpWrite, slot)
+	}
+	s.clock.Advance(lat)
+	return nil
 }
 
 // ReadSlots implements Backend by splitting the request into maximal

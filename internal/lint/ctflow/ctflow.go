@@ -16,6 +16,13 @@
 //     the taint of their data operands, not their mask);
 //   - calls to functions annotated //horam:mask.
 //
+// A secret passed to a same-package function is flagged at the call
+// when the callee uses the matching parameter directly (anywhere inside
+// the expression) as an index or a slice bound: a helper such as
+// slot(p) { return pool[p*size : (p+1)*size] } hides the secret index
+// from a walk of the caller alone, and the callee need not itself be
+// constant-time code for the access to leak.
+//
 // len and cap are treated as public: every length in the constant-time
 // paths of this repository is a validated, capacity-bounded quantity
 // (the secrets are addresses and contents, not sizes). Accumulated
@@ -44,10 +51,86 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	in := annot.Collect(pass)
+	indexing := indexingParams(pass)
 	for _, fn := range in.CTFuncs {
-		newFunc(pass, in, fn).analyze()
+		newFunc(pass, in, indexing, fn).analyze()
 	}
 	return nil
+}
+
+// indexingParams maps every function and method declared in the
+// package to the positions of the parameters it uses directly as a
+// memory index or a slice bound; functions with none are absent.
+func indexingParams(pass *analysis.Pass) map[*types.Func][]bool {
+	out := map[*types.Func][]bool{}
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+			if obj == nil {
+				continue
+			}
+			params := map[types.Object]int{}
+			n := 0
+			for _, field := range fn.Type.Params.List {
+				for _, name := range field.Names {
+					params[pass.TypesInfo.Defs[name]] = n
+					n++
+				}
+				if len(field.Names) == 0 {
+					n++
+				}
+			}
+			used := make([]bool, n)
+			indexes := false
+			mark := func(e ast.Expr) {
+				if e == nil {
+					return
+				}
+				ast.Inspect(e, func(x ast.Node) bool {
+					if id, ok := x.(*ast.Ident); ok {
+						if i, ok := params[pass.TypesInfo.Uses[id]]; ok {
+							used[i], indexes = true, true
+						}
+					}
+					return true
+				})
+			}
+			ast.Inspect(fn.Body, func(x ast.Node) bool {
+				switch x := x.(type) {
+				case *ast.IndexExpr:
+					if memoryIndex(pass.TypesInfo, x) {
+						mark(x.Index)
+					}
+				case *ast.SliceExpr:
+					mark(x.Low)
+					mark(x.High)
+					mark(x.Max)
+				}
+				return true
+			})
+			if indexes {
+				out[obj] = used
+			}
+		}
+	}
+	return out
+}
+
+// memoryIndex reports whether x indexes a slice, array, pointer to
+// array or string (not a map, and not a generic instantiation).
+func memoryIndex(info *types.Info, x *ast.IndexExpr) bool {
+	if tv, ok := info.Types[x.X]; !ok || tv.IsType() {
+		return false
+	}
+	switch info.TypeOf(x.X).Underlying().(type) {
+	case *types.Slice, *types.Array, *types.Pointer, *types.Basic:
+		return true
+	}
+	return false
 }
 
 // funcAnalysis is the per-function taint state.
@@ -56,13 +139,16 @@ type funcAnalysis struct {
 	in   *annot.Info
 	fn   *ast.FuncDecl
 
+	// indexing is indexingParams' result for the package.
+	indexing map[*types.Func][]bool
+
 	// taint maps a tainted object to the name of the root secret it
 	// derives from (for diagnostics).
 	taint map[types.Object]string
 }
 
-func newFunc(pass *analysis.Pass, in *annot.Info, fn *ast.FuncDecl) *funcAnalysis {
-	a := &funcAnalysis{pass: pass, in: in, fn: fn, taint: map[types.Object]string{}}
+func newFunc(pass *analysis.Pass, in *annot.Info, indexing map[*types.Func][]bool, fn *ast.FuncDecl) *funcAnalysis {
+	a := &funcAnalysis{pass: pass, in: in, fn: fn, indexing: indexing, taint: map[types.Object]string{}}
 	for _, obj := range in.FuncSecrets(fn) {
 		a.taint[obj] = obj.Name()
 	}
@@ -320,10 +406,9 @@ func (a *funcAnalysis) report() {
 			if tv, ok := a.pass.TypesInfo.Types[n.X]; !ok || tv.IsType() {
 				return true // generic instantiation, not an index
 			}
-			switch a.pass.TypesInfo.TypeOf(n.X).Underlying().(type) {
-			case *types.Map:
+			if _, isMap := a.pass.TypesInfo.TypeOf(n.X).Underlying().(*types.Map); isMap {
 				a.flag(n.Pos(), n.Index, "map index")
-			case *types.Slice, *types.Array, *types.Pointer, *types.Basic:
+			} else if memoryIndex(a.pass.TypesInfo, n) {
 				if why := a.taintOf(n.Index); why != "" && !a.in.CTOK(n.Pos()) {
 					a.pass.Reportf(n.Pos(), "memory index depends on secret %q in constant-time code (secret-dependent address)", why)
 				}
@@ -336,6 +421,7 @@ func (a *funcAnalysis) report() {
 				}
 			}
 		case *ast.CallExpr:
+			a.flagIndexingArgs(n)
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				if b, ok := a.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "make" && len(n.Args) > 1 {
 					for _, sz := range n.Args[1:] {
@@ -349,6 +435,21 @@ func (a *funcAnalysis) report() {
 		}
 		return true
 	})
+}
+
+// flagIndexingArgs reports each secret argument of call that the
+// same-package callee uses as a memory index or slice bound.
+func (a *funcAnalysis) flagIndexingArgs(call *ast.CallExpr) {
+	fn := ctcall.Callee(a.pass.TypesInfo, call)
+	used := a.indexing[fn]
+	for i, arg := range call.Args {
+		if i >= len(used) || !used[i] {
+			continue
+		}
+		if why := a.taintOf(arg); why != "" && !a.in.CTOK(arg.Pos()) {
+			a.pass.Reportf(arg.Pos(), "argument %d of %s is a memory index or slice bound in the callee and depends on secret %q in constant-time code (secret-dependent address)", i+1, fn.Name(), why)
+		}
+	}
 }
 
 // flag reports a secret-dependent control-flow condition at pos.

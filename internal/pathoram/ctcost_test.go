@@ -3,10 +3,12 @@ package pathoram
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/blockcipher"
 	"repro/internal/device"
+	"repro/internal/oramtree"
 	"repro/internal/simclock"
 	"repro/internal/stash"
 )
@@ -43,7 +45,7 @@ func newNullORAM(t *testing.T, blocks int64, blockSize int, ct bool) *ORAM {
 	return o
 }
 
-// The constant-time stash copies every payload into its own slot array,
+// The constant-time stash copies every payload into its own pool,
 // so the accesses must not also make the owned copy the map stash needs.
 // The one allocation constant-time mode may add is the caller-owned
 // buffer CT.Take returns.
@@ -127,5 +129,63 @@ func TestConstantTimeStashCapacityIsBlocks(t *testing.T) {
 	}
 	if oDef.StashPeak() != oCT.StashPeak() || oCT.StashPeak() > blocks {
 		t.Fatalf("stash peak: default %d, constant-time %d, capacity %d", oDef.StashPeak(), oCT.StashPeak(), blocks)
+	}
+}
+
+// BenchmarkConstantTimePath is constant-time paths at horam's memory
+// tree geometry on the block_ct shard (a 124-slot tree of 20-slot
+// paths, stash limit 62, the top half of the levels trusted, 512
+// blocks), over NullSealer so the figure is the controller's own work.
+// One iteration is one real read and three DummyAccess pads, the mix a
+// lone request sees under the paper's c schedule; 48 blocks stay
+// resident, about as many as a period ends with.
+func BenchmarkConstantTimePath(b *testing.B) {
+	for _, blockSize := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("block=%dB", blockSize), func(b *testing.B) {
+			geom, err := oramtree.FitCapacity(128, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{
+				Blocks:       512,
+				BlockSize:    blockSize,
+				Z:            4,
+				Capacity:     geom.Slots(),
+				Sealer:       blockcipher.NullSealer{},
+				RNG:          blockcipher.NewRNGFromString("pathoram-ctpath"),
+				StashLimit:   int(geom.Slots() / 2),
+				ConstantTime: true,
+				Trusted:      (geom.Levels + 1) / 2,
+			}
+			dev, err := device.New(device.DRAM(), cfg.SlotSize(), geom.Slots()-geom.TopSlots(cfg.Trusted), simclock.New())
+			if err != nil {
+				b.Fatal(err)
+			}
+			o, err := New(cfg, dev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const resident = 48
+			for a := int64(0); a < resident; a++ {
+				if err := o.Insert(a, payload(blockSize, byte(a))); err != nil {
+					b.Fatal(err)
+				}
+				if err := o.DummyAccess(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(blockSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := o.Read(int64(i % resident)); err != nil {
+					b.Fatal(err)
+				}
+				for d := 0; d < 3; d++ {
+					if err := o.DummyAccess(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

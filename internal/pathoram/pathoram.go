@@ -57,11 +57,11 @@ type Config struct {
 	// length of every stash scan, and 0 means min(tree slots, Blocks).
 	StashLimit int
 	// ConstantTime hardens the controller's trusted-memory work
-	// against a co-located timing adversary: the stash becomes a dense
-	// slot array scanned full-length in fixed order on every
-	// operation, the position map switches to scan lookups, and
-	// eviction selects blocks with branchless masks instead of
-	// early-exit loops. Device traffic (slots, order, sealed bytes and
+	// against a co-located timing adversary: the stash becomes a fixed
+	// payload pool under a dense entry array, both scanned full-length
+	// in fixed order on every operation, the position map switches to
+	// scan lookups, and eviction selects blocks with branchless masks
+	// instead of early-exit loops. Device traffic (slots, order, sealed bytes and
 	// the RNG streams behind them) is byte-identical to the default
 	// mode; only in-memory computation changes.
 	ConstantTime bool
@@ -127,6 +127,7 @@ type ORAM struct {
 	ct         *stash.CT
 	ctAddrs    []int64 // full stash snapshot (Empty sentinels included)
 	ctLeaves   []int64 // leaf carried by each snapshot slot
+	ctSlots    []int   // pool slot of each snapshot slot's payload
 	ctConsumed []int   // slots taken by the current writePath
 	ctElig     []int   // per-level eligibility masks
 	ctRanks    []int   // per-level eligible-prefix counts
@@ -230,6 +231,7 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 		ctCap := ct.Capacity()
 		o.ctAddrs = make([]int64, 0, ctCap)
 		o.ctLeaves = make([]int64, 0, ctCap)
+		o.ctSlots = make([]int, 0, ctCap)
 		o.ctConsumed = make([]int, ctCap)
 		o.ctElig = make([]int, ctCap)
 		o.ctRanks = make([]int, ctCap)
@@ -267,8 +269,8 @@ func (o *ORAM) newPayload(src []byte) []byte {
 // stashPut puts addr's block, mapped to leaf, into the stash. The map
 // stash keeps the buffer it is given, so it gets an owned copy, and no
 // leaf (default eviction asks the position map); the constant-time
-// stash copies data into its own slot array, next to leaf, so data
-// goes to it as is and no throwaway buffer is made.
+// stash copies data into its own payload pool, its entry carrying
+// leaf, so data goes to it as is and no throwaway buffer is made.
 func (o *ORAM) stashPut(addr, leaf int64, data []byte) error {
 	if o.ct != nil {
 		return o.ct.PutMasked(1, addr, leaf, data)
@@ -513,24 +515,29 @@ func ctCommonLevel(levels int, a, b int64) int {
 // The staged plaintexts, slot order and seal-nonce order are exactly
 // the default path's, so the sealed device traffic is byte-identical.
 //
-// One snapshot of the stash's addresses and of the leaves they carry
-// serves the whole path, mirroring the default path's single sorted
-// snapshot; the position map is never consulted. Consumed slots are
-// marked in a mask and removed from the stash in a fixed number of
-// masked passes at the end, and each written slot's leaf goes into
-// slotLeaf for the read that absorbs it again.
+// One snapshot of the stash's addresses, of the leaves they carry and
+// of their pool slots serves the whole path, mirroring the default
+// path's single sorted snapshot; the position map is never consulted.
+// Each output slot's pool slot is picked with the same masked selects
+// as its address, and its payload gathered in one masked pass over the
+// stash's pool. Consumed slots are marked in a mask and removed from
+// the stash in a fixed number of masked passes at the end, and each
+// written slot's leaf goes into slotLeaf for the read that absorbs it
+// again.
 //
 // The stash snapshots are the secrets here; the written path (leaf)
 // is public device traffic.
 //
 //horam:constant-time
-//horam:secret addrs leaves
+//horam:secret addrs leaves slots
 func (o *ORAM) ctWritePath(leaf int64) error {
 	capn := o.ct.Capacity()
 	addrs := o.ct.SnapshotAddrs(o.ctAddrs[:0])
 	o.ctAddrs = addrs[:0]
 	leaves := o.ct.SnapshotLeaves(o.ctLeaves[:0])
 	o.ctLeaves = leaves[:0]
+	slots := o.ct.SnapshotSlots(o.ctSlots[:0])
+	o.ctSlots = slots[:0]
 	consumed := o.ctConsumed[:capn]
 	for i := range consumed {
 		consumed[i] = 0
@@ -563,14 +570,16 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 			pt := o.pathPt[n]
 			o.codec.Encode(pt, record.DummyAddr, nil)
 			_, payload := o.codec.Decode(pt)
-			slotAddr, slotLeaf := record.DummyAddr, stash.NoLeaf
+			found, slotAddr, slotLeaf, poolSlot := 0, record.DummyAddr, stash.NoLeaf, 0
 			for i := 0; i < capn; i++ {
 				m := elig[i] & ctops.EqInt(ranks[i], z)
+				found |= m
 				slotAddr = ctops.Select64(m, addrs[i], slotAddr)
 				slotLeaf = ctops.Select64(m, leaves[i], slotLeaf)
-				o.ct.CopySlotMasked(m, i, payload)
+				poolSlot = ctops.SelectInt(m, slots[i], poolSlot)
 				consumed[i] |= m
 			}
+			o.ct.GatherMasked(found, poolSlot, payload)
 			record.PutAddr(pt, slotAddr)
 			src = append(src, pt)
 			o.pathSlots[n] = base + int64(z)
@@ -579,7 +588,7 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 		}
 		o.stats.BucketWrites++
 	}
-	o.ct.RemoveMasked(consumed, (o.geom.Levels+1)*o.cfg.Z)
+	o.ct.RemoveMasked(consumed)
 	o.sealSrc = src[:0]
 	return o.flushPath(src, n)
 }

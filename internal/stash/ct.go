@@ -1,13 +1,22 @@
-// Constant-time stash: the dense-slot-array variant behind
-// config.ConstantTime. The map stash's hash lookups, deletes and
-// sorted-address enumeration all take time (and touch memory) as a
-// function of which addresses are resident — exactly the secret a
-// co-located timing adversary is after. This variant stores blocks in
-// one dense, address-sorted slot array and implements every operation
-// as a full-length fixed-order scan with branchless selects, so the
-// instruction and memory-touch sequence of Put/Get/Take/Has depends
-// only on the stash's public capacity, never on which addresses are
-// present or asked for.
+// Constant-time stash: the variant behind config.ConstantTime. The map
+// stash's hash lookups, deletes and sorted-address enumeration all take
+// time (and touch memory) as a function of which addresses are
+// resident — exactly the secret a co-located timing adversary is after.
+// This variant implements every operation as full-length fixed-order
+// passes with branchless selects, so the instruction and memory-touch
+// sequence of Put/Get/Take/Has/RemoveMasked depends only on the stash's
+// public capacity, never on which addresses are present or asked for.
+//
+// Layout: payloads live in a fixed pool of capacity slots and never
+// move. What the masked passes sort, shift and compact is a dense,
+// address-sorted array of 4-word entries (address, leaf, length, pool
+// slot). The entries past the occupancy hold the pool slots that are
+// free, so the pool-slot column is always a permutation of
+// 0..capacity−1: an insert takes the free slot the last entry carries,
+// and a removal rotates the freed slot to the tail. Which pool slot
+// holds a block follows the insert and removal history, which follows
+// the addresses, so the pool is only ever touched by whole-pool masked
+// passes and never indexed by that column.
 //
 // Two deliberate deviations from perfect constant time, both
 // documented at the call sites: the ErrFull refusal on Put can branch
@@ -32,12 +41,12 @@ import (
 //
 //horam:constant-time
 
-// Empty is the address sentinel an unoccupied constant-time slot
-// holds. It sorts after every valid address, so the occupied slots
+// Empty is the address sentinel an unoccupied constant-time entry
+// holds. It sorts after every valid address, so the occupied entries
 // always form the sorted prefix of the array.
 const Empty = int64(math.MaxInt64)
 
-// NoLeaf is the leaf an unoccupied constant-time slot carries, and the
+// NoLeaf is the leaf an unoccupied constant-time entry carries, and the
 // one Put stores. It equals posmap.NoLeaf, so a stash leaf compares
 // directly against a position-map leaf.
 const NoLeaf = int64(-1)
@@ -66,7 +75,7 @@ var (
 // NewConstantTime. Like Stash, it is not safe for concurrent use.
 //
 // Contract differences from the map Stash, beyond timing: capacity is
-// always bounded (there is no "unbounded" mode — the dense array IS
+// always bounded (there is no "unbounded" mode — the entry array IS
 // the scan length), payloads are capped at the configured block size,
 // and Get returns a scratch buffer that is only valid until the next
 // operation on the stash (Take returns an owned copy).
@@ -82,19 +91,23 @@ type CT struct {
 	// the leaf where the block is instead of joining the position map.
 	//
 	//horam:secret
-	leaves []int64 // indexed like addrs; NoLeaf in unoccupied slots
-	lens   []int   // stored payload length per slot
-	slab   []byte  // capacity × blockSize payload backing
-	count  int
-	peak   int
-	out    []byte // Get/Has scan target, reused across calls
-	pad    []byte // Put staging: payload zero-padded to blockSize
-	zero   []byte // all-zero block for masked clears
+	leaves []int64 // indexed like addrs; NoLeaf in unoccupied entries
+	lens   []int   // stored payload length per entry
+	// The pool slot of each entry's payload; a free slot in unoccupied
+	// entries. Always a permutation of 0..capacity−1.
+	//
+	//horam:secret
+	phys  []int
+	pool  []byte // capacity × blockSize payloads, indexed by pool slot
+	count int
+	peak  int
+	out   []byte // Get/Has gather target, reused across calls
+	pad   []byte // Put staging: payload zero-padded to blockSize
 }
 
 // NewConstantTime returns an empty constant-time stash holding at most
 // capacity blocks of at most blockSize bytes each. Every operation
-// scans all capacity slots, so capacity should be the tightest public
+// scans all capacity entries, so capacity should be the tightest public
 // bound on how many blocks the caller can ever hold at once (pathoram:
 // its StashLimit, else min(tree slots, Blocks)).
 func NewConstantTime(capacity, blockSize int) *CT {
@@ -110,14 +123,15 @@ func NewConstantTime(capacity, blockSize int) *CT {
 		addrs:     make([]int64, capacity),
 		leaves:    make([]int64, capacity),
 		lens:      make([]int, capacity),
-		slab:      make([]byte, capacity*blockSize),
+		phys:      make([]int, capacity),
+		pool:      make([]byte, capacity*blockSize),
 		out:       make([]byte, blockSize),
 		pad:       make([]byte, blockSize),
-		zero:      make([]byte, blockSize),
 	}
 	for i := range s.addrs {
 		s.addrs[i] = Empty
 		s.leaves[i] = NoLeaf
+		s.phys[i] = i
 	}
 	return s
 }
@@ -128,11 +142,14 @@ func (s *CT) Capacity() int { return s.capacity }
 // BlockSize returns the per-slot payload bound.
 func (s *CT) BlockSize() int { return s.blockSize }
 
-func (s *CT) slot(i int) []byte { return s.slab[i*s.blockSize : (i+1)*s.blockSize] }
+// slot returns pool slot p. Only whole-pool passes call it, with the
+// public loop index; a pool slot taken from phys is secret and goes
+// through GatherMasked or a masked write pass instead.
+func (s *CT) slot(p int) []byte { return s.pool[p*s.blockSize : (p+1)*s.blockSize] }
 
 // Put stores data under addr with leaf NoLeaf, replacing any previous
-// value; the data is copied into the slot array (the caller keeps
-// ownership of its buffer, unlike the map stash). Equivalent to
+// value; the data is copied into the pool (the caller keeps ownership
+// of its buffer, unlike the map stash). Equivalent to
 // PutMasked(1, addr, NoLeaf, data).
 //
 //horam:secret addr
@@ -140,11 +157,16 @@ func (s *CT) Put(addr int64, data []byte) error { return s.PutMasked(1, addr, No
 
 // PutMasked stores data and leaf under addr when v == 1 (replacing
 // both if addr is present) and is a fixed-cost no-op when v == 0: the
-// same full-length scan and shift passes run either way, with every
-// write masked out. pathoram's read-path uses it to absorb a path's
-// slots without revealing which of them carried real blocks. When
-// v == 0 the addr and leaf operands are ignored (they may be dummy
-// sentinels); when v == 1 addr must be a valid non-negative address.
+// same full-length passes run either way, with every write masked out.
+// pathoram's read-path uses it to absorb a path's slots without
+// revealing which of them carried real blocks. When v == 0 the addr
+// and leaf operands are ignored (they may be dummy sentinels); when
+// v == 1 addr must be a valid non-negative address.
+//
+// The lookup, shift and write passes run over the entries only; the
+// payload lands in one masked pass over the pool, in the matching
+// entry's pool slot on a replace and in the free slot the last entry
+// carries on an insert.
 //
 //horam:secret addr leaf
 func (s *CT) PutMasked(v int, addr, leaf int64, data []byte) error {
@@ -153,12 +175,16 @@ func (s *CT) PutMasked(v int, addr, leaf int64, data []byte) error {
 	}
 	a := ctops.Select64(v, addr, 0)
 	n := copy(s.pad, data)
-	for i := n; i < len(s.pad); i++ {
-		s.pad[i] = 0
-	}
-	present := 0
+	clear(s.pad[n:])
+	// Presence, the match's pool slot, and the insertion position: how
+	// many stored addresses sort below a. Empty sentinels never do, so
+	// pos lands inside the sorted prefix.
+	present, target, pos := 0, 0, 0
 	for i := range s.addrs {
-		present |= ctops.Eq64(s.addrs[i], a)
+		m := ctops.Eq64(s.addrs[i], a)
+		present |= m
+		target = ctops.SelectInt(m, s.phys[i], target)
+		pos += ctops.Lt64(s.addrs[i], a)
 	}
 	present &= v
 	doInsert := v & (present ^ 1)
@@ -171,28 +197,30 @@ func (s *CT) PutMasked(v int, addr, leaf int64, data []byte) error {
 	if overflow == 1 {
 		return ErrFull{Limit: s.capacity}
 	}
-	// Insertion position: how many stored addresses sort below a.
-	// Empty sentinels never do, so pos lands inside the sorted prefix.
-	pos := 0
-	for i := range s.addrs {
-		pos += ctops.Lt64(s.addrs[i], a)
-	}
-	// Backward shift pass: open the slot at pos when inserting.
-	for i := s.capacity - 1; i >= 1; i-- {
+	// Below capacity the last entry is unoccupied, so its pool slot is
+	// free; the shift pass drops that entry and the write pass hands
+	// its slot to the new one.
+	last := s.capacity - 1
+	target = ctops.SelectInt(doInsert, s.phys[last], target)
+	// Backward shift pass: open the entry at pos when inserting.
+	for i := last; i >= 1; i-- {
 		mv := doInsert & ctops.GeInt(i-1, pos)
 		s.addrs[i] = ctops.Select64(mv, s.addrs[i-1], s.addrs[i])
 		s.leaves[i] = ctops.Select64(mv, s.leaves[i-1], s.leaves[i])
 		s.lens[i] = ctops.SelectInt(mv, s.lens[i-1], s.lens[i])
-		ctops.CopyBytes(mv, s.slot(i), s.slot(i-1))
+		s.phys[i] = ctops.SelectInt(mv, s.phys[i-1], s.phys[i])
 	}
-	// Write pass: land the padded payload at the match (replace) or at
-	// the opened slot (insert).
+	// Write pass: fill the match (replace) or the opened entry (insert).
 	for i := range s.addrs {
 		w := (present & ctops.Eq64(s.addrs[i], a)) | (doInsert & ctops.EqInt(i, pos))
 		s.addrs[i] = ctops.Select64(w, a, s.addrs[i])
 		s.leaves[i] = ctops.Select64(w, leaf, s.leaves[i])
 		s.lens[i] = ctops.SelectInt(w, len(data), s.lens[i])
-		ctops.CopyBytes(w, s.slot(i), s.pad)
+		s.phys[i] = ctops.SelectInt(w, target, s.phys[i])
+	}
+	// Pool pass: land the padded payload in the target slot.
+	for p := 0; p < s.capacity; p++ {
+		ctops.CopyBytes(v&ctops.EqInt(p, target), s.slot(p), s.pad)
 	}
 	s.count += doInsert
 	if s.count > s.peak {
@@ -202,21 +230,35 @@ func (s *CT) PutMasked(v int, addr, leaf int64, data []byte) error {
 }
 
 // scan is the shared full-length lookup: it accumulates the match
-// flag, slot position and stored length, and gathers the payload into
-// s.out, touching every slot exactly once in fixed order. Its results
-// are established 0-or-1 masks and mask-selected public quantities.
+// flag, entry position, stored length and pool slot, and gathers the
+// payload into s.out, touching every entry and every pool slot exactly
+// once in fixed order. Its results are established 0-or-1 masks and
+// mask-selected quantities.
 //
 //horam:mask
 //horam:secret addr
-func (s *CT) scan(addr int64) (found, pos, n int) {
+func (s *CT) scan(addr int64) (found, pos, n, p int) {
 	for i := range s.addrs {
 		m := ctops.Eq64(s.addrs[i], addr)
 		found |= m
 		pos = ctops.SelectInt(m, i, pos)
 		n = ctops.SelectInt(m, s.lens[i], n)
-		ctops.CopyBytes(m, s.out, s.slot(i))
+		p = ctops.SelectInt(m, s.phys[i], p)
 	}
-	return found, pos, n
+	s.GatherMasked(found, p, s.out)
+	return found, pos, n, p
+}
+
+// GatherMasked copies pool slot p's payload into dst when v == 1 and
+// leaves dst unchanged when v == 0. Every pool slot is read in full
+// either way, so which slot p names never shows in the touch sequence.
+// dst must be exactly BlockSize bytes; p is an entry of SnapshotSlots.
+//
+//horam:secret p
+func (s *CT) GatherMasked(v, p int, dst []byte) {
+	for q := 0; q < s.capacity; q++ {
+		ctops.CopyBytes(v&ctops.EqInt(q, p), dst, s.slot(q))
+	}
 }
 
 // Get returns the block stored under addr without removing it. The
@@ -225,7 +267,7 @@ func (s *CT) scan(addr int64) (found, pos, n int) {
 //
 //horam:secret addr
 func (s *CT) Get(addr int64) ([]byte, bool) {
-	found, _, n := s.scan(addr)
+	found, _, n, _ := s.scan(addr)
 	if found == 0 {
 		return nil, false
 	}
@@ -233,27 +275,28 @@ func (s *CT) Get(addr int64) ([]byte, bool) {
 }
 
 // Take removes and returns the block stored under addr. The returned
-// slice is freshly allocated and owned by the caller. The removal
-// shift pass runs in full whether or not the address was present.
+// slice is freshly allocated and owned by the caller. The removal pass
+// runs in full whether or not the address was present.
 //
 //horam:secret addr
 func (s *CT) Take(addr int64) ([]byte, bool) {
-	found, pos, n := s.scan(addr)
+	found, pos, n, p := s.scan(addr)
 	out := make([]byte, s.blockSize)
 	copy(out, s.out)
-	// Close the gap at pos: every slot at or past it slides down one.
-	for i := 0; i < s.capacity-1; i++ {
+	// Close the gap at pos: every entry past it slides down one, and
+	// the freed pool slot rotates to the last entry.
+	last := s.capacity - 1
+	for i := 0; i < last; i++ {
 		mv := found & ctops.GeInt(i, pos)
 		s.addrs[i] = ctops.Select64(mv, s.addrs[i+1], s.addrs[i])
 		s.leaves[i] = ctops.Select64(mv, s.leaves[i+1], s.leaves[i])
 		s.lens[i] = ctops.SelectInt(mv, s.lens[i+1], s.lens[i])
-		ctops.CopyBytes(mv, s.slot(i), s.slot(i+1))
+		s.phys[i] = ctops.SelectInt(mv, s.phys[i+1], s.phys[i])
 	}
-	last := s.capacity - 1
 	s.addrs[last] = ctops.Select64(found, Empty, s.addrs[last])
 	s.leaves[last] = ctops.Select64(found, NoLeaf, s.leaves[last])
 	s.lens[last] = ctops.SelectInt(found, 0, s.lens[last])
-	ctops.CopyBytes(found, s.slot(last), s.zero)
+	s.phys[last] = ctops.SelectInt(found, p, s.phys[last])
 	s.count -= found
 	if found == 0 {
 		return nil, false
@@ -265,7 +308,7 @@ func (s *CT) Take(addr int64) ([]byte, bool) {
 //
 //horam:secret addr
 func (s *CT) Has(addr int64) bool {
-	found, _, _ := s.scan(addr)
+	found, _, _, _ := s.scan(addr)
 	return found == 1
 }
 
@@ -290,11 +333,14 @@ func (s *CT) AppendAddrs(dst []int64) []int64 {
 }
 
 // Drain removes and returns all blocks in ascending address order.
+// Each payload is gathered by a whole-pool pass, and the pool is then
+// zeroed.
 func (s *CT) Drain() []Block {
 	out := make([]Block, 0, s.count)
 	for i := 0; i < s.count; i++ {
+		s.GatherMasked(1, s.phys[i], s.out)
 		data := make([]byte, s.lens[i])
-		copy(data, s.slot(i))
+		copy(data, s.out)
 		out = append(out, Block{Addr: s.addrs[i], Data: data})
 	}
 	for i := range s.addrs {
@@ -302,9 +348,7 @@ func (s *CT) Drain() []Block {
 		s.leaves[i] = NoLeaf
 		s.lens[i] = 0
 	}
-	for i := range s.slab {
-		s.slab[i] = 0
-	}
+	clear(s.pool)
 	s.count = 0
 	return out
 }
@@ -323,48 +367,54 @@ func (s *CT) SnapshotLeaves(dst []int64) []int64 {
 	return append(dst, s.leaves...)
 }
 
-// CopySlotMasked copies slot i's payload bytes into dst when v == 1
-// and leaves dst unchanged when v == 0; slot i is read in full either
-// way. dst must be exactly BlockSize bytes.
-func (s *CT) CopySlotMasked(v, i int, dst []byte) {
-	ctops.CopyBytes(v, dst, s.slot(i))
+// SnapshotSlots appends the FULL fixed-length pool-slot column to dst,
+// indexed like SnapshotAddrs: entry i is the pool slot GatherMasked
+// reads for the block whose address is SnapshotAddrs' entry i.
+func (s *CT) SnapshotSlots(dst []int) []int {
+	return append(dst, s.phys...)
 }
 
-// RemoveMasked removes every slot whose mask entry is 1, preserving
-// order, in exactly `removals` fixed-cost passes (each pass extracts
-// at most one marked slot; surplus passes are masked no-ops). mask
-// must have Capacity() entries, indexed like a SnapshotAddrs taken
-// with no intervening mutations; it is consumed.
-func (s *CT) RemoveMasked(mask []int, removals int) {
+// RemoveMasked removes every entry whose mask entry is 1, preserving
+// the order of the rest, in a fixed number of passes that move entries
+// only, never payloads. mask must have Capacity() entries, indexed like
+// a SnapshotAddrs taken with no intervening mutations; marks on
+// unoccupied entries are ignored. It is consumed: the passes below
+// overwrite it with distances.
+//
+// The clear pass empties each marked entry where it stands (it keeps
+// its pool slot, now free) and stores in mask each other entry's
+// distance, the number of marked entries before it. Then come
+// ⌈log₂ Capacity⌉ passes, lowest distance bit first: in pass j every
+// entry whose distance has bit j set swaps with the entry 2^j below it.
+// That entry is always an emptied one (the order-preserving compaction
+// network of Goodrich, SPAA 2011, is collision-free), so the survivors
+// close ranks in order while the emptied entries, and the free pool
+// slots they carry, rise to the tail.
+func (s *CT) RemoveMasked(mask []int) {
 	if len(mask) != s.capacity {
 		panic(fmt.Sprintf("stash: RemoveMasked mask has %d entries, capacity is %d", len(mask), s.capacity))
 	}
-	last := s.capacity - 1
-	for r := 0; r < removals; r++ {
-		// Lowest marked index this pass.
-		found, pos := 0, 0
-		for i := range mask {
-			m := mask[i] & (found ^ 1)
-			pos = ctops.SelectInt(m, i, pos)
-			found |= m
-		}
-		// Clear its mark, then slide slots and marks down together.
-		for i := range mask {
-			mask[i] = ctops.SelectInt(found&ctops.EqInt(i, pos), 0, mask[i])
-		}
-		for i := 0; i < last; i++ {
-			mv := found & ctops.GeInt(i, pos)
-			s.addrs[i] = ctops.Select64(mv, s.addrs[i+1], s.addrs[i])
-			s.leaves[i] = ctops.Select64(mv, s.leaves[i+1], s.leaves[i])
-			s.lens[i] = ctops.SelectInt(mv, s.lens[i+1], s.lens[i])
-			mask[i] = ctops.SelectInt(mv, mask[i+1], mask[i])
-			ctops.CopyBytes(mv, s.slot(i), s.slot(i+1))
-		}
-		s.addrs[last] = ctops.Select64(found, Empty, s.addrs[last])
-		s.leaves[last] = ctops.Select64(found, NoLeaf, s.leaves[last])
-		s.lens[last] = ctops.SelectInt(found, 0, s.lens[last])
-		mask[last] = ctops.SelectInt(found, 0, mask[last])
-		ctops.CopyBytes(found, s.slot(last), s.zero)
-		s.count -= found
+	removed := 0
+	for i := range mask {
+		m := ctops.EqInt(mask[i], 1) & (ctops.Eq64(s.addrs[i], Empty) ^ 1)
+		s.addrs[i] = ctops.Select64(m, Empty, s.addrs[i])
+		s.leaves[i] = ctops.Select64(m, NoLeaf, s.leaves[i])
+		s.lens[i] = ctops.SelectInt(m, 0, s.lens[i])
+		mask[i] = ctops.SelectInt(m, 0, removed)
+		removed += m
 	}
+	for j := 0; 1<<j < s.capacity; j++ {
+		step := 1 << j
+		for i := step; i < s.capacity; i++ {
+			// Swap entry i, with its distance, and entry k when bit j of
+			// the distance is set; both are rewritten either way.
+			v, k := ctops.EqInt(mask[i]>>j&1, 1), i-step
+			s.addrs[i], s.addrs[k] = ctops.Select64(v, s.addrs[k], s.addrs[i]), ctops.Select64(v, s.addrs[i], s.addrs[k])
+			s.leaves[i], s.leaves[k] = ctops.Select64(v, s.leaves[k], s.leaves[i]), ctops.Select64(v, s.leaves[i], s.leaves[k])
+			s.lens[i], s.lens[k] = ctops.SelectInt(v, s.lens[k], s.lens[i]), ctops.SelectInt(v, s.lens[i], s.lens[k])
+			s.phys[i], s.phys[k] = ctops.SelectInt(v, s.phys[k], s.phys[i]), ctops.SelectInt(v, s.phys[i], s.phys[k])
+			mask[i], mask[k] = ctops.SelectInt(v, mask[k], mask[i]), ctops.SelectInt(v, mask[i], mask[k])
+		}
+	}
+	s.count -= removed
 }

@@ -122,15 +122,13 @@ func TestCTLeafColumnFollowsAddress(t *testing.T) {
 		case op < 19: // RemoveMasked a random subset of the occupied slots
 			addrs := s.SnapshotAddrs(nil)
 			mask := make([]int, capacity)
-			marked := 0
 			for i := 0; i < s.Len(); i++ {
 				if rng.Intn(3) == 0 {
 					mask[i] = 1
-					marked++
 					delete(model, addrs[i])
 				}
 			}
-			s.RemoveMasked(mask, marked+rng.Intn(3))
+			s.RemoveMasked(mask)
 		default: // Drain
 			drained := s.Drain()
 			if len(drained) != len(model) {

@@ -270,7 +270,7 @@ func TestCTRemoveMasked(t *testing.T) {
 	mask := make([]int, 6)
 	mask[0] = 1 // addr 10
 	mask[2] = 1 // addr 30
-	s.RemoveMasked(mask, 2)
+	s.RemoveMasked(mask)
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d after RemoveMasked, want 2", s.Len())
 	}

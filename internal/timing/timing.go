@@ -77,21 +77,38 @@ func (o Options) withDefaults() Options {
 // own fixed inner loop; MeasurePair times exactly one call per
 // sample.
 func MeasurePair(opts Options, a, b func()) PairResult {
+	return MeasurePairReset(opts, a, b, nil, nil)
+}
+
+// MeasurePairReset is MeasurePair for operations that consume the
+// state they run on: resetA, when not nil, runs untimed before every
+// call of a, and resetB before every call of b, warm-up included.
+func MeasurePairReset(opts Options, a, b, resetA, resetB func()) PairResult {
 	opts = opts.withDefaults()
+	reset := func(f func()) {
+		if f != nil {
+			f()
+		}
+	}
 	for i := 0; i < opts.Warmup; i++ {
+		reset(resetA)
 		a()
+		reset(resetB)
 		b()
 	}
 	sa := make([]float64, opts.Samples)
 	sb := make([]float64, opts.Samples)
 	for i := 0; i < opts.Samples; i++ {
+		reset(resetA)
 		t0 := time.Now()
 		a()
 		t1 := time.Now()
-		b()
+		reset(resetB)
 		t2 := time.Now()
+		b()
+		t3 := time.Now()
 		sa[i] = float64(t1.Sub(t0).Nanoseconds())
-		sb[i] = float64(t2.Sub(t1).Nanoseconds())
+		sb[i] = float64(t3.Sub(t2).Nanoseconds())
 	}
 	ta := Trim(sa, opts.TrimFraction)
 	tb := Trim(sb, opts.TrimFraction)
