@@ -1,20 +1,15 @@
 // Zero-copy and batch sealing. The steady-state ORAM block path seals
-// and opens one fixed-size record per device slot, and the historical
-// Seal/Open contract allocated the output on every call — the dominant
-// allocation churn of a cycle. Two optional capability interfaces fix
-// that:
+// and opens one fixed-size record per device slot; allocating the
+// output on every call was the dominant allocation churn of a cycle.
+// Every Sealer therefore seals and opens into caller-provided buffers
+// (AES-GCM then allocates nothing per record) and processes whole runs
+// of records at once, fanning the crypto across a bounded set of worker
+// goroutines while drawing the nonces serially in index order first —
+// so the sealed bytes are exactly what sequential Seal calls would have
+// produced, whatever the worker count.
 //
-//   - InplaceSealer seals/opens into caller-provided buffers; the
-//     AES-GCM path then allocates nothing per record;
-//   - BatchSealer processes a whole run of records at once, fanning
-//     the crypto across a bounded set of worker goroutines while
-//     drawing the nonces serially in index order first — so the
-//     sealed bytes are exactly what sequential Seal calls would have
-//     produced, whatever the worker count.
-//
-// The package-level SealInto/OpenInto/SealBatch/OpenBatch helpers fall
-// back to the plain Sealer contract for implementations (e.g. fault-
-// injecting test sealers) that predate these interfaces.
+// The package-level SealInto/OpenInto/SealBatch/OpenBatch helpers count
+// their records' bytes into Throughput and forward to the sealer.
 package blockcipher
 
 import (
@@ -24,107 +19,28 @@ import (
 	"sync/atomic"
 )
 
-// InplaceSealer is the optional zero-copy contract: sealing and
-// opening into caller-provided buffers instead of allocating.
-type InplaceSealer interface {
-	// SealInto seals plaintext into dst, which must be exactly
-	// len(plaintext)+Overhead() bytes. The sealed bytes are identical
-	// to what Seal would have returned at the same point in the nonce
-	// stream.
-	SealInto(dst, plaintext []byte) error
-	// OpenInto verifies sealed and decrypts it into dst, which must be
-	// exactly len(sealed)-Overhead() bytes.
-	OpenInto(dst, sealed []byte) error
-}
-
-// BatchSealer is the optional bulk contract: seal or open a run of
-// records with a bounded worker fan-out. Outputs land at the matching
-// index whatever the scheduling, and the nonce stream advances exactly
-// as len(plaintexts) sequential Seal calls would, so batch and serial
-// execution are byte-for-byte interchangeable.
-type BatchSealer interface {
-	// SealBatch seals plaintexts[i] into outs[i] (each exactly
-	// len(plaintexts[i])+Overhead() bytes) using up to workers
-	// goroutines. workers <= 1 runs inline on the calling goroutine.
-	SealBatch(plaintexts, outs [][]byte, workers int) error
-	// OpenBatch verifies and decrypts sealed[i] into outs[i] (each
-	// exactly len(sealed[i])-Overhead() bytes) using up to workers
-	// goroutines.
-	OpenBatch(sealed, outs [][]byte, workers int) error
-}
-
-// SealInto seals via s's in-place path when it has one, and through
-// Seal plus a copy otherwise. dst must be exactly
-// len(plaintext)+s.Overhead() bytes.
+// SealInto counts plaintext's bytes and seals it into dst through s.
 func SealInto(s Sealer, dst, plaintext []byte) error {
 	sealedBytes.Add(int64(len(plaintext)))
-	if is, ok := s.(InplaceSealer); ok {
-		return is.SealInto(dst, plaintext)
-	}
-	sealed, err := s.Seal(plaintext)
-	if err != nil {
-		return err
-	}
-	if len(sealed) != len(dst) {
-		return fmt.Errorf("blockcipher: sealed %d bytes into a %d-byte buffer", len(sealed), len(dst))
-	}
-	copy(dst, sealed)
-	return nil
+	return s.SealInto(dst, plaintext)
 }
 
-// OpenInto opens via s's in-place path when it has one, and through
-// Open plus a copy otherwise. dst must be exactly
-// len(sealed)-s.Overhead() bytes.
+// OpenInto counts sealed's bytes and opens it into dst through s.
 func OpenInto(s Sealer, dst, sealed []byte) error {
 	openedBytes.Add(int64(len(sealed)))
-	if is, ok := s.(InplaceSealer); ok {
-		return is.OpenInto(dst, sealed)
-	}
-	pt, err := s.Open(sealed)
-	if err != nil {
-		return err
-	}
-	if len(pt) != len(dst) {
-		return fmt.Errorf("blockcipher: opened %d bytes into a %d-byte buffer", len(pt), len(dst))
-	}
-	copy(dst, pt)
-	return nil
+	return s.OpenInto(dst, sealed)
 }
 
-// SealBatch seals a run via s's batch path when it has one, falling
-// back to sequential in-place seals (which count themselves) otherwise.
+// SealBatch counts the run's plaintext bytes and seals it through s.
 func SealBatch(s Sealer, plaintexts, outs [][]byte, workers int) error {
-	if bs, ok := s.(BatchSealer); ok {
-		countBytes(&sealedBytes, plaintexts)
-		return bs.SealBatch(plaintexts, outs, workers)
-	}
-	if len(plaintexts) != len(outs) {
-		return fmt.Errorf("blockcipher: %d plaintexts, %d outputs", len(plaintexts), len(outs))
-	}
-	for i := range plaintexts {
-		if err := SealInto(s, outs[i], plaintexts[i]); err != nil {
-			return fmt.Errorf("blockcipher: record %d: %w", i, err)
-		}
-	}
-	return nil
+	countBytes(&sealedBytes, plaintexts)
+	return s.SealBatch(plaintexts, outs, workers)
 }
 
-// OpenBatch opens a run via s's batch path when it has one, falling
-// back to sequential in-place opens (which count themselves) otherwise.
+// OpenBatch counts the run's sealed bytes and opens it through s.
 func OpenBatch(s Sealer, sealed, outs [][]byte, workers int) error {
-	if bs, ok := s.(BatchSealer); ok {
-		countBytes(&openedBytes, sealed)
-		return bs.OpenBatch(sealed, outs, workers)
-	}
-	if len(sealed) != len(outs) {
-		return fmt.Errorf("blockcipher: %d records, %d outputs", len(sealed), len(outs))
-	}
-	for i := range sealed {
-		if err := OpenInto(s, outs[i], sealed[i]); err != nil {
-			return fmt.Errorf("blockcipher: record %d: %w", i, err)
-		}
-	}
-	return nil
+	countBytes(&openedBytes, sealed)
+	return s.OpenBatch(sealed, outs, workers)
 }
 
 // nextNonce draws the next nonce from the sealer's deterministic
@@ -145,7 +61,7 @@ func (s *AESSealer) open(dst, sealed []byte) error {
 	return nil
 }
 
-// SealInto implements InplaceSealer.
+// SealInto implements Sealer.
 func (s *AESSealer) SealInto(dst, plaintext []byte) error {
 	if len(dst) != nonceSize+len(plaintext)+tagSize {
 		return fmt.Errorf("blockcipher: seal buffer %d bytes, want %d", len(dst), nonceSize+len(plaintext)+tagSize)
@@ -155,7 +71,7 @@ func (s *AESSealer) SealInto(dst, plaintext []byte) error {
 	return nil
 }
 
-// OpenInto implements InplaceSealer.
+// OpenInto implements Sealer.
 func (s *AESSealer) OpenInto(dst, sealed []byte) error {
 	if len(sealed) < nonceSize+tagSize {
 		return ErrCiphertext
@@ -209,7 +125,7 @@ func fan(n, workers int, f func(i int) error) error {
 	return nil
 }
 
-// SealBatch implements BatchSealer. Nonces are drawn serially in index
+// SealBatch implements Sealer. Nonces are drawn serially in index
 // order into each output's prefix before the parallel phase, so the
 // output is byte-for-byte what sequential Seal calls would produce
 // regardless of workers.
@@ -233,7 +149,7 @@ func (s *AESSealer) SealBatch(plaintexts, outs [][]byte, workers int) error {
 	})
 }
 
-// OpenBatch implements BatchSealer.
+// OpenBatch implements Sealer.
 func (s *AESSealer) OpenBatch(sealed, outs [][]byte, workers int) error {
 	if len(sealed) != len(outs) {
 		return fmt.Errorf("blockcipher: %d records, %d outputs", len(sealed), len(outs))
@@ -251,7 +167,7 @@ func (s *AESSealer) OpenBatch(sealed, outs [][]byte, workers int) error {
 	})
 }
 
-// SealInto implements InplaceSealer by copying (no overhead).
+// SealInto implements Sealer by copying (no overhead).
 func (NullSealer) SealInto(dst, plaintext []byte) error {
 	if len(dst) != len(plaintext) {
 		return fmt.Errorf("blockcipher: seal buffer %d bytes, want %d", len(dst), len(plaintext))
@@ -260,7 +176,7 @@ func (NullSealer) SealInto(dst, plaintext []byte) error {
 	return nil
 }
 
-// OpenInto implements InplaceSealer by copying.
+// OpenInto implements Sealer by copying.
 func (NullSealer) OpenInto(dst, sealed []byte) error {
 	if len(dst) != len(sealed) {
 		return fmt.Errorf("blockcipher: open buffer %d bytes, want %d", len(dst), len(sealed))
@@ -269,7 +185,7 @@ func (NullSealer) OpenInto(dst, sealed []byte) error {
 	return nil
 }
 
-// SealBatch implements BatchSealer; with no nonce stream to order and
+// SealBatch implements Sealer; with no nonce stream to order and
 // no crypto to amortise, it copies inline whatever the worker count.
 func (n NullSealer) SealBatch(plaintexts, outs [][]byte, workers int) error {
 	if len(plaintexts) != len(outs) {
@@ -283,7 +199,7 @@ func (n NullSealer) SealBatch(plaintexts, outs [][]byte, workers int) error {
 	return nil
 }
 
-// OpenBatch implements BatchSealer.
+// OpenBatch implements Sealer.
 func (n NullSealer) OpenBatch(sealed, outs [][]byte, workers int) error {
 	if len(sealed) != len(outs) {
 		return fmt.Errorf("blockcipher: %d records, %d outputs", len(sealed), len(outs))
@@ -295,11 +211,3 @@ func (n NullSealer) OpenBatch(sealed, outs [][]byte, workers int) error {
 	}
 	return nil
 }
-
-// Compile-time capability conformance.
-var (
-	_ InplaceSealer = (*AESSealer)(nil)
-	_ BatchSealer   = (*AESSealer)(nil)
-	_ InplaceSealer = NullSealer{}
-	_ BatchSealer   = NullSealer{}
-)

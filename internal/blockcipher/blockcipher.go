@@ -30,7 +30,11 @@ var (
 	ErrCiphertext = errors.New("blockcipher: malformed ciphertext")
 )
 
-// Sealer encrypts and authenticates fixed-size ORAM blocks.
+// Sealer encrypts and authenticates fixed-size ORAM blocks. It is the
+// one sealer contract: the allocating Seal/Open, the in-place forms
+// the steady-state block path uses, and the batch forms that fan a run
+// of records across workers. AESSealer and NullSealer implement all of
+// it.
 //
 // Seal must be non-deterministic (fresh nonce per call) so that
 // re-encrypting the same plaintext yields a different ciphertext;
@@ -43,6 +47,26 @@ type Sealer interface {
 	Open(sealed []byte) ([]byte, error)
 	// Overhead returns the number of bytes Seal adds to a plaintext.
 	Overhead() int
+	// SealInto seals plaintext into dst, which must be exactly
+	// len(plaintext)+Overhead() bytes. The sealed bytes are identical
+	// to what Seal would have returned at the same point in the nonce
+	// stream.
+	SealInto(dst, plaintext []byte) error
+	// OpenInto verifies sealed and decrypts it into dst, which must be
+	// exactly len(sealed)-Overhead() bytes.
+	OpenInto(dst, sealed []byte) error
+	// SealBatch seals plaintexts[i] into outs[i] (each exactly
+	// len(plaintexts[i])+Overhead() bytes) using up to workers
+	// goroutines; workers <= 1 runs inline on the calling goroutine.
+	// Outputs land at the matching index whatever the scheduling, and
+	// the nonce stream advances exactly as len(plaintexts) sequential
+	// Seal calls would, so batch and serial sealing are byte-for-byte
+	// interchangeable.
+	SealBatch(plaintexts, outs [][]byte, workers int) error
+	// OpenBatch verifies and decrypts sealed[i] into outs[i] (each
+	// exactly len(sealed[i])-Overhead() bytes) using up to workers
+	// goroutines.
+	OpenBatch(sealed, outs [][]byte, workers int) error
 }
 
 const (

@@ -22,17 +22,6 @@ import (
 // DefaultBlockSize is the paper's block size (1 KB).
 const DefaultBlockSize = config.DefaultBlockSize
 
-// Store is the uniform oblivious block-store interface all schemes in
-// this repository satisfy; downstream code should depend on it rather
-// than a concrete scheme.
-type Store interface {
-	// Read returns the BlockSize-byte contents of addr (zeros if the
-	// block was never written).
-	Read(addr int64) ([]byte, error)
-	// Write stores data (exactly BlockSize bytes) at addr.
-	Write(addr int64, data []byte) error
-}
-
 // Options configures a Client. It is the shared config.Common option
 // set (see internal/config for every field and the functional-option
 // constructors); zero values select the paper's defaults where one
@@ -200,14 +189,15 @@ func (c *Client) BlockSize() int { return c.blockSize }
 // Blocks returns the logical data set size N in blocks.
 func (c *Client) Blocks() int64 { return c.blocks }
 
-// Read implements Store.
+// Read returns the BlockSize-byte contents of addr (zeros if the block
+// was never written).
 func (c *Client) Read(addr int64) ([]byte, error) {
 	c.oramMu.Lock()
 	defer c.oramMu.Unlock()
 	return c.oram.Read(addr)
 }
 
-// Write implements Store.
+// Write stores data (exactly BlockSize bytes) at addr.
 func (c *Client) Write(addr int64, data []byte) error {
 	c.oramMu.Lock()
 	defer c.oramMu.Unlock()

@@ -79,8 +79,27 @@ func TestReadWrite(t *testing.T) {
 	}
 }
 
+// TestClientImplementsStore checks the block-store behaviour a client
+// offers: it reads back what it wrote, and a never-written block reads
+// as zeros.
 func TestClientImplementsStore(t *testing.T) {
-	var _ Store = open(t)
+	c := open(t)
+	want := bytes.Repeat([]byte{0x5a}, 64)
+	if err := c.Write(3, want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		addr int64
+		want []byte
+	}{{3, want}, {4, make([]byte, 64)}} {
+		got, err := c.Read(tc.addr)
+		if err != nil {
+			t.Fatalf("Read(%d): %v", tc.addr, err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Fatalf("Read(%d) = %x, want %x", tc.addr, got, tc.want)
+		}
+	}
 }
 
 func TestBatch(t *testing.T) {

@@ -15,6 +15,12 @@
 // A Sim tracks its head position: an access to the slot following the
 // previous access is sequential and pays bandwidth cost only; anything
 // else pays the random-access positioning cost first.
+//
+// Every device here — Sim, File and the Tiered composite — implements
+// the one Backend contract in full, so callers reach each capability
+// directly and no path falls back to a slower equivalent. Only the
+// flush to a durable medium is optional (Syncer): File has one, and
+// Tiered forwards to whichever tier does.
 package device
 
 import (
@@ -69,11 +75,20 @@ func (s Stats) Add(t Stats) Stats {
 // Ops returns the total number of operations.
 func (s Stats) Ops() int64 { return s.Reads + s.Writes }
 
-// Device is a slot-addressed store with simulated access cost.
+// Hook observes every access to a device; the trace package uses it to
+// record the adversary's view. The hook runs synchronously on the
+// accessing goroutine.
+type Hook func(dev string, op Op, slot int64)
+
+// Backend is the one device contract the ORAM controllers in this
+// repository build on: timed slot I/O, one slot at a time or a run at
+// a time, the uncharged raw paths for setup and snapshot capture, and
+// the head, counter and adversary-hook controls. *Sim, *File and
+// *Tiered all satisfy it, so any of them can back either tier.
 //
 // Implementations must tolerate concurrent callers only if documented;
 // the ORAM controllers in this repository serialise device access.
-type Device interface {
+type Backend interface {
 	// Name identifies the device in reports ("hdd", "dram", ...).
 	Name() string
 	// SlotSize returns the fixed payload size of one slot in bytes.
@@ -86,33 +101,25 @@ type Device interface {
 	// Write stores src (len(src) == SlotSize) into slot and charges
 	// simulated time.
 	Write(slot int64, src []byte) error
-	// Stats returns a snapshot of the traffic counters.
-	Stats() Stats
-}
-
-// Hook observes every access to a device; the trace package uses it to
-// record the adversary's view. The hook runs synchronously on the
-// accessing goroutine.
-type Hook func(dev string, op Op, slot int64)
-
-// RawWriter is the optional fast path devices expose for unmeasured
-// setup writes: WriteRaw stores src without charging simulated time or
-// counters.
-type RawWriter interface {
+	// ReadSlots reads slots[i] into bufs[i] for every i. The whole
+	// request is validated before any slot of it is charged, and the
+	// accounting is per slot in argument order — counters and hook
+	// events are exactly those of the equivalent Read loop — but an
+	// implementation may coalesce the data transfer (File turns each
+	// contiguous run into one preadv) and advance the clock once by a
+	// run's summed latency.
+	ReadSlots(slots []int64, bufs [][]byte) error
+	// WriteSlots writes bufs[i] into slots[i] for every i, with the
+	// same validation and accounting contract as ReadSlots.
+	WriteSlots(slots []int64, bufs [][]byte) error
+	// WriteRaw stores src without charging simulated time or counters
+	// (unmeasured setup writes).
 	WriteRaw(slot int64, src []byte) error
-}
-
-// Backend is the full device contract the ORAM controllers in this
-// repository build on: a Device plus the raw setup paths, head and
-// counter controls, and the adversary hook Sim has always offered.
-// *Sim, *File and *Tiered all satisfy it, so any of them can back an
-// ORAM's storage tier.
-type Backend interface {
-	Device
-	RawWriter
 	// ReadRaw copies a slot's payload without charging simulated time
 	// or counters (snapshot capture, debugging).
 	ReadRaw(slot int64, dst []byte) error
+	// Stats returns a snapshot of the traffic counters.
+	Stats() Stats
 	// ResetHead forgets the head position so the next access is
 	// charged as random.
 	ResetHead()
@@ -120,15 +127,6 @@ type Backend interface {
 	ResetStats()
 	// SetHook installs fn to observe every access; nil removes it.
 	SetHook(fn Hook)
-	// ReadSlots reads slots[i] into bufs[i] for every i. Accounting is
-	// per slot in argument order — clock charges, counters and hook
-	// events are exactly those of the equivalent Read loop — but an
-	// implementation may coalesce the data transfer (File turns each
-	// contiguous run into one preadv).
-	ReadSlots(slots []int64, bufs [][]byte) error
-	// WriteSlots writes bufs[i] into slots[i] for every i, with the
-	// same per-slot accounting contract as ReadSlots.
-	WriteSlots(slots []int64, bufs [][]byte) error
 }
 
 // Syncer is the optional durability contract: devices with a real
@@ -213,13 +211,13 @@ func newMeter(p Profile, slotSize int, slots int64, clock *simclock.Clock) (mete
 	return meter{profile: p, clock: clock, slotSize: slotSize, slots: slots, head: -1}, nil
 }
 
-// Name implements Device.
+// Name implements Backend.
 func (m *meter) Name() string { return m.profile.Name }
 
-// SlotSize implements Device.
+// SlotSize implements Backend.
 func (m *meter) SlotSize() int { return m.slotSize }
 
-// Slots implements Device.
+// Slots implements Backend.
 func (m *meter) Slots() int64 { return m.slots }
 
 // Profile returns the latency profile the device was built with.
@@ -229,7 +227,7 @@ func (m *meter) Profile() Profile { return m.profile }
 // hook.
 func (m *meter) SetHook(fn Hook) { m.hook = fn }
 
-// Stats implements Device.
+// Stats implements Backend.
 func (m *meter) Stats() Stats { return m.stats }
 
 // ResetStats zeroes the counters (the stored data is untouched).
@@ -358,7 +356,7 @@ func (s *Sim) copyIn(slot int64, src []byte) {
 	copy(s.data[slot], src)
 }
 
-// Read implements Device.
+// Read implements Backend.
 func (s *Sim) Read(slot int64, dst []byte) error {
 	if err := s.checkSlot(slot); err != nil {
 		return err
@@ -372,7 +370,7 @@ func (s *Sim) Read(slot int64, dst []byte) error {
 	return nil
 }
 
-// Write implements Device.
+// Write implements Backend.
 func (s *Sim) Write(slot int64, src []byte) error {
 	if err := s.checkSlot(slot); err != nil {
 		return err

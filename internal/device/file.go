@@ -115,7 +115,7 @@ func (d *File) pwrite(slot int64, src []byte) error {
 	return nil
 }
 
-// Read implements Device.
+// Read implements Backend.
 func (d *File) Read(slot int64, dst []byte) error {
 	if err := d.checkSlot(slot); err != nil {
 		return err
@@ -131,7 +131,7 @@ func (d *File) Read(slot int64, dst []byte) error {
 	return nil
 }
 
-// Write implements Device.
+// Write implements Backend.
 func (d *File) Write(slot int64, src []byte) error {
 	if err := d.checkSlot(slot); err != nil {
 		return err
@@ -213,15 +213,20 @@ func (d *File) ReadSlots(slots []int64, bufs [][]byte) error {
 
 // WriteSlots implements Backend: per-slot accounting, one pwritev
 // burst and one clock advance per contiguous run. Under a periodic
-// fsync policy it falls back to the sequential Write loop so the
-// policy's sync points (and the Syncs counter) stay exactly where they
-// have always been.
+// fsync policy it writes the validated run one Write at a time, so the
+// policy's sync points (and the Syncs counter) stay exactly where a
+// Write loop puts them.
 func (d *File) WriteSlots(slots []int64, bufs [][]byte) error {
-	if d.fsyncEvery > 0 {
-		return WriteSlotsSeq(d, slots, bufs)
-	}
 	if err := d.checkWriteRun(slots, bufs); err != nil {
 		return err
+	}
+	if d.fsyncEvery > 0 {
+		for i, slot := range slots {
+			if err := d.Write(slot, bufs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	for start := 0; start < len(slots); {
 		end := start + 1

@@ -8,8 +8,8 @@ import "fmt"
 // cache layout the paper's baseline uses — the top levels of the Path
 // ORAM tree sit in memory and the bottom levels spill to storage.
 type Tiered struct {
-	fast     Device
-	slow     Device
+	fast     Backend
+	slow     Backend
 	boundary int64
 }
 
@@ -17,7 +17,7 @@ type Tiered struct {
 // slots served by fast; it must fit within fast's capacity, and slow
 // must hold the remainder of `total` slots. Both devices must share
 // the slot size.
-func NewTiered(fast, slow Device, boundary, total int64) (*Tiered, error) {
+func NewTiered(fast, slow Backend, boundary, total int64) (*Tiered, error) {
 	if fast == nil || slow == nil {
 		return nil, fmt.Errorf("device: tiered requires two devices")
 	}
@@ -36,104 +36,81 @@ func NewTiered(fast, slow Device, boundary, total int64) (*Tiered, error) {
 	return &Tiered{fast: fast, slow: slow, boundary: boundary}, nil
 }
 
-// Name implements Device.
+// Name implements Backend.
 func (t *Tiered) Name() string {
 	return fmt.Sprintf("tiered(%s+%s)", t.fast.Name(), t.slow.Name())
 }
 
-// SlotSize implements Device.
+// SlotSize implements Backend.
 func (t *Tiered) SlotSize() int { return t.fast.SlotSize() }
 
-// Slots implements Device.
+// Slots implements Backend.
 func (t *Tiered) Slots() int64 { return t.boundary + t.slow.Slots() }
 
 // Boundary returns the first slot index served by the slow tier.
 func (t *Tiered) Boundary() int64 { return t.boundary }
 
 // Fast returns the fast-tier device.
-func (t *Tiered) Fast() Device { return t.fast }
+func (t *Tiered) Fast() Backend { return t.fast }
 
 // Slow returns the slow-tier device.
-func (t *Tiered) Slow() Device { return t.slow }
+func (t *Tiered) Slow() Backend { return t.slow }
 
-// Read implements Device.
+// route returns the tier that owns slot and the slot's index on it.
+func (t *Tiered) route(slot int64) (Backend, int64) {
+	if slot < t.boundary {
+		return t.fast, slot
+	}
+	return t.slow, slot - t.boundary
+}
+
+// Read implements Backend.
 func (t *Tiered) Read(slot int64, dst []byte) error {
-	if slot < t.boundary {
-		return t.fast.Read(slot, dst)
-	}
-	return t.slow.Read(slot-t.boundary, dst)
-}
-
-// Write implements Device.
-func (t *Tiered) Write(slot int64, src []byte) error {
-	if slot < t.boundary {
-		return t.fast.Write(slot, src)
-	}
-	return t.slow.Write(slot-t.boundary, src)
-}
-
-// WriteRaw forwards setup writes to the owning tier's raw path when it
-// has one, falling back to a timed write otherwise.
-func (t *Tiered) WriteRaw(slot int64, src []byte) error {
-	dev := t.fast
-	if slot >= t.boundary {
-		dev = t.slow
-		slot -= t.boundary
-	}
-	if rw, ok := dev.(RawWriter); ok {
-		return rw.WriteRaw(slot, src)
-	}
-	return dev.Write(slot, src)
-}
-
-// ReadRaw forwards uncharged reads to the owning tier's raw path when
-// it has one, falling back to a timed read otherwise.
-func (t *Tiered) ReadRaw(slot int64, dst []byte) error {
-	dev := t.fast
-	if slot >= t.boundary {
-		dev = t.slow
-		slot -= t.boundary
-	}
-	if rr, ok := dev.(interface {
-		ReadRaw(int64, []byte) error
-	}); ok {
-		return rr.ReadRaw(slot, dst)
-	}
+	dev, slot := t.route(slot)
 	return dev.Read(slot, dst)
 }
 
-// ResetHead forgets the head position on both tiers (when they track
-// one), so the next access to either is charged as random.
+// Write implements Backend.
+func (t *Tiered) Write(slot int64, src []byte) error {
+	dev, slot := t.route(slot)
+	return dev.Write(slot, src)
+}
+
+// WriteRaw forwards setup writes to the owning tier's raw path.
+func (t *Tiered) WriteRaw(slot int64, src []byte) error {
+	dev, slot := t.route(slot)
+	return dev.WriteRaw(slot, src)
+}
+
+// ReadRaw forwards uncharged reads to the owning tier's raw path.
+func (t *Tiered) ReadRaw(slot int64, dst []byte) error {
+	dev, slot := t.route(slot)
+	return dev.ReadRaw(slot, dst)
+}
+
+// ResetHead forgets the head position on both tiers, so the next
+// access to either is charged as random.
 func (t *Tiered) ResetHead() {
-	for _, dev := range []Device{t.fast, t.slow} {
-		if rh, ok := dev.(interface{ ResetHead() }); ok {
-			rh.ResetHead()
-		}
-	}
+	t.fast.ResetHead()
+	t.slow.ResetHead()
 }
 
-// ResetStats zeroes the counters of both tiers (when they support it).
+// ResetStats zeroes the counters of both tiers.
 func (t *Tiered) ResetStats() {
-	for _, dev := range []Device{t.fast, t.slow} {
-		if rs, ok := dev.(interface{ ResetStats() }); ok {
-			rs.ResetStats()
-		}
-	}
+	t.fast.ResetStats()
+	t.slow.ResetStats()
 }
 
-// SetHook installs fn on both tiers (when they support hooks), so the
-// composite reports every access like a single device would.
+// SetHook installs fn on both tiers, so the composite reports every
+// access like a single device would.
 func (t *Tiered) SetHook(fn Hook) {
-	for _, dev := range []Device{t.fast, t.slow} {
-		if sh, ok := dev.(interface{ SetHook(Hook) }); ok {
-			sh.SetHook(fn)
-		}
-	}
+	t.fast.SetHook(fn)
+	t.slow.SetHook(fn)
 }
 
 // Sync flushes both tiers' durable media (when they have one).
 func (t *Tiered) Sync() error {
-	for _, dev := range []Device{t.fast, t.slow} {
+	for _, dev := range []Backend{t.fast, t.slow} {
 		if s, ok := dev.(Syncer); ok {
 			if err := s.Sync(); err != nil {
 				return err
@@ -143,7 +120,7 @@ func (t *Tiered) Sync() error {
 	return nil
 }
 
-// Stats implements Device by summing both tiers.
+// Stats implements Backend by summing both tiers.
 func (t *Tiered) Stats() Stats { return t.fast.Stats().Add(t.slow.Stats()) }
 
 // Compile-time Backend conformance for every device in this package.

@@ -101,7 +101,7 @@ func TestTieredGeometryAccessors(t *testing.T) {
 	if tiered.SlotSize() != 16 {
 		t.Fatalf("SlotSize() = %d", tiered.SlotSize())
 	}
-	if tiered.Fast() != Device(fast) || tiered.Slow() != Device(slow) {
+	if tiered.Fast() != Backend(fast) || tiered.Slow() != Backend(slow) {
 		t.Fatal("tier accessors wrong")
 	}
 	if tiered.Name() == "" {

@@ -7,29 +7,13 @@ import (
 
 // Vectored slot I/O. The shuffle quantum and multi-slot cycle paths
 // touch runs of slots at a time; issuing them through the one-slot
-// Read/Write methods costs one syscall per slot on a File backend.
-// Backend therefore carries first-class ReadSlots/WriteSlots, and this
-// file provides the two pieces that keep the old world working:
-//
-//   - ReadSlotsSeq/WriteSlotsSeq, the sequential fallback any Device
-//     can be adapted through — it IS the accounting contract: vectored
-//     implementations must charge, count and observe exactly as the
-//     fallback would, though they may advance the clock once by a
-//     run's summed latency rather than once per slot;
-//   - the Sim and Tiered implementations (Sim has no syscalls to
-//     coalesce, only clock advances; Tiered splits a request into
-//     per-tier runs and lets each tier coalesce its own).
-//
-// The package-level ReadSlots/WriteSlots helpers adapt a plain Device:
-// they use the native vectored path when the device has one and the
-// sequential fallback otherwise.
-
-// vectorDevice is the vectored capability subset of Backend, used to
-// probe plain Devices for a native gather/scatter path.
-type vectorDevice interface {
-	ReadSlots(slots []int64, bufs [][]byte) error
-	WriteSlots(slots []int64, bufs [][]byte) error
-}
+// Read/Write methods costs one syscall per slot on a File backend, so
+// ReadSlots/WriteSlots are part of the Backend contract and every
+// device implements them natively: Sim has no syscalls to coalesce,
+// only clock advances; File turns each contiguous run into one
+// preadv/pwritev; Tiered splits a request into per-tier runs and lets
+// each tier coalesce its own. Whatever the transfer, the accounting is
+// that of the equivalent Read/Write loop.
 
 func checkVector(slots []int64, bufs [][]byte) error {
 	if len(slots) != len(bufs) {
@@ -72,54 +56,6 @@ func (m *meter) checkWriteRun(slots []int64, bufs [][]byte) error {
 	return nil
 }
 
-// ReadSlotsSeq implements the ReadSlots contract as a loop of Read
-// calls — the fallback adapter for devices without a native vectored
-// path, and the reference accounting behaviour vectored
-// implementations must match.
-func ReadSlotsSeq(d Device, slots []int64, bufs [][]byte) error {
-	if err := checkVector(slots, bufs); err != nil {
-		return err
-	}
-	for i, slot := range slots {
-		if err := d.Read(slot, bufs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteSlotsSeq implements the WriteSlots contract as a loop of Write
-// calls.
-func WriteSlotsSeq(d Device, slots []int64, bufs [][]byte) error {
-	if err := checkVector(slots, bufs); err != nil {
-		return err
-	}
-	for i, slot := range slots {
-		if err := d.Write(slot, bufs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadSlots reads through d's native vectored path when it has one and
-// the sequential fallback otherwise.
-func ReadSlots(d Device, slots []int64, bufs [][]byte) error {
-	if vd, ok := d.(vectorDevice); ok {
-		return vd.ReadSlots(slots, bufs)
-	}
-	return ReadSlotsSeq(d, slots, bufs)
-}
-
-// WriteSlots writes through d's native vectored path when it has one
-// and the sequential fallback otherwise.
-func WriteSlots(d Device, slots []int64, bufs [][]byte) error {
-	if vd, ok := d.(vectorDevice); ok {
-		return vd.WriteSlots(slots, bufs)
-	}
-	return WriteSlotsSeq(d, slots, bufs)
-}
-
 // ReadSlots implements Backend. A Sim has no syscalls to coalesce; it
 // validates the whole request, bills and observes each slot as Read
 // would, and advances the clock once by the summed latency instead of
@@ -158,17 +94,29 @@ func (s *Sim) WriteSlots(slots []int64, bufs [][]byte) error {
 // same-tier runs, translating slow-tier addresses, and letting each
 // tier's own vectored path coalesce its run.
 func (t *Tiered) ReadSlots(slots []int64, bufs [][]byte) error {
-	return t.vectored(slots, bufs, ReadSlots)
+	return t.vectored(slots, bufs, false, Backend.ReadSlots)
 }
 
 // WriteSlots implements Backend.
 func (t *Tiered) WriteSlots(slots []int64, bufs [][]byte) error {
-	return t.vectored(slots, bufs, WriteSlots)
+	return t.vectored(slots, bufs, true, Backend.WriteSlots)
 }
 
-func (t *Tiered) vectored(slots []int64, bufs [][]byte, op func(Device, []int64, [][]byte) error) error {
+// vectored validates the whole request first, as a single device
+// would, so a bad slot or buffer in a later run cannot leave an
+// earlier run written and billed.
+func (t *Tiered) vectored(slots []int64, bufs [][]byte, write bool, op func(Backend, []int64, [][]byte) error) error {
 	if err := checkVector(slots, bufs); err != nil {
 		return err
+	}
+	size := t.SlotSize()
+	for i, slot := range slots {
+		if slot < 0 || slot >= t.Slots() {
+			return fmt.Errorf("device %s: slot %d out of range [0,%d)", t.Name(), slot, t.Slots())
+		}
+		if n := len(bufs[i]); n < size || write && n != size {
+			return fmt.Errorf("device %s: slot %d buffer %d bytes, slot size %d", t.Name(), slot, n, size)
+		}
 	}
 	for start := 0; start < len(slots); {
 		fast := slots[start] < t.boundary

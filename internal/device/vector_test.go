@@ -104,7 +104,7 @@ func TestVectoredMatchesSequential(t *testing.T) {
 						t.Fatalf("seq Write(%d): %v", s, err)
 					}
 				}
-				if err := WriteSlots(vecDev, slotIdx, bufs); err != nil {
+				if err := vecDev.WriteSlots(slotIdx, bufs); err != nil {
 					t.Fatalf("WriteSlots: %v", err)
 				}
 
@@ -120,7 +120,7 @@ func TestVectoredMatchesSequential(t *testing.T) {
 						t.Fatalf("seq Read(%d): %v", s, err)
 					}
 				}
-				if err := ReadSlots(vecDev, slotIdx, vecGot); err != nil {
+				if err := vecDev.ReadSlots(slotIdx, vecGot); err != nil {
 					t.Fatalf("ReadSlots: %v", err)
 				}
 
@@ -167,7 +167,7 @@ func TestFileVectoredSyncCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteSlots(vec, slotIdx, bufs); err != nil {
+	if err := vec.WriteSlots(slotIdx, bufs); err != nil {
 		t.Fatal(err)
 	}
 	if seq.Syncs() != vec.Syncs() {
@@ -176,20 +176,38 @@ func TestFileVectoredSyncCounts(t *testing.T) {
 }
 
 // TestVectoredValidation pins the argument contract shared by every
-// implementation.
+// implementation: a bad request is refused whole, before any slot of it
+// is written, billed or timed — under every fsync policy.
 func TestVectoredValidation(t *testing.T) {
-	d, _ := newTestDevice(t, PaperHDD(), 16, 8)
-	good := [][]byte{make([]byte, 16)}
-	if err := ReadSlots(d, []int64{0, 1}, good); err == nil {
-		t.Error("ReadSlots accepted mismatched slot/buffer counts")
-	}
-	if err := ReadSlots(d, []int64{9}, good); err == nil {
-		t.Error("ReadSlots accepted an out-of-range slot")
-	}
-	if err := WriteSlots(d, []int64{0}, [][]byte{make([]byte, 8)}); err == nil {
-		t.Error("WriteSlots accepted a short payload")
-	}
-	if err := ReadSlots(d, nil, nil); err != nil {
-		t.Errorf("empty vectored op failed: %v", err)
+	const slotSize = 16
+	for name, mk := range vectorBackends(t, slotSize, 8) {
+		t.Run(name, func(t *testing.T) {
+			d, clk := mk()
+			good := [][]byte{make([]byte, slotSize)}
+			two := [][]byte{make([]byte, slotSize), make([]byte, slotSize)}
+			for _, tc := range []struct {
+				what string
+				op   func() error
+			}{
+				{"ReadSlots with mismatched slot/buffer counts", func() error { return d.ReadSlots([]int64{0, 1}, good) }},
+				{"ReadSlots with an out-of-range slot", func() error { return d.ReadSlots([]int64{9}, good) }},
+				{"WriteSlots with a short payload", func() error { return d.WriteSlots([]int64{0}, [][]byte{make([]byte, 8)}) }},
+				{"WriteSlots with an out-of-range slot after a good one", func() error { return d.WriteSlots([]int64{0, 9}, two) }},
+			} {
+				stats, now := d.Stats(), clk.Now()
+				if err := tc.op(); err == nil {
+					t.Errorf("%s: accepted", tc.what)
+				}
+				if got := d.Stats(); got != stats {
+					t.Errorf("%s: stats moved from %+v to %+v", tc.what, stats, got)
+				}
+				if got := clk.Now(); got != now {
+					t.Errorf("%s: clock moved from %v to %v", tc.what, now, got)
+				}
+			}
+			if err := d.ReadSlots(nil, nil); err != nil {
+				t.Errorf("empty vectored op failed: %v", err)
+			}
+		})
 	}
 }

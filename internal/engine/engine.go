@@ -845,7 +845,8 @@ func (e *Engine) PadToCycles(target int64) (int64, error) {
 	return total, nil
 }
 
-// Read implements core.Store.
+// Read returns the BlockSize-byte contents of addr (zeros if the block
+// was never written) as a one-request batch.
 func (e *Engine) Read(addr int64) ([]byte, error) {
 	r := &Request{Op: OpRead, Addr: addr}
 	if err := e.Batch([]*Request{r}); err != nil {
@@ -854,7 +855,8 @@ func (e *Engine) Read(addr int64) ([]byte, error) {
 	return r.Result, nil
 }
 
-// Write implements core.Store.
+// Write stores data (exactly BlockSize bytes) at addr as a one-request
+// batch.
 func (e *Engine) Write(addr int64, data []byte) error {
 	return e.Batch([]*Request{{Op: OpWrite, Addr: addr, Data: data}})
 }

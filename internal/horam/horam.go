@@ -101,17 +101,13 @@ type Config struct {
 	Sealer blockcipher.Sealer
 	// RNG drives all randomness; required and must be dedicated.
 	RNG *blockcipher.RNG
-	// MemProfile and StorProfile pick the device models; zero values
-	// select device.DRAM() and device.PaperHDD().
-	MemProfile  device.Profile
-	StorProfile device.Profile
 	// Storage optionally supplies the storage-tier device — e.g. a
 	// durable device.File — instead of the default in-memory
-	// device.Sim. The factory receives StorProfile (or its default)
-	// and the sealed-slot geometry; whatever it returns must honour
-	// the Backend contract. The memory tier always stays a Sim: it
-	// models DRAM, which a restart loses anyway (its contents ride in
-	// snapshots instead).
+	// device.Sim. The factory receives the storage profile,
+	// device.PaperHDD(), and the sealed-slot geometry; whatever it
+	// returns must honour the Backend contract. The memory tier is
+	// always a device.DRAM() Sim: it models DRAM, which a restart
+	// loses anyway (its contents ride in snapshots instead).
 	Storage device.Factory
 	// ShuffleMark, when set, is called around every shuffle period's
 	// storage writes: once with (gen, false) before the first
@@ -306,15 +302,6 @@ func construct(cfg Config) (*ORAM, error) {
 		return nil, fmt.Errorf("horam: PrefetchDepth %d must exceed the largest stage C %d", depth, maxC)
 	}
 
-	memProfile := cfg.MemProfile
-	if memProfile == (device.Profile{}) {
-		memProfile = device.DRAM()
-	}
-	storProfile := cfg.StorProfile
-	if storProfile == (device.Profile{}) {
-		storProfile = device.PaperHDD()
-	}
-
 	slotSize := cfg.SlotSize()
 	memSlots := cfg.MemoryBytes / int64(cfg.BlockSize)
 	if memSlots < int64(cfg.Z) {
@@ -343,7 +330,7 @@ func construct(cfg Config) (*ORAM, error) {
 		return nil, fmt.Errorf("horam: %w", err)
 	}
 	trusted := (geom.Levels + 1) / 2
-	o.memDev, err = device.New(memProfile, slotSize, geom.Slots()-geom.TopSlots(trusted), o.clkMem)
+	o.memDev, err = device.New(device.DRAM(), slotSize, geom.Slots()-geom.TopSlots(trusted), o.clkMem)
 	if err != nil {
 		return nil, err
 	}
@@ -383,9 +370,9 @@ func construct(cfg Config) (*ORAM, error) {
 	}
 	o.partSlots = perPart * slack
 	if cfg.Storage != nil {
-		o.storDev, err = cfg.Storage(storProfile, slotSize, o.partitions*o.partSlots, o.clkStor)
+		o.storDev, err = cfg.Storage(device.PaperHDD(), slotSize, o.partitions*o.partSlots, o.clkStor)
 	} else {
-		o.storDev, err = device.New(storProfile, slotSize, o.partitions*o.partSlots, o.clkStor)
+		o.storDev, err = device.New(device.PaperHDD(), slotSize, o.partitions*o.partSlots, o.clkStor)
 	}
 	if err != nil {
 		return nil, err

@@ -15,9 +15,10 @@ import (
 	"repro/internal/device"
 )
 
-// faultSealer wraps a sealer with an injectable failure: when gate
-// returns true, Seal fails. Open is untouched, so already-sealed state
-// keeps reading back.
+// faultSealer wraps a sealer with an injectable failure: gate is
+// consulted once per record sealed, whichever entry point seals it,
+// and when it returns true that seal fails. Open is untouched, so
+// already-sealed state keeps reading back.
 type faultSealer struct {
 	blockcipher.Sealer
 	gate func() bool
@@ -25,11 +26,22 @@ type faultSealer struct {
 
 var errInjectedSeal = errors.New("injected seal fault")
 
-func (f *faultSealer) Seal(pt []byte) ([]byte, error) {
+func (f *faultSealer) SealInto(dst, pt []byte) error {
 	if f.gate != nil && f.gate() {
-		return nil, errInjectedSeal
+		return errInjectedSeal
 	}
-	return f.Sealer.Seal(pt)
+	return f.Sealer.SealInto(dst, pt)
+}
+
+// SealBatch seals the run record by record, so a fault lands after
+// exactly the records sealed before it, as in a serial seal loop.
+func (f *faultSealer) SealBatch(pts, outs [][]byte, _ int) error {
+	for i := range pts {
+		if err := f.SealInto(outs[i], pts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestIncrementalMatchesMonolithic pins the deamortized shuffle

@@ -84,7 +84,7 @@ type Stats struct {
 // concurrent use.
 type ORAM struct {
 	cfg        Config
-	dev        device.Device
+	dev        device.Backend
 	partitions int64
 	partSlots  int64 // slots per partition
 	evictEvery int64
@@ -103,8 +103,8 @@ type ORAM struct {
 
 // New builds the ORAM and writes the initial layout: blocks spread
 // round-robin over partitions, each partition padded with dummies and
-// internally permuted (setup; uses the raw device path when present).
-func New(cfg Config, dev device.Device) (*ORAM, error) {
+// internally permuted (setup; uses the raw device path).
+func New(cfg Config, dev device.Backend) (*ORAM, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -153,14 +153,6 @@ func New(cfg Config, dev device.Device) (*ORAM, error) {
 // initStore lays blocks round-robin across partitions and permutes
 // each partition internally.
 func (o *ORAM) initStore() error {
-	rw, hasRaw := o.dev.(device.RawWriter)
-	write := func(slot int64) error {
-		if hasRaw {
-			return rw.WriteRaw(slot, o.slotBuf)
-		}
-		return o.dev.Write(slot, o.slotBuf)
-	}
-
 	// Assign addresses to partitions round-robin.
 	members := make([][]int64, o.partitions)
 	for a := int64(0); a < o.cfg.Blocks; a++ {
@@ -184,7 +176,7 @@ func (o *ORAM) initStore() error {
 			if err := o.codec.Seal(o.slotBuf, o.pt, addr, nil); err != nil {
 				return err
 			}
-			if err := write(slot); err != nil {
+			if err := o.dev.WriteRaw(slot, o.slotBuf); err != nil {
 				return err
 			}
 		}

@@ -25,28 +25,44 @@ type devEvent struct {
 	data  []byte
 }
 
-// recDev wraps a Device and logs every access with a payload copy. It
-// deliberately implements ONLY device.Device so the vectored helpers
-// fall back to the per-slot path and every transfer is observed.
+// recDev wraps a Backend and logs every access with a payload copy,
+// one event per slot in call order, whichever entry point carried it:
+// the vectored paths are logged slot by slot, and WriteRaw is logged
+// like Write, so setup writes are on the record too.
 type recDev struct {
-	inner device.Backend
-	log   []devEvent
+	device.Backend
+	log []devEvent
 }
 
-func (r *recDev) Name() string        { return r.inner.Name() }
-func (r *recDev) SlotSize() int       { return r.inner.SlotSize() }
-func (r *recDev) Slots() int64        { return r.inner.Slots() }
-func (r *recDev) Stats() device.Stats { return r.inner.Stats() }
 func (r *recDev) Read(slot int64, dst []byte) error {
-	if err := r.inner.Read(slot, dst); err != nil {
+	if err := r.Backend.Read(slot, dst); err != nil {
 		return err
 	}
-	r.log = append(r.log, devEvent{write: false, slot: slot, data: bytes.Clone(dst[:r.inner.SlotSize()])})
+	r.log = append(r.log, devEvent{write: false, slot: slot, data: bytes.Clone(dst[:r.SlotSize()])})
 	return nil
 }
 func (r *recDev) Write(slot int64, src []byte) error {
 	r.log = append(r.log, devEvent{write: true, slot: slot, data: bytes.Clone(src)})
-	return r.inner.Write(slot, src)
+	return r.Backend.Write(slot, src)
+}
+func (r *recDev) WriteRaw(slot int64, src []byte) error {
+	r.log = append(r.log, devEvent{write: true, slot: slot, data: bytes.Clone(src)})
+	return r.Backend.WriteRaw(slot, src)
+}
+func (r *recDev) ReadSlots(slots []int64, bufs [][]byte) error {
+	if err := r.Backend.ReadSlots(slots, bufs); err != nil {
+		return err
+	}
+	for i, slot := range slots {
+		r.log = append(r.log, devEvent{write: false, slot: slot, data: bytes.Clone(bufs[i][:r.SlotSize()])})
+	}
+	return nil
+}
+func (r *recDev) WriteSlots(slots []int64, bufs [][]byte) error {
+	for i, slot := range slots {
+		r.log = append(r.log, devEvent{write: true, slot: slot, data: bytes.Clone(bufs[i])})
+	}
+	return r.Backend.WriteSlots(slots, bufs)
 }
 
 // newRecORAM builds an ORAM over a recording device.
@@ -59,7 +75,7 @@ func newRecORAM(t *testing.T, blocks int64, blockSize int, ct bool) (*ORAM, *rec
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recDev{inner: dev}
+	rec := &recDev{Backend: dev}
 	o, err := New(cfg, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // cache tier is a Path ORAM tree) and compares against (the tree-top
 // cache baseline is a Path ORAM spanning memory and storage).
 //
-// The tree lives on a device.Device: bucket b occupies tree slots
+// The tree lives on a device.Backend: bucket b occupies tree slots
 // [b·Z, (b+1)·Z), every slot holding one sealed block record. Real and
 // dummy records seal to the same length, so an adversary watching the
 // device sees only which buckets are touched — and Path ORAM touches
@@ -115,7 +115,7 @@ type Stats struct {
 type ORAM struct {
 	cfg   Config
 	geom  oramtree.Geometry
-	dev   device.Device
+	dev   device.Backend
 	pm    *posmap.PositionMap // the paper's "naive setting, no recursive"
 	stash stash.Store
 	real  int64 // blocks currently held (tree + stash)
@@ -165,9 +165,9 @@ type ORAM struct {
 // New builds a Path ORAM over dev and fills the tree with sealed
 // dummies. The device must have at least the geometry's slot count
 // less the trusted top's, with SlotSize matching cfg.SlotSize().
-// Initialisation uses the device's raw path when available (it is
-// setup, not measured work).
-func New(cfg Config, dev device.Device) (*ORAM, error) {
+// Initialisation uses the device's raw path (it is setup, not
+// measured work).
+func New(cfg Config, dev device.Backend) (*ORAM, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -289,7 +289,6 @@ func (o *ORAM) clearTree() error {
 	for i := range o.slotLeaf {
 		o.slotLeaf[i] = stash.NoLeaf
 	}
-	rw, hasRaw := o.dev.(device.RawWriter)
 	chunk := int64(len(o.pathSealed))
 	slots := o.devSlots()
 	for lo := int64(0); lo < slots; lo += chunk {
@@ -304,13 +303,7 @@ func (o *ORAM) clearTree() error {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			var err error
-			if hasRaw {
-				err = rw.WriteRaw(lo+int64(i), o.pathSealed[i])
-			} else {
-				err = o.dev.Write(lo+int64(i), o.pathSealed[i])
-			}
-			if err != nil {
+			if err := o.dev.WriteRaw(lo+int64(i), o.pathSealed[i]); err != nil {
 				return err
 			}
 		}
@@ -384,7 +377,7 @@ func (o *ORAM) readPath(leaf int64) error {
 	for i := 0; i < h; i++ {
 		copy(o.pathPt[i], o.topPt[o.pathSlots[i]+o.top])
 	}
-	if err := device.ReadSlots(o.dev, o.pathSlots[h:n], o.pathSealed[h:n]); err != nil {
+	if err := o.dev.ReadSlots(o.pathSlots[h:n], o.pathSealed[h:n]); err != nil {
 		return err
 	}
 	if err := o.codec.OpenRun(o.pathPt[h:n], o.pathSealed[h:n]); err != nil {
@@ -493,7 +486,7 @@ func (o *ORAM) flushPath(src [][]byte, n int) error {
 	if err := o.codec.SealRun(src[:d], o.pathSealed[:d]); err != nil {
 		return err
 	}
-	return device.WriteSlots(o.dev, o.pathSlots[:d], o.pathSealed[:d])
+	return o.dev.WriteSlots(o.pathSlots[:d], o.pathSealed[:d])
 }
 
 // ctCommonLevel is the branchless CommonLevel: bits.Len64 compiles to
@@ -759,7 +752,7 @@ func (o *ORAM) DrainAll() ([]stash.Block, error) {
 		for i := 0; i < n; i++ {
 			o.pathSlots[i] = lo + int64(i)
 		}
-		if err := device.ReadSlots(o.dev, o.pathSlots[:n], o.pathSealed[:n]); err != nil {
+		if err := o.dev.ReadSlots(o.pathSlots[:n], o.pathSealed[:n]); err != nil {
 			return nil, err
 		}
 		if err := o.codec.OpenRun(o.pathPt[:n], o.pathSealed[:n]); err != nil {

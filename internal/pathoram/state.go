@@ -70,14 +70,13 @@ func (o *ORAM) ImportState(leaves []int64, blocks []stash.Block, real int64) err
 
 // loadSlotLeaves rebuilds the constant-time slot-leaf table from what
 // the tree holds now — the trusted top's plaintexts and the device
-// image, read raw when the device allows — and the position map. Every
-// slot runs the same lookup, masked for a dummy, and the map answers
-// it with its full-length scan, so which address sits in which slot
-// shows in no memory-touch pattern.
+// image, read raw — and the position map. Every slot runs the same
+// lookup, masked for a dummy, and the map answers it with its
+// full-length scan, so which address sits in which slot shows in no
+// memory-touch pattern.
 //
 //horam:constant-time
 func (o *ORAM) loadSlotLeaves() error {
-	raw, hasRaw := o.dev.(interface{ ReadRaw(int64, []byte) error })
 	sealed := o.pathSealed[0]
 	for s := range o.slotLeaf {
 		pt := o.pathPt[0]
@@ -85,12 +84,7 @@ func (o *ORAM) loadSlotLeaves() error {
 			pt = o.topPt[s]
 		} else {
 			slot := int64(s) - o.top
-			var err error
-			if hasRaw {
-				err = raw.ReadRaw(slot, sealed)
-			} else {
-				err = o.dev.Read(slot, sealed)
-			}
+			err := o.dev.ReadRaw(slot, sealed)
 			if err == nil {
 				_, _, err = o.codec.OpenInto(pt, sealed)
 			}

@@ -56,7 +56,7 @@ func trustedRun(t *testing.T, ct bool, k int) trustedOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recDev{inner: dev}
+	rec := &recDev{Backend: dev}
 	o, err := New(cfg, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ type Stats struct {
 // concurrent use.
 type ORAM struct {
 	cfg     Config
-	dev     device.Device
+	dev     device.Backend
 	period  int64
 	dummies int64
 	passes  int
@@ -96,9 +96,8 @@ type ORAM struct {
 }
 
 // New builds the ORAM, writing an initial permuted store of sealed
-// zero blocks and dummies (setup, via the device's raw path when
-// available).
-func New(cfg Config, dev device.Device) (*ORAM, error) {
+// zero blocks and dummies (setup, via the device's raw path).
+func New(cfg Config, dev device.Backend) (*ORAM, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -150,22 +149,15 @@ func (o *ORAM) initStore() error {
 	for v := int64(0); v < total; v++ {
 		o.perm[v] = int64(p[v])
 	}
-	rw, hasRaw := o.dev.(device.RawWriter)
 	for v := int64(0); v < total; v++ {
 		addr := v
 		if v >= o.cfg.Blocks {
 			addr = record.DummyAddr
 		}
-		err := o.codec.Seal(o.slotBuf, o.pt, addr, nil)
-		if err != nil {
+		if err := o.codec.Seal(o.slotBuf, o.pt, addr, nil); err != nil {
 			return err
 		}
-		if hasRaw {
-			err = rw.WriteRaw(o.perm[v], o.slotBuf)
-		} else {
-			err = o.dev.Write(o.perm[v], o.slotBuf)
-		}
-		if err != nil {
+		if err := o.dev.WriteRaw(o.perm[v], o.slotBuf); err != nil {
 			return err
 		}
 	}

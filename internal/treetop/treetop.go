@@ -34,7 +34,7 @@ type ORAM struct {
 // plaintext block capacity as the paper does (budget / BlockSize
 // slots); the constructor places as many whole top levels as fit.
 // Both devices must use cfg.SlotSize() slots.
-func New(cfg pathoram.Config, mem, stor device.Device, memoryBudget int64) (*ORAM, error) {
+func New(cfg pathoram.Config, mem, stor device.Backend, memoryBudget int64) (*ORAM, error) {
 	capacity := cfg.Capacity
 	if capacity == 0 {
 		capacity = 2 * cfg.Blocks
