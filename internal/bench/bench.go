@@ -144,21 +144,37 @@ func addresses(p Params) ([]int64, error) {
 	return workload.Take(gen, p.Requests), nil
 }
 
-func runHORAM(p Params) (SchemeResult, error) {
-	rng := blockcipher.NewRNGFromString(p.Seed + "-horam")
+// newHORAM builds the H-ORAM instance every experiment drives: the
+// geometry, bucket size and sealer come from p, the randomness from
+// rng, and knobs carries only the setting the experiment sweeps
+// (ShuffleRatio, Stages or PrefetchDepth). The instance's Fork("oram")
+// is drawn here, so a caller's later forks of rng come after it.
+func newHORAM(p Params, rng *blockcipher.RNG, knobs horam.Config) (*horam.ORAM, error) {
 	sealer, err := p.sealer(rng)
 	if err != nil {
-		return SchemeResult{}, err
+		return nil, err
 	}
-	cfg := horam.Config{
-		Blocks:      p.blocks(),
-		BlockSize:   p.BlockSize,
-		MemoryBytes: p.MemoryBytes,
-		Z:           p.Z,
-		Sealer:      sealer,
-		RNG:         rng.Fork("oram"),
+	knobs.Blocks = p.blocks()
+	knobs.BlockSize = p.BlockSize
+	knobs.MemoryBytes = p.MemoryBytes
+	knobs.Z = p.Z
+	knobs.Sealer = sealer
+	knobs.RNG = rng.Fork("oram")
+	return horam.New(knobs)
+}
+
+// serveReads runs one read per address through o, in order, as one
+// batch.
+func serveReads(o *horam.ORAM, addrs []int64) error {
+	reqs := make([]*horam.Request, len(addrs))
+	for i, a := range addrs {
+		reqs[i] = &horam.Request{Op: horam.OpRead, Addr: a}
 	}
-	o, err := horam.New(cfg)
+	return o.RunBatch(reqs)
+}
+
+func runHORAM(p Params) (SchemeResult, error) {
+	o, err := newHORAM(p, blockcipher.NewRNGFromString(p.Seed+"-horam"), horam.Config{})
 	if err != nil {
 		return SchemeResult{}, err
 	}
@@ -166,25 +182,18 @@ func runHORAM(p Params) (SchemeResult, error) {
 	if err != nil {
 		return SchemeResult{}, err
 	}
-	reqs := make([]*horam.Request, len(addrs))
-	for i, a := range addrs {
-		reqs[i] = &horam.Request{Op: horam.OpRead, Addr: a}
-	}
-	if err := o.RunBatch(reqs); err != nil {
+	if err := serveReads(o, addrs); err != nil {
 		return SchemeResult{}, err
 	}
 
 	st := o.Stats()
-	storage := o.Stor().Stats()
 	io := st.Cycles // one storage load per cycle
 	var ioLat time.Duration
 	if io > 0 {
-		// Access-period storage time only: total busy minus the bulk
-		// shuffle traffic share. The accumulator splits phases exactly.
+		// Access-period time per load, shuffle traffic excluded. The
+		// access phase overlaps memory reads with the load, which
+		// dominates on the HDD profile.
 		ioLat = o.AccessTime() / time.Duration(io)
-		// Access phase overlaps memory reads; the storage-only latency
-		// is the interesting number when storage dominates (it does on
-		// the HDD profile), so report access-phase time per I/O.
 	}
 	return SchemeResult{
 		Scheme:       "H-ORAM",
@@ -195,7 +204,7 @@ func runHORAM(p Params) (SchemeResult, error) {
 		Shuffles:     st.Shuffles,
 		ShuffleTime:  o.ShuffleTime(),
 		TotalTime:    o.Clock().Now(),
-		StorageStats: storage,
+		StorageStats: o.Stor().Stats(),
 	}, nil
 }
 

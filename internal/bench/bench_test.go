@@ -397,11 +397,35 @@ func TestNoShuffleCase(t *testing.T) {
 	}
 }
 
+// TestNoShuffleDigits pins the §5.1 non-shuffle case (horam-bench -exp
+// noshuffle) to its exact digits, as TestTable53Digits does for Table
+// 5-3. The background total is the access-period time of the run that
+// also gives the critical-path total, so the two rows and the baseline
+// move only when the scheduler, the shuffle or the device models do.
+func TestNoShuffleDigits(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full §5.1 run (≈0.4 s, far longer under the race detector)")
+	}
+	r, err := runNoShuffleCase(noShuffleParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NoShuffleResult{WithShuffle: 1181445104, Background: 229217000, Baseline: 15415115200}
+	if r.WithShuffle != want.WithShuffle || r.Background != want.Background || r.Baseline != want.Baseline {
+		t.Errorf("totals: critical path %v, background %v, baseline %v; want %v, %v, %v",
+			r.WithShuffle, r.Background, r.Baseline, want.WithShuffle, want.Background, want.Baseline)
+	}
+	got := fmt.Sprintf("%.1fx %.1fx %.0fx", r.GainWith, r.GainBackground, r.TheoreticalCap)
+	if got != "13.0x 67.3x 32x" {
+		t.Errorf("gains %s, want 13.0x 67.3x 32x", got)
+	}
+}
+
 func TestPrefetchDepthReducesPadding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("prefetch sweep is slow")
 	}
-	rows, err := RunPrefetchDepth([]int{6, 48})
+	rows, err := runPrefetchDepth(raceSized(prefetchParams(), 8), []int{6, 48})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,40 +231,27 @@ func RunPartialShuffle(ratios []float64) ([]PartialShuffleRow, error) {
 }
 
 func runPartialShuffle(p Params, ratios []float64) ([]PartialShuffleRow, error) {
+	addrs, err := addresses(p)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]PartialShuffleRow, 0, len(ratios))
 	for _, r := range ratios {
-		rng := blockcipher.NewRNGFromString(p.Seed + fmt.Sprint(r))
-		cfg := horam.Config{
-			Blocks:       p.blocks(),
-			BlockSize:    p.BlockSize,
-			MemoryBytes:  p.MemoryBytes,
-			Z:            p.Z,
-			ShuffleRatio: r,
-			Sealer:       blockcipher.NullSealer{},
-			RNG:          rng.Fork("oram"),
-		}
-		o, err := horam.New(cfg)
+		o, err := newHORAM(p, blockcipher.NewRNGFromString(p.Seed+fmt.Sprint(r)), horam.Config{ShuffleRatio: r})
 		if err != nil {
 			return nil, err
 		}
-		addrs, err := addresses(p)
-		if err != nil {
+		if err := serveReads(o, addrs); err != nil {
 			return nil, err
 		}
-		reqs := make([]*horam.Request, len(addrs))
-		for i, a := range addrs {
-			reqs[i] = &horam.Request{Op: horam.OpRead, Addr: a}
-		}
-		if err := o.RunBatch(reqs); err != nil {
-			return nil, err
-		}
+		st := o.Stats()
 		rows = append(rows, PartialShuffleRow{
 			Ratio:        r,
 			TotalTime:    o.Clock().Now(),
 			ShuffleTime:  o.ShuffleTime(),
 			AccessTime:   o.AccessTime(),
-			Shuffles:     o.Stats().Shuffles,
-			PartShuffled: o.Stats().PartShuffled,
+			Shuffles:     st.Shuffles,
+			PartShuffled: st.PartShuffled,
 			StorageBytes: o.Partitions() * o.PartitionSlots() * int64(p.BlockSize),
 		})
 	}
@@ -315,45 +302,34 @@ func RunMultiUser(userCounts []int) ([]MultiUserRow, error) {
 }
 
 func runMultiUser(p Params, userCounts []int) ([]MultiUserRow, error) {
-	blocks := p.blocks()
 	rows := make([]MultiUserRow, 0, len(userCounts))
 	for _, users := range userCounts {
 		rng := blockcipher.NewRNGFromString(fmt.Sprintf("multiuser-%d", users))
-		cfg := horam.Config{
-			Blocks:      blocks,
-			BlockSize:   p.BlockSize,
-			MemoryBytes: p.MemoryBytes,
-			Z:           p.Z,
-			Sealer:      blockcipher.NullSealer{},
-			RNG:         rng.Fork("oram"),
-		}
-		o, err := horam.New(cfg)
+		o, err := newHORAM(p, rng, horam.Config{})
 		if err != nil {
 			return nil, err
 		}
 		// Each user hammers a private region with an 80/20 law; the
 		// streams interleave round-robin into the shared ROB.
 		gens := make([]workload.Generator, users)
-		span := blocks / int64(users)
-		for u := 0; u < users; u++ {
-			base := int64(u) * span
-			hot, err := workload.NewHotspot(span, p.HotFrac, p.HotSize, rng.Fork(fmt.Sprintf("u%d", u)))
+		span := p.blocks() / int64(users)
+		for u := range gens {
+			gens[u], err = workload.NewHotspot(span, p.HotFrac, p.HotSize, rng.Fork(fmt.Sprintf("u%d", u)))
 			if err != nil {
 				return nil, err
 			}
-			gens[u] = offsetGen{hot, base}
 		}
-		var reqs []*horam.Request
+		addrs := make([]int64, 0, p.Requests*users)
 		for i := 0; i < p.Requests; i++ {
-			for u := 0; u < users; u++ {
-				reqs = append(reqs, &horam.Request{Op: horam.OpRead, Addr: gens[u].Next(), User: u})
+			for u, g := range gens {
+				addrs = append(addrs, int64(u)*span+g.Next())
 			}
 		}
-		if err := o.RunBatch(reqs); err != nil {
+		if err := serveReads(o, addrs); err != nil {
 			return nil, err
 		}
 		total := o.Clock().Now()
-		n := int64(len(reqs))
+		n := int64(len(addrs))
 		rows = append(rows, MultiUserRow{
 			Users:      users,
 			Requests:   n,
@@ -364,15 +340,6 @@ func runMultiUser(p Params, userCounts []int) ([]MultiUserRow, error) {
 	}
 	return rows, nil
 }
-
-// offsetGen shifts a generator's addresses into a user's region.
-type offsetGen struct {
-	g    workload.Generator
-	base int64
-}
-
-func (o offsetGen) Name() string { return o.g.Name() + "+offset" }
-func (o offsetGen) Next() int64  { return o.base + o.g.Next() }
 
 // FormatMultiUser renders the multi-user scaling rows.
 func FormatMultiUser(rows []MultiUserRow) string {
@@ -390,7 +357,6 @@ func FormatMultiUser(rows []MultiUserRow) string {
 type ZSweepRow struct {
 	Z         int
 	TotalTime time.Duration
-	StashPeak int
 }
 
 // zSweepParams is the bucket-size ablation's instance; Z is swept.
@@ -413,16 +379,9 @@ func RunZSweep(zs []int) ([]ZSweepRow, error) {
 func runZSweep(p Params, zs []int) ([]ZSweepRow, error) {
 	rows := make([]ZSweepRow, 0, len(zs))
 	for _, z := range zs {
+		p.Z = z
 		rng := blockcipher.NewRNGFromString(fmt.Sprintf("zsweep-%d", z))
-		cfg := horam.Config{
-			Blocks:      p.blocks(),
-			BlockSize:   p.BlockSize,
-			MemoryBytes: p.MemoryBytes,
-			Z:           z,
-			Sealer:      blockcipher.NullSealer{},
-			RNG:         rng.Fork("oram"),
-		}
-		o, err := horam.New(cfg)
+		o, err := newHORAM(p, rng, horam.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -430,11 +389,7 @@ func runZSweep(p Params, zs []int) ([]ZSweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var reqs []*horam.Request
-		for _, a := range workload.Take(gen, p.Requests) {
-			reqs = append(reqs, &horam.Request{Op: horam.OpRead, Addr: a})
-		}
-		if err := o.RunBatch(reqs); err != nil {
+		if err := serveReads(o, workload.Take(gen, p.Requests)); err != nil {
 			return nil, err
 		}
 		rows = append(rows, ZSweepRow{Z: z, TotalTime: o.Clock().Now()})
@@ -491,38 +446,25 @@ func runStageAblation(p Params) ([]StageRow, error) {
 		{"fixed c=4", []horam.Stage{{C: 4, Frac: 1}}},
 		{"fixed c=8", []horam.Stage{{C: 8, Frac: 1}}},
 	}
+	addrs, err := addresses(p)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]StageRow, 0, len(schedules))
 	for _, s := range schedules {
-		rng := blockcipher.NewRNGFromString(p.Seed + s.label)
-		cfg := horam.Config{
-			Blocks:      p.blocks(),
-			BlockSize:   p.BlockSize,
-			MemoryBytes: p.MemoryBytes,
-			Z:           p.Z,
-			Stages:      s.stages,
-			Sealer:      blockcipher.NullSealer{},
-			RNG:         rng.Fork("oram"),
-		}
-		o, err := horam.New(cfg)
+		o, err := newHORAM(p, blockcipher.NewRNGFromString(p.Seed+s.label), horam.Config{Stages: s.stages})
 		if err != nil {
 			return nil, err
 		}
-		addrs, err := addresses(p)
-		if err != nil {
+		if err := serveReads(o, addrs); err != nil {
 			return nil, err
 		}
-		reqs := make([]*horam.Request, len(addrs))
-		for i, a := range addrs {
-			reqs[i] = &horam.Request{Op: horam.OpRead, Addr: a}
-		}
-		if err := o.RunBatch(reqs); err != nil {
-			return nil, err
-		}
+		st := o.Stats()
 		rows = append(rows, StageRow{
 			Label:     s.label,
 			TotalTime: o.Clock().Now(),
-			Cycles:    o.Stats().Cycles,
-			DummyMem:  o.Stats().DummyMemory,
+			Cycles:    st.Cycles,
+			DummyMem:  st.DummyMemory,
 		})
 	}
 	return rows, nil
@@ -549,11 +491,10 @@ type PrefetchRow struct {
 	DummyIO   int64
 }
 
-// RunPrefetchDepth sweeps the ROB scan window d at fixed stages: a
-// deeper window finds matching hits for full groups, cutting dummy
-// padding (§4.2's prefetching optimisation).
-func RunPrefetchDepth(depths []int) ([]PrefetchRow, error) {
-	p := Params{
+// prefetchParams is the prefetch-depth ablation's instance; the
+// scheduler's scan window is swept.
+func prefetchParams() Params {
+	return Params{
 		DataBytes:   8 << 20,
 		MemoryBytes: 1 << 20,
 		BlockSize:   1 << 10,
@@ -563,31 +504,28 @@ func RunPrefetchDepth(depths []int) ([]PrefetchRow, error) {
 		Z:           4,
 		Seed:        "prefetch",
 	}
+}
+
+// RunPrefetchDepth sweeps the ROB scan window d at fixed stages: a
+// deeper window finds matching hits for full groups, cutting dummy
+// padding (§4.2's prefetching optimisation).
+func RunPrefetchDepth(depths []int) ([]PrefetchRow, error) {
+	return runPrefetchDepth(prefetchParams(), depths)
+}
+
+func runPrefetchDepth(p Params, depths []int) ([]PrefetchRow, error) {
+	addrs, err := addresses(p)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]PrefetchRow, 0, len(depths))
 	for _, d := range depths {
 		rng := blockcipher.NewRNGFromString(fmt.Sprintf("%s-%d", p.Seed, d))
-		cfg := horam.Config{
-			Blocks:        p.blocks(),
-			BlockSize:     p.BlockSize,
-			MemoryBytes:   p.MemoryBytes,
-			Z:             p.Z,
-			PrefetchDepth: d,
-			Sealer:        blockcipher.NullSealer{},
-			RNG:           rng.Fork("oram"),
-		}
-		o, err := horam.New(cfg)
+		o, err := newHORAM(p, rng, horam.Config{PrefetchDepth: d})
 		if err != nil {
 			return nil, err
 		}
-		addrs, err := addresses(p)
-		if err != nil {
-			return nil, err
-		}
-		reqs := make([]*horam.Request, len(addrs))
-		for i, a := range addrs {
-			reqs[i] = &horam.Request{Op: horam.OpRead, Addr: a}
-		}
-		if err := o.RunBatch(reqs); err != nil {
+		if err := serveReads(o, addrs); err != nil {
 			return nil, err
 		}
 		st := o.Stats()

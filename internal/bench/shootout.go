@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/blockcipher"
 	"repro/internal/device"
-	"repro/internal/horam"
 	"repro/internal/partitionoram"
 	"repro/internal/simclock"
 	"repro/internal/sqrtoram"
@@ -181,7 +180,10 @@ type NoShuffleResult struct {
 
 // RunNoShuffleCase measures H-ORAM with the shuffle on and off the
 // critical path against the baseline, on the Table 5-3 geometry
-// shrunk 4x for wall time.
+// shrunk 4x for wall time. Both H-ORAM rows come from one run: the
+// global clock is its access periods plus its shuffle periods, so a
+// shuffle run offline or on the remote server (Figure 5-2) leaves the
+// access time alone on the critical path.
 func RunNoShuffleCase() (NoShuffleResult, error) { return runNoShuffleCase(noShuffleParams()) }
 
 // noShuffleParams is the non-shuffle case's instance.
@@ -200,39 +202,7 @@ func noShuffleParams() Params {
 }
 
 func runNoShuffleCase(p Params) (NoShuffleResult, error) {
-	run := func(background bool) (time.Duration, error) {
-		rng := blockcipher.NewRNGFromString(p.Seed + "-horam")
-		cfg := horam.Config{
-			Blocks:            p.blocks(),
-			BlockSize:         p.BlockSize,
-			MemoryBytes:       p.MemoryBytes,
-			Z:                 p.Z,
-			BackgroundShuffle: background,
-			Sealer:            blockcipher.NullSealer{},
-			RNG:               rng.Fork("oram"),
-		}
-		o, err := horam.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		addrs, err := addresses(p)
-		if err != nil {
-			return 0, err
-		}
-		reqs := make([]*horam.Request, len(addrs))
-		for i, a := range addrs {
-			reqs[i] = &horam.Request{Op: horam.OpRead, Addr: a}
-		}
-		if err := o.RunBatch(reqs); err != nil {
-			return 0, err
-		}
-		return o.Clock().Now(), nil
-	}
-	withShuffle, err := run(false)
-	if err != nil {
-		return NoShuffleResult{}, err
-	}
-	background, err := run(true)
+	h, err := runHORAM(p)
 	if err != nil {
 		return NoShuffleResult{}, err
 	}
@@ -241,8 +211,8 @@ func runNoShuffleCase(p Params) (NoShuffleResult, error) {
 		return NoShuffleResult{}, err
 	}
 	out := NoShuffleResult{
-		WithShuffle: withShuffle,
-		Background:  background,
+		WithShuffle: h.TotalTime,
+		Background:  h.TotalTime - h.ShuffleTime,
 		Baseline:    base.TotalTime,
 	}
 	out.GainWith = float64(out.Baseline) / float64(out.WithShuffle)

@@ -19,6 +19,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -53,11 +54,12 @@ type TimingReport struct {
 	DetectPass bool        `json:"detect_pass"`
 }
 
-// timingPair is one A/B workload pair, constructed per mode.
+// timingPair is one A/B workload pair in one mode: constant-time, or
+// default for the canary.
 type timingPair struct {
-	name   string
-	canary bool
-	build  func(ct bool) (pairOps, error)
+	name  string
+	ct    bool
+	build func() (pairOps, error)
 }
 
 // pairOps is one built pair: a and b are the timed sides; resetA and
@@ -118,11 +120,9 @@ func stashPair(ct bool) (pairOps, error) {
 	return pairOps{a: a, b: b}, nil
 }
 
-// posmapPair: position-map lookups of one hot address vs a sweep of
-// addresses. In default mode both are array indexing (the residual
-// channel is the cache line, below this harness's resolution); in CT
-// mode both are full scans. Not a canary.
-func posmapPair(ct bool) (pairOps, error) {
+// posmapPair: constant-time position-map lookups of one hot address vs
+// a sweep of addresses; both sides are full masked scans.
+func posmapPair() (pairOps, error) {
 	const (
 		blocks = 1024
 		nLeaf  = 512
@@ -133,7 +133,7 @@ func posmapPair(ct bool) (pairOps, error) {
 	if err != nil {
 		return pairOps{}, err
 	}
-	m.SetConstantTime(ct)
+	m.SetConstantTime(true)
 	m.RemapAll()
 	// Both sides run the identical harness arithmetic (advance an
 	// index, fold the result into a sink); only the looked-up address
@@ -164,7 +164,7 @@ func posmapPair(ct bool) (pairOps, error) {
 // one path write. What differs between the sides is pure secret
 // state — which addresses sit in the stash and where on the tree the
 // target lives — exactly the residue ConstantTime must erase.
-func pathoramPair(ct bool) (pairOps, error) {
+func pathoramPair() (pairOps, error) {
 	const (
 		blocks    = 64
 		blockSize = 32
@@ -177,7 +177,7 @@ func pathoramPair(ct bool) (pairOps, error) {
 		Z:            4,
 		Sealer:       blockcipher.NullSealer{},
 		RNG:          rng.Fork("oram"),
-		ConstantTime: ct,
+		ConstantTime: true,
 	}
 	dev, err := device.New(device.DRAM(), cfg.SlotSize(), 16*blocks, simclock.New())
 	if err != nil {
@@ -220,11 +220,10 @@ func pathoramPair(ct bool) (pairOps, error) {
 // has to move; side B marks the first 20, so every survivor moves 20
 // entries down. Only the removals are timed, one on each of 8 stashes
 // per sample: each side's untimed reset puts back what the other side
-// removed. In constant-time mode the removal is RemoveMasked, whose
+// removed. The removal is the constant-time stash's RemoveMasked, whose
 // swap passes must cost the same whatever distances the survivors
-// travel; default mode removes the same blocks one Take at a time. Not
-// a canary.
-func compactPair(ct bool) (pairOps, error) {
+// travel.
+func compactPair() (pairOps, error) {
 	const (
 		capacity  = 62
 		blockSize = 64
@@ -241,26 +240,16 @@ func compactPair(ct bool) (pairOps, error) {
 	puts := make([]func(addr int64) error, inner)
 	removes := make([]func(addrs []int64), inner)
 	for k := range puts {
-		if ct {
-			s := stash.NewConstantTime(capacity, blockSize)
-			mask := make([]int, capacity)
-			puts[k] = func(addr int64) error { return s.PutMasked(1, addr, addr, buf) }
-			removes[k] = func(addrs []int64) {
-				// Address a is the a-th resident block, so it sits at entry a.
-				clear(mask)
-				for _, a := range addrs {
-					mask[a] = 1
-				}
-				s.RemoveMasked(mask)
+		s := stash.NewConstantTime(capacity, blockSize)
+		mask := make([]int, capacity)
+		puts[k] = func(addr int64) error { return s.PutMasked(1, addr, addr, buf) }
+		removes[k] = func(addrs []int64) {
+			// Address a is the a-th resident block, so it sits at entry a.
+			clear(mask)
+			for _, a := range addrs {
+				mask[a] = 1
 			}
-		} else {
-			s := stash.New(capacity)
-			puts[k] = func(addr int64) error { return s.Put(addr, buf) }
-			removes[k] = func(addrs []int64) {
-				for _, a := range addrs {
-					s.Take(a)
-				}
-			}
+			s.RemoveMasked(mask)
 		}
 		for a := int64(0); a < resident; a++ {
 			if err := puts[k](a); err != nil {
@@ -289,51 +278,44 @@ func compactPair(ct bool) (pairOps, error) {
 	return pairOps{a: remove(back), b: remove(front), resetA: putBack(front), resetB: putBack(back)}, nil
 }
 
-// timingPairs is the experiment's pair catalogue.
+// timingPairs is the experiment's catalogue: the rows the two checks
+// read. The stash pair runs in default mode as the canary and in
+// constant-time mode; every other pair runs in constant-time mode only,
+// since a default-mode row that is not the canary gates nothing and
+// its verdict changes from run to run of unchanged code.
 var timingPairs = []timingPair{
-	{name: "stash-take-put", canary: true, build: stashPair},
-	{name: "posmap-lookup", canary: false, build: posmapPair},
-	{name: "pathoram-read", canary: false, build: pathoramPair},
-	{name: "stash-evict-compact", canary: false, build: compactPair},
+	{"stash-take-put", false, func() (pairOps, error) { return stashPair(false) }},
+	{"stash-take-put", true, func() (pairOps, error) { return stashPair(true) }},
+	{"posmap-lookup", true, posmapPair},
+	{"pathoram-read", true, pathoramPair},
+	{"stash-evict-compact", true, compactPair},
 }
 
-// RunTiming measures every pair in constant-time mode, and the canary
-// pair in default mode too: those are the rows the two checks read. A
-// non-canary pair in default mode gates nothing, and its verdict
-// changes from run to run of unchanged code.
+// RunTiming measures every row of timingPairs.
 func RunTiming(opts timing.Options, threshold float64) (*TimingReport, error) {
 	if threshold <= 0 {
 		threshold = DefaultTimingThreshold
 	}
 	rep := &TimingReport{Threshold: threshold, CTPass: true}
-	type mode struct {
-		name string
-		ct   bool
-	}
 	for _, p := range timingPairs {
-		modes := []mode{{"constant-time", true}}
-		if p.canary {
-			modes = []mode{{"default", false}, {"constant-time", true}}
+		mode := "default"
+		if p.ct {
+			mode = "constant-time"
 		}
-		for _, mode := range modes {
-			ops, err := p.build(mode.ct)
-			if err != nil {
-				return nil, fmt.Errorf("bench: timing pair %s (%s): %w", p.name, mode.name, err)
-			}
-			res := timing.MeasurePairReset(opts, ops.a, ops.b, ops.resetA, ops.resetB)
-			rep.Samples = res.A.N
-			row := TimingRow{Pair: p.name, Mode: mode.name, Canary: p.canary && !mode.ct, PairResult: res}
-			rep.Rows = append(rep.Rows, row)
-			abs := row.T
-			if abs < 0 {
-				abs = -abs
-			}
-			if mode.ct && abs >= threshold {
-				rep.CTPass = false
-			}
-			if row.Canary && abs >= threshold {
-				rep.DetectPass = true
-			}
+		ops, err := p.build()
+		if err != nil {
+			return nil, fmt.Errorf("bench: timing pair %s (%s): %w", p.name, mode, err)
+		}
+		res := timing.MeasurePairReset(opts, ops.a, ops.b, ops.resetA, ops.resetB)
+		rep.Samples = res.A.N
+		row := TimingRow{Pair: p.name, Mode: mode, Canary: !p.ct, PairResult: res}
+		rep.Rows = append(rep.Rows, row)
+		abs := math.Abs(row.T)
+		if p.ct && abs >= threshold {
+			rep.CTPass = false
+		}
+		if row.Canary && abs >= threshold {
+			rep.DetectPass = true
 		}
 	}
 	return rep, nil
@@ -345,12 +327,8 @@ func FormatTiming(rep *TimingReport) string {
 	fmt.Fprintf(&sb, "== timing variance: secret-dependent wall-clock distinguishability (|t| threshold %.0f) ==\n", rep.Threshold)
 	fmt.Fprintf(&sb, "%-20s %-14s %12s %12s %10s  %s\n", "pair", "mode", "mean A (ns)", "mean B (ns)", "Welch t", "verdict")
 	for _, r := range rep.Rows {
-		abs := r.T
-		if abs < 0 {
-			abs = -abs
-		}
 		verdict := "indistinguishable"
-		if abs >= rep.Threshold {
+		if math.Abs(r.T) >= rep.Threshold {
 			verdict = "DISTINGUISHABLE"
 		}
 		if r.Canary {

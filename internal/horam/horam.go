@@ -80,22 +80,19 @@ type Config struct {
 	// of partitions reshuffled per period. 0 or 1 means full shuffle.
 	// With r < 1 partitions get 2x slack slots to absorb imbalance.
 	ShuffleRatio float64
-	// BackgroundShuffle models the paper's §5.1 "non-shuffle case"
-	// (Figure 5-2): the shuffle runs off the critical path — offline,
-	// or on the remote server so it never crosses the network — and
-	// its time is recorded (ShuffleTime) but not added to the global
-	// clock. The paper bounds the resulting gain at 32x over the
-	// baseline for the Table 5-1 scenario.
-	BackgroundShuffle bool
 	// ConstantTime hardens the memory tree's trusted-memory control
 	// structures (stash, position map) against a co-located timing
 	// adversary; see pathoram.Config.ConstantTime. Device traffic is
 	// byte-identical to the default mode. This layer is not hardened:
 	// its memory touches still depend on the secret address. cycleInner
 	// indexes the permutation list at each window request's address,
-	// serveHit probes the pool map keyed by it, and evictTree permutes
-	// the evicted pool with an ordinary Fisher–Yates shuffle (see
-	// ROADMAP item 18).
+	// serveHit probes the pool map keyed by it, evictTree permutes the
+	// evicted pool with an ordinary Fisher–Yates shuffle, and the
+	// partition rewrite calls the permutation list's SetStorage once
+	// per address it places (see ROADMAP item 18). Nor does a pad cost
+	// what a hit costs: a hit runs pathoram.Access, whose pm.Get and
+	// pm.Remap are two masked position-map scans, while a pad runs
+	// DummyAccess, which scans none (ROADMAP item 20).
 	ConstantTime bool
 	// Sealer seals blocks on both tiers; required.
 	Sealer blockcipher.Sealer
@@ -180,8 +177,9 @@ type Stats struct {
 	MaxCycleTime time.Duration
 }
 
-// ORAM is an H-ORAM instance. Not safe for concurrent use; the
-// multi-user front end in this package serialises submissions.
+// ORAM is an H-ORAM instance. Not safe for concurrent use: callers
+// serialise through core.Client's mutex, and the engine runs one
+// scheduler goroutine per shard.
 type ORAM struct {
 	cfg    Config
 	stages []Stage
@@ -479,19 +477,14 @@ func (o *ORAM) overlap(memPhase, storPhase func() error) error {
 }
 
 // serial charges the global clock the sum of both tiers' deltas across
-// fn — shuffle work is serialised on the storage device. With
-// BackgroundShuffle the time is recorded in the accounting bucket but
-// the global clock does not advance (the work happens off the
-// critical path).
+// fn — shuffle work is serialised on the storage device.
 func (o *ORAM) serial(bucket string, fn func() error) error {
 	m0, s0 := o.clkMem.Now(), o.clkStor.Now()
 	if err := fn(); err != nil {
 		return err
 	}
 	d := (o.clkMem.Now() - m0) + (o.clkStor.Now() - s0)
-	if !o.cfg.BackgroundShuffle {
-		o.clk.Advance(d)
-	}
+	o.clk.Advance(d)
 	o.acct.Add(bucket, d)
 	return nil
 }

@@ -118,9 +118,9 @@ func (o *ORAM) PadToCycles(target int64) (int64, error) {
 // device time charged by this single cycle, shuffle work included, is
 // folded into Stats.MaxCycleTime.
 func (o *ORAM) cycle() error {
-	before := o.acct.Get("access") + o.acct.Get("shuffle")
+	before := o.clk.Now()
 	err := o.cycleInner()
-	if d := o.acct.Get("access") + o.acct.Get("shuffle") - before; d > o.stats.MaxCycleTime {
+	if d := o.clk.Now() - before; d > o.stats.MaxCycleTime {
 		o.stats.MaxCycleTime = d
 	}
 	return err
