@@ -4,9 +4,10 @@
 // mode, durability paths) and each re-echoed them into manifests with
 // its own mismatch check, so the three copies could — and did — drift.
 // Now there is one Common struct: core.Options and engine.Options are
-// aliases of it, horam.Config embeds the subset it consumes, and the
-// manifest echo plus the restore-time mismatch refusal live here, in
-// exactly one place.
+// aliases of it, core copies the subset horam.Config consumes into a
+// horam.Config literal, and the manifest echo, the restore-time
+// mismatch refusal and the schedule rules both layers check
+// (ValidateSchedule) live here, in exactly one place.
 //
 // Construction supports both plain struct literals (the historical
 // style, still used throughout the tests) and functional options:
@@ -153,8 +154,8 @@ func (c Common) Validate(prefix string) error {
 	if c.FsyncEvery < 0 {
 		return fmt.Errorf("%s: negative FsyncEvery", prefix)
 	}
-	if c.ShuffleRatio < 0 || c.ShuffleRatio > 1 {
-		return fmt.Errorf("%s: ShuffleRatio %v out of [0,1]", prefix, c.ShuffleRatio)
+	if err := ValidateSchedule(prefix, c.ShuffleRatio, c.Stages); err != nil {
+		return err
 	}
 	if !c.Insecure && len(c.Key) != 32 {
 		return fmt.Errorf("%s: Key must be 32 bytes, got %d", prefix, len(c.Key))
@@ -168,14 +169,24 @@ func (c Common) Validate(prefix string) error {
 	if c.ClusterShards > 0 && c.ShardIndex >= c.ClusterShards {
 		return fmt.Errorf("%s: ShardIndex %d out of [0,%d)", prefix, c.ShardIndex, c.ClusterShards)
 	}
+	return nil
+}
+
+// ValidateSchedule checks the shuffle ratio and the stage schedule —
+// the rules Common.Validate and horam.Config share. prefix names the
+// calling layer, as in Validate.
+func ValidateSchedule(prefix string, ratio float64, stages []Stage) error {
+	if ratio < 0 || ratio > 1 {
+		return fmt.Errorf("%s: ShuffleRatio %v out of [0,1]", prefix, ratio)
+	}
 	sum := 0.0
-	for _, s := range c.Stages {
+	for _, s := range stages {
 		if s.C <= 0 || s.Frac < 0 {
 			return fmt.Errorf("%s: invalid stage %+v", prefix, s)
 		}
 		sum += s.Frac
 	}
-	if c.Stages != nil && math.Abs(sum-1) > 1e-6 {
+	if stages != nil && math.Abs(sum-1) > 1e-6 {
 		return fmt.Errorf("%s: stage fractions sum to %v, want 1", prefix, sum)
 	}
 	return nil

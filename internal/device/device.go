@@ -220,9 +220,6 @@ func (m *meter) SlotSize() int { return m.slotSize }
 // Slots implements Backend.
 func (m *meter) Slots() int64 { return m.slots }
 
-// Profile returns the latency profile the device was built with.
-func (m *meter) Profile() Profile { return m.profile }
-
 // SetHook installs fn to observe every access; a nil fn removes the
 // hook.
 func (m *meter) SetHook(fn Hook) { m.hook = fn }

@@ -96,9 +96,6 @@ func NewFile(cfg FileConfig) (*File, error) {
 	}, nil
 }
 
-// Path returns the backing file path.
-func (d *File) Path() string { return d.path }
-
 func (d *File) off(slot int64) int64 { return slot * int64(d.slotSize) }
 
 func (d *File) pread(slot int64, dst []byte) error {

@@ -7,14 +7,15 @@ import "repro/internal/record"
 // outputs), two plaintext slabs (one for opened records, one for the
 // write-phase encodes — separate so live payloads can alias the read
 // slab while the write slab is being filled), the live-record list and
-// the slot→record map. Sized to one partition, allocated on first use.
+// the slot→record index (by partition offset, -1 for a dummy). Sized
+// to one partition, allocated on first use.
 type shufScratch struct {
 	slots   []int64
 	sealedV [][]byte
 	readPt  [][]byte
 	writePt [][]byte
 	recs    []shufRec
-	slotOf  map[int64]int
+	slotOf  []int
 }
 
 type shufRec struct {
@@ -30,7 +31,7 @@ func (o *ORAM) shufScratchFor(partSlots int64) *shufScratch {
 			readPt:  record.Slab(int(partSlots), o.codec.PtSize()),
 			writePt: record.Slab(int(partSlots), o.codec.PtSize()),
 			recs:    make([]shufRec, 0, partSlots),
-			slotOf:  make(map[int64]int, partSlots),
+			slotOf:  make([]int, partSlots),
 		}
 	}
 	return o.shuf

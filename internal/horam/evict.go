@@ -34,11 +34,15 @@ var ErrPoisoned = errors.New("horam: instance poisoned by failed shuffle")
 // partitions form the window each period (§5.3.1), cycling
 // round-robin; slack slots absorb the extra hot data until each
 // partition's next turn.
+//
+// A pool block's permutation-list entry is TierPool with its pool
+// index as Slot, so the list stays the one record of where every block
+// lives; the partition quantum that absorbs the block sets its new
+// storage slot.
 type shuffleState struct {
 	active   bool
 	evicted  bool          // the tree-evict quantum has run
 	pool     []stash.Block // evicted blocks awaiting placement
-	poolAddr map[int64]int // addr -> pool index, pending blocks only
 	poolIdx  int
 	shuffled int64 // partitions rewritten this period
 	window   int64
@@ -78,22 +82,8 @@ func (o *ORAM) evictTree() ([]stash.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	items := make([][]byte, len(evicted))
-	addrs := make([]int64, len(evicted))
-	for i, b := range evicted {
-		items[i] = b.Data
-		addrs[i] = b.Addr
-	}
-	perm := shuffle.Random(len(items), o.cfg.RNG)
-	items = shuffle.Apply(perm, items)
-	addrs = shuffle.Apply(perm, addrs)
-	o.stats.EvictedReal += int64(len(items))
-
-	pool := make([]stash.Block, len(items))
-	for i := range items {
-		pool[i] = stash.Block{Addr: addrs[i], Data: items[i]}
-	}
-	return pool, nil
+	o.stats.EvictedReal += int64(len(evicted))
+	return shuffle.Apply(shuffle.Random(len(evicted), o.cfg.RNG), evicted), nil
 }
 
 // beginShuffle arms the incremental state machine. The new access
@@ -144,9 +134,10 @@ func (o *ORAM) runShuffleQuantum() error {
 			return err
 		}
 		o.sm.pool = pool
-		o.sm.poolAddr = make(map[int64]int, len(pool))
 		for i, b := range pool {
-			o.sm.poolAddr[b.Addr] = i
+			if err := o.perm.SetPool(b.Addr, i); err != nil {
+				return err
+			}
 		}
 		o.sm.evicted = true
 		// Storage slots are only ever written by the partition
@@ -275,12 +266,11 @@ func (o *ORAM) shufflePartition(p int64) error {
 	}
 
 	// Concatenate the next piece of evicted hot data. Absorbed blocks
-	// leave the pool: requests for them are storage misses again, not
-	// pool hits.
+	// leave the pool when the SetStorage pass below places them:
+	// requests for them are storage misses again, not pool hits.
 	for int64(len(blocks)) < o.partSlots && o.sm.poolIdx < len(o.sm.pool) {
 		b := o.sm.pool[o.sm.poolIdx]
 		o.sm.poolIdx++
-		delete(o.sm.poolAddr, b.Addr)
 		blocks = append(blocks, shufRec{b.Addr, b.Data})
 	}
 	sc.recs = blocks[:0]
@@ -290,12 +280,14 @@ func (o *ORAM) shufflePartition(p int64) error {
 	// plaintext in slot order, batch-seal (nonce order = slot order),
 	// one vectored write burst, then the permutation-list updates.
 	permIdx := o.cfg.RNG.Perm(int(o.partSlots))
-	clear(sc.slotOf)
-	for i := range blocks {
-		sc.slotOf[base+int64(permIdx[i])] = i
+	for i := range sc.slotOf {
+		sc.slotOf[i] = -1
 	}
-	for i := int64(0); i < o.partSlots; i++ {
-		if bi, ok := sc.slotOf[base+i]; ok {
+	for i := range blocks {
+		sc.slotOf[permIdx[i]] = i
+	}
+	for i, bi := range sc.slotOf {
+		if bi >= 0 {
 			o.codec.Encode(sc.writePt[i], blocks[bi].addr, blocks[bi].data)
 		} else {
 			copy(sc.writePt[i], o.codec.DummyPt())
@@ -307,9 +299,9 @@ func (o *ORAM) shufflePartition(p int64) error {
 	if err := o.storDev.WriteSlots(sc.slots, sc.sealedV); err != nil {
 		return err
 	}
-	for i := int64(0); i < o.partSlots; i++ {
-		if bi, ok := sc.slotOf[base+i]; ok {
-			if err := o.perm.SetStorage(blocks[bi].addr, base+i); err != nil {
+	for i, bi := range sc.slotOf {
+		if bi >= 0 {
+			if err := o.perm.SetStorage(blocks[bi].addr, base+int64(i)); err != nil {
 				return err
 			}
 		}

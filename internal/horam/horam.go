@@ -5,8 +5,11 @@
 //
 // Layout (paper §4.1):
 //
-//   - control layer (trusted): permutation list, position map (inside
-//     the embedded Path ORAM), request scheduler with its ROB table;
+//   - control layer (trusted): permutation list — the one record of
+//     where each block lives: a storage slot, the memory tree, or,
+//     while a shuffle is in flight, an index into its trusted pool
+//     (posmap.TierPool) — position map (inside the embedded Path
+//     ORAM), request scheduler with its ROB table;
 //   - memory layer: a Path ORAM tree of n slots (≤ n/2 real blocks)
 //     that starts every period empty and fills with fetched blocks;
 //   - storage layer: N sealed blocks in √N partitions, each block read
@@ -85,14 +88,15 @@ type Config struct {
 	// adversary; see pathoram.Config.ConstantTime. Device traffic is
 	// byte-identical to the default mode. This layer is not hardened:
 	// its memory touches still depend on the secret address. cycleInner
-	// indexes the permutation list at each window request's address,
-	// serveHit probes the pool map keyed by it, evictTree permutes the
-	// evicted pool with an ordinary Fisher–Yates shuffle, and the
-	// partition rewrite calls the permutation list's SetStorage once
-	// per address it places (see ROADMAP item 18). Nor does a pad cost
-	// what a hit costs: a hit runs pathoram.Access, whose pm.Get and
-	// pm.Remap are two masked position-map scans, while a pad runs
-	// DummyAccess, which scans none (ROADMAP item 20).
+	// indexes the permutation list at each window request's address
+	// (that one load also answers a hit on the in-flight shuffle's
+	// pool), evictTree permutes the evicted pool with an ordinary
+	// Fisher–Yates shuffle, and the partition rewrite calls the
+	// permutation list's SetStorage once per address it places (see
+	// ROADMAP item 18). Nor does a pad cost what a hit costs: a hit
+	// runs pathoram.Access, whose pm.Get and pm.Remap are two masked
+	// position-map scans, while a pad runs DummyAccess, which scans none
+	// (ROADMAP item 20).
 	ConstantTime bool
 	// Sealer seals blocks on both tiers; required.
 	Sealer blockcipher.Sealer
@@ -135,20 +139,7 @@ func (c Config) validate() error {
 	if c.RNG == nil {
 		return errors.New("horam: RNG is required")
 	}
-	if c.ShuffleRatio < 0 || c.ShuffleRatio > 1 {
-		return fmt.Errorf("horam: ShuffleRatio %v out of [0,1]", c.ShuffleRatio)
-	}
-	sum := 0.0
-	for _, s := range c.Stages {
-		if s.C <= 0 || s.Frac < 0 {
-			return fmt.Errorf("horam: invalid stage %+v", s)
-		}
-		sum += s.Frac
-	}
-	if c.Stages != nil && math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("horam: stage fractions sum to %v, want 1", sum)
-	}
-	return nil
+	return config.ValidateSchedule("horam", c.ShuffleRatio, c.Stages)
 }
 
 // SlotSize returns the sealed slot size on both tiers.

@@ -138,17 +138,17 @@ func (o *ORAM) cycleInner() error {
 		window = window[:o.depth]
 	}
 	var miss *Request
-	var hits []*Request
+	var hits []hit
 	for _, r := range window {
 		e, err := o.perm.Lookup(r.Addr)
 		if err != nil {
 			return err
 		}
 		switch {
-		case e.Tier == posmap.TierMemory && len(hits) < c:
+		case e.Tier != posmap.TierStorage && len(hits) < c:
 			// Memory-resident covers both the tree and, mid-shuffle,
-			// the trusted pool: serveHit picks the right source.
-			hits = append(hits, r)
+			// the trusted pool: serveHit picks the source from e.
+			hits = append(hits, hit{r, e})
 		case e.Tier == posmap.TierStorage && miss == nil:
 			// Two queued requests may miss on the same address; only
 			// the first becomes the cycle's load, the other waits to
@@ -189,8 +189,8 @@ func (o *ORAM) cycleInner() error {
 		return nil
 	}
 	memPhase := func() error {
-		for _, r := range hits {
-			if err := o.serveHit(r); err != nil {
+		for _, h := range hits {
+			if err := o.serveHit(h.r, h.e); err != nil {
 				return err
 			}
 		}
@@ -248,34 +248,34 @@ func (o *ORAM) cycleInner() error {
 	return nil
 }
 
-// serveHit completes one request against the memory tier. A block
-// sitting in the in-flight shuffle's trusted pool is read or updated
-// directly in trusted memory, with a dummy path access standing in for
-// the tree path a resident hit would have touched — the path of a real
-// hit is uniformly distributed, exactly like DummyAccess's, so the
-// memory-tier bus shape is identical either way.
-func (o *ORAM) serveHit(r *Request) error {
-	if i, ok := o.sm.poolAddr[r.Addr]; ok {
-		b := &o.sm.pool[i]
-		prev := make([]byte, len(b.Data))
-		copy(prev, b.Data)
+// hit is one window request the memory tier serves this cycle, with
+// the permutation-list entry the window scan loaded for it.
+type hit struct {
+	r *Request
+	e posmap.Entry
+}
+
+// serveHit completes one request against the memory tier; e is the
+// request's permutation-list entry. A block sitting in the in-flight
+// shuffle's trusted pool (TierPool, Slot its pool index) is read or
+// updated directly in trusted memory, with a dummy path access standing
+// in for the tree path a resident hit would have touched — the path of
+// a real hit is uniformly distributed, exactly like DummyAccess's, so
+// the memory-tier bus shape is identical either way.
+func (o *ORAM) serveHit(r *Request, e posmap.Entry) error {
+	var result []byte
+	var err error
+	switch {
+	case e.Tier == posmap.TierPool:
+		b := &o.sm.pool[e.Slot]
+		result = bytes.Clone(b.Data)
 		if r.Op == OpWrite {
 			copy(b.Data, r.Data)
 		}
-		if err := o.mem.DummyAccess(); err != nil {
-			return err
-		}
-		r.Result = prev
-		r.done = true
-		o.stats.Hits++
-		o.stats.Requests++
-		return nil
-	}
-	var result []byte
-	var err error
-	if r.Op == OpWrite {
+		err = o.mem.DummyAccess()
+	case r.Op == OpWrite:
 		result, err = o.mem.Access(pathoram.OpWrite, r.Addr, r.Data)
-	} else {
+	default:
 		result, err = o.mem.Access(pathoram.OpRead, r.Addr, nil)
 	}
 	if err != nil {

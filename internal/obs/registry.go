@@ -20,7 +20,7 @@
 //     function of information the adversary already has (client op
 //     counts, leveled cycle counts, wire-visible verbs, transport
 //     faults). Public metrics form the audited snapshot
-//     (WriteAudit): the differential test in internal/server asserts
+//     (AuditText): the differential test in internal/server asserts
 //     the snapshot is byte-identical across adversarial workloads of
 //     equal op count, so a secret-dependent counter slipped in under
 //     a Public declaration fails CI, not review.
@@ -33,7 +33,7 @@
 //   - Trusted: the value is secret-dependent (per-shard request
 //     routing, the hit/miss mix, the real-vs-pad cycle split) and is
 //     shown only on the trusted operator surface, the STATS verb
-//     (AppendStats). WritePrometheus, ServeHTTP and WriteAudit skip
+//     (AppendStats). WritePrometheus, ServeHTTP and AuditText skip
 //     it, so /metrics and the audit never carry it.
 //
 // Counters, gauges and histogram observations are single atomic
@@ -604,15 +604,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// WriteAudit renders ONLY the ClassPublic samples, without comments —
-// the audited snapshot. Two runs of adversarial workloads with equal
-// public parameters must render byte-identical audit text; the
-// differential test in internal/server enforces it.
-func (r *Registry) WriteAudit(w io.Writer) error {
-	_, err := w.Write(r.render(nil, expositionSample, false, func(c Class) bool { return c == ClassPublic }))
-	return err
-}
-
 // AppendStats appends one " series=value" token per sample of every
 // series, Trusted included, in registry order — the body of the
 // trusted STATS line. Each series is written as the exposition writes
@@ -622,11 +613,12 @@ func (r *Registry) AppendStats(dst []byte) []byte {
 	return r.render(dst, statsSample, false, func(Class) bool { return true })
 }
 
-// AuditText returns WriteAudit's output as a string.
+// AuditText renders ONLY the ClassPublic samples, without comments —
+// the audited snapshot. Two runs of adversarial workloads with equal
+// public parameters must render byte-identical audit text; the
+// differential test in internal/server enforces it.
 func (r *Registry) AuditText() string {
-	var b strings.Builder
-	r.WriteAudit(&b) //horam:errok strings.Builder writes cannot fail
-	return b.String()
+	return string(r.render(nil, expositionSample, false, func(c Class) bool { return c == ClassPublic }))
 }
 
 // Decls returns every registered series id with its declaration —

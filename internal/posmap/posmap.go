@@ -3,7 +3,9 @@
 // (logical block → leaf) and H-ORAM's permutation list (logical block
 // → current tier and slot, plus the touched bit that enforces the
 // square-root "each storage block read at most once per period"
-// invariant).
+// invariant). The list is the one record of where a block lives: a
+// storage slot, the memory tree, or — while a shuffle is in flight —
+// an index into the shuffle's trusted pool (TierPool).
 package posmap
 
 import (
@@ -184,12 +186,16 @@ type Tier uint8
 const (
 	TierStorage Tier = iota // flat storage layer, addressed by slot
 	TierMemory              // in-memory Path ORAM tree (or its stash)
+	TierPool                // in-flight shuffle's trusted pool, addressed by index
 )
 
 // String names the tier for reports.
 func (t Tier) String() string {
-	if t == TierStorage {
+	switch t {
+	case TierStorage:
 		return "storage"
+	case TierPool:
+		return "pool"
 	}
 	return "memory"
 }
@@ -198,7 +204,7 @@ func (t Tier) String() string {
 // now and whether its storage slot was already read this period.
 type Entry struct {
 	Tier    Tier
-	Slot    int64 // storage slot when Tier == TierStorage
+	Slot    int64 // storage slot (TierStorage) or pool index (TierPool)
 	Touched bool  // storage slot consumed this access period
 }
 
@@ -290,6 +296,16 @@ func (l *PermutationList) SetMemory(addr int64) error {
 	return nil
 }
 
+// SetPool records that addr now waits at index i of the in-flight
+// shuffle's trusted pool.
+func (l *PermutationList) SetPool(addr int64, i int) error {
+	if err := l.check(addr); err != nil {
+		return err
+	}
+	l.entries[addr] = Entry{Tier: TierPool, Slot: int64(i)}
+	return nil
+}
+
 // SetStorage records that addr lives in storage at slot, with the
 // touched bit cleared.
 func (l *PermutationList) SetStorage(addr, slot int64) error {
@@ -310,7 +326,7 @@ func (l *PermutationList) MarkTouched(addr int64) error {
 	}
 	e := &l.entries[addr]
 	if e.Tier != TierStorage {
-		return fmt.Errorf("posmap: MarkTouched(%d): block is in memory", addr)
+		return fmt.Errorf("posmap: MarkTouched(%d): block is in %v", addr, e.Tier)
 	}
 	if e.Touched {
 		return fmt.Errorf("posmap: MarkTouched(%d): slot %d already read this period (square-root invariant violated)", addr, e.Slot)

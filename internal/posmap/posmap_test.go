@@ -136,7 +136,7 @@ func TestRemapAllAndClear(t *testing.T) {
 }
 
 func TestTierString(t *testing.T) {
-	if TierStorage.String() != "storage" || TierMemory.String() != "memory" {
+	if TierStorage.String() != "storage" || TierMemory.String() != "memory" || TierPool.String() != "pool" {
 		t.Fatal("Tier.String() wrong")
 	}
 }
@@ -197,6 +197,16 @@ func TestSetMemoryAndStorage(t *testing.T) {
 	if l.InMemoryCount() != 1 {
 		t.Fatalf("InMemoryCount() = %d, want 1", l.InMemoryCount())
 	}
+	if err := l.SetPool(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	e, _ = l.Lookup(2)
+	if e.Tier != TierPool || e.Slot != 5 {
+		t.Fatalf("Lookup(2) = %+v after SetPool(2, 5)", e)
+	}
+	if err := l.MarkTouched(2); err == nil {
+		t.Fatal("MarkTouched on a pool block passed")
+	}
 	if err := l.SetStorage(2, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +248,9 @@ func TestPermutationListBounds(t *testing.T) {
 	}
 	if err := l.SetStorage(5, 0); err == nil {
 		t.Error("SetStorage(5) passed")
+	}
+	if err := l.SetPool(4, 0); err == nil {
+		t.Error("SetPool(4) passed")
 	}
 	if err := l.MarkTouched(-2); err == nil {
 		t.Error("MarkTouched(-2) passed")

@@ -25,7 +25,6 @@ import (
 // protocol is unchanged; only the device placement differs.
 type ORAM struct {
 	*pathoram.ORAM
-	tiered    *device.Tiered
 	memLevels int // tree levels resident in memory
 }
 
@@ -68,7 +67,7 @@ func New(cfg pathoram.Config, mem, stor device.Backend, memoryBudget int64) (*OR
 	if err != nil {
 		return nil, err
 	}
-	return &ORAM{ORAM: inner, tiered: tiered, memLevels: memLevels}, nil
+	return &ORAM{ORAM: inner, memLevels: memLevels}, nil
 }
 
 // MemLevels returns how many tree levels (from the root) live in the
@@ -83,6 +82,3 @@ func (o *ORAM) StorageLevels() int { return o.Geometry().Levels + 1 - o.memLevel
 // single access reads (and writes): the per-access I/O cost in bucket
 // units.
 func (o *ORAM) StorageBucketsPerAccess() int { return o.StorageLevels() }
-
-// Tiered exposes the composite device for stats collection.
-func (o *ORAM) Tiered() *device.Tiered { return o.tiered }
