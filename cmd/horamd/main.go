@@ -111,7 +111,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory simulation, nothing survives restart)")
 	checkpoint := flag.Duration("checkpoint", time.Minute, "periodic control-state checkpoint interval with -data-dir (0 disables; a final checkpoint always runs on shutdown)")
 	fsync := flag.Int("fsync", 0, "storage fsync policy with -data-dir: 0 = at shuffle/checkpoint boundaries only, 1 = every write, n = every n-th write")
-	constantTime := flag.Bool("constant-time", false, "harden the block layer's trusted-memory data structures (stash, position map) against co-located timing adversaries: full fixed-order scans, no secret-dependent branches; device traffic is unchanged, CPU cost rises")
+	constantTime := flag.Bool("constant-time", false, "harden the block layer's trusted-memory data structures (stash, leaf tables) against co-located timing adversaries: full fixed-order scans, no secret-dependent branches; device traffic is unchanged, CPU cost rises")
 	kv := flag.Bool("kv", false, "serve the oblivious key-value layer (KGET/KSET/KDEL; raw WRITE is disabled — the block space backs the table)")
 	kvMaxValue := flag.Int("kv-max-value", 4096, "KV value-length cap in bytes; fixes the per-op extent fan-out at ceil(cap/blocksize)")
 	kvSlots := flag.Int("kv-slots", okv.DefaultSlotsPerBucket, "KV slots per hash bucket (two-choice hashing)")

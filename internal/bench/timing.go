@@ -129,12 +129,16 @@ func posmapPair() (pairOps, error) {
 		inner  = 64
 	)
 	rng := blockcipher.NewRNGFromString("bench-timing-posmap")
-	m, err := posmap.NewPositionMap(blocks, nLeaf, rng)
+	m, err := posmap.NewPositionMap(blocks, nLeaf)
 	if err != nil {
 		return pairOps{}, err
 	}
+	for addr := int64(0); addr < blocks; addr++ {
+		if err := m.Set(addr, rng.Int63n(nLeaf)); err != nil {
+			return pairOps{}, err
+		}
+	}
 	m.SetConstantTime(true)
-	m.RemapAll()
 	// Both sides run the identical harness arithmetic (advance an
 	// index, fold the result into a sink); only the looked-up address
 	// differs, so any measured gap comes from the structure itself.

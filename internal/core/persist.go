@@ -7,9 +7,9 @@
 //	DataDir/state.snap    sealed control-state snapshot (SaveSnapshotAt)
 //
 // The storage file is the durable ground truth for storage-resident
-// blocks; state.snap recovers everything else — the permutation list,
-// the memory tree's position map, stash and sealed device image, and
-// the scheduler/miss-budget counters. The master key is NEVER written:
+// blocks; state.snap recovers everything else — the permutation list
+// with its memory-tier leaves, the memory tree's stash and sealed
+// device image, and the scheduler/miss-budget counters. The master key is NEVER written:
 // the sealer, the snapshot sealer and every RNG stream are re-derived
 // from the key the operator supplies at restart.
 //

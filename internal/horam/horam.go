@@ -6,10 +6,11 @@
 // Layout (paper §4.1):
 //
 //   - control layer (trusted): permutation list — the one record of
-//     where each block lives: a storage slot, the memory tree, or,
-//     while a shuffle is in flight, an index into its trusted pool
-//     (posmap.TierPool) — position map (inside the embedded Path
-//     ORAM), request scheduler with its ROB table;
+//     where each block lives: a storage slot, a leaf of the memory
+//     tree (the tree keeps no position map of its own), or, while a
+//     shuffle is in flight, an index into its trusted pool
+//     (posmap.TierPool) — and the request scheduler with its ROB
+//     table;
 //   - memory layer: a Path ORAM tree of n slots (≤ n/2 real blocks)
 //     that starts every period empty and fills with fetched blocks;
 //   - storage layer: N sealed blocks in √N partitions, each block read
@@ -84,19 +85,21 @@ type Config struct {
 	// With r < 1 partitions get 2x slack slots to absorb imbalance.
 	ShuffleRatio float64
 	// ConstantTime hardens the memory tree's trusted-memory control
-	// structures (stash, position map) against a co-located timing
-	// adversary; see pathoram.Config.ConstantTime. Device traffic is
-	// byte-identical to the default mode. This layer is not hardened:
-	// its memory touches still depend on the secret address. cycleInner
-	// indexes the permutation list at each window request's address
-	// (that one load also answers a hit on the in-flight shuffle's
-	// pool), evictTree permutes the evicted pool with an ordinary
-	// Fisher–Yates shuffle, and the partition rewrite calls the
-	// permutation list's SetStorage once per address it places (see
-	// ROADMAP item 18). Nor does a pad cost what a hit costs: a hit
-	// runs pathoram.Access, whose pm.Get and pm.Remap are two masked
-	// position-map scans, while a pad runs DummyAccess, which scans none
-	// (ROADMAP item 20).
+	// structures (stash, eviction) against a co-located timing
+	// adversary, see pathoram.Config.ConstantTime, and makes the
+	// permutation list's leaf reads and writes masked full-length
+	// passes: a hit reads its block's leaf with one pass and writes the
+	// new leaf back with another, and a miss writes its leaf with one.
+	// Device traffic is byte-identical to the default mode. The rest of
+	// this layer is not hardened: its memory touches still depend on
+	// the secret address. cycleInner indexes the permutation list at
+	// each window request's address (that one load also answers a hit
+	// on the in-flight shuffle's pool), evictTree permutes the evicted
+	// pool with an ordinary Fisher–Yates shuffle, and the partition
+	// rewrite calls the permutation list's SetStorage once per address
+	// it places (see ROADMAP item 18). Nor does a pad cost what a hit
+	// costs: a hit runs the list's two masked passes, while a pad runs
+	// DummyAccess, which scans none (ROADMAP item 20).
 	ConstantTime bool
 	// Sealer seals blocks on both tiers; required.
 	Sealer blockcipher.Sealer
@@ -181,7 +184,7 @@ type ORAM struct {
 	clkStor *simclock.Clock // storage-tier private clock
 	acct    *simclock.Accumulator
 
-	mem     *pathoram.ORAM
+	mem     *pathoram.Tree
 	memDev  *device.Sim
 	storDev device.Backend
 
@@ -341,7 +344,7 @@ func construct(cfg Config) (*ORAM, error) {
 		ConstantTime: cfg.ConstantTime,
 		Trusted:      trusted,
 	}
-	o.mem, err = pathoram.New(memCfg, o.memDev)
+	o.mem, err = pathoram.NewTree(memCfg, o.memDev)
 	if err != nil {
 		return nil, err
 	}
@@ -371,6 +374,7 @@ func construct(cfg Config) (*ORAM, error) {
 		o.CloseStorage() // the factory may have opened a real file
 		return nil, err
 	}
+	o.perm.SetConstantTime(cfg.ConstantTime)
 	return o, nil
 }
 

@@ -10,8 +10,9 @@ import (
 )
 
 // memTreeView renders what o's memory tree holds, one line per part:
-// the record address in every occupied device slot, the position map,
-// and the blocks ExportState hands out (the stash's, then the trusted
+// the record address in every occupied device slot, the leaf the
+// permutation list records for every address, and the blocks
+// ExportState hands out (the stash's, then the trusted
 // top's in slot order) with their payloads. Two instances that made the
 // same eviction choices render the same lines.
 func memTreeView(t *testing.T, o *ORAM) []string {
@@ -31,17 +32,22 @@ func memTreeView(t *testing.T, o *ORAM) []string {
 			fmt.Fprintf(&slots, " %d:%d", slot, addr)
 		}
 	}
-	leaves, blocks, real, err := o.mem.ExportState()
-	if err != nil {
-		t.Fatal(err)
+	leaves := make([]int64, o.cfg.Blocks)
+	for a := range leaves {
+		leaf, err := o.perm.Leaf(int64(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves[a] = leaf
 	}
+	blocks, real := o.mem.ExportState()
 	var held bytes.Buffer
 	for _, blk := range blocks {
 		fmt.Fprintf(&held, " %d=%x", blk.Addr, blk.Data)
 	}
 	return []string{
 		"device slot:addr" + slots.String(),
-		fmt.Sprintf("position map %v", leaves),
+		fmt.Sprintf("memory-tier leaves %v", leaves),
 		fmt.Sprintf("real %d, stash and trusted top%s", real, held.String()),
 	}
 }
@@ -55,7 +61,7 @@ func memTreeView(t *testing.T, o *ORAM) []string {
 // RNG. After every batch all three must return the same results, and
 // the two restored twins — whose bus traffic is identical by the CT
 // parity contract — must hold the same tree: the same record in every
-// memory slot, the same position map and the same stash. A restore
+// memory slot, the same memory-tier leaves and the same stash. A restore
 // that left the constant-time slot leaves unset would absorb every
 // restored tree block with no leaf and never evict it, so the first
 // path read after the restore would already split the two trees. (The

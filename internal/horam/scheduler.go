@@ -256,30 +256,44 @@ type hit struct {
 }
 
 // serveHit completes one request against the memory tier; e is the
-// request's permutation-list entry. A block sitting in the in-flight
-// shuffle's trusted pool (TierPool, Slot its pool index) is read or
+// request's permutation-list entry as the window scan loaded it. A
+// block sitting in the in-flight shuffle's trusted pool (TierPool, Slot
+// its pool index, which no hit changes within a cycle) is read or
 // updated directly in trusted memory, with a dummy path access standing
 // in for the tree path a resident hit would have touched — the path of
 // a real hit is uniformly distributed, exactly like DummyAccess's, so
 // the memory-tier bus shape is identical either way.
+//
+// A tree hit reads its block's leaf from the list now, not from e: an
+// earlier hit on the same address in this cycle has remapped the block
+// since the scan, and its old path must not be read twice. The tree
+// returns the block's new leaf, which goes back into the list.
 func (o *ORAM) serveHit(r *Request, e posmap.Entry) error {
 	var result []byte
-	var err error
-	switch {
-	case e.Tier == posmap.TierPool:
+	if e.Tier == posmap.TierPool {
 		b := &o.sm.pool[e.Slot]
 		result = bytes.Clone(b.Data)
 		if r.Op == OpWrite {
 			copy(b.Data, r.Data)
 		}
-		err = o.mem.DummyAccess()
-	case r.Op == OpWrite:
-		result, err = o.mem.Access(pathoram.OpWrite, r.Addr, r.Data)
-	default:
-		result, err = o.mem.Access(pathoram.OpRead, r.Addr, nil)
-	}
-	if err != nil {
-		return err
+		if err := o.mem.DummyAccess(); err != nil {
+			return err
+		}
+	} else {
+		leaf, err := o.perm.Leaf(r.Addr)
+		if err != nil {
+			return err
+		}
+		op := pathoram.OpRead
+		if r.Op == OpWrite {
+			op = pathoram.OpWrite
+		}
+		if result, leaf, err = o.mem.Access(op, r.Addr, leaf, r.Data); err != nil {
+			return err
+		}
+		if err := o.perm.SetMemory(r.Addr, leaf); err != nil {
+			return err
+		}
 	}
 	r.Result = result
 	r.done = true

@@ -10,7 +10,8 @@ import (
 )
 
 // CaptureSnapshot serialises the control state a restart must recover:
-// the permutation list, the memory tree's position map and stash, the
+// the permutation list — its memory-tier leaves saved as the snapshot's
+// leaf column — the memory tree's stash, the
 // sealed memory-tree device image (the memory tier is volatile DRAM;
 // the storage tier is durable in its own backing file and is NOT
 // captured), and the scheduler/miss-budget counters. The instance must
@@ -39,10 +40,7 @@ func (o *ORAM) CaptureSnapshot() (*snapshot.Shard, error) {
 	if err := o.FinishShuffle(); err != nil {
 		return nil, err
 	}
-	leaves, stashBlocks, real, err := o.mem.ExportState()
-	if err != nil {
-		return nil, err
-	}
+	stashBlocks, real := o.mem.ExportState()
 	s := &snapshot.Shard{
 		Blocks:     o.cfg.Blocks,
 		BlockSize:  o.cfg.BlockSize,
@@ -67,17 +65,21 @@ func (o *ORAM) CaptureSnapshot() (*snapshot.Shard, error) {
 			ShuffleQuanta: o.stats.ShuffleQuanta,
 			MaxCycleNanos: int64(o.stats.MaxCycleTime),
 		},
-		Leaves:    leaves,
 		RealCount: real,
 	}
 	entries := o.perm.Export()
 	s.PermTier = make([]uint8, len(entries))
 	s.PermSlot = make([]int64, len(entries))
 	s.PermTouched = make([]bool, len(entries))
+	s.Leaves = make([]int64, len(entries))
 	for i, e := range entries {
 		s.PermTier[i] = uint8(e.Tier)
 		s.PermSlot[i] = e.Slot
 		s.PermTouched[i] = e.Touched
+		s.Leaves[i] = posmap.NoLeaf
+		if e.Tier == posmap.TierMemory {
+			s.PermSlot[i], s.Leaves[i] = 0, e.Slot
+		}
 	}
 	for _, b := range stashBlocks {
 		s.StashAddrs = append(s.StashAddrs, b.Addr)
@@ -153,17 +155,26 @@ func (o *ORAM) checkGeometry(s *snapshot.Shard) error {
 }
 
 // install writes the snapshot's state into a freshly built skeleton.
+// A memory-tier entry takes its leaf from the leaf column; an entry
+// whose tier and leaf disagree — a memory-tier block with no tree leaf,
+// a storage-tier block with one — is refused here, before the first
+// access to it fails on the wrong path.
 func (o *ORAM) install(s *snapshot.Shard) error {
+	nLeaf := o.mem.Geometry().Leaves()
 	entries := make([]posmap.Entry, len(s.PermTier))
 	for i := range entries {
-		if s.PermTier[i] > uint8(posmap.TierMemory) {
+		tier, slot, leaf := posmap.Tier(s.PermTier[i]), s.PermSlot[i], s.Leaves[i]
+		switch {
+		case tier > posmap.TierMemory:
 			return fmt.Errorf("horam: restore: address %d has invalid tier %d", i, s.PermTier[i])
+		case tier == posmap.TierMemory && (leaf < 0 || leaf >= nLeaf):
+			return fmt.Errorf("horam: restore: memory-tier address %d has leaf %d, not one of [0,%d)", i, leaf, nLeaf)
+		case tier == posmap.TierStorage && leaf != posmap.NoLeaf:
+			return fmt.Errorf("horam: restore: storage-tier address %d has leaf %d", i, leaf)
+		case tier == posmap.TierMemory:
+			slot = leaf
 		}
-		entries[i] = posmap.Entry{
-			Tier:    posmap.Tier(s.PermTier[i]),
-			Slot:    s.PermSlot[i],
-			Touched: s.PermTouched[i],
-		}
+		entries[i] = posmap.Entry{Tier: tier, Slot: slot, Touched: s.PermTouched[i]}
 	}
 	if err := o.perm.Import(entries); err != nil {
 		return err
@@ -180,7 +191,7 @@ func (o *ORAM) install(s *snapshot.Shard) error {
 	for i := range blocks {
 		blocks[i] = stash.Block{Addr: s.StashAddrs[i], Data: s.StashData[i]}
 	}
-	if err := o.mem.ImportState(s.Leaves, blocks, s.RealCount); err != nil {
+	if err := o.mem.ImportState(o.perm.Leaf, blocks, s.RealCount); err != nil {
 		return err
 	}
 	o.missCount = s.MissCount

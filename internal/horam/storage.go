@@ -57,8 +57,9 @@ func (o *ORAM) initStorage() error {
 }
 
 // fetchBlock services a load: one storage read of the block's permuted
-// slot, delivery into the memory tree's stash, residency update, and
-// the square-root touched-bit bookkeeping. Exactly one I/O read; no
+// slot, delivery into the memory tree's stash, residency update (the
+// list records the leaf the tree drew), and the square-root touched-bit
+// bookkeeping. Exactly one I/O read; no
 // storage write (the slot simply goes stale until the next shuffle).
 // When r is the request that missed, the load also completes it, as a
 // partition-ORAM read is answered from the block its storage read
@@ -91,10 +92,11 @@ func (o *ORAM) fetchBlock(addr int64, r *Request) error {
 	if r != nil && r.Op == OpWrite {
 		stashed = r.Data
 	}
-	if err := o.mem.Insert(addr, stashed); err != nil {
+	leaf, err := o.mem.Insert(addr, posmap.NoLeaf, stashed)
+	if err != nil {
 		return err
 	}
-	if err := o.perm.SetMemory(addr); err != nil {
+	if err := o.perm.SetMemory(addr, leaf); err != nil {
 		return err
 	}
 	o.missCount++

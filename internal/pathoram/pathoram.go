@@ -11,6 +11,15 @@
 // keep the top levels in the controller instead (tree-top caching):
 // their T slots hold plaintext records that never reach the device,
 // and tree slot s ≥ T is device slot s − T.
+//
+// Two types share the tree. Tree keeps no position map: its callers
+// hand each access the block's current leaf and record the new leaf it
+// returns, and inside it every block carries its leaf — in its stash
+// entry, or in the slot-leaf table while it sits in a tree slot — so
+// eviction never reads a map. H-ORAM's memory tier is a Tree whose
+// leaves live in the permutation list. ORAM is the standalone Path
+// ORAM: a Tree plus the paper's non-recursive position map, used by
+// the baselines and tree-top caching.
 package pathoram
 
 import (
@@ -50,7 +59,7 @@ type Config struct {
 	Capacity int64
 	// Sealer encrypts slots; required.
 	Sealer blockcipher.Sealer
-	// RNG drives leaf assignment and must be dedicated to this ORAM.
+	// RNG drives leaf assignment and must be dedicated to this tree.
 	RNG *blockcipher.RNG
 	// StashLimit bounds the stash (0 = unbounded; experiments measure
 	// the peak instead of failing). Under ConstantTime it is also the
@@ -59,11 +68,12 @@ type Config struct {
 	// ConstantTime hardens the controller's trusted-memory work
 	// against a co-located timing adversary: the stash becomes a fixed
 	// payload pool under a dense entry array, both scanned full-length
-	// in fixed order on every operation, the position map switches to
-	// scan lookups, and eviction selects blocks with branchless masks
-	// instead of early-exit loops. Device traffic (slots, order, sealed bytes and
-	// the RNG streams behind them) is byte-identical to the default
-	// mode; only in-memory computation changes.
+	// in fixed order on every operation, the standalone ORAM's position
+	// map switches to scan lookups, and eviction selects blocks with
+	// branchless masks instead of early-exit loops. Device traffic
+	// (slots, order, sealed bytes and the RNG streams behind them) is
+	// byte-identical to the default mode; only in-memory computation
+	// changes.
 	ConstantTime bool
 	// Trusted is the number of top tree levels kept inside the
 	// controller as plaintext records instead of on the device — the
@@ -111,20 +121,28 @@ type Stats struct {
 	Inserts      int64 // blocks injected directly into the stash
 }
 
-// ORAM is a device-backed Path ORAM. Not safe for concurrent use.
-type ORAM struct {
+// Tree is a device-backed Path ORAM tree without a position map: the
+// caller keeps each block's leaf and passes it in. Not safe for
+// concurrent use.
+type Tree struct {
 	cfg   Config
 	geom  oramtree.Geometry
 	dev   device.Backend
-	pm    *posmap.PositionMap // the paper's "naive setting, no recursive"
 	stash stash.Store
 	real  int64 // blocks currently held (tree + stash)
 	stats Stats
+	// leafRNG draws every remap leaf. It is forked as "posmap" because
+	// the position map drew them when the tree kept one, and the fork
+	// name and point fix the stream.
+	leafRNG *blockcipher.RNG
 
-	// Constant-time mode state: the concrete stash (the scan-based
-	// entry points live on the concrete type), each tree slot's leaf,
-	// and the fixed-length eviction scratch.
-	ct         *stash.CT
+	// The concrete stash: ms in default mode, ct under ConstantTime
+	// (the scan-based entry points live on the concrete type). Either
+	// way each stash entry carries its block's leaf.
+	ms *stash.Stash
+	ct *stash.CT
+
+	// Constant-time eviction scratch, fixed-length.
 	ctAddrs    []int64 // full stash snapshot (Empty sentinels included)
 	ctLeaves   []int64 // leaf carried by each snapshot slot
 	ctSlots    []int   // pool slot of each snapshot slot's payload
@@ -134,22 +152,23 @@ type ORAM struct {
 	// The leaf of the block in each tree slot (trusted top included),
 	// stash.NoLeaf for a dummy: written when a path is written back,
 	// read when it is absorbed, so a block's leaf travels with it and
-	// eviction never consults the position map. Indexed by the public
-	// tree slot; the values are as secret as the position map's.
+	// eviction never consults a position map. Indexed by the public
+	// tree slot; the values are as secret as a position map's.
 	//
 	//horam:secret
 	slotLeaf []int64
 
 	// Steady-state scratch: one path's worth of slots, sealed records
 	// and plaintexts, allocated once so accesses allocate nothing.
-	codec      *record.Codec // record format, dummy plaintext, seal pool
-	pathSlots  []int64       // slot vector of the in-flight path or chunk
-	pathSealed [][]byte      // sealed-record slab views
-	pathPt     [][]byte      // plaintext slab views (read phase / encodes)
-	sealSrc    [][]byte      // seal-batch inputs (pathPt entries or dummyPt)
-	taken      [][]byte      // stash payloads consumed by the current writePath
-	free       [][]byte      // recycled payload buffers for stash handoff
-	evictAddrs []int64       // sorted stash snapshot for one writePath
+	codec       *record.Codec // record format, dummy plaintext, seal pool
+	pathSlots   []int64       // slot vector of the in-flight path or chunk
+	pathSealed  [][]byte      // sealed-record slab views
+	pathPt      [][]byte      // plaintext slab views (read phase / encodes)
+	sealSrc     [][]byte      // seal-batch inputs (pathPt entries or dummyPt)
+	taken       [][]byte      // stash payloads consumed by the current writePath
+	free        [][]byte      // recycled payload buffers for stash handoff
+	evictAddrs  []int64       // sorted stash snapshot for one writePath
+	evictLeaves []int64       // the leaf each evictAddrs block carries
 
 	// Trusted top (Config.Trusted levels): tree slots [0, top) are the
 	// plaintext records in topPt, and pathSlots holds device slots
@@ -162,12 +181,12 @@ type ORAM struct {
 	topPt   [][]byte
 }
 
-// New builds a Path ORAM over dev and fills the tree with sealed
+// NewTree builds a Path ORAM tree over dev and fills it with sealed
 // dummies. The device must have at least the geometry's slot count
 // less the trusted top's, with SlotSize matching cfg.SlotSize().
 // Initialisation uses the device's raw path (it is setup, not
 // measured work).
-func New(cfg Config, dev device.Backend) (*ORAM, error) {
+func NewTree(cfg Config, dev device.Backend) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -192,14 +211,16 @@ func New(cfg Config, dev device.Backend) (*ORAM, error) {
 	if dev.Slots() < geom.Slots()-top {
 		return nil, fmt.Errorf("pathoram: device has %d slots, tree needs %d", dev.Slots(), geom.Slots()-top)
 	}
-	pm, err := posmap.NewPositionMap(cfg.Blocks, geom.Leaves(), cfg.RNG.Fork("posmap"))
-	if err != nil {
-		return nil, err
+	o := &Tree{
+		cfg:     cfg,
+		geom:    geom,
+		dev:     dev,
+		leafRNG: cfg.RNG.Fork("posmap"),
+		codec:   record.New(cfg.Sealer, cfg.BlockSize),
+		top:     top,
+		topPath: cfg.Trusted * cfg.Z,
 	}
-	var st stash.Store
-	var ct *stash.CT
 	if cfg.ConstantTime {
-		pm.SetConstantTime(true)
 		// The fixed scan length: the stash holds at most one copy per
 		// address and never more than the tree's slots, so with no
 		// explicit limit min(slots, Blocks) real blocks is a safe
@@ -211,32 +232,19 @@ func New(cfg Config, dev device.Backend) (*ORAM, error) {
 		if ctCap == 0 {
 			ctCap = int(min(geom.Slots(), cfg.Blocks))
 		}
-		ct = stash.NewConstantTime(ctCap, cfg.BlockSize)
-		st = ct
-	} else {
-		st = stash.New(cfg.StashLimit)
-	}
-	o := &ORAM{
-		cfg:     cfg,
-		geom:    geom,
-		dev:     dev,
-		pm:      pm,
-		stash:   st,
-		ct:      ct,
-		codec:   record.New(cfg.Sealer, cfg.BlockSize),
-		top:     top,
-		topPath: cfg.Trusted * cfg.Z,
-	}
-	if ct != nil {
-		ctCap := ct.Capacity()
+		o.ct = stash.NewConstantTime(ctCap, cfg.BlockSize)
+		o.stash = o.ct
 		o.ctAddrs = make([]int64, 0, ctCap)
 		o.ctLeaves = make([]int64, 0, ctCap)
 		o.ctSlots = make([]int, 0, ctCap)
 		o.ctConsumed = make([]int, ctCap)
 		o.ctElig = make([]int, ctCap)
 		o.ctRanks = make([]int, ctCap)
-		o.slotLeaf = make([]int64, geom.Slots())
+	} else {
+		o.ms = stash.New(cfg.StashLimit)
+		o.stash = o.ms
 	}
+	o.slotLeaf = make([]int64, geom.Slots())
 	pathLen := (geom.Levels + 1) * cfg.Z
 	o.pathSlots = make([]int64, pathLen)
 	o.pathSealed = record.Slab(pathLen, o.codec.SlotSize())
@@ -254,7 +262,7 @@ func New(cfg Config, dev device.Backend) (*ORAM, error) {
 // recycled buffer when one is free. Buffers handed to callers are
 // never recycled; only payloads sealed back into the tree return to
 // the free list.
-func (o *ORAM) newPayload(src []byte) []byte {
+func (o *Tree) newPayload(src []byte) []byte {
 	var buf []byte
 	if n := len(o.free); n > 0 {
 		buf = o.free[n-1]
@@ -266,23 +274,23 @@ func (o *ORAM) newPayload(src []byte) []byte {
 	return buf
 }
 
-// stashPut puts addr's block, mapped to leaf, into the stash. The map
-// stash keeps the buffer it is given, so it gets an owned copy, and no
-// leaf (default eviction asks the position map); the constant-time
-// stash copies data into its own payload pool, its entry carrying
-// leaf, so data goes to it as is and no throwaway buffer is made.
-func (o *ORAM) stashPut(addr, leaf int64, data []byte) error {
+// stashPut puts addr's block, mapped to leaf, into the stash; either
+// stash's entry carries the leaf. The map stash keeps the buffer it is
+// given, so it gets an owned copy; the constant-time stash copies data
+// into its own payload pool, so data goes to it as is and no throwaway
+// buffer is made.
+func (o *Tree) stashPut(addr, leaf int64, data []byte) error {
 	if o.ct != nil {
 		return o.ct.PutMasked(1, addr, leaf, data)
 	}
-	return o.stash.Put(addr, o.newPayload(data))
+	return o.ms.PutLeaf(addr, leaf, o.newPayload(data))
 }
 
 // clearTree puts a dummy into every slot of the tree: the trusted top
 // takes the dummy plaintext, and the device slots are batch-sealed one
 // path-sized chunk at a time through the worker pool (the chunked
 // order keeps the nonce stream identical to a serial slot loop).
-func (o *ORAM) clearTree() error {
+func (o *Tree) clearTree() error {
 	for _, pt := range o.topPt {
 		copy(pt, o.codec.DummyPt())
 	}
@@ -312,12 +320,12 @@ func (o *ORAM) clearTree() error {
 }
 
 // devSlots returns how many tree slots live on the device.
-func (o *ORAM) devSlots() int64 { return o.geom.Slots() - o.top }
+func (o *Tree) devSlots() int64 { return o.geom.Slots() - o.top }
 
 // stashReal puts every real record among the plaintexts pts into the
-// stash, with no leaf: DrainAll, the one caller under ConstantTime,
-// drains the stash straight after.
-func (o *ORAM) stashReal(pts [][]byte) error {
+// stash, with no leaf: DrainAll, the one caller, drains the stash
+// straight after.
+func (o *Tree) stashReal(pts [][]byte) error {
 	for _, pt := range pts {
 		addr, payload := o.codec.Decode(pt)
 		if addr == record.DummyAddr {
@@ -331,28 +339,37 @@ func (o *ORAM) stashReal(pts [][]byte) error {
 }
 
 // Geometry returns the tree geometry.
-func (o *ORAM) Geometry() oramtree.Geometry { return o.geom }
+func (o *Tree) Geometry() oramtree.Geometry { return o.geom }
 
 // Stats returns ORAM-level counters.
-func (o *ORAM) Stats() Stats { return o.stats }
+func (o *Tree) Stats() Stats { return o.stats }
 
 // StashLen returns the current stash occupancy.
-func (o *ORAM) StashLen() int { return o.stash.Len() }
+func (o *Tree) StashLen() int { return o.stash.Len() }
 
 // StashPeak returns the peak stash occupancy observed.
-func (o *ORAM) StashPeak() int { return o.stash.Peak() }
+func (o *Tree) StashPeak() int { return o.stash.Peak() }
 
 // RealCount returns the number of real blocks currently held.
-func (o *ORAM) RealCount() int64 { return o.real }
+func (o *Tree) RealCount() int64 { return o.real }
 
 // Capacity returns the maximum number of real blocks this instance is
 // meant to hold (half the tree's slots, the paper's 50% utilisation
 // bound).
-func (o *ORAM) Capacity() int64 { return o.geom.Slots() / 2 }
+func (o *Tree) Capacity() int64 { return o.geom.Slots() / 2 }
 
-func (o *ORAM) checkAddr(addr int64) error {
+func (o *Tree) checkAddr(addr int64) error {
 	if addr < 0 || addr >= o.cfg.Blocks {
 		return fmt.Errorf("pathoram: address %d out of range [0,%d)", addr, o.cfg.Blocks)
+	}
+	return nil
+}
+
+// checkLeaf refuses a leaf that is neither NoLeaf nor one of the
+// tree's.
+func (o *Tree) checkLeaf(addr, leaf int64) error {
+	if leaf != stash.NoLeaf && (leaf < 0 || leaf >= o.geom.Leaves()) {
+		return fmt.Errorf("pathoram: block %d leaf %d out of range [0,%d)", addr, leaf, o.geom.Leaves())
 	}
 	return nil
 }
@@ -363,7 +380,7 @@ func (o *ORAM) checkAddr(addr int64) error {
 // per slot in the classic order), one batch open fans the crypto
 // across the worker pool, and the real blocks are copied into
 // stash-owned buffers.
-func (o *ORAM) readPath(leaf int64) error {
+func (o *Tree) readPath(leaf int64) error {
 	n := 0
 	for _, bucket := range o.geom.Path(leaf) {
 		base := o.geom.SlotBase(bucket) - o.top
@@ -383,22 +400,25 @@ func (o *ORAM) readPath(leaf int64) error {
 	if err := o.codec.OpenRun(o.pathPt[h:n], o.pathSealed[h:n]); err != nil {
 		return fmt.Errorf("pathoram: path to leaf %d: %w", leaf, err)
 	}
-	if o.ct != nil {
-		// Constant-time absorption: every slot of the path runs the
-		// same masked Put, so which of them carried real blocks never
-		// shows in the touch sequence. Each block takes along the leaf
-		// its slot carries.
-		for i := 0; i < n; i++ {
-			addr, payload := o.codec.Decode(o.pathPt[i])
+	// Each block takes along the leaf its slot carries. Under
+	// ConstantTime every slot of the path runs the same masked Put, so
+	// which of them carried real blocks never shows in the touch
+	// sequence.
+	for i := 0; i < n; i++ {
+		addr, payload := o.codec.Decode(o.pathPt[i])
+		leaf := o.slotLeaf[o.pathSlots[i]+o.top]
+		if o.ct != nil {
 			real := ctops.Eq64(addr, record.DummyAddr) ^ 1
-			leaf := o.slotLeaf[o.pathSlots[i]+o.top]
 			if err := o.ct.PutMasked(real, addr, leaf, payload); err != nil {
 				return err
 			}
+		} else if addr != record.DummyAddr {
+			if err := o.stashPut(addr, leaf, payload); err != nil {
+				return err
+			}
 		}
-		return nil
 	}
-	return o.stashReal(o.pathPt[:n])
+	return nil
 }
 
 // writePath evicts stash blocks back onto the path to leaf, deepest
@@ -410,11 +430,13 @@ func (o *ORAM) readPath(leaf int64) error {
 // Stash buffers consumed here are dead after flushPath and return to
 // the free list.
 //
-// The stash is snapshotted once per path: eviction only removes
-// entries, so one sorted address list with consumed entries marked
-// yields the same per-level candidates, in the same ascending order,
-// as re-enumerating the stash at every level.
-func (o *ORAM) writePath(leaf int64) error {
+// The stash is snapshotted once per path, each address with the leaf
+// its entry carries: eviction only removes entries, so one sorted
+// address list with consumed entries marked yields the same per-level
+// candidates, in the same ascending order, as re-enumerating the stash
+// at every level. Each written slot's leaf goes into slotLeaf for the
+// read that absorbs it again.
+func (o *Tree) writePath(leaf int64) error {
 	if o.ct != nil {
 		return o.ctWritePath(leaf)
 	}
@@ -422,8 +444,10 @@ func (o *ORAM) writePath(leaf int64) error {
 	n := 0
 	src := o.sealSrc[:0]
 	taken := o.taken[:0]
-	addrs := o.stash.AppendAddrs(o.evictAddrs[:0])
+	addrs := o.ms.AppendAddrs(o.evictAddrs[:0])
 	o.evictAddrs = addrs[:0]
+	leaves := o.ms.AppendLeaves(o.evictLeaves[:0], addrs)
+	o.evictLeaves = leaves[:0]
 	for level := o.geom.Levels; level >= 0; level-- {
 		base := o.geom.SlotBase(path[level]) - o.top
 		placed := 0
@@ -434,28 +458,23 @@ func (o *ORAM) writePath(leaf int64) error {
 			if addr == record.DummyAddr {
 				continue // already evicted at a deeper level
 			}
-			blockLeaf, err := o.pm.Get(addr)
-			if err != nil {
-				return err
-			}
-			if blockLeaf == posmap.NoLeaf {
+			if leaves[i] == stash.NoLeaf || o.geom.CommonLevel(leaves[i], leaf) < level {
 				continue
 			}
-			if o.geom.CommonLevel(blockLeaf, leaf) < level {
-				continue
-			}
-			payload, _ := o.stash.Take(addr)
+			payload, _ := o.ms.Take(addr)
 			addrs[i] = record.DummyAddr
 			o.codec.Encode(o.pathPt[n], addr, payload)
 			taken = append(taken, payload)
 			src = append(src, o.pathPt[n])
 			o.pathSlots[n] = base + int64(placed)
+			o.slotLeaf[o.pathSlots[n]+o.top] = leaves[i]
 			n++
 			placed++
 		}
 		for ; placed < o.cfg.Z; placed++ {
 			src = append(src, o.codec.DummyPt())
 			o.pathSlots[n] = base + int64(placed)
+			o.slotLeaf[o.pathSlots[n]+o.top] = stash.NoLeaf
 			n++
 		}
 		o.stats.BucketWrites++
@@ -478,7 +497,7 @@ func (o *ORAM) writePath(leaf int64) error {
 // the same order. Every bound and index is fixed by the public leaf.
 //
 //horam:constant-time
-func (o *ORAM) flushPath(src [][]byte, n int) error {
+func (o *Tree) flushPath(src [][]byte, n int) error {
 	d := n - o.topPath
 	for i := d; i < n; i++ {
 		copy(o.topPt[o.pathSlots[i]+o.top], src[i])
@@ -510,7 +529,7 @@ func ctCommonLevel(levels int, a, b int64) int {
 //
 // One snapshot of the stash's addresses, of the leaves they carry and
 // of their pool slots serves the whole path, mirroring the default
-// path's single sorted snapshot; the position map is never consulted.
+// path's single sorted snapshot.
 // Each output slot's pool slot is picked with the same masked selects
 // as its address, and its payload gathered in one masked pass over the
 // stash's pool. Consumed slots are marked in a mask and removed from
@@ -523,7 +542,7 @@ func ctCommonLevel(levels int, a, b int64) int {
 //
 //horam:constant-time
 //horam:secret addrs leaves slots
-func (o *ORAM) ctWritePath(leaf int64) error {
+func (o *Tree) ctWritePath(leaf int64) error {
 	capn := o.ct.Capacity()
 	addrs := o.ct.SnapshotAddrs(o.ctAddrs[:0])
 	o.ctAddrs = addrs[:0]
@@ -586,31 +605,35 @@ func (o *ORAM) ctWritePath(leaf int64) error {
 	return o.flushPath(src, n)
 }
 
-// Access performs one Path ORAM operation. For OpRead, data is ignored
-// and the block's current contents (zeros if never written) are
-// returned. For OpWrite, data is stored and the previous contents are
-// returned. Either way the same path-read, remap, path-write sequence
-// executes, so reads and writes are indistinguishable on the bus.
-func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
+// Access performs one Path ORAM operation on the block at addr, which
+// the caller has mapped to leaf — posmap.NoLeaf when the tree does not
+// hold the block. For OpRead, data is ignored and the block's current
+// contents (zeros if never written) are returned. For OpWrite, data is
+// stored and the previous contents are returned. Either way the same
+// path-read, remap, path-write sequence executes, so reads and writes
+// are indistinguishable on the bus. The second result is the block's
+// new leaf, which the caller records in place of leaf: a fresh uniform
+// draw, or NoLeaf when a read of a block the tree does not hold leaves
+// it unheld.
+func (o *Tree) Access(op Op, addr, leaf int64, data []byte) ([]byte, int64, error) {
 	if err := o.checkAddr(addr); err != nil {
-		return nil, err
+		return nil, stash.NoLeaf, err
 	}
 	if op == OpWrite && len(data) != o.cfg.BlockSize {
-		return nil, fmt.Errorf("pathoram: write payload %d bytes, want %d", len(data), o.cfg.BlockSize)
+		return nil, stash.NoLeaf, fmt.Errorf("pathoram: write payload %d bytes, want %d", len(data), o.cfg.BlockSize)
+	}
+	if err := o.checkLeaf(addr, leaf); err != nil {
+		return nil, stash.NoLeaf, err
 	}
 
-	leaf, err := o.pm.Get(addr)
-	if err != nil {
-		return nil, err
-	}
-	fresh := leaf == posmap.NoLeaf
+	fresh := leaf == stash.NoLeaf
 	if fresh {
 		// Unmapped block: still read a uniformly random path so the
 		// bus pattern never reveals first-touch.
 		leaf = o.cfg.RNG.Int63n(o.geom.Leaves())
 	}
 	if err := o.readPath(leaf); err != nil {
-		return nil, err
+		return nil, stash.NoLeaf, err
 	}
 
 	current, inStash := o.stash.Take(addr)
@@ -618,59 +641,43 @@ func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
 		current = make([]byte, o.cfg.BlockSize)
 		if !fresh {
 			// Mapped but absent: corruption (or stash overflow loss).
-			return nil, fmt.Errorf("pathoram: block %d mapped to leaf %d but not found on path", addr, leaf)
+			return nil, stash.NoLeaf, fmt.Errorf("pathoram: block %d mapped to leaf %d but not found on path", addr, leaf)
 		}
-	}
-	if fresh && op == OpWrite {
-		o.real++
 	}
 
-	// Remap to a fresh uniform leaf before write-back.
-	newLeaf, err := o.pm.Remap(addr)
-	if err != nil {
-		return nil, err
-	}
-
-	stored := current
-	if op == OpWrite {
-		stored = data
-	} else if fresh {
-		// A read of a never-written block does not allocate state.
-		if err := o.pm.Set(addr, posmap.NoLeaf); err != nil {
-			return nil, err
+	// Remap to a fresh uniform leaf before write-back. A read of a
+	// never-written block draws one too, so the leaf stream does not
+	// depend on it, but allocates no state.
+	newLeaf := o.leafRNG.Int63n(o.geom.Leaves())
+	switch {
+	case op == OpWrite:
+		if fresh {
+			o.real++
 		}
-		if err := o.writePath(leaf); err != nil {
-			return nil, err
+		// stashPut copies data, so the stash copy is distinct from the
+		// caller's buffer: stash payloads are recycled once sealed back
+		// into the tree, caller buffers never are.
+		if err := o.stashPut(addr, newLeaf, data); err != nil {
+			return nil, stash.NoLeaf, err
 		}
-		o.stats.Accesses++
-		return current, nil
-	}
-	// stashPut copies stored, so the stash copy is distinct from the
-	// buffer handed to the caller: stash payloads are recycled once
-	// sealed back into the tree, caller buffers never are.
-	if err := o.stashPut(addr, newLeaf, stored); err != nil {
-		return nil, err
+	case fresh:
+		newLeaf = stash.NoLeaf
+	default:
+		if err := o.stashPut(addr, newLeaf, current); err != nil {
+			return nil, stash.NoLeaf, err
+		}
 	}
 	if err := o.writePath(leaf); err != nil {
-		return nil, err
+		return nil, stash.NoLeaf, err
 	}
 	o.stats.Accesses++
-	return current, nil
-}
-
-// Read fetches the block at addr.
-func (o *ORAM) Read(addr int64) ([]byte, error) { return o.Access(OpRead, addr, nil) }
-
-// Write stores data at addr.
-func (o *ORAM) Write(addr int64, data []byte) error {
-	_, err := o.Access(OpWrite, addr, data)
-	return err
+	return current, newLeaf, nil
 }
 
 // DummyAccess reads and rewrites one uniformly random path without
 // touching any logical block — the padding operation H-ORAM's
 // scheduler issues when a group cannot be filled with real requests.
-func (o *ORAM) DummyAccess() error {
+func (o *Tree) DummyAccess() error {
 	leaf := o.cfg.RNG.Int63n(o.geom.Leaves())
 	if err := o.readPath(leaf); err != nil {
 		return err
@@ -682,65 +689,48 @@ func (o *ORAM) DummyAccess() error {
 	return nil
 }
 
-// Insert places a block directly into the stash with a fresh random
-// leaf, without a path access. H-ORAM uses this when the storage-layer
-// I/O delivers a missed block into the memory tree's stash (§4.1); the
-// block migrates into the tree on subsequent write-backs.
+// Insert places the block at addr, which the caller has mapped to leaf
+// (posmap.NoLeaf when the tree does not hold it), directly into the
+// stash with a fresh random leaf, without a path access, and returns
+// the new leaf. H-ORAM uses this when the storage-layer I/O delivers a
+// missed block into the memory tree's stash (§4.1); the block migrates
+// into the tree on subsequent write-backs.
 //
-// The address must not already be resident in the tree (H-ORAM's
+// A block held on a path (mapped, and not in the stash) is refused:
+// inserting over it would leave a stale copy behind. H-ORAM's
 // permutation list guarantees a block is fetched from storage at most
-// once per period): inserting over a tree-resident block would leave a
-// stale copy behind, so it is rejected. Re-inserting while the block
-// is still in the stash simply replaces the stash copy.
-func (o *ORAM) Insert(addr int64, data []byte) error {
+// once per period. Re-inserting while the block is still in the stash
+// simply replaces the stash copy.
+func (o *Tree) Insert(addr, leaf int64, data []byte) (int64, error) {
 	if err := o.checkAddr(addr); err != nil {
-		return err
+		return stash.NoLeaf, err
 	}
 	if len(data) != o.cfg.BlockSize {
-		return fmt.Errorf("pathoram: insert payload %d bytes, want %d", len(data), o.cfg.BlockSize)
+		return stash.NoLeaf, fmt.Errorf("pathoram: insert payload %d bytes, want %d", len(data), o.cfg.BlockSize)
 	}
-	existing, err := o.pm.Get(addr)
-	if err != nil {
-		return err
+	if err := o.checkLeaf(addr, leaf); err != nil {
+		return stash.NoLeaf, err
 	}
-	if existing != posmap.NoLeaf && !o.stash.Has(addr) {
-		return fmt.Errorf("pathoram: Insert(%d): block already resident in the tree; use Write", addr)
+	if leaf != stash.NoLeaf && !o.stash.Has(addr) {
+		return stash.NoLeaf, fmt.Errorf("pathoram: Insert(%d): block already resident in the tree; use Write", addr)
 	}
-	if existing == posmap.NoLeaf {
+	if leaf == stash.NoLeaf {
 		o.real++
 	}
-	leaf, err := o.pm.Remap(addr)
-	if err != nil {
-		return err
-	}
-	if err := o.stashPut(addr, leaf, data); err != nil {
-		return err
+	newLeaf := o.leafRNG.Int63n(o.geom.Leaves())
+	if err := o.stashPut(addr, newLeaf, data); err != nil {
+		return stash.NoLeaf, err
 	}
 	o.stats.Inserts++
-	return nil
-}
-
-// Has reports whether addr currently holds a real block.
-func (o *ORAM) Has(addr int64) (bool, error) {
-	if err := o.checkAddr(addr); err != nil {
-		return false, err
-	}
-	if o.stash.Has(addr) {
-		return true, nil
-	}
-	leaf, err := o.pm.Get(addr)
-	if err != nil {
-		return false, err
-	}
-	return leaf != posmap.NoLeaf, nil
+	return newLeaf, nil
 }
 
 // DrainAll reads the entire tree (the trusted top, then the device
 // sequentially — this is the bulk scan H-ORAM's evict phase performs),
 // combines it with the stash, and returns every real block in
-// ascending address order. The tree is re-filled with dummies and the
-// position map cleared: the ORAM is empty afterwards.
-func (o *ORAM) DrainAll() ([]stash.Block, error) {
+// ascending address order. The tree is re-filled with dummies: it is
+// empty afterwards, and every leaf its caller recorded is void.
+func (o *Tree) DrainAll() ([]stash.Block, error) {
 	if err := o.stashReal(o.topPt); err != nil {
 		return nil, err
 	}
@@ -763,10 +753,98 @@ func (o *ORAM) DrainAll() ([]stash.Block, error) {
 		}
 	}
 	blocks := o.stash.Drain()
-	o.pm.Clear()
 	o.real = 0
 	if err := o.clearTree(); err != nil {
 		return nil, err
 	}
+	return blocks, nil
+}
+
+// ORAM is the standalone Path ORAM: a Tree with its own position map
+// (the paper's "naive setting, no recursive"), whose entry for each
+// address is the leaf the tree last returned for it. Not safe for
+// concurrent use.
+type ORAM struct {
+	*Tree
+	pm *posmap.PositionMap
+}
+
+// New builds a standalone Path ORAM over dev; see NewTree for the
+// device requirements. Under ConstantTime the position map answers
+// every lookup with a full-length scan.
+func New(cfg Config, dev device.Backend) (*ORAM, error) {
+	t, err := NewTree(cfg, dev)
+	if err != nil {
+		return nil, err
+	}
+	pm, err := posmap.NewPositionMap(cfg.Blocks, t.geom.Leaves())
+	if err != nil {
+		return nil, err
+	}
+	pm.SetConstantTime(cfg.ConstantTime)
+	return &ORAM{Tree: t, pm: pm}, nil
+}
+
+// Access performs one Path ORAM operation; see Tree.Access. The
+// position map supplies the block's leaf and records its new one.
+func (o *ORAM) Access(op Op, addr int64, data []byte) ([]byte, error) {
+	leaf, err := o.pm.Get(addr)
+	if err != nil {
+		return nil, err
+	}
+	current, leaf, err := o.Tree.Access(op, addr, leaf, data)
+	if err != nil {
+		return nil, err
+	}
+	if err := o.pm.Set(addr, leaf); err != nil {
+		return nil, err
+	}
+	return current, nil
+}
+
+// Read fetches the block at addr.
+func (o *ORAM) Read(addr int64) ([]byte, error) { return o.Access(OpRead, addr, nil) }
+
+// Write stores data at addr.
+func (o *ORAM) Write(addr int64, data []byte) error {
+	_, err := o.Access(OpWrite, addr, data)
+	return err
+}
+
+// Insert places a block directly into the stash; see Tree.Insert.
+func (o *ORAM) Insert(addr int64, data []byte) error {
+	leaf, err := o.pm.Get(addr)
+	if err != nil {
+		return err
+	}
+	if leaf, err = o.Tree.Insert(addr, leaf, data); err != nil {
+		return err
+	}
+	return o.pm.Set(addr, leaf)
+}
+
+// Has reports whether addr currently holds a real block.
+func (o *ORAM) Has(addr int64) (bool, error) {
+	if err := o.checkAddr(addr); err != nil {
+		return false, err
+	}
+	if o.stash.Has(addr) {
+		return true, nil
+	}
+	leaf, err := o.pm.Get(addr)
+	if err != nil {
+		return false, err
+	}
+	return leaf != posmap.NoLeaf, nil
+}
+
+// DrainAll empties the tree (see Tree.DrainAll) and clears the
+// position map.
+func (o *ORAM) DrainAll() ([]stash.Block, error) {
+	blocks, err := o.Tree.DrainAll()
+	if err != nil {
+		return nil, err
+	}
+	o.pm.Clear()
 	return blocks, nil
 }

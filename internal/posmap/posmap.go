@@ -1,11 +1,12 @@
 // Package posmap holds the two control-layer lookup structures the
-// paper keeps inside the secure shelter: the Path ORAM position map
-// (logical block → leaf) and H-ORAM's permutation list (logical block
-// → current tier and slot, plus the touched bit that enforces the
-// square-root "each storage block read at most once per period"
-// invariant). The list is the one record of where a block lives: a
-// storage slot, the memory tree, or — while a shuffle is in flight —
-// an index into the shuffle's trusted pool (TierPool).
+// paper keeps inside the secure shelter: the standalone Path ORAM's
+// position map (logical block → leaf) and H-ORAM's permutation list
+// (logical block → current tier and slot, plus the touched bit that
+// enforces the square-root "each storage block read at most once per
+// period" invariant). The list is the one record of where a block
+// lives: a storage slot, a leaf of the memory tree (H-ORAM's tree
+// keeps no position map of its own), or — while a shuffle is in
+// flight — an index into the shuffle's trusted pool (TierPool).
 package posmap
 
 import (
@@ -15,8 +16,9 @@ import (
 	"repro/internal/ctops"
 )
 
-// NoLeaf marks a position-map entry whose block is not currently
-// mapped into the tree.
+// NoLeaf marks an address whose block is not currently mapped into the
+// tree: a position-map entry, or the Leaf of a list entry outside the
+// memory tier.
 const NoLeaf = int64(-1)
 
 // PositionMap maps logical block addresses to Path ORAM leaves.
@@ -27,34 +29,30 @@ type PositionMap struct {
 	//horam:secret
 	leaves []int64
 	nLeaf  int64
-	rng    *blockcipher.RNG
 	ct     bool
 }
 
 // NewPositionMap creates a map for `blocks` addresses over a tree with
-// nLeaf leaves. All entries start unmapped (NoLeaf); Path ORAM
-// variants that pre-populate call RemapAll first.
-func NewPositionMap(blocks, nLeaf int64, rng *blockcipher.RNG) (*PositionMap, error) {
+// nLeaf leaves. All entries start unmapped (NoLeaf). The map draws no
+// leaves: the tree remaps a block and its caller Sets the new leaf.
+func NewPositionMap(blocks, nLeaf int64) (*PositionMap, error) {
 	if blocks <= 0 {
 		return nil, fmt.Errorf("posmap: block count must be positive, got %d", blocks)
 	}
 	if nLeaf <= 0 {
 		return nil, fmt.Errorf("posmap: leaf count must be positive, got %d", nLeaf)
 	}
-	if rng == nil {
-		return nil, fmt.Errorf("posmap: nil RNG")
-	}
 	leaves := make([]int64, blocks)
 	for i := range leaves {
 		leaves[i] = NoLeaf
 	}
-	return &PositionMap{leaves: leaves, nLeaf: nLeaf, rng: rng}, nil
+	return &PositionMap{leaves: leaves, nLeaf: nLeaf}, nil
 }
 
 // Size returns the number of addresses.
 func (m *PositionMap) Size() int64 { return int64(len(m.leaves)) }
 
-// Leaves returns the number of leaves positions are drawn from.
+// Leaves returns the number of leaves a position may name.
 func (m *PositionMap) Leaves() int64 { return m.nLeaf }
 
 func (m *PositionMap) check(addr int64) error {
@@ -65,7 +63,7 @@ func (m *PositionMap) check(addr int64) error {
 }
 
 // SetConstantTime switches the map's lookup discipline. When on,
-// Get/Set/Remap stop indexing the leaf array by address — a
+// Get and Set stop indexing the leaf array by address — a
 // secret-dependent memory access a co-located adversary can observe
 // through the cache — and instead run one full-length fixed-order scan
 // per call with branchless selects, so the touch sequence depends only
@@ -126,30 +124,6 @@ func (m *PositionMap) Set(addr, leaf int64) error {
 	return nil
 }
 
-// Remap assigns addr a fresh uniformly random leaf and returns it.
-// This is the remap-on-access at the heart of Path ORAM's security.
-// The RNG draw order is identical in both lookup disciplines, so the
-// leaf streams — and therefore the device traces — match across modes.
-func (m *PositionMap) Remap(addr int64) (int64, error) {
-	if err := m.check(addr); err != nil {
-		return 0, err
-	}
-	leaf := m.rng.Int63n(m.nLeaf)
-	if m.ct {
-		m.ctSet(addr, leaf)
-		return leaf, nil
-	}
-	m.leaves[addr] = leaf
-	return leaf, nil
-}
-
-// RemapAll assigns every address an independent random leaf.
-func (m *PositionMap) RemapAll() {
-	for i := range m.leaves {
-		m.leaves[i] = m.rng.Int63n(m.nLeaf)
-	}
-}
-
 // Clear unmaps every address.
 func (m *PositionMap) Clear() {
 	for i := range m.leaves {
@@ -203,17 +177,27 @@ func (t Tier) String() string {
 // Entry is one permutation-list record: where a logical block lives
 // now and whether its storage slot was already read this period.
 type Entry struct {
-	Tier    Tier
-	Slot    int64 // storage slot (TierStorage) or pool index (TierPool)
-	Touched bool  // storage slot consumed this access period
+	Tier Tier
+	// Slot is the block's storage slot (TierStorage), its memory-tree
+	// leaf (TierMemory) or its pool index (TierPool).
+	Slot    int64
+	Touched bool // storage slot consumed this access period
 }
 
 // PermutationList is H-ORAM's control structure for the storage layer.
 // It records, per logical address, a boolean "is the block already in
 // memory" and its storage slot otherwise — exactly the two fields the
-// paper's §4.1.1 prescribes — plus the per-period touched bit.
+// paper's §4.1.1 prescribes — plus the per-period touched bit. A
+// memory-tier entry's Slot holds the block's leaf in the memory tree,
+// so the tree needs no position map.
 type PermutationList struct {
+	// Which entry an address selects, and a memory-tier entry's leaf,
+	// are secret: Leaf and SetMemory touch them with masked full-length
+	// passes under SetConstantTime.
+	//
+	//horam:secret
 	entries []Entry
+	ct      bool
 }
 
 // NewPermutationList creates a list for `blocks` addresses, all
@@ -287,13 +271,71 @@ func (l *PermutationList) Lookup(addr int64) (Entry, error) {
 	return l.entries[addr], nil
 }
 
-// SetMemory records that addr now lives in the memory tier.
-func (l *PermutationList) SetMemory(addr int64) error {
+// SetConstantTime switches the discipline of the list's leaf reads and
+// writes (Leaf, SetMemory). When on, they stop indexing the entries by
+// address and instead run one full-length fixed-order masked pass per
+// call, so the touch sequence depends only on the list's public size,
+// as a constant-time position map's does. Results are identical in
+// both modes. The list's other methods still index by address.
+func (l *PermutationList) SetConstantTime(on bool) { l.ct = on }
+
+// Leaf returns the memory-tree leaf of addr's block, or NoLeaf when the
+// block is not in the memory tier.
+func (l *PermutationList) Leaf(addr int64) (int64, error) {
+	if err := l.check(addr); err != nil {
+		return 0, err
+	}
+	if l.ct {
+		return l.ctLeaf(addr), nil
+	}
+	if e := l.entries[addr]; e.Tier == TierMemory {
+		return e.Slot, nil
+	}
+	return NoLeaf, nil
+}
+
+// ctLeaf scans every entry for addr's memory-tier leaf.
+//
+//horam:constant-time
+//horam:secret addr
+func (l *PermutationList) ctLeaf(addr int64) int64 {
+	leaf := NoLeaf
+	for j := range l.entries {
+		m := ctops.Eq64(int64(j), addr) & ctops.EqInt(int(l.entries[j].Tier), int(TierMemory))
+		leaf = ctops.Select64(m, l.entries[j].Slot, leaf)
+	}
+	return leaf
+}
+
+// SetMemory records that addr now lives in the memory tier, mapped to
+// the tree's leaf. The touched bit is kept.
+func (l *PermutationList) SetMemory(addr, leaf int64) error {
 	if err := l.check(addr); err != nil {
 		return err
 	}
+	if leaf < 0 {
+		return fmt.Errorf("posmap: SetMemory(%d): leaf %d is not a tree leaf", addr, leaf)
+	}
+	if l.ct {
+		l.ctSetMemory(addr, leaf)
+		return nil
+	}
 	l.entries[addr].Tier = TierMemory
+	l.entries[addr].Slot = leaf
 	return nil
+}
+
+// ctSetMemory writes addr's memory tier and leaf via a masked
+// full-length pass.
+//
+//horam:constant-time
+//horam:secret addr leaf
+func (l *PermutationList) ctSetMemory(addr, leaf int64) {
+	for j := range l.entries {
+		m := ctops.Eq64(int64(j), addr)
+		l.entries[j].Tier = Tier(ctops.SelectInt(m, int(TierMemory), int(l.entries[j].Tier)))
+		l.entries[j].Slot = ctops.Select64(m, leaf, l.entries[j].Slot)
+	}
 }
 
 // SetPool records that addr now waits at index i of the in-flight

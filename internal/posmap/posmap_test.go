@@ -9,7 +9,7 @@ import (
 
 func newPM(t *testing.T, blocks, leaves int64) *PositionMap {
 	t.Helper()
-	m, err := NewPositionMap(blocks, leaves, blockcipher.NewRNGFromString("pm"))
+	m, err := NewPositionMap(blocks, leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,15 +17,17 @@ func newPM(t *testing.T, blocks, leaves int64) *PositionMap {
 }
 
 func TestNewPositionMapValidation(t *testing.T) {
-	rng := blockcipher.NewRNGFromString("x")
-	if _, err := NewPositionMap(0, 4, rng); err == nil {
-		t.Error("accepted zero blocks")
+	for _, c := range []struct{ blocks, leaves int64 }{{0, 4}, {-1, 4}, {4, 0}, {4, -3}} {
+		if _, err := NewPositionMap(c.blocks, c.leaves); err == nil {
+			t.Errorf("NewPositionMap(%d, %d) accepted", c.blocks, c.leaves)
+		}
 	}
-	if _, err := NewPositionMap(4, 0, rng); err == nil {
-		t.Error("accepted zero leaves")
+	m, err := NewPositionMap(1, 1)
+	if err != nil {
+		t.Fatalf("NewPositionMap(1, 1): %v", err)
 	}
-	if _, err := NewPositionMap(4, 4, nil); err == nil {
-		t.Error("accepted nil rng")
+	if m.Size() != 1 || m.Leaves() != 1 {
+		t.Fatalf("Size/Leaves = %d/%d, want 1/1", m.Size(), m.Leaves())
 	}
 }
 
@@ -76,55 +78,73 @@ func TestPositionMapBounds(t *testing.T) {
 	if err := m.Set(0, -2); err == nil {
 		t.Error("Set(leaf=-2) passed")
 	}
-	if _, err := m.Remap(99); err == nil {
-		t.Error("Remap(99) passed")
+	if err := m.Set(99, 0); err == nil {
+		t.Error("Set(99) passed")
 	}
 }
 
+// TestRemapInRangeAndRecorded: the map records the leaf each Set hands
+// it — the tree's remap result — and refuses one outside the tree,
+// leaving the entry as it was, in both lookup disciplines.
 func TestRemapInRangeAndRecorded(t *testing.T) {
-	m := newPM(t, 16, 8)
-	for i := 0; i < 200; i++ {
-		addr := int64(i % 16)
-		leaf, err := m.Remap(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if leaf < 0 || leaf >= 8 {
-			t.Fatalf("Remap leaf %d out of range", leaf)
-		}
-		got, _ := m.Get(addr)
-		if got != leaf {
-			t.Fatalf("Get after Remap = %d, want %d", got, leaf)
+	for _, ct := range []bool{false, true} {
+		m := newPM(t, 16, 8)
+		m.SetConstantTime(ct)
+		rng := blockcipher.NewRNGFromString("pm-set")
+		for i := 0; i < 200; i++ {
+			addr := int64(i % 16)
+			leaf := rng.Int63n(8)
+			if err := m.Set(addr, leaf); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Set(addr, 8+leaf); err == nil {
+				t.Fatalf("ct=%v: Set(%d, %d) accepted with 8 leaves", ct, addr, 8+leaf)
+			}
+			if got, _ := m.Get(addr); got != leaf {
+				t.Fatalf("ct=%v: Get(%d) = %d after Set %d", ct, addr, got, leaf)
+			}
 		}
 	}
 }
 
+// TestRemapUniform: every leaf of the tree round-trips through every
+// address, so the map stores whatever the tree draws unchanged. (The
+// uniformity of the draw itself is pathoram:TestTreeLeafDrawUniform.)
 func TestRemapUniform(t *testing.T) {
-	m := newPM(t, 1, 8)
-	const trials = 8000
-	counts := make([]int, 8)
-	for i := 0; i < trials; i++ {
-		leaf, _ := m.Remap(0)
-		counts[leaf]++
-	}
-	expected := float64(trials) / 8
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c) - expected
-		chi2 += d * d / expected
-	}
-	if chi2 > 24.32 { // 7 dof, 99.9%
-		t.Fatalf("Remap distribution chi2 = %.2f, counts %v", chi2, counts)
+	for _, ct := range []bool{false, true} {
+		m := newPM(t, 4, 8)
+		m.SetConstantTime(ct)
+		for leaf := int64(0); leaf < 8; leaf++ {
+			for addr := int64(0); addr < 4; addr++ {
+				if err := m.Set(addr, (leaf+addr)%8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for addr := int64(0); addr < 4; addr++ {
+				if got, _ := m.Get(addr); got != (leaf+addr)%8 {
+					t.Fatalf("ct=%v: Get(%d) = %d, want %d", ct, addr, got, (leaf+addr)%8)
+				}
+			}
+		}
 	}
 }
 
+// TestRemapAllAndClear: a fully mapped map exports every leaf, imports
+// into a fresh map unchanged, and Clear unmaps every address.
 func TestRemapAllAndClear(t *testing.T) {
 	m := newPM(t, 32, 16)
-	m.RemapAll()
 	for a := int64(0); a < 32; a++ {
-		leaf, _ := m.Get(a)
-		if leaf == NoLeaf {
-			t.Fatalf("address %d unmapped after RemapAll", a)
+		if err := m.Set(a, a%16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := newPM(t, 32, 16)
+	if err := r.Import(m.Export()); err != nil {
+		t.Fatal(err)
+	}
+	for a := int64(0); a < 32; a++ {
+		if leaf, _ := r.Get(a); leaf != a%16 {
+			t.Fatalf("imported Get(%d) = %d, want %d", a, leaf, a%16)
 		}
 	}
 	m.Clear()
@@ -187,12 +207,21 @@ func TestInitRandomIsPermutation(t *testing.T) {
 
 func TestSetMemoryAndStorage(t *testing.T) {
 	l, _ := NewPermutationList(4)
-	if err := l.SetMemory(2); err != nil {
+	if err := l.SetMemory(2, 7); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := l.Lookup(2)
-	if e.Tier != TierMemory {
-		t.Fatalf("Lookup(2).Tier = %v, want memory", e.Tier)
+	if e.Tier != TierMemory || e.Slot != 7 {
+		t.Fatalf("Lookup(2) = %+v, want memory at leaf 7", e)
+	}
+	if leaf, _ := l.Leaf(2); leaf != 7 {
+		t.Fatalf("Leaf(2) = %d, want 7", leaf)
+	}
+	if leaf, _ := l.Leaf(1); leaf != NoLeaf {
+		t.Fatalf("Leaf(1) of a storage block = %d, want NoLeaf", leaf)
+	}
+	if err := l.SetMemory(1, NoLeaf); err == nil {
+		t.Fatal("SetMemory with NoLeaf passed")
 	}
 	if l.InMemoryCount() != 1 {
 		t.Fatalf("InMemoryCount() = %d, want 1", l.InMemoryCount())
@@ -203,6 +232,9 @@ func TestSetMemoryAndStorage(t *testing.T) {
 	e, _ = l.Lookup(2)
 	if e.Tier != TierPool || e.Slot != 5 {
 		t.Fatalf("Lookup(2) = %+v after SetPool(2, 5)", e)
+	}
+	if leaf, _ := l.Leaf(2); leaf != NoLeaf {
+		t.Fatalf("Leaf(2) of a pool block = %d, want NoLeaf", leaf)
 	}
 	if err := l.MarkTouched(2); err == nil {
 		t.Fatal("MarkTouched on a pool block passed")
@@ -232,7 +264,7 @@ func TestMarkTouchedEnforcesSquareRootInvariant(t *testing.T) {
 	if err := l.MarkTouched(1); err != nil {
 		t.Fatalf("MarkTouched after ResetPeriod: %v", err)
 	}
-	l.SetMemory(3)
+	l.SetMemory(3, 0)
 	if err := l.MarkTouched(3); err == nil {
 		t.Fatal("MarkTouched on memory-resident block passed")
 	}
@@ -243,8 +275,11 @@ func TestPermutationListBounds(t *testing.T) {
 	if _, err := l.Lookup(-1); err == nil {
 		t.Error("Lookup(-1) passed")
 	}
-	if err := l.SetMemory(4); err == nil {
+	if err := l.SetMemory(4, 0); err == nil {
 		t.Error("SetMemory(4) passed")
+	}
+	if _, err := l.Leaf(-1); err == nil {
+		t.Error("Leaf(-1) passed")
 	}
 	if err := l.SetStorage(5, 0); err == nil {
 		t.Error("SetStorage(5) passed")
@@ -269,7 +304,7 @@ func TestValidateStoragePermutationDetectsCollision(t *testing.T) {
 func TestInitRandomClearsState(t *testing.T) {
 	l, _ := NewPermutationList(16)
 	rng := blockcipher.NewRNGFromString("clear")
-	l.SetMemory(3)
+	l.SetMemory(3, 0)
 	l.MarkTouched(5)
 	l.InitRandom(rng)
 	if l.InMemoryCount() != 0 {
@@ -290,7 +325,7 @@ func TestPermutationListProperty(t *testing.T) {
 		for _, op := range ops {
 			addr := int64(op % 32)
 			if op%2 == 0 {
-				l.SetMemory(addr)
+				l.SetMemory(addr, int64(op))
 			} else {
 				l.SetStorage(addr, nextSlot)
 				nextSlot++
@@ -300,5 +335,42 @@ func TestPermutationListProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPermutationListLeafDisciplines: the masked passes Leaf and
+// SetMemory run under SetConstantTime give the indexed results — the
+// same leaf for every probed address, whatever its tier, and the same
+// entries after a seeded stream of placements.
+func TestPermutationListLeafDisciplines(t *testing.T) {
+	idx, _ := NewPermutationList(24)
+	ct, _ := NewPermutationList(24)
+	ct.SetConstantTime(true)
+	rng := blockcipher.NewRNGFromString("list-ct")
+	for i := 0; i < 500; i++ {
+		addr, v := rng.Int63n(24), rng.Int63n(64)
+		for _, l := range []*PermutationList{idx, ct} {
+			switch i % 4 {
+			case 0, 1:
+				if err := l.SetMemory(addr, v); err != nil {
+					t.Fatal(err)
+				}
+			case 2:
+				l.SetPool(addr, int(v))
+			case 3:
+				l.SetStorage(addr, v)
+			}
+		}
+		probe := rng.Int63n(24)
+		want, _ := idx.Leaf(probe)
+		if got, _ := ct.Leaf(probe); got != want {
+			t.Fatalf("op %d: constant-time Leaf(%d) = %d, indexed %d", i, probe, got, want)
+		}
+	}
+	a, b := idx.Export(), ct.Export()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("address %d: indexed entry %+v, constant-time %+v", i, a[i], b[i])
+		}
 	}
 }

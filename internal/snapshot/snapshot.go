@@ -10,9 +10,9 @@
 //     rejected, never silently loaded;
 //
 //   - typed payloads (Shard, Manifest, Gen): gob-encoded state blobs.
-//     Shard is one H-ORAM instance's control state — permutation list,
-//     position map, stash, sealed memory-tree image, scheduler and
-//     miss-budget counters, and the key-derivation epoch. It never
+//     Shard is one H-ORAM instance's control state — permutation list
+//     and its memory-tier leaves, stash, sealed memory-tree image,
+//     scheduler and miss-budget counters, and the key-derivation epoch. It never
 //     contains key material: everything cryptographic is re-derived
 //     from the master key the operator supplies at restart, salted
 //     with the epoch so no RNG stream ever replays;
@@ -199,7 +199,7 @@ type Shard struct {
 	PermTouched []bool
 
 	// Memory-tier Path ORAM control state.
-	Leaves     []int64 // position map (posmap.NoLeaf = unmapped)
+	Leaves     []int64 // memory-tier leaf per address (posmap.NoLeaf = not in memory)
 	RealCount  int64
 	StashAddrs []int64
 	StashData  [][]byte // plaintext; the enclosing payload must be sealed

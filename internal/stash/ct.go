@@ -47,8 +47,8 @@ import (
 const Empty = int64(math.MaxInt64)
 
 // NoLeaf is the leaf an unoccupied constant-time entry carries, and the
-// one Put stores. It equals posmap.NoLeaf, so a stash leaf compares
-// directly against a position-map leaf.
+// one Put stores in either stash. It equals posmap.NoLeaf, so a stash
+// leaf compares directly against a recorded leaf.
 const NoLeaf = int64(-1)
 
 // Store is the stash contract pathoram consumes: the map Stash and the

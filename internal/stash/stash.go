@@ -18,9 +18,16 @@ type Block struct {
 // Stash holds plaintext blocks keyed by logical address. The zero
 // value is not usable; call New. Stash is not safe for concurrent use.
 type Stash struct {
-	blocks map[int64][]byte
+	blocks map[int64]held
 	limit  int // 0 = unbounded
 	peak   int
+}
+
+// held is one stored block: its payload and the Path ORAM leaf it is
+// mapped to (NoLeaf when stored with Put).
+type held struct {
+	data []byte
+	leaf int64
 }
 
 // New returns an empty stash. limit caps occupancy (Put fails beyond
@@ -28,7 +35,7 @@ type Stash struct {
 // experiments run so that overflow shows up as a measured peak rather
 // than an error.
 func New(limit int) *Stash {
-	return &Stash{blocks: make(map[int64][]byte), limit: limit}
+	return &Stash{blocks: make(map[int64]held), limit: limit}
 }
 
 // ErrFull is returned by Put when a bounded stash is at capacity.
@@ -40,15 +47,21 @@ func (e ErrFull) Error() string {
 	return fmt.Sprintf("stash: full at limit %d", e.Limit)
 }
 
-// Put stores data under addr, replacing any previous value. The stash
-// takes ownership of data.
-func (s *Stash) Put(addr int64, data []byte) error {
+// Put stores data under addr with leaf NoLeaf, replacing any previous
+// value. The stash takes ownership of data.
+func (s *Stash) Put(addr int64, data []byte) error { return s.PutLeaf(addr, NoLeaf, data) }
+
+// PutLeaf stores data under addr together with the Path ORAM leaf the
+// block is mapped to, replacing any previous value: the leaf travels
+// with the block, so eviction needs no position map. The stash takes
+// ownership of data.
+func (s *Stash) PutLeaf(addr, leaf int64, data []byte) error {
 	if _, exists := s.blocks[addr]; !exists {
 		if s.limit > 0 && len(s.blocks) >= s.limit {
 			return ErrFull{Limit: s.limit}
 		}
 	}
-	s.blocks[addr] = data
+	s.blocks[addr] = held{data: data, leaf: leaf}
 	if len(s.blocks) > s.peak {
 		s.peak = len(s.blocks)
 	}
@@ -59,17 +72,17 @@ func (s *Stash) Put(addr int64, data []byte) error {
 // returned slice is the stash's copy; callers must not retain it past
 // the next mutation of this address.
 func (s *Stash) Get(addr int64) ([]byte, bool) {
-	d, ok := s.blocks[addr]
-	return d, ok
+	h, ok := s.blocks[addr]
+	return h.data, ok
 }
 
 // Take removes and returns the block stored under addr.
 func (s *Stash) Take(addr int64) ([]byte, bool) {
-	d, ok := s.blocks[addr]
+	h, ok := s.blocks[addr]
 	if ok {
 		delete(s.blocks, addr)
 	}
-	return d, ok
+	return h.data, ok
 }
 
 // Has reports whether addr is present.
@@ -111,6 +124,21 @@ func (s *Stash) AppendAddrs(dst []int64) []int64 {
 	return dst
 }
 
+// AppendLeaves appends to dst the leaf stored with each address of
+// addrs, in order, and returns the extended slice; NoLeaf for an
+// address stored with Put or not present. With addrs from AppendAddrs
+// it is the stash's (address, leaf) snapshot.
+func (s *Stash) AppendLeaves(dst, addrs []int64) []int64 {
+	for _, a := range addrs {
+		h, ok := s.blocks[a]
+		if !ok {
+			h.leaf = NoLeaf
+		}
+		dst = append(dst, h.leaf)
+	}
+	return dst
+}
+
 // Drain removes and returns all blocks in ascending address order.
 // It swaps in a fresh map rather than deleting entry by entry: a Go
 // map never shrinks, so after a whole tree passed through it every
@@ -119,8 +147,8 @@ func (s *Stash) Drain() []Block {
 	addrs := s.Addrs()
 	out := make([]Block, 0, len(addrs))
 	for _, a := range addrs {
-		out = append(out, Block{Addr: a, Data: s.blocks[a]})
+		out = append(out, Block{Addr: a, Data: s.blocks[a].data})
 	}
-	s.blocks = make(map[int64][]byte)
+	s.blocks = make(map[int64]held)
 	return out
 }
