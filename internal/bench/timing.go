@@ -161,6 +161,64 @@ func posmapPair() (pairOps, error) {
 	return pairOps{a: a, b: b}, nil
 }
 
+// permlistPair: a constant-time hit's two leaf passes over the
+// permutation list, as H-ORAM's scheduler runs them (Leaf, then
+// SetMemory with the block's new leaf), one hot address vs a sweep.
+// The list mixes the three tiers; both sides look up memory-tier
+// addresses, so every call returns a real leaf and the mix stays put.
+func permlistPair() (pairOps, error) {
+	const (
+		blocks = 1024
+		nLeaf  = 512
+		inner  = 32
+	)
+	rng := blockcipher.NewRNGFromString("bench-timing-permlist")
+	l, err := posmap.NewPermutationList(blocks)
+	if err != nil {
+		return pairOps{}, err
+	}
+	// Address a is memory-tier when a%3 == 0, pooled when a%3 == 1
+	// and stays in storage otherwise.
+	for addr := int64(0); addr < blocks; addr++ {
+		switch addr % 3 {
+		case 0:
+			err = l.SetMemory(addr, rng.Int63n(nLeaf))
+		case 1:
+			err = l.SetPool(addr, int(addr/3))
+		}
+		if err != nil {
+			return pairOps{}, err
+		}
+	}
+	l.SetConstantTime(true)
+	const memBlocks = (blocks + 2) / 3
+	// Identical harness arithmetic on both sides; only the address
+	// differs.
+	hit := func(addr, k int64) {
+		leaf, err := l.Leaf(addr)
+		if err == nil {
+			err = l.SetMemory(addr, (leaf+k)%nLeaf)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	idxA, idxB := int64(0), int64(0)
+	a := func() {
+		for i := int64(0); i < inner; i++ {
+			idxA = (idxA + 131) % memBlocks
+			hit(3*7, i)
+		}
+	}
+	b := func() {
+		for i := int64(0); i < inner; i++ {
+			idxB = (idxB + 131) % memBlocks
+			hit(3*idxB, i)
+		}
+	}
+	return pairOps{a: a, b: b}, nil
+}
+
 // pathoramPair: end-to-end Path ORAM reads — one hot address vs a
 // uniform sweep. Unlike the full H-ORAM scheduler (where a hit/miss
 // mix changes the CYCLE COUNT, which the bus already reveals), every
@@ -291,6 +349,7 @@ var timingPairs = []timingPair{
 	{"stash-take-put", false, func() (pairOps, error) { return stashPair(false) }},
 	{"stash-take-put", true, func() (pairOps, error) { return stashPair(true) }},
 	{"posmap-lookup", true, posmapPair},
+	{"permlist-leaf", true, permlistPair},
 	{"pathoram-read", true, pathoramPair},
 	{"stash-evict-compact", true, compactPair},
 }

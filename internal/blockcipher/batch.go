@@ -3,10 +3,11 @@
 // output on every call was the dominant allocation churn of a cycle.
 // Every Sealer therefore seals and opens into caller-provided buffers
 // (AES-GCM then allocates nothing per record) and processes whole runs
-// of records at once, fanning the crypto across a bounded set of worker
-// goroutines while drawing the nonces serially in index order first —
-// so the sealed bytes are exactly what sequential Seal calls would have
-// produced, whatever the worker count.
+// of records at once, fanning the crypto of a run large enough to pay
+// for it (minShare) across a bounded set of worker goroutines while
+// drawing the nonces serially in index order first — so the sealed
+// bytes are exactly what sequential Seal calls would have produced,
+// whatever the worker count.
 //
 // The package-level SealInto/OpenInto/SealBatch/OpenBatch helpers count
 // their records' bytes into Throughput and forward to the sealer.
@@ -82,21 +83,27 @@ func (s *AESSealer) OpenInto(dst, sealed []byte) error {
 	return s.open(dst, sealed)
 }
 
-// fan runs f(i) for i in [0, n), inline when workers <= 1 and across
-// min(workers, n) goroutines otherwise. The first error wins;
-// remaining items may or may not run after one.
+// minShare is the work floor of the batch fan-out: the plaintext
+// record bytes each worker must get before a run is split. SealBatch
+// and OpenBatch use at most runBytes/minShare workers, so a run under
+// 2×minShare stays on the calling goroutine. The decision reads only
+// the run length and the record size, both public geometry, so it
+// changes no touch sequence. 4 KiB keeps H-ORAM's constant-time memory
+// paths (12 × 72 B) inline, where a hand-off to a second goroutine
+// costs more than the crypto, and still splits every 1 KiB-record
+// run the benchmark workloads make (≥ 16 × 1032 B).
+const minShare = 4 << 10
+
+// fanWorkers is how many goroutines a run of n records holding
+// runBytes plaintext bytes gets: at most workers, one per record, and
+// one per minShare bytes.
+func fanWorkers(n, runBytes, workers int) int {
+	return min(workers, n, runBytes/minShare)
+}
+
+// fan runs f(i) for i in [0, n) across workers (≥ 2) goroutines. The
+// first error wins; remaining items may or may not run after one.
 func fan(n, workers int, f func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return fmt.Errorf("blockcipher: record %d: %w", i, err)
-			}
-		}
-		return nil
-	}
 	var next atomic.Int64
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -126,34 +133,46 @@ func fan(n, workers int, f func(i int) error) error {
 }
 
 // SealBatch implements Sealer. Nonces are drawn serially in index
-// order into each output's prefix before the parallel phase, so the
+// order into each output's prefix before any crypto runs, so the
 // output is byte-for-byte what sequential Seal calls would produce
-// regardless of workers.
+// regardless of workers. A run below the minShare floor is sealed
+// inline.
 func (s *AESSealer) SealBatch(plaintexts, outs [][]byte, workers int) error {
 	if len(plaintexts) != len(outs) {
 		return fmt.Errorf("blockcipher: %d plaintexts, %d outputs", len(plaintexts), len(outs))
 	}
+	runBytes := 0
 	for i := range plaintexts {
 		if len(outs[i]) != len(plaintexts[i])+s.Overhead() {
 			return fmt.Errorf("blockcipher: record %d: seal buffer %d bytes, want %d", i, len(outs[i]), len(plaintexts[i])+s.Overhead())
 		}
+		runBytes += len(plaintexts[i])
 	}
 	for _, out := range outs {
 		s.nextNonce((*[nonceSize]byte)(out))
 	}
-	// The AEAD is read-only, so the workers share it; each seals under
-	// the nonce already drawn into its output's prefix.
-	return fan(len(plaintexts), workers, func(i int) error {
-		s.aead.Seal(outs[i][:nonceSize], outs[i][:nonceSize], plaintexts[i], nil)
-		return nil
-	})
+	if w := fanWorkers(len(plaintexts), runBytes, workers); w > 1 {
+		// The AEAD is read-only, so the workers share it; each seals
+		// under the nonce already drawn into its output's prefix.
+		return fan(len(plaintexts), w, func(i int) error {
+			s.aead.Seal(outs[i][:nonceSize], outs[i][:nonceSize], plaintexts[i], nil)
+			return nil
+		})
+	}
+	for i, pt := range plaintexts {
+		s.aead.Seal(outs[i][:nonceSize], outs[i][:nonceSize], pt, nil)
+	}
+	return nil
 }
 
-// OpenBatch implements Sealer.
+// OpenBatch implements Sealer. The run's size against the minShare
+// floor is counted in plaintext bytes, as SealBatch counts it, so a
+// run is opened on as many workers as it was sealed on.
 func (s *AESSealer) OpenBatch(sealed, outs [][]byte, workers int) error {
 	if len(sealed) != len(outs) {
 		return fmt.Errorf("blockcipher: %d records, %d outputs", len(sealed), len(outs))
 	}
+	runBytes := 0
 	for i := range sealed {
 		if len(sealed[i]) < nonceSize+tagSize {
 			return fmt.Errorf("blockcipher: record %d: %w", i, ErrCiphertext)
@@ -161,10 +180,19 @@ func (s *AESSealer) OpenBatch(sealed, outs [][]byte, workers int) error {
 		if len(outs[i]) != len(sealed[i])-s.Overhead() {
 			return fmt.Errorf("blockcipher: record %d: open buffer %d bytes, want %d", i, len(outs[i]), len(sealed[i])-s.Overhead())
 		}
+		runBytes += len(outs[i])
 	}
-	return fan(len(sealed), workers, func(i int) error {
-		return s.open(outs[i], sealed[i])
-	})
+	if w := fanWorkers(len(sealed), runBytes, workers); w > 1 {
+		return fan(len(sealed), w, func(i int) error {
+			return s.open(outs[i], sealed[i])
+		})
+	}
+	for i := range sealed {
+		if err := s.open(outs[i], sealed[i]); err != nil {
+			return fmt.Errorf("blockcipher: record %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // SealInto implements Sealer by copying (no overhead).

@@ -18,59 +18,115 @@ func fill(b []byte, seed byte) {
 	}
 }
 
+// runOf builds n deterministic plaintexts of size bytes each, the last
+// one short by trim bytes, so a run can sit exactly on either side of
+// the minShare floor.
+func runOf(n, size, trim int) [][]byte {
+	pts := make([][]byte, n)
+	for i := range pts {
+		pts[i] = make([]byte, size)
+		fill(pts[i], byte(i))
+	}
+	pts[n-1] = pts[n-1][:size-trim]
+	return pts
+}
+
+// sealBuffers returns one output buffer per record for sealing pts (or
+// opening into pts, when overhead is 0).
+func sealBuffers(pts [][]byte, overhead int) [][]byte {
+	outs := make([][]byte, len(pts))
+	for i, pt := range pts {
+		outs[i] = make([]byte, len(pt)+overhead)
+	}
+	return outs
+}
+
 // TestBatchMatchesSequential is the determinism contract of the worker
 // pool: for the same RNG state, SealBatch must produce byte-for-byte
 // the sealed records a loop of Seal calls would, at every worker
-// count. The device-trace equality tests upstack depend on this.
+// count. The device-trace equality tests upstack depend on this. The
+// runs sit one byte below the minShare floor (inline at any worker
+// count), exactly on it (two workers) and above it.
 func TestBatchMatchesSequential(t *testing.T) {
-	const n, size = 37, 264
-	makeInputs := func() [][]byte {
-		pts := make([][]byte, n)
-		for i := range pts {
-			pts[i] = make([]byte, size)
-			fill(pts[i], byte(i))
-		}
-		return pts
+	runs := []struct {
+		name          string
+		n, size, trim int
+		wantFanAtWide int // fanWorkers at workers=16
+	}{
+		{"below-floor", 32, 2 * minShare / 32, 1, 1},
+		{"at-floor", 32, 2 * minShare / 32, 0, 2},
+		{"above-floor", 37, 264, 0, 2},
 	}
+	for _, r := range runs {
+		pts := runOf(r.n, r.size, r.trim)
+		runBytes := 0
+		for _, pt := range pts {
+			runBytes += len(pt)
+		}
+		if got := fanWorkers(r.n, runBytes, 16); got != r.wantFanAtWide {
+			t.Fatalf("%s: %d records, %d bytes fan to %d workers, want %d", r.name, r.n, runBytes, got, r.wantFanAtWide)
+		}
 
-	seq := newTestSealer(t)
-	pts := makeInputs()
-	want := make([][]byte, n)
-	for i, pt := range pts {
-		ct, err := seq.Seal(pt)
-		if err != nil {
-			t.Fatalf("Seal record %d: %v", i, err)
+		seq := newTestSealer(t)
+		want := make([][]byte, r.n)
+		for i, pt := range pts {
+			ct, err := seq.Seal(pt)
+			if err != nil {
+				t.Fatalf("%s: Seal record %d: %v", r.name, i, err)
+			}
+			want[i] = ct
 		}
-		want[i] = ct
-	}
 
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		par := newTestSealer(t) // fresh RNG: same nonce stream as seq
-		outs := make([][]byte, n)
-		for i := range outs {
-			outs[i] = make([]byte, size+par.Overhead())
-		}
-		if err := SealBatch(par, makeInputs(), outs, workers); err != nil {
-			t.Fatalf("SealBatch(workers=%d): %v", workers, err)
-		}
-		for i := range outs {
-			if !bytes.Equal(outs[i], want[i]) {
-				t.Fatalf("workers=%d: record %d differs from sequential Seal", workers, i)
+		for _, workers := range []int{0, 1, 2, 4, 16} {
+			par := newTestSealer(t) // fresh RNG: same nonce stream as seq
+			outs := sealBuffers(pts, par.Overhead())
+			if err := SealBatch(par, runOf(r.n, r.size, r.trim), outs, workers); err != nil {
+				t.Fatalf("%s: SealBatch(workers=%d): %v", r.name, workers, err)
+			}
+			for i := range outs {
+				if !bytes.Equal(outs[i], want[i]) {
+					t.Fatalf("%s: workers=%d: record %d differs from sequential Seal", r.name, workers, i)
+				}
+			}
+
+			opened := sealBuffers(pts, 0)
+			if err := OpenBatch(par, outs, opened, workers); err != nil {
+				t.Fatalf("%s: OpenBatch(workers=%d): %v", r.name, workers, err)
+			}
+			for i := range opened {
+				if !bytes.Equal(opened[i], pts[i]) {
+					t.Fatalf("%s: workers=%d: record %d did not round-trip", r.name, workers, i)
+				}
 			}
 		}
+	}
+}
 
-		opened := make([][]byte, n)
-		for i := range opened {
-			opened[i] = make([]byte, size)
+// TestSmallRunAllocatesNothing pins the inline branch: a run below the
+// minShare floor is sealed and opened on the calling goroutine, with
+// no goroutines, WaitGroup, error slice or closure to allocate, even
+// when the caller offers four workers.
+func TestSmallRunAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	s := newTestSealer(t)
+	pts := runOf(12, 72, 0) // a constant-time memory path: 12 records of 8 + 64 B
+	outs := sealBuffers(pts, s.Overhead())
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := SealBatch(s, pts, outs, 4); err != nil {
+			t.Fatal(err)
 		}
-		if err := OpenBatch(par, outs, opened, workers); err != nil {
-			t.Fatalf("OpenBatch(workers=%d): %v", workers, err)
+	}); avg != 0 {
+		t.Errorf("SealBatch of a below-floor run allocates %.1f times, want 0", avg)
+	}
+	opened := sealBuffers(pts, 0)
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := OpenBatch(s, outs, opened, 4); err != nil {
+			t.Fatal(err)
 		}
-		for i := range opened {
-			if !bytes.Equal(opened[i], pts[i]) {
-				t.Fatalf("workers=%d: record %d did not round-trip", workers, i)
-			}
-		}
+	}); avg != 0 {
+		t.Errorf("OpenBatch of a below-floor run allocates %.1f times, want 0", avg)
 	}
 }
 
@@ -174,11 +230,16 @@ func TestSealAllocs(t *testing.T) {
 }
 
 // TestBatchRace drives concurrent batches through one sealer instance
-// with a forced multi-worker pool; under -race this covers the shared
-// AEAD and the serial nonce handoff.
+// with a multi-worker pool; under -race this covers the shared AEAD
+// and the serial nonce handoff. Its 64 × 256 B runs hold 4×minShare
+// plaintext bytes, so workers=4 really fans out to four goroutines
+// rather than taking the inline branch.
 func TestBatchRace(t *testing.T) {
 	s := newTestSealer(t)
 	const n, size, rounds = 64, 256, 20
+	if got := fanWorkers(n, n*size, 4); got != 4 {
+		t.Fatalf("a %d × %d B run fans to %d workers, want 4", n, size, got)
+	}
 	pts := make([][]byte, n)
 	outs := make([][]byte, n)
 	opened := make([][]byte, n)
@@ -269,6 +330,56 @@ func BenchmarkSealBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSealRun is the sweep behind the minShare floor: every run
+// shape H-ORAM's workloads seal and open (memory-tree paths and
+// storage partitions at each benchmark workload's per-shard geometry;
+// records are the 8-byte address plus the block), one sub-benchmark
+// per candidate worker count, MB/s over plaintext bytes. Runs below
+// the floor take the inline branch whatever workers says.
+func BenchmarkSealRun(b *testing.B) {
+	shapes := []struct {
+		name    string
+		n, size int
+	}{
+		{"ct-path", 12, 72},
+		{"ct-partition", 23, 72},
+		{"kv-path", 16, 1032},
+		{"kv-partition", 64, 1032},
+		{"rtt-path", 20, 1032},
+		{"pipelined-partition", 91, 1032},
+		{"rtt-partition", 128, 1032},
+	}
+	for _, sh := range shapes {
+		for _, workers := range []int{1, 2} {
+			s, err := NewAESSealer(testKey(), NewRNGFromString("seal-run-bench"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			pts := runOf(sh.n, sh.size, 0)
+			outs := sealBuffers(pts, s.Overhead())
+			name := fmt.Sprintf("%s/%dx%d/workers=%d", sh.name, sh.n, sh.size, workers)
+			b.Run("seal/"+name, func(b *testing.B) {
+				b.SetBytes(int64(sh.n * sh.size))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := SealBatch(s, pts, outs, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("open/"+name, func(b *testing.B) {
+				b.SetBytes(int64(sh.n * sh.size))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := OpenBatch(s, outs, pts, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

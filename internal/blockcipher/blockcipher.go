@@ -18,6 +18,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 // Errors returned by Sealer implementations.
@@ -62,10 +64,25 @@ type Sealer interface {
 	// the nonce stream advances exactly as len(plaintexts) sequential
 	// Seal calls would, so batch and serial sealing are byte-for-byte
 	// interchangeable.
+	//
+	// AESSealer gives each worker at least 4 KiB of plaintext record
+	// bytes: a run fans out to min(workers, records, runBytes/4 KiB)
+	// goroutines, and when that is below two it runs on the caller's
+	// goroutine. The floor reads only the run length and the record
+	// size, which the bus already shows, so it changes no
+	// constant-time touch sequence. It is set where the measurements
+	// put it: on a 2-vCPU host two workers sealed a 12 × 72 B
+	// constant-time memory path at 168 MB/s against 312 MB/s inline,
+	// and even a 128 × 1 KiB partition ran slower on two (1844 vs
+	// 2155 MB/s, BenchmarkSealRun); inlining the runs under 8 KiB
+	// raised block_ct's ops/s by 19 % (median of 10 pairs), while every
+	// 1 KiB-record run (≥ 16 × 1032 B) keeps the two workers whose park
+	// points interleave block_pipelined's shards.
 	SealBatch(plaintexts, outs [][]byte, workers int) error
 	// OpenBatch verifies and decrypts sealed[i] into outs[i] (each
 	// exactly len(sealed[i])-Overhead() bytes) using up to workers
-	// goroutines.
+	// goroutines, under the same floor as SealBatch, counted in
+	// plaintext bytes (len(outs[i])).
 	OpenBatch(sealed, outs [][]byte, workers int) error
 }
 
@@ -157,9 +174,21 @@ func (NullSealer) Open(sealed []byte) ([]byte, error) {
 func (NullSealer) Overhead() int { return 0 }
 
 // PRF is a keyed pseudo-random function (HMAC-SHA256) used to derive
-// subkeys and deterministic per-label pseudo-random bytes.
+// subkeys and deterministic per-label pseudo-random bytes. It is safe
+// for concurrent use.
 type PRF struct {
 	key []byte
+	// states recycles keyed HMAC states for Uint64, the per-operation
+	// hash of the okv layer, so a call allocates nothing.
+	states sync.Pool
+}
+
+// prfState is one keyed HMAC state with the scratch a Uint64 call
+// needs.
+type prfState struct {
+	mac hash.Hash
+	msg []byte
+	sum [sha256.Size]byte
 }
 
 // NewPRF returns a PRF keyed with key (any length ≥ 16 bytes).
@@ -169,7 +198,9 @@ func NewPRF(key []byte) (*PRF, error) {
 	}
 	k := make([]byte, len(key))
 	copy(k, key)
-	return &PRF{key: k}, nil
+	p := &PRF{key: k}
+	p.states.New = func() any { return &prfState{mac: hmac.New(sha256.New, k)} }
+	return p, nil
 }
 
 // Derive returns n pseudo-random bytes bound to label. Equal (key,
@@ -189,14 +220,20 @@ func (p *PRF) Derive(label string, n int) []byte {
 	return out[:n]
 }
 
-// Uint64 returns a pseudo-random uint64 bound to label and index.
-func (p *PRF) Uint64(label string, index uint64) uint64 {
-	h := hmac.New(sha256.New, p.key)
-	var ib [8]byte
-	binary.BigEndian.PutUint64(ib[:], index)
-	h.Write([]byte(label))
-	h.Write(ib[:])
-	return binary.BigEndian.Uint64(h.Sum(nil)[:8])
+// Uint64 returns a pseudo-random uint64 bound to label‖suffix and
+// index: the first 8 bytes of HMAC(key, label‖suffix‖index). Splitting
+// one label between label and suffix does not change the output, so a
+// caller hashing a fixed prefix and a per-call key passes both without
+// building their concatenation.
+func (p *PRF) Uint64(label string, suffix []byte, index uint64) uint64 {
+	st := p.states.Get().(*prfState)
+	st.mac.Reset()
+	st.msg = append(append(st.msg[:0], label...), suffix...)
+	st.msg = binary.BigEndian.AppendUint64(st.msg, index)
+	st.mac.Write(st.msg)
+	v := binary.BigEndian.Uint64(st.mac.Sum(st.sum[:0]))
+	p.states.Put(st)
+	return v
 }
 
 // RNG is a deterministic cryptographically strong pseudo-random number

@@ -3,6 +3,7 @@ package blockcipher
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -162,14 +163,66 @@ func TestPRFRejectsShortKey(t *testing.T) {
 
 func TestPRFUint64Labels(t *testing.T) {
 	p, _ := NewPRF(testKey())
-	if p.Uint64("a", 0) == p.Uint64("a", 1) {
+	if p.Uint64("a", nil, 0) == p.Uint64("a", nil, 1) {
 		t.Fatal("PRF.Uint64 identical for different indexes")
 	}
-	if p.Uint64("a", 0) != p.Uint64("a", 0) {
+	if p.Uint64("a", nil, 0) != p.Uint64("a", nil, 0) {
 		t.Fatal("PRF.Uint64 not deterministic")
 	}
-	if p.Uint64("a", 0) == p.Uint64("b", 0) {
+	if p.Uint64("a", nil, 0) == p.Uint64("b", nil, 0) {
 		t.Fatal("PRF.Uint64 identical for different labels")
+	}
+}
+
+// TestPRFUint64Pinned pins outputs computed when Uint64 hashed one
+// concatenated label: okv's bucket placement is persisted, so the
+// split label‖suffix form must reproduce them bit for bit, from any
+// number of goroutines at once.
+func TestPRFUint64Pinned(t *testing.T) {
+	p, _ := NewPRF(testKey())
+	pins := []struct {
+		label  string
+		suffix []byte
+		index  uint64
+		want   uint64
+	}{
+		{"okv-bucket-0|", []byte("alice"), 0, 0xd94e88b3d52daaeb},
+		{"okv-bucket-0|alice", nil, 0, 0xd94e88b3d52daaeb},
+		{"okv-bucket-1|", []byte("alice"), 0, 0x5e7509e85c017152},
+		{"okv-dummy|", []byte("\x00\xffk"), 0, 0x925d95450bdeb397},
+		{"a", nil, 7, 0xa38d9ece4953d021},
+		{"", nil, 1 << 40, 0x7c27ed62c55183a6},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for _, c := range pins {
+					if got := p.Uint64(c.label, c.suffix, c.index); got != c.want {
+						t.Errorf("Uint64(%q, %q, %d) = %#x, want %#x", c.label, c.suffix, c.index, got, c.want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPRFUint64AllocatesNothing: okv hashes every operation's key
+// three times, so a call reuses a pooled HMAC state and scratch.
+func TestPRFUint64AllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	p, _ := NewPRF(testKey())
+	key := []byte("a key longer than thirty-two bytes, so no stack buffer hides a concatenation")
+	if avg := testing.AllocsPerRun(200, func() {
+		p.Uint64("okv-bucket-0|", key, 0)
+	}); avg != 0 {
+		t.Errorf("PRF.Uint64 allocates %.1f times per call, want 0", avg)
 	}
 }
 

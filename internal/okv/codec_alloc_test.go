@@ -76,3 +76,27 @@ func TestCodecAllocs(t *testing.T) {
 		t.Errorf("slotState allocates %.1f times, want 0", avg)
 	}
 }
+
+// TestKeyHashAllocs: every op hashes its key three times (two buckets
+// and the miss path's dummy slot), through pooled PRF states and with
+// the label prefix and the key fed in separately.
+func TestKeyHashAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	s, err := New(Options{
+		Backend:       newMemBackend(1024, 256),
+		MaxValueBytes: 512,
+		Key:           bytes.Repeat([]byte{7}, 32),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := bytes.Repeat([]byte("k"), 100)
+	if avg := testing.AllocsPerRun(200, func() {
+		s.buckets(key)
+		s.dummySlot(key)
+	}); avg != 0 {
+		t.Errorf("buckets + dummySlot allocate %.1f times, want 0", avg)
+	}
+}

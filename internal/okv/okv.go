@@ -496,8 +496,8 @@ func (s *Store) validateKey(key []byte) error {
 // PRF. They may coincide; the pipeline reads both runs regardless, so
 // the shape does not change.
 func (s *Store) buckets(key []byte) (int64, int64) {
-	b0 := int64(s.prf.Uint64("okv-bucket-0|"+string(key), 0) % uint64(s.lay.buckets))
-	b1 := int64(s.prf.Uint64("okv-bucket-1|"+string(key), 0) % uint64(s.lay.buckets))
+	b0 := int64(s.prf.Uint64("okv-bucket-0|", key, 0) % uint64(s.lay.buckets))
+	b1 := int64(s.prf.Uint64("okv-bucket-1|", key, 0) % uint64(s.lay.buckets))
 	return b0, b1
 }
 
@@ -505,7 +505,7 @@ func (s *Store) buckets(key []byte) (int64, int64) {
 // slots, keyed by the PRF so it is deterministic per key but
 // structureless across keys.
 func (s *Store) dummySlot(key []byte) int {
-	return int(s.prf.Uint64("okv-dummy|"+string(key), 0) % uint64(2*s.lay.slots))
+	return int(s.prf.Uint64("okv-dummy|", key, 0) % uint64(2*s.lay.slots))
 }
 
 // opKind discriminates the three public operations inside the shared
