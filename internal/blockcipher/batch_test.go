@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"sync"
 	"testing"
 )
 
@@ -18,16 +19,29 @@ func fill(b []byte, seed byte) {
 	}
 }
 
-// runOf builds n deterministic plaintexts of size bytes each, the last
-// one short by trim bytes, so a run can sit exactly on either side of
-// the minShare floor.
-func runOf(n, size, trim int) [][]byte {
+// runShapes are the run shapes H-ORAM's benchmark workloads seal and
+// open: memory-tree paths and storage partitions at each workload's
+// per-shard geometry, records being the 8-byte address plus the block.
+var runShapes = []struct {
+	name    string
+	n, size int
+}{
+	{"ct-path", 12, 72},
+	{"ct-partition", 23, 72},
+	{"kv-path", 16, 1032},
+	{"kv-partition", 64, 1032},
+	{"rtt-path", 20, 1032},
+	{"pipelined-partition", 91, 1032},
+	{"rtt-partition", 128, 1032},
+}
+
+// runOf builds n deterministic plaintexts of size bytes each.
+func runOf(n, size int) [][]byte {
 	pts := make([][]byte, n)
 	for i := range pts {
 		pts[i] = make([]byte, size)
 		fill(pts[i], byte(i))
 	}
-	pts[n-1] = pts[n-1][:size-trim]
 	return pts
 }
 
@@ -41,92 +55,79 @@ func sealBuffers(pts [][]byte, overhead int) [][]byte {
 	return outs
 }
 
-// TestBatchMatchesSequential is the determinism contract of the worker
-// pool: for the same RNG state, SealBatch must produce byte-for-byte
-// the sealed records a loop of Seal calls would, at every worker
-// count. The device-trace equality tests upstack depend on this. The
-// runs sit one byte below the minShare floor (inline at any worker
-// count), exactly on it (two workers) and above it.
+// TestBatchMatchesSequential is the determinism contract of batch
+// sealing: for the same RNG state, SealBatch must produce byte-for-byte
+// the sealed records a loop of Seal calls would, whatever workers
+// says. The device-trace equality tests upstack depend on this. The
+// runs are a constant-time memory path, a 1 KiB-record memory path and
+// the largest storage partition.
 func TestBatchMatchesSequential(t *testing.T) {
-	runs := []struct {
-		name          string
-		n, size, trim int
-		wantFanAtWide int // fanWorkers at workers=16
-	}{
-		{"below-floor", 32, 2 * minShare / 32, 1, 1},
-		{"at-floor", 32, 2 * minShare / 32, 0, 2},
-		{"above-floor", 37, 264, 0, 2},
-	}
+	runs := []struct{ n, size int }{{12, 72}, {20, 1032}, {128, 1032}}
 	for _, r := range runs {
-		pts := runOf(r.n, r.size, r.trim)
-		runBytes := 0
-		for _, pt := range pts {
-			runBytes += len(pt)
-		}
-		if got := fanWorkers(r.n, runBytes, 16); got != r.wantFanAtWide {
-			t.Fatalf("%s: %d records, %d bytes fan to %d workers, want %d", r.name, r.n, runBytes, got, r.wantFanAtWide)
-		}
-
+		pts := runOf(r.n, r.size)
 		seq := newTestSealer(t)
 		want := make([][]byte, r.n)
 		for i, pt := range pts {
 			ct, err := seq.Seal(pt)
 			if err != nil {
-				t.Fatalf("%s: Seal record %d: %v", r.name, i, err)
+				t.Fatalf("%d×%d: Seal record %d: %v", r.n, r.size, i, err)
 			}
 			want[i] = ct
 		}
 
 		for _, workers := range []int{0, 1, 2, 4, 16} {
-			par := newTestSealer(t) // fresh RNG: same nonce stream as seq
-			outs := sealBuffers(pts, par.Overhead())
-			if err := SealBatch(par, runOf(r.n, r.size, r.trim), outs, workers); err != nil {
-				t.Fatalf("%s: SealBatch(workers=%d): %v", r.name, workers, err)
+			batch := newTestSealer(t) // fresh RNG: same nonce stream as seq
+			outs := sealBuffers(pts, batch.Overhead())
+			if err := SealBatch(batch, runOf(r.n, r.size), outs, workers); err != nil {
+				t.Fatalf("%d×%d: SealBatch(workers=%d): %v", r.n, r.size, workers, err)
 			}
 			for i := range outs {
 				if !bytes.Equal(outs[i], want[i]) {
-					t.Fatalf("%s: workers=%d: record %d differs from sequential Seal", r.name, workers, i)
+					t.Fatalf("%d×%d: workers=%d: record %d differs from sequential Seal", r.n, r.size, workers, i)
 				}
 			}
 
 			opened := sealBuffers(pts, 0)
-			if err := OpenBatch(par, outs, opened, workers); err != nil {
-				t.Fatalf("%s: OpenBatch(workers=%d): %v", r.name, workers, err)
+			if err := OpenBatch(batch, outs, opened, workers); err != nil {
+				t.Fatalf("%d×%d: OpenBatch(workers=%d): %v", r.n, r.size, workers, err)
 			}
 			for i := range opened {
 				if !bytes.Equal(opened[i], pts[i]) {
-					t.Fatalf("%s: workers=%d: record %d did not round-trip", r.name, workers, i)
+					t.Fatalf("%d×%d: workers=%d: record %d did not round-trip", r.n, r.size, workers, i)
 				}
 			}
 		}
 	}
 }
 
-// TestSmallRunAllocatesNothing pins the inline branch: a run below the
-// minShare floor is sealed and opened on the calling goroutine, with
-// no goroutines, WaitGroup, error slice or closure to allocate, even
-// when the caller offers four workers.
+// TestSmallRunAllocatesNothing pins that a run is sealed and opened on
+// the calling goroutine, with no goroutine, WaitGroup, error slice or
+// closure to allocate, even when the caller offers four workers: both
+// for a constant-time memory path and for the largest partition, which
+// a worker pool would split.
 func TestSmallRunAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
-	s := newTestSealer(t)
-	pts := runOf(12, 72, 0) // a constant-time memory path: 12 records of 8 + 64 B
-	outs := sealBuffers(pts, s.Overhead())
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := SealBatch(s, pts, outs, 4); err != nil {
-			t.Fatal(err)
+	for _, r := range []struct{ n, size int }{{12, 72}, {128, 1032}} {
+		s := newTestSealer(t)
+		pts := runOf(r.n, r.size)
+		outs := sealBuffers(pts, s.Overhead())
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := SealBatch(s, pts, outs, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("SealBatch of a %d × %d B run allocates %.1f times, want 0", r.n, r.size, avg)
 		}
-	}); avg != 0 {
-		t.Errorf("SealBatch of a below-floor run allocates %.1f times, want 0", avg)
-	}
-	opened := sealBuffers(pts, 0)
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := OpenBatch(s, outs, opened, 4); err != nil {
-			t.Fatal(err)
+		opened := sealBuffers(pts, 0)
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := OpenBatch(s, outs, opened, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("OpenBatch of a %d × %d B run allocates %.1f times, want 0", r.n, r.size, avg)
 		}
-	}); avg != 0 {
-		t.Errorf("OpenBatch of a below-floor run allocates %.1f times, want 0", avg)
 	}
 }
 
@@ -229,38 +230,64 @@ func TestSealAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchRace drives concurrent batches through one sealer instance
-// with a multi-worker pool; under -race this covers the shared AEAD
-// and the serial nonce handoff. Its 64 × 256 B runs hold 4×minShare
-// plaintext bytes, so workers=4 really fans out to four goroutines
-// rather than taking the inline branch.
+// TestBatchRace covers the concurrency batch sealing still meets,
+// under -race: the engine's shards each seal on their own goroutine
+// with their own sealer, and opening reads only the shared AEAD, so
+// one sealer may open from many goroutines at once.
 func TestBatchRace(t *testing.T) {
-	s := newTestSealer(t)
-	const n, size, rounds = 64, 256, 20
-	if got := fanWorkers(n, n*size, 4); got != 4 {
-		t.Fatalf("a %d × %d B run fans to %d workers, want 4", n, size, got)
+	const goroutines, n, size, rounds = 4, 64, 256, 20
+	shared := newTestSealer(t)
+	pts := runOf(n, size)
+	sealed := sealBuffers(pts, shared.Overhead())
+	if err := SealBatch(shared, pts, sealed, 4); err != nil {
+		t.Fatalf("SealBatch: %v", err)
 	}
-	pts := make([][]byte, n)
-	outs := make([][]byte, n)
-	opened := make([][]byte, n)
-	for i := range pts {
-		pts[i] = make([]byte, size)
-		fill(pts[i], byte(i))
-		outs[i] = make([]byte, size+s.Overhead())
-		opened[i] = make([]byte, size)
-	}
-	for r := 0; r < rounds; r++ {
-		if err := SealBatch(s, pts, outs, 4); err != nil {
-			t.Fatalf("round %d: SealBatch: %v", r, err)
-		}
-		if err := OpenBatch(s, outs, opened, 4); err != nil {
-			t.Fatalf("round %d: OpenBatch: %v", r, err)
-		}
-		for i := range opened {
-			if !bytes.Equal(opened[i], pts[i]) {
-				t.Fatalf("round %d: record %d corrupted", r, i)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go func() { // OpenBatch on the shared sealer
+			defer wg.Done()
+			opened := sealBuffers(pts, 0)
+			for r := 0; r < rounds; r++ {
+				if err := OpenBatch(shared, sealed, opened, 4); err != nil {
+					errs <- fmt.Errorf("round %d: OpenBatch: %w", r, err)
+					return
+				}
+				for i := range opened {
+					if !bytes.Equal(opened[i], pts[i]) {
+						errs <- fmt.Errorf("round %d: record %d corrupted", r, i)
+						return
+					}
+				}
 			}
-		}
+		}()
+		go func(g int) { // SealBatch on this goroutine's own sealer
+			defer wg.Done()
+			own, err := NewAESSealer(testKey(), NewRNGFromString(fmt.Sprintf("race-%d", g)))
+			if err != nil {
+				errs <- err
+				return
+			}
+			outs := sealBuffers(pts, own.Overhead())
+			opened := sealBuffers(pts, 0)
+			for r := 0; r < rounds; r++ {
+				if err := SealBatch(own, pts, outs, 4); err != nil {
+					errs <- fmt.Errorf("sealer %d round %d: SealBatch: %w", g, r, err)
+					return
+				}
+				if err := OpenBatch(own, outs, opened, 4); err != nil {
+					errs <- fmt.Errorf("sealer %d round %d: OpenBatch: %w", g, r, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -304,8 +331,9 @@ func BenchmarkSealer(b *testing.B) {
 	}
 }
 
-// BenchmarkSealBatch measures the worker pool at a shuffle-quantum
-// batch shape.
+// BenchmarkSealBatch times a shuffle-quantum run (64 × 1 KiB). The
+// worker counts name the sealer gate's baseline cells; a run is sealed
+// on the calling goroutine whatever the count.
 func BenchmarkSealBatch(b *testing.B) {
 	const n, size = 64, 1024
 	for _, workers := range []int{1, 2, 4} {
@@ -313,13 +341,8 @@ func BenchmarkSealBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pts := make([][]byte, n)
-		outs := make([][]byte, n)
-		for i := range pts {
-			pts[i] = make([]byte, size)
-			fill(pts[i], byte(i))
-			outs[i] = make([]byte, size+s.Overhead())
-		}
+		pts := runOf(n, size)
+		outs := sealBuffers(pts, s.Overhead())
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(n * size))
 			b.ReportAllocs()
@@ -333,53 +356,29 @@ func BenchmarkSealBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSealRun is the sweep behind the minShare floor: every run
-// shape H-ORAM's workloads seal and open (memory-tree paths and
-// storage partitions at each benchmark workload's per-shard geometry;
-// records are the 8-byte address plus the block), one sub-benchmark
-// per candidate worker count, MB/s over plaintext bytes. Runs below
-// the floor take the inline branch whatever workers says.
+// BenchmarkSealRun seals and then opens every run shape in runShapes,
+// one sub-benchmark per shape; MB/s counts the plaintext bytes of both
+// directions.
 func BenchmarkSealRun(b *testing.B) {
-	shapes := []struct {
-		name    string
-		n, size int
-	}{
-		{"ct-path", 12, 72},
-		{"ct-partition", 23, 72},
-		{"kv-path", 16, 1032},
-		{"kv-partition", 64, 1032},
-		{"rtt-path", 20, 1032},
-		{"pipelined-partition", 91, 1032},
-		{"rtt-partition", 128, 1032},
-	}
-	for _, sh := range shapes {
-		for _, workers := range []int{1, 2} {
-			s, err := NewAESSealer(testKey(), NewRNGFromString("seal-run-bench"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			pts := runOf(sh.n, sh.size, 0)
-			outs := sealBuffers(pts, s.Overhead())
-			name := fmt.Sprintf("%s/%dx%d/workers=%d", sh.name, sh.n, sh.size, workers)
-			b.Run("seal/"+name, func(b *testing.B) {
-				b.SetBytes(int64(sh.n * sh.size))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := SealBatch(s, pts, outs, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("open/"+name, func(b *testing.B) {
-				b.SetBytes(int64(sh.n * sh.size))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := OpenBatch(s, outs, pts, workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+	for _, sh := range runShapes {
+		s, err := NewAESSealer(testKey(), NewRNGFromString("seal-run-bench"))
+		if err != nil {
+			b.Fatal(err)
 		}
+		pts := runOf(sh.n, sh.size)
+		outs := sealBuffers(pts, s.Overhead())
+		b.Run(fmt.Sprintf("%s/%dx%d", sh.name, sh.n, sh.size), func(b *testing.B) {
+			b.SetBytes(int64(2 * sh.n * sh.size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := SealBatch(s, pts, outs, 1); err != nil {
+					b.Fatal(err)
+				}
+				if err := OpenBatch(s, outs, pts, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -58,31 +58,21 @@ type Sealer interface {
 	// exactly len(sealed)-Overhead() bytes.
 	OpenInto(dst, sealed []byte) error
 	// SealBatch seals plaintexts[i] into outs[i] (each exactly
-	// len(plaintexts[i])+Overhead() bytes) using up to workers
-	// goroutines; workers <= 1 runs inline on the calling goroutine.
-	// Outputs land at the matching index whatever the scheduling, and
-	// the nonce stream advances exactly as len(plaintexts) sequential
+	// len(plaintexts[i])+Overhead() bytes) on the calling goroutine.
+	// The nonce stream advances exactly as len(plaintexts) sequential
 	// Seal calls would, so batch and serial sealing are byte-for-byte
 	// interchangeable.
 	//
-	// AESSealer gives each worker at least 4 KiB of plaintext record
-	// bytes: a run fans out to min(workers, records, runBytes/4 KiB)
-	// goroutines, and when that is below two it runs on the caller's
-	// goroutine. The floor reads only the run length and the record
-	// size, which the bus already shows, so it changes no
-	// constant-time touch sequence. It is set where the measurements
-	// put it: on a 2-vCPU host two workers sealed a 12 × 72 B
-	// constant-time memory path at 168 MB/s against 312 MB/s inline,
-	// and even a 128 × 1 KiB partition ran slower on two (1844 vs
-	// 2155 MB/s, BenchmarkSealRun); inlining the runs under 8 KiB
-	// raised block_ct's ops/s by 19 % (median of 10 pairs), while every
-	// 1 KiB-record run (≥ 16 × 1032 B) keeps the two workers whose park
-	// points interleave block_pipelined's shards.
+	// workers is ignored: the engine's shards, each sealing on its
+	// own goroutine, are the parallelism. On a 2-vCPU host one
+	// goroutine sealed every production run shape (12 × 72 B to
+	// 128 × 1032 B, BenchmarkSealRun) faster than two workers did, and
+	// sealing on the shard's goroutine instead of a worker fan raised
+	// kv_mixed's ops/s by 25 %.
 	SealBatch(plaintexts, outs [][]byte, workers int) error
 	// OpenBatch verifies and decrypts sealed[i] into outs[i] (each
-	// exactly len(sealed[i])-Overhead() bytes) using up to workers
-	// goroutines, under the same floor as SealBatch, counted in
-	// plaintext bytes (len(outs[i])).
+	// exactly len(sealed[i])-Overhead() bytes) on the calling
+	// goroutine. workers is ignored.
 	OpenBatch(sealed, outs [][]byte, workers int) error
 }
 

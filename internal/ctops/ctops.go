@@ -73,3 +73,30 @@ func CopyBytes(v int, dst, src []byte) {
 		dst[i] ^= (dst[i] ^ src[i]) & mb
 	}
 }
+
+// Equal returns 1 when a and b hold the same bytes, else 0, in time
+// that depends only on their lengths; like subtle.ConstantTimeCompare
+// it returns 0 at once for slices of different lengths (lengths are
+// public) and 1 for two empty ones.
+//
+// It folds eight bytes per step, OR-ing the XOR of each word pair into
+// one accumulator, and the tail shorter than a word a byte at a time.
+// The KV selector compares a ≈1 KiB key window per candidate slot, which
+// is why it is word-wide rather than crypto/subtle's byte loop.
+//
+//horam:constant-time
+//horam:secret a b
+func Equal(a, b []byte) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	var acc uint64
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		acc |= binary.LittleEndian.Uint64(a[i:i+8:i+8]) ^ binary.LittleEndian.Uint64(b[i:i+8:i+8])
+	}
+	for ; i < len(a); i++ {
+		acc |= uint64(a[i] ^ b[i])
+	}
+	return int(((acc | -acc) >> 63) ^ 1)
+}

@@ -223,9 +223,9 @@ func (o *ORAM) FinishShuffle() error {
 //
 // The quantum runs entirely in the instance's persistent scratch: the
 // partition is fetched with one vectored ReadSlots burst, the records
-// are opened and re-sealed across the codec's worker pool (nonces are
-// drawn serially in slot order, so the bytes match the serial
-// implementation exactly), and written back with one WriteSlots burst.
+// are opened and re-sealed as one run each (nonces are drawn serially
+// in slot order, so the bytes match the serial implementation
+// exactly), and written back with one WriteSlots burst.
 // The meter charges and hook events are per slot in slot order either
 // way — the bus-visible sequence is unchanged.
 func (o *ORAM) shufflePartition(p int64) error {

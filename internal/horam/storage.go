@@ -13,8 +13,8 @@ import (
 // would correlate logical addresses with partitions and leak workload
 // structure through which partitions are read (the §4.3.3 argument
 // needs unbiased partition access). Setup is unmeasured; the sealing
-// is still batched across the worker pool because it is the dominant
-// cost of bringing up a large instance.
+// is still batched per partition because it is the dominant cost of
+// bringing up a large instance.
 func (o *ORAM) initStorage() error {
 	perPart := (o.cfg.Blocks + o.partitions - 1) / o.partitions
 	dealt := o.cfg.RNG.Perm(int(o.cfg.Blocks)) // random balanced deal

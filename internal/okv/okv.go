@@ -64,7 +64,6 @@ package okv
 
 import (
 	"crypto/sha256"
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -661,7 +660,7 @@ func (s *Store) selectTarget(sc *opScratch, kind opKind, key []byte) selection {
 		bad |= ok ^ 1
 		sc.occs[i] = occ
 		keyEq := occ & ctops.EqInt(klen, len(key)) &
-			subtle.ConstantTimeCompare(raw[slotHeaderLen:slotHeaderLen+s.lay.maxKey], sc.keyBuf)
+			ctops.Equal(raw[slotHeaderLen:slotHeaderLen+s.lay.maxKey], sc.keyBuf)
 		m := keyEq & (fnd ^ 1) // first match in scan order wins
 		tgt = ctops.SelectInt(m, i, tgt)
 		valLen = ctops.SelectInt(m, vlen, valLen)

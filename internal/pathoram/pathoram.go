@@ -288,8 +288,8 @@ func (o *Tree) stashPut(addr, leaf int64, data []byte) error {
 
 // clearTree puts a dummy into every slot of the tree: the trusted top
 // takes the dummy plaintext, and the device slots are batch-sealed one
-// path-sized chunk at a time through the worker pool (the chunked
-// order keeps the nonce stream identical to a serial slot loop).
+// path-sized chunk at a time (the chunked order keeps the nonce stream
+// identical to a serial slot loop).
 func (o *Tree) clearTree() error {
 	for _, pt := range o.topPt {
 		copy(pt, o.codec.DummyPt())
@@ -377,9 +377,8 @@ func (o *Tree) checkLeaf(addr, leaf int64) error {
 // readPath fetches every bucket on the path to leaf into the stash.
 // The trusted top's plaintexts are copied into the path slab; then,
 // for the device levels, the reads land in the sealed slab (charged
-// per slot in the classic order), one batch open fans the crypto
-// across the worker pool, and the real blocks are copied into
-// stash-owned buffers.
+// per slot in the classic order), one batch open decrypts the run,
+// and the real blocks are copied into stash-owned buffers.
 func (o *Tree) readPath(leaf int64) error {
 	n := 0
 	for _, bucket := range o.geom.Path(leaf) {

@@ -6,17 +6,15 @@
 //
 //	8-byte big-endian address ‖ BlockSize payload ‖ sealer overhead
 //
-// with address −1 marking a dummy. The layout, the slot sizing, the
-// seal/open hot path (in place per record, batched per run with the
-// serial nonce order preserved, so the sealed bytes are identical at
-// any worker count) and the worker-pool bound live here and nowhere
-// else; internal/record/golden_test.go pins the resulting device bytes.
+// with address −1 marking a dummy. The layout, the slot sizing and the
+// seal/open hot path (in place per record, batched per run in the
+// serial nonce order) live here and nowhere else;
+// internal/record/golden_test.go pins the resulting device bytes.
 package record
 
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"repro/internal/blockcipher"
 )
@@ -37,28 +35,18 @@ func SlotSize(blockSize int, sealer blockcipher.Sealer) int {
 // the buffers (see Slab).
 type Codec struct {
 	sealer   blockcipher.Sealer
-	workers  int // seal/open fan-out of SealRun and OpenRun
 	ptSize   int
 	slotSize int
 	dummyPt  []byte
 }
 
-// New builds the codec for blockSize-byte payloads under sealer. The
-// worker pool is GOMAXPROCS capped at 8 (sealing a partition saturates
-// memory bandwidth long before it scales past that); GOMAXPROCS is the
-// way to bound it. The pool is an upper bound: the sealer gives each
-// worker at least 4 KiB of record plaintext, so a run under 8 KiB, such
-// as block_ct's 12 × 72 B memory paths and 23 × 72 B partitions, is
-// sealed on the calling goroutine. Run length and record size are
-// public geometry, so the worker count reveals nothing the bus does
-// not. On a 2-vCPU host the hand-off cost more than the crypto of such
-// a path (BenchmarkSealRun: 168 MB/s on two workers, 312 inline), and
-// inlining it raised block_ct's ops/s by 19 %.
+// New builds the codec for blockSize-byte payloads under sealer. Its
+// runs are sealed and opened on the caller's goroutine: each shard's
+// scheduler seals its own paths, so the shards are the parallelism.
 func New(sealer blockcipher.Sealer, blockSize int) *Codec {
 	ptSize := HeaderSize + blockSize
 	c := &Codec{
 		sealer:   sealer,
-		workers:  min(runtime.GOMAXPROCS(0), 8),
 		ptSize:   ptSize,
 		slotSize: SlotSize(blockSize, sealer),
 		dummyPt:  make([]byte, ptSize),
@@ -126,15 +114,15 @@ func (c *Codec) OpenInto(dst, sealed []byte) (addr int64, payload []byte, err er
 	return addr, payload, nil
 }
 
-// SealRun batch-seals pts[i] into outs[i] across the worker pool, in
-// the nonce order of a serial loop over i.
+// SealRun batch-seals pts[i] into outs[i] in the nonce order of a
+// serial loop over i.
 func (c *Codec) SealRun(pts, outs [][]byte) error {
-	return blockcipher.SealBatch(c.sealer, pts, outs, c.workers)
+	return blockcipher.SealBatch(c.sealer, pts, outs, 1)
 }
 
-// OpenRun batch-opens sealed[i] into pts[i] across the worker pool.
+// OpenRun batch-opens sealed[i] into pts[i].
 func (c *Codec) OpenRun(pts, sealed [][]byte) error {
-	return blockcipher.OpenBatch(c.sealer, sealed, pts, c.workers)
+	return blockcipher.OpenBatch(c.sealer, sealed, pts, 1)
 }
 
 // Slab carves one n×size backing array into n fixed-size views — the
