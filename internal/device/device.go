@@ -82,9 +82,10 @@ type Hook func(dev string, op Op, slot int64)
 
 // Backend is the one device contract the ORAM controllers in this
 // repository build on: timed slot I/O, one slot at a time or a run at
-// a time, the uncharged raw paths for setup and snapshot capture, and
-// the head, counter and adversary-hook controls. *Sim, *File and
-// *Tiered all satisfy it, so any of them can back either tier.
+// a time, the uncharged raw paths for setup (a slot or a run at a
+// time) and snapshot capture, and the head, counter and adversary-hook
+// controls. *Sim, *File and *Tiered all satisfy it, so any of them can
+// back either tier.
 //
 // Implementations must tolerate concurrent callers only if documented;
 // the ORAM controllers in this repository serialise device access.
@@ -115,6 +116,12 @@ type Backend interface {
 	// WriteRaw stores src without charging simulated time or counters
 	// (unmeasured setup writes).
 	WriteRaw(slot int64, src []byte) error
+	// WriteRawSlots is WriteRaw for a run: it writes bufs[i] into
+	// slots[i] for every i after validating the whole request, charges
+	// no time, touches no counter and fires no hook. File turns each
+	// contiguous run into one pwritev, so setup that writes a whole
+	// partition pays one syscall instead of one per slot.
+	WriteRawSlots(slots []int64, bufs [][]byte) error
 	// ReadRaw copies a slot's payload without charging simulated time
 	// or counters (snapshot capture, debugging).
 	ReadRaw(slot int64, dst []byte) error

@@ -214,7 +214,7 @@ func (d *File) ReadSlots(slots []int64, bufs [][]byte) error {
 // policy's sync points (and the Syncs counter) stay exactly where a
 // Write loop puts them.
 func (d *File) WriteSlots(slots []int64, bufs [][]byte) error {
-	if err := d.checkWriteRun(slots, bufs); err != nil {
+	if err := d.checkWriteRun(slots, bufs, false); err != nil {
 		return err
 	}
 	if d.fsyncEvery > 0 {
@@ -240,6 +240,26 @@ func (d *File) WriteSlots(slots []int64, bufs [][]byte) error {
 		d.clock.Advance(lat)
 		d.views = views[:0]
 		if err := d.pwritevAt(views, d.off(slots[start])); err != nil {
+			return fmt.Errorf("device %s: pwritev slots [%d,%d]: %w", d.profile.Name, slots[start], slots[end-1], err)
+		}
+		start = end
+	}
+	return nil
+}
+
+// WriteRawSlots implements Backend: no charge, counter or hook, and
+// one pwritev burst per contiguous run. Like WriteRaw it ignores the
+// fsync policy.
+func (d *File) WriteRawSlots(slots []int64, bufs [][]byte) error {
+	if err := d.checkWriteRun(slots, bufs, true); err != nil {
+		return err
+	}
+	for start := 0; start < len(slots); {
+		end := start + 1
+		for end < len(slots) && slots[end] == slots[end-1]+1 {
+			end++
+		}
+		if err := d.pwritevAt(bufs[start:end], d.off(slots[start])); err != nil {
 			return fmt.Errorf("device %s: pwritev slots [%d,%d]: %w", d.profile.Name, slots[start], slots[end-1], err)
 		}
 		start = end

@@ -6,14 +6,15 @@ import (
 )
 
 // Vectored slot I/O. The shuffle quantum and multi-slot cycle paths
-// touch runs of slots at a time; issuing them through the one-slot
-// Read/Write methods costs one syscall per slot on a File backend, so
-// ReadSlots/WriteSlots are part of the Backend contract and every
-// device implements them natively: Sim has no syscalls to coalesce,
-// only clock advances; File turns each contiguous run into one
-// preadv/pwritev; Tiered splits a request into per-tier runs and lets
-// each tier coalesce its own. Whatever the transfer, the accounting is
-// that of the equivalent Read/Write loop.
+// touch runs of slots at a time, and storage setup writes a whole
+// partition at a time; issuing them through the one-slot methods costs
+// one syscall per slot on a File backend, so ReadSlots, WriteSlots and
+// the uncharged WriteRawSlots are part of the Backend contract and
+// every device implements them natively: Sim has no syscalls to
+// coalesce, only clock advances; File turns each contiguous run into
+// one preadv/pwritev; Tiered splits a request into per-tier runs and
+// lets each tier coalesce its own. Whatever the transfer, the
+// accounting is that of the equivalent Read/Write/WriteRaw loop.
 
 func checkVector(slots []int64, bufs [][]byte) error {
 	if len(slots) != len(bufs) {
@@ -39,9 +40,9 @@ func (m *meter) checkReadRun(slots []int64, bufs [][]byte) error {
 	return nil
 }
 
-// checkWriteRun validates a whole WriteSlots request before any slot
-// of it is charged.
-func (m *meter) checkWriteRun(slots []int64, bufs [][]byte) error {
+// checkWriteRun validates a whole WriteSlots (or, raw, WriteRawSlots)
+// request before any slot of it is charged or written.
+func (m *meter) checkWriteRun(slots []int64, bufs [][]byte, raw bool) error {
 	if err := checkVector(slots, bufs); err != nil {
 		return err
 	}
@@ -49,7 +50,7 @@ func (m *meter) checkWriteRun(slots []int64, bufs [][]byte) error {
 		if err := m.checkSlot(slot); err != nil {
 			return err
 		}
-		if err := m.checkWritePayload(bufs[i], false); err != nil {
+		if err := m.checkWritePayload(bufs[i], raw); err != nil {
 			return err
 		}
 	}
@@ -77,7 +78,7 @@ func (s *Sim) ReadSlots(slots []int64, bufs [][]byte) error {
 // WriteSlots implements Backend, with ReadSlots' validation and single
 // clock advance.
 func (s *Sim) WriteSlots(slots []int64, bufs [][]byte) error {
-	if err := s.checkWriteRun(slots, bufs); err != nil {
+	if err := s.checkWriteRun(slots, bufs, false); err != nil {
 		return err
 	}
 	var lat time.Duration
@@ -87,6 +88,18 @@ func (s *Sim) WriteSlots(slots []int64, bufs [][]byte) error {
 		s.observe(OpWrite, slot)
 	}
 	s.clock.Advance(lat)
+	return nil
+}
+
+// WriteRawSlots implements Backend: WriteRaw for every slot, after
+// validating the whole request.
+func (s *Sim) WriteRawSlots(slots []int64, bufs [][]byte) error {
+	if err := s.checkWriteRun(slots, bufs, true); err != nil {
+		return err
+	}
+	for i, slot := range slots {
+		s.copyIn(slot, bufs[i])
+	}
 	return nil
 }
 
@@ -100,6 +113,12 @@ func (t *Tiered) ReadSlots(slots []int64, bufs [][]byte) error {
 // WriteSlots implements Backend.
 func (t *Tiered) WriteSlots(slots []int64, bufs [][]byte) error {
 	return t.vectored(slots, bufs, true, Backend.WriteSlots)
+}
+
+// WriteRawSlots implements Backend: each same-tier run goes to that
+// tier's own WriteRawSlots.
+func (t *Tiered) WriteRawSlots(slots []int64, bufs [][]byte) error {
+	return t.vectored(slots, bufs, true, Backend.WriteRawSlots)
 }
 
 // vectored validates the whole request first, as a single device

@@ -211,3 +211,98 @@ func TestVectoredValidation(t *testing.T) {
 		})
 	}
 }
+
+// rawImage reads every slot of d through the uncharged path.
+func rawImage(t *testing.T, d Backend) [][]byte {
+	t.Helper()
+	img := make([][]byte, d.Slots())
+	for s := range img {
+		img[s] = make([]byte, d.SlotSize())
+		if err := d.ReadRaw(int64(s), img[s]); err != nil {
+			t.Fatalf("ReadRaw(%d): %v", s, err)
+		}
+	}
+	return img
+}
+
+func sameImage(t *testing.T, what string, got, want [][]byte) {
+	t.Helper()
+	for s := range want {
+		if !bytes.Equal(got[s], want[s]) {
+			t.Fatalf("%s: slot %d differs", what, s)
+		}
+	}
+}
+
+// TestWriteRawSlots pins the uncharged run write on every backend: a
+// run in permuted slot order — coalescible stretches, one across the
+// tiered boundary, between single slots — leaves the image a WriteRaw
+// loop leaves, with no counter, clock or hook touched; and a request
+// with a bad slot or a short buffer late in the run is refused before
+// any slot of it is written.
+func TestWriteRawSlots(t *testing.T) {
+	const slotSize = 48
+	const slots = int64(32)
+	order := []int64{12, 13, 14, 15, 16, 17, 18, 19, 3, 30, 31, 0, 1, 2, 27, 28, 29, 4, 5, 6, 7, 8, 9, 10, 11, 26, 20, 21, 22, 23, 24, 25}
+	payload := func(slot int64, round byte) []byte {
+		b := make([]byte, slotSize)
+		for j := range b {
+			b[j] = byte(slot)*7 + byte(j) + round
+		}
+		return b
+	}
+	for name, mk := range vectorBackends(t, slotSize, slots) {
+		t.Run(name, func(t *testing.T) {
+			loopDev, _ := mk()
+			runDev, clk := mk()
+			trace := recordTrace(runDev)
+			bufs := make([][]byte, len(order))
+			for i, s := range order {
+				bufs[i] = payload(s, 1)
+				if err := loopDev.WriteRaw(s, bufs[i]); err != nil {
+					t.Fatalf("WriteRaw(%d): %v", s, err)
+				}
+			}
+			if err := runDev.WriteRawSlots(order, bufs); err != nil {
+				t.Fatalf("WriteRawSlots: %v", err)
+			}
+			want := rawImage(t, loopDev)
+			sameImage(t, "permuted run vs WriteRaw loop", rawImage(t, runDev), want)
+
+			last := len(order) - 1
+			for _, tc := range []struct {
+				what  string
+				slots []int64
+				bufs  [][]byte
+			}{
+				{"out-of-range slot last", append(append([]int64(nil), order[:last]...), slots), nil},
+				{"negative slot last", append(append([]int64(nil), order[:last]...), -1), nil},
+				{"short buffer last", order, [][]byte{make([]byte, slotSize-1)}},
+				{"long buffer last", order, [][]byte{make([]byte, slotSize+1)}},
+				{"one buffer missing", order, [][]byte{}},
+			} {
+				bad := make([][]byte, len(order))
+				for i, s := range order {
+					bad[i] = payload(s, 2)
+				}
+				if tc.bufs != nil {
+					bad = append(bad[:last], tc.bufs...)
+				}
+				if err := runDev.WriteRawSlots(tc.slots, bad); err == nil {
+					t.Errorf("%s: accepted", tc.what)
+				}
+				sameImage(t, tc.what, rawImage(t, runDev), want)
+			}
+
+			if st := runDev.Stats(); st != (Stats{}) {
+				t.Errorf("stats moved: %+v", st)
+			}
+			if now := clk.Now(); now != 0 {
+				t.Errorf("clock moved to %v", now)
+			}
+			if len(*trace) != 0 {
+				t.Errorf("hook fired %d times, first %+v", len(*trace), (*trace)[0])
+			}
+		})
+	}
+}

@@ -14,7 +14,8 @@
 //     shards (New/Restore) own scheduler, reorder buffer, memory tree,
 //     storage partitions, devices and clocks, built from a per-shard
 //     key derived from the master key (independent sealer nonce
-//     streams, independent randomness). Remote shards (NewWithBackends,
+//     streams, independent randomness); sharing nothing, they are
+//     opened or restored side by side. Remote shards (NewWithBackends,
 //     assembled by internal/cluster) are horamd -shard-serve nodes
 //     reached over TCP; ShardConfig derives the options such a node
 //     must run with.
@@ -418,9 +419,10 @@ func ShardConfig(opts Options, index int) (Options, error) {
 }
 
 // New validates the options, PRF-partitions the address space, builds
-// the S in-process shard instances and starts their scheduler
-// goroutines. With DataDir set the durable layout is reinitialised
-// from scratch; resuming a persisted image goes through Restore.
+// the S in-process shard instances side by side and starts their
+// scheduler goroutines. With DataDir set the durable layout is
+// reinitialised from scratch; resuming a persisted image goes through
+// Restore.
 func New(opts Options) (*Engine, error) {
 	opts, err := resolveOptions(opts)
 	if err != nil {
@@ -464,7 +466,8 @@ func NewWithBackends(opts Options, backends []ShardBackend) (*Engine, error) {
 // assemble builds the engine from resolved options over in-process
 // shards; restoring selects core.RestoreCheckpoint (resume each shard
 // from its snapshot at one consistent cut) over core.Open (fresh
-// layout).
+// layout). If any shard fails, every shard that opened is closed and
+// the lowest-index shard's error is returned.
 func assemble(opts Options, restoring bool) (*Engine, error) {
 	plan, err := planShards(opts)
 	if err != nil {
@@ -502,23 +505,40 @@ func assemble(opts Options, restoring bool) (*Engine, error) {
 		}
 	}
 
+	// Each shard opens or restores on its own goroutine: the shards
+	// share no state, and set-up (sealing and writing the storage
+	// layout) dominates construction.
 	backends := make([]ShardBackend, opts.Shards)
+	errs := make([]error, opts.Shards)
+	var wg sync.WaitGroup
 	for s, so := range plan.shardOpts {
-		var c *core.Client
-		if restoring {
-			c, err = core.RestoreCheckpoint(so, targetCkpt, targetEpoch)
-		} else {
-			c, err = core.Open(so)
-		}
-		if err != nil {
-			// Unwind the shards already open, or their resources leak
-			// on every failed construction attempt.
-			for _, prev := range backends[:s] {
-				prev.Close() //horam:errok unwinding a failed construction; the shard-open error is the one to surface
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c *core.Client
+			if restoring {
+				c, errs[s] = core.RestoreCheckpoint(so, targetCkpt, targetEpoch)
+			} else {
+				c, errs[s] = core.Open(so)
 			}
-			return nil, fmt.Errorf("engine: shard %d: %w", s, err)
+			if errs[s] == nil {
+				backends[s] = c
+			}
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err == nil {
+			continue
 		}
-		backends[s] = c
+		// Unwind the shards that did open, or their resources leak on
+		// every failed construction attempt.
+		for _, b := range backends {
+			if b != nil {
+				b.Close() //horam:errok unwinding a failed construction; the shard-open error is the one to surface
+			}
+		}
+		return nil, fmt.Errorf("engine: shard %d: %w", s, err)
 	}
 	return build(opts, plan, backends)
 }
@@ -767,33 +787,48 @@ func (e *Engine) level() error {
 			target = n
 		}
 	}
-	errs := make([]error, len(e.shards))
-	var wg sync.WaitGroup
+	// A shard already at target may still be raised by a concurrent
+	// drain; that batch levels.
+	behind := make([]*shard, 0, len(e.shards))
 	for i, sh := range e.shards {
-		if counts[i] >= target {
-			continue // may still be raised by a concurrent drain; that batch levels
+		if counts[i] < target {
+			behind = append(behind, sh)
 		}
+	}
+	_, err := padShards(target, behind)
+	return err
+}
+
+// padShards pads each of shards up to target on its own goroutine,
+// books what each padded to its pad-cycle count, and returns the total
+// padded and the error of the first shard in the list that failed.
+func padShards(target int64, shards []*shard) (int64, error) {
+	padded := make([]int64, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, sh := range shards {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func() {
 			defer wg.Done()
-			padded, err := sh.backend.PadToCycles(target)
-			if padded > 0 {
+			padded[i], errs[i] = sh.backend.PadToCycles(target)
+			if padded[i] > 0 {
 				sh.mu.Lock()
-				sh.padCycles += padded
+				sh.padCycles += padded[i]
 				sh.mu.Unlock()
 			}
-			if err != nil {
-				errs[i] = fmt.Errorf("engine: shard %d: leveling: %w", sh.id, err)
-			}
-		}(i, sh)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	var total int64
+	for _, n := range padded {
+		total += n
+	}
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return total, fmt.Errorf("engine: shard %d: leveling: %w", shards[i].id, err)
 		}
 	}
-	return nil
+	return total, nil
 }
 
 // Cycles returns the engine's leveled cumulative cycle count: the
@@ -816,10 +851,11 @@ func (e *Engine) Cycles() (int64, error) {
 }
 
 // PadToCycles pads every shard with dummy cycles up to target (a
-// no-op for shards already there) and returns the total padded. It
-// backs the PAD shard-control verb: a gateway levels a cluster by
-// reading every node's CYCLES and padding the stragglers to the
-// maximum, exactly as Engine.level does in-process.
+// no-op for shards already there), the shards side by side, and
+// returns the total padded. It backs the PAD shard-control verb: a
+// gateway levels a cluster by reading every node's CYCLES and padding
+// the stragglers to the maximum, exactly as Engine.level does
+// in-process.
 func (e *Engine) PadToCycles(target int64) (int64, error) {
 	e.pause.RLock()
 	defer e.pause.RUnlock()
@@ -829,20 +865,7 @@ func (e *Engine) PadToCycles(target int64) (int64, error) {
 		return 0, ErrClosed
 	}
 	e.mu.Unlock()
-	var total int64
-	for _, sh := range e.shards {
-		padded, err := sh.backend.PadToCycles(target)
-		if padded > 0 {
-			sh.mu.Lock()
-			sh.padCycles += padded
-			sh.mu.Unlock()
-			total += padded
-		}
-		if err != nil {
-			return total, fmt.Errorf("engine: shard %d: %w", sh.id, err)
-		}
-	}
-	return total, nil
+	return padShards(target, e.shards)
 }
 
 // Read returns the BlockSize-byte contents of addr (zeros if the block

@@ -8,7 +8,6 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -260,18 +259,8 @@ func TestFailedRestoreLeavesDirectoryRestorable(t *testing.T) {
 	if _, err := Restore(opts); err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("Restore over a torn shard 1: err = %v, want a refusal naming shard 1", err)
 	}
-	storage, err := filepath.EvalSymlinks(filepath.Join(shardDir(opts.DataDir, 0), core.StorageFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fds, err := os.ReadDir("/proc/self/fd"); err != nil {
-		t.Logf("no /proc/self/fd (%v): fd leak check skipped", err)
-	} else {
-		for _, fd := range fds {
-			if link, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); link == storage {
-				t.Fatalf("fd %s still holds shard 0's storage file after the failed restore", fd.Name())
-			}
-		}
+	if fds := openFDsOn(t, filepath.Join(shardDir(opts.DataDir, 0), core.StorageFileName)); len(fds) > 0 {
+		t.Fatalf("fds %v still hold shard 0's storage file after the failed restore", fds)
 	}
 	resolved, err := resolveOptions(opts)
 	if err != nil {

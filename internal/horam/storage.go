@@ -12,13 +12,14 @@ import (
 // partition is permuted internally. Assigning by address range instead
 // would correlate logical addresses with partitions and leak workload
 // structure through which partitions are read (the §4.3.3 argument
-// needs unbiased partition access). Setup is unmeasured; the sealing
-// is still batched per partition because it is the dominant cost of
-// bringing up a large instance.
+// needs unbiased partition access). Setup is unmeasured, but it is
+// what bringing up a large instance costs, so each partition is sealed
+// as one run and reaches the device as one run.
 func (o *ORAM) initStorage() error {
 	perPart := (o.cfg.Blocks + o.partitions - 1) / o.partitions
 	dealt := o.cfg.RNG.Perm(int(o.cfg.Blocks)) // random balanced deal
 	sc := o.shufScratchFor(o.partSlots)
+	run := make([][]byte, o.partSlots) // the sealed records in slot order
 	for p := int64(0); p < o.partitions; p++ {
 		lo := p * perPart
 		hi := lo + perPart
@@ -29,15 +30,16 @@ func (o *ORAM) initStorage() error {
 		permIdx := o.cfg.RNG.Perm(int(o.partSlots))
 		base := p * o.partSlots
 		// Encode the partition's records in deal order (the nonce order
-		// the serial implementation used), batch-seal, then raw-write
-		// each record at its permuted slot.
+		// the serial implementation used) and batch-seal them; record i
+		// lands at the permuted slot base+permIdx[i], so the partition
+		// goes to the device in slot order as one uncharged run.
 		for i := int64(0); i < o.partSlots; i++ {
-			slot := base + int64(permIdx[i])
-			sc.slots[i] = slot
+			sc.slots[i] = base + i
+			run[permIdx[i]] = sc.sealedV[i]
 			if i < count {
 				addr := int64(dealt[lo+i])
 				o.codec.Encode(sc.writePt[i], addr, nil)
-				if err := o.perm.SetStorage(addr, slot); err != nil {
+				if err := o.perm.SetStorage(addr, base+int64(permIdx[i])); err != nil {
 					return err
 				}
 			} else {
@@ -47,10 +49,8 @@ func (o *ORAM) initStorage() error {
 		if err := o.codec.SealRun(sc.writePt, sc.sealedV); err != nil {
 			return err
 		}
-		for i := int64(0); i < o.partSlots; i++ {
-			if err := o.storDev.WriteRaw(sc.slots[i], sc.sealedV[i]); err != nil {
-				return err
-			}
+		if err := o.storDev.WriteRawSlots(sc.slots, run); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -29,9 +29,8 @@ import (
 // message, next to the reason it moved.
 //
 // The values were captured at the commit before internal/record
-// existed (four private codecs), and hold at any GOMAXPROCS: the seal
-// worker pool is sized from it, and batch sealing draws its nonces
-// serially whatever the pool size.
+// existed (four private codecs), and hold at any GOMAXPROCS: sealing
+// runs inline on the calling goroutine and draws its nonces serially.
 var golden = []struct {
 	scheme string
 	build  func(t *testing.T) (oram, []image)
